@@ -33,6 +33,7 @@ from .symbols import (
     catalog_zeros,
     derivs_at_zero,
     eval_symbol,
+    to_json_value,
 )
 
 #: |sum of squared reciprocal zeros| below this is treated as "could be 0".
@@ -44,18 +45,6 @@ COEFF_MARGIN = 1e-9
 HAS_ALGEBRA = "HasAlgebra"
 NO_ALGEBRA = "NoAlgebra"
 UNKNOWN = "Unknown"
-
-
-def _json_value(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): _json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_value(v) for v in value]
-    return value
 
 
 @dataclass(frozen=True)
@@ -75,7 +64,7 @@ class Verdict:
         return {
             "outcome": self.outcome,
             "route": self.route,
-            "evidence": _json_value(self.evidence),
+            "evidence": to_json_value(self.evidence),
             "confidence": self.confidence,
         }
 
@@ -136,7 +125,7 @@ class ZeroSetSummary:
         )
 
     def to_dict(self) -> dict:
-        return _json_value(
+        return to_json_value(
             {
                 "s1": self.s1,
                 "s2": self.s2,

@@ -14,7 +14,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -23,16 +22,19 @@ from . import __version__
 from .classify import classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
-from .exppoly import DiskGrid, ExpPoly
+from .exppoly import DiskGrid
 from .growth import estimate_order_type, scan_ray
 from .symbols import (
     CatalogSymbol,
+    complex_from_json,
     derivs_at_zero,
+    exppoly_from_json,
     symbol_from_dict,
     symbol_to_dict,
 )
 from .witness import (
     ExponentSet,
+    WitnessReport,
     construct_witness_T2,
     construct_witness_multi,
     default_multi_targets,
@@ -110,14 +112,6 @@ CONFIG_SCHEMA = {
 }
 
 
-def _uncx(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _terms(raw) -> ExpPoly:
-    return ExpPoly.of([(_uncx(c), _uncx(f)) for c, f in raw])
-
-
 def catalog_list() -> list[dict]:
     """Named symbol presets with the verdict the classifier should reach."""
     entries = [
@@ -185,6 +179,20 @@ def _require_symbol(config):
         raise ConfigError(f"bad symbol entry: {exc}") from exc
 
 
+def _load_report(path: str) -> WitnessReport:
+    """The witness report at ``path``: a ``witness``/``witness-multi`` run
+    report or a bare report payload."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read report: {exc}") from exc
+    try:
+        payload = raw.get("outcome", {}).get("witness", raw.get("witness", raw))
+        return WitnessReport.from_dict(payload)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed witness report: {exc!r}") from exc
+
+
 def run(config: dict) -> dict:
     """Dispatches one experiment; returns the full report dict (also written
     to disk by :func:`main`)."""
@@ -198,7 +206,9 @@ def run(config: dict) -> dict:
     elif command == "classify":
         spec = _require_symbol(config)
         zeros = (
-            [_uncx(z) for z in config["zeros"]] if "zeros" in config else None
+            [complex_from_json(z) for z in config["zeros"]]
+            if "zeros" in config
+            else None
         )
         verdict = classify(spec, zeros=zeros, r_grid=config.get("r_grid"))
         if verdict.confidence == "numerical":
@@ -241,9 +251,8 @@ def run(config: dict) -> dict:
                 raise ConfigError(
                     "seed_terms and target_terms must be given together"
                 )
-            seed, target = _terms(config["seed_terms"]), _terms(
-                config["target_terms"]
-            )
+            seed = exppoly_from_json(config["seed_terms"])
+            target = exppoly_from_json(config["target_terms"])
         else:
             seed, target = default_targets_T2(params)
             warnings.append("no targets supplied; using auto-placed defaults")
@@ -269,12 +278,12 @@ def run(config: dict) -> dict:
         n_max = int(config.get("n_max", 2**20))
         params = derive_multi_params(spec, A)
         if "target_terms" in config:
-            B = _terms(config["target_terms"])
+            B = exppoly_from_json(config["target_terms"])
         else:
             B, _ = default_multi_targets(params, A.n_generators)
             warnings.append("no target supplied; using auto-placed default")
         seeds = (
-            [_terms(t) for t in config["seeds_terms"]]
+            [exppoly_from_json(t) for t in config["seeds_terms"]]
             if "seeds_terms" in config
             else None
         )
@@ -289,22 +298,7 @@ def run(config: dict) -> dict:
         spec = _require_symbol(config)
         if "report_path" not in config:
             raise ConfigError("verify requires 'report_path'")
-        raw = json.loads(Path(config["report_path"]).read_text())
-        payload = raw.get("outcome", {}).get("witness", raw.get("witness", raw))
-        report = SimpleNamespace(
-            generators=[_terms(g) for g in payload["generators"]],
-            q=int(payload["q"]),
-            m=int(payload["m"]),
-            exponents=(
-                [tuple(a) for a in payload["exponents"]]
-                if payload.get("exponents")
-                else None
-            ),
-            targets={
-                tuple(int(x) for x in key.split(",")): _terms(terms)
-                for key, terms in payload["targets"].items()
-            },
-        )
+        report = _load_report(config["report_path"])
         grid = _grid(config)
         epsilon = float(config.get("epsilon", 1e-6))
         passed, trace = verify_witness(spec, report, grid, epsilon)

@@ -312,13 +312,36 @@ def to_taylor(
 # ---------------------------------------------------------------------------
 
 
-def _cx(value: complex) -> list[float]:
+def complex_to_json(value: complex) -> list[float]:
     value = complex(value)
     return [value.real, value.imag]
 
 
-def _uncx(pair) -> complex:
+def complex_from_json(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
+
+
+def exppoly_to_json(f: ExpPoly) -> list:
+    """Terms as ``[[coeff], [freq]]`` pairs of ``[re, im]``."""
+    return [[complex_to_json(c), complex_to_json(freq)] for c, freq in f.terms]
+
+
+def exppoly_from_json(raw) -> ExpPoly:
+    return ExpPoly.of([(complex_from_json(c), complex_from_json(f)) for c, f in raw])
+
+
+def to_json_value(value):
+    """Complex numbers, numpy scalars, tuples and non-string keys of a nested
+    structure made JSON-compatible."""
+    if isinstance(value, complex):
+        return complex_to_json(value)
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, dict):
+        return {str(k): to_json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(v) for v in value]
+    return value
 
 
 def symbol_to_dict(spec: SymbolSpec) -> dict:
@@ -326,28 +349,28 @@ def symbol_to_dict(spec: SymbolSpec) -> dict:
         return {
             "kind": "catalog",
             "name": spec.name,
-            "a": _cx(spec.a),
-            "poly": [_cx(c) for c in spec.poly],
-            "scale": _cx(spec.scale),
+            "a": complex_to_json(spec.a),
+            "poly": [complex_to_json(c) for c in spec.poly],
+            "scale": complex_to_json(spec.scale),
         }
     if isinstance(spec, ExpPolySymbol):
         return {
             "kind": "exppoly",
-            "terms": [[_cx(c), _cx(f)] for c, f in spec.poly.terms],
+            "terms": exppoly_to_json(spec.poly),
         }
     if isinstance(spec, PolyTimesExp):
         return {
             "kind": "poly-times-exp",
-            "poly": [_cx(c) for c in spec.poly],
-            "a": _cx(spec.a),
-            "b": _cx(spec.b),
+            "poly": [complex_to_json(c) for c in spec.poly],
+            "a": complex_to_json(spec.a),
+            "b": complex_to_json(spec.b),
         }
     if isinstance(spec, HadamardTrunc):
         return {
             "kind": "hadamard",
-            "a": _cx(spec.a),
-            "b": _cx(spec.b),
-            "zeros": [_cx(z) for z in spec.zeros],
+            "a": complex_to_json(spec.a),
+            "b": complex_to_json(spec.b),
+            "zeros": [complex_to_json(z) for z in spec.zeros],
             "genus": spec.genus,
             "truncation": spec.truncation,
         }
@@ -363,25 +386,23 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
     if kind == "catalog":
         return CatalogSymbol(
             name=d["name"],
-            a=_uncx(opt("a", [1.0, 0.0])),
-            poly=tuple(_uncx(c) for c in opt("poly", [[1.0, 0.0]])),
-            scale=_uncx(opt("scale", [1.0, 0.0])),
+            a=complex_from_json(opt("a", [1.0, 0.0])),
+            poly=tuple(complex_from_json(c) for c in opt("poly", [[1.0, 0.0]])),
+            scale=complex_from_json(opt("scale", [1.0, 0.0])),
         )
     if kind == "exppoly":
-        return ExpPolySymbol(
-            ExpPoly.of([(_uncx(c), _uncx(f)) for c, f in d["terms"]])
-        )
+        return ExpPolySymbol(exppoly_from_json(d["terms"]))
     if kind == "poly-times-exp":
         return PolyTimesExp(
-            poly=tuple(_uncx(c) for c in d["poly"]),
-            a=_uncx(d["a"]),
-            b=_uncx(opt("b", [0.0, 0.0])),
+            poly=tuple(complex_from_json(c) for c in d["poly"]),
+            a=complex_from_json(d["a"]),
+            b=complex_from_json(opt("b", [0.0, 0.0])),
         )
     if kind == "hadamard":
         return HadamardTrunc(
-            a=_uncx(d["a"]),
-            b=_uncx(opt("b", [0.0, 0.0])),
-            zeros=tuple(_uncx(z) for z in d["zeros"]),
+            a=complex_from_json(d["a"]),
+            b=complex_from_json(opt("b", [0.0, 0.0])),
+            zeros=tuple(complex_from_json(z) for z in d["zeros"]),
             genus=int(d["genus"]),
             truncation=int(d["truncation"]),
         )

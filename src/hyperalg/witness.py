@@ -13,6 +13,16 @@ powers near zero.  Two constructions are provided:
   f_i = L_i + n^{-k_i}, where the weights k_i make the monomial exponents
   separable and a distinguished exponent beta receives the target.
 
+Both run on one engine.  The single generator is the multi-generator scheme
+with one generator, monomials f, ..., f^m, beta = (m,) and K_beta = 0.  Each
+construction lists the terms of its expansion once, in a table that holds
+everything that does not depend on the iterate count N: frequency,
+contraction ratio Theta, decay case, log|phi(freq)|, log weight and the power
+of 1/N.  The engine, :func:`_double_until`, doubles N, solves the survivor
+coefficients, measures every monomial's residual and sums the term bounds,
+all through one log-magnitude formula that also fills the report's Theta
+table.
+
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
 tabulated so the decay argument can be audited term by term.
@@ -21,9 +31,11 @@ tabulated so the decay argument can be audited term by term.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +54,16 @@ from .growth import (
     find_convex_ray,
     ray_below_one,
 )
-from .symbols import SymbolSpec, eval_symbol, symbol_to_dict
+from .symbols import (
+    SymbolSpec,
+    complex_from_json,
+    complex_to_json,
+    eval_symbol,
+    exppoly_from_json,
+    exppoly_to_json,
+    symbol_to_dict,
+    to_json_value,
+)
 from .dynamics import apply_symbol_power, sup_distance
 
 #: Iterate counts are doubled from 8 up to this cap.
@@ -54,15 +75,6 @@ THETA_MARGIN = 1e-4
 
 #: Total degree cap for the multinomial weight computation.
 GAMMA_DEGREE_CAP = 64
-
-
-def _cx(value: complex) -> list[float]:
-    value = complex(value)
-    return [value.real, value.imag]
-
-
-def _exppoly_dict(f: ExpPoly) -> list:
-    return [[_cx(c), _cx(freq)] for c, freq in f.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +153,24 @@ def multinomial_gamma(u, v, a) -> complex:
     return weight
 
 
+def _contraction(spec: SymbolSpec, freq: complex, v, phi_surv, m: int):
+    """``(log|phi(freq)|, Theta)``: the term's eigenvalue against the
+    survivor eigenvalues ``phi_surv`` weighted by ``v / m``."""
+    log_phi = math.log(max(abs(eval_symbol(spec, freq)), 1e-300))
+    log_den = sum(
+        (vi / m) * math.log(abs(pv)) for vi, pv in zip(v, phi_surv) if vi
+    )
+    return log_phi, math.exp(log_phi - log_den)
+
+
+def _single_case(u, v, m: int) -> int:
+    if sum(u) >= 1:
+        return 2
+    if sum(v) < m:
+        return 3
+    return 1
+
+
 def theta_ratio(spec: SymbolSpec, u, v, lam, alpha_freqs, m: int):
     """Contraction ratio of one expansion term and its decay-case tag.
 
@@ -152,25 +182,20 @@ def theta_ratio(spec: SymbolSpec, u, v, lam, alpha_freqs, m: int):
     freq = sum(ui * af for ui, af in zip(u, alpha_freqs)) + sum(
         vi * li for vi, li in zip(v, lam)
     )
-    log_num = math.log(max(abs(eval_symbol(spec, freq)), 1e-300))
-    log_den = sum(
-        (vi / m) * math.log(abs(eval_symbol(spec, m * li)))
-        for vi, li in zip(v, lam)
-        if vi
-    )
-    theta = math.exp(log_num - log_den)
-    if sum(u) >= 1:
-        case = 2
-    elif sum(v) < m:
-        case = 3
-    else:
-        case = 1
-    return theta, case
+    phi_surv = [eval_symbol(spec, m * li) for li in lam]
+    return _contraction(spec, freq, v, phi_surv, m)[1], _single_case(u, v, m)
 
 
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+def _tuples(x, convert=int):
+    """JSON lists back to (nested) tuples of converted scalars; None stays."""
+    if x is None:
+        return None
+    return tuple(_tuples(y, convert) if isinstance(y, list) else convert(y) for y in x)
 
 
 @dataclass(frozen=True)
@@ -185,16 +210,17 @@ class ThetaEntry:
     bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "u": list(self.u) if not self.u or isinstance(self.u[0], int) else [list(x) for x in self.u],
-            "v": list(self.v),
-            "ell": None if self.ell is None else list(self.ell),
-            "alpha": None if self.alpha is None else list(self.alpha),
-            "theta": self.theta,
-            "case": self.case,
-            "magnitude": self.magnitude,
-            "bound": self.bound,
-        }
+        return to_json_value(vars(self))
+
+    @staticmethod
+    def from_dict(d: dict) -> "ThetaEntry":
+        return ThetaEntry(
+            *(_tuples(d[key]) for key in ("u", "v", "ell", "alpha")),
+            theta=float(d["theta"]),
+            case=int(d["case"]),
+            magnitude=float(d["magnitude"]),
+            bound=float(d["bound"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -215,30 +241,48 @@ class WitnessReport:
     beta: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "generators": [_exppoly_dict(g) for g in self.generators],
-            "q": self.q,
-            "m": self.m,
-            "residuals": {str(k): v for k, v in self.residuals.items()},
-            "theta_table": [e.to_dict() for e in self.theta_table],
-            "params": self.params,
-            "coefficients": [_cx(c) for c in self.coefficients],
-            "trace": [[q, r] for q, r in self.trace],
-            "bound_sum": self.bound_sum,
-            "targets": {
-                ",".join(str(int(x)) for x in k): _exppoly_dict(v)
-                for k, v in self.targets.items()
-            },
-            "exponents": None
-            if self.exponents is None
-            else [list(a) for a in self.exponents],
-            "weights": None if self.weights is None else list(self.weights),
-            "beta": None if self.beta is None else list(self.beta),
-        }
+        return to_json_value(
+            {
+                **vars(self),
+                "generators": [exppoly_to_json(g) for g in self.generators],
+                "theta_table": [e.to_dict() for e in self.theta_table],
+                "targets": {
+                    ",".join(map(str, k)): exppoly_to_json(v)
+                    for k, v in self.targets.items()
+                },
+            }
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+
+    @staticmethod
+    def from_dict(d: dict) -> "WitnessReport":
+        """Inverse of :meth:`to_dict`.
+
+        Checks the shape only, raising KeyError, TypeError, ValueError or
+        AttributeError on a malformed payload; whether the numbers make a
+        witness is for :func:`~hyperalg.dynamics.verify_witness` to decide.
+        """
+        return WitnessReport(
+            kind=str(d["kind"]),
+            generators=tuple(exppoly_from_json(g) for g in d["generators"]),
+            q=int(d["q"]),
+            m=int(d["m"]),
+            residuals={str(k): float(v) for k, v in d["residuals"].items()},
+            theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),
+            params=dict(d["params"]),
+            coefficients=tuple(complex_from_json(c) for c in d["coefficients"]),
+            trace=tuple((int(q), float(r)) for q, r in d["trace"]),
+            bound_sum=float(d["bound_sum"]),
+            targets={
+                tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
+                for k, v in d["targets"].items()
+            },
+            exponents=_tuples(d["exponents"] or None),
+            weights=_tuples(d["weights"], float),
+            beta=_tuples(d["beta"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -258,18 +302,174 @@ class WitnessParams:
     ray: ConvexRay = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        return {
-            "w": _cx(self.w),
-            "delta": self.delta,
-            "w_star": _cx(self.w_star),
-            "w0": _cx(self.w0),
-            "m": self.m,
-            "lambda_window": [_cx(self.lambda_window[0]), _cx(self.lambda_window[1])],
-            "margins": self.margins,
-            "N_max": self.N_max,
-            "grid": self.grid.to_dict(),
-            "epsilon": self.epsilon,
-        }
+        chosen = {k: v for k, v in vars(self).items() if k != "ray"}
+        return to_json_value({**chosen, "grid": self.grid.to_dict()})
+
+
+# ---------------------------------------------------------------------------
+# Expansion terms and the iterate-doubling engine
+# ---------------------------------------------------------------------------
+
+
+class _Term(NamedTuple):
+    """One expansion tuple with everything about it that does not depend on
+    the iterate count N."""
+
+    u: tuple
+    v: tuple
+    ell: tuple | None
+    alpha: tuple | None
+    case: int
+    counted: bool  # False for the survivors that carry the target
+    freq: complex
+    theta: float
+    log_phi: float  # log|phi(freq)|
+    log_weight: float  # log multinomial count + sum u log|seed coefficient|
+    ell_weight: float  # the term carries the factor N**-ell_weight
+
+
+def _double_until(
+    spec, m, seeds, target, keys, targets, grid, epsilon, n_max,
+    perm=(0,), k=(1.0,), K_beta=0,
+):
+    """Iterate doubling behind both constructions.
+
+    Generator 1 is ``seeds[0] + sum_j c_j(N) exp(gamma_j z)``, with gamma_j
+    the target frequencies over m and ``c_j**m phi(m gamma_j)**N = b_j
+    N**K_beta``; generator i >= 2 is ``seeds[i-1] + N**-k[i-1]``.  Slot i
+    here is the caller's generator ``perm[i]``; ``targets`` is keyed by the
+    caller's exponents, everything else is in slot order.
+
+    ``keys`` lists every monomial's expansion tuples ``(u, v, ell, alpha,
+    case, counted)``: u[i][j] factors of seed term j of generator i, v[j] of
+    survivor j and ell[i-1] of N**-k[i] (one generator: u is the one row,
+    ell and alpha are None).  N doubles from 8 until each monomial is within
+    epsilon of its target and so is the bound sum of the counted terms.
+
+    Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
+    Raises ThetaMarginError first when a counted term neither contracts nor
+    decays in N, and IterationLimitError, with the trace so far, when N
+    passes ``n_max`` or the coefficients overflow.
+    """
+    b = [c for c, _ in target.terms]
+    gammas = [f / m for _, f in target.terms]
+    phi_surv = [eval_symbol(spec, m * g) for g in gammas]
+    for g, val in zip(gammas, phi_surv):
+        if abs(val) <= 1 + MODULUS_MARGIN:
+            raise HypothesisError(
+                f"|phi({m * g})| = {abs(val):.9f}; survivor frequencies "
+                "need |phi| > 1"
+            )
+
+    terms = []
+    violations = []
+    for key in keys:
+        u, v, ell, alpha, case, counted = key
+        rows, ells = ((u,), ()) if alpha is None else (u, ell)
+        freq = sum(
+            uij * f
+            for row, s in zip(rows, seeds)
+            for uij, (_, f) in zip(row, s.terms)
+        ) + sum(vj * g for vj, g in zip(v, gammas))
+        log_phi, theta = _contraction(spec, freq, v, phi_surv, m)
+        count = math.prod(  # of each generator's power, seeds aside
+            multinomial_gamma(row, w, ())
+            for row, w in zip(rows, (v, *((e,) for e in ells)))
+        )
+        log_weight = math.log(abs(count))
+        for row, s in zip(rows, seeds):
+            for uij, (a, _) in zip(row, s.terms):
+                if uij:
+                    log_weight += uij * math.log(abs(a))
+        ell_weight = sum(ki * e for ki, e in zip(k[1:], ells))
+        terms.append(_Term(*key, freq, theta, log_phi, log_weight, ell_weight))
+        n_exp = (sum(v) / m) * K_beta - ell_weight
+        if counted and theta > 1 - THETA_MARGIN and not (
+            theta <= 1 + 1e-12 and n_exp < 0
+        ):
+            violations.append(
+                ({} if alpha is None else {"alpha": alpha})
+                | {"u": u, "v": v, "theta": theta, "case": case}
+            )
+    if violations:
+        raise ThetaMarginError(
+            f"{len(violations)} expansion tuples neither contract nor decay",
+            entries=violations,
+        )
+
+    R = grid.radius
+    monomials = [
+        (",".join(map(str, alpha)), tuple(alpha[i] for i in perm), tgt)
+        for alpha, tgt in targets.items()
+    ]
+    trace: list[tuple[int, float]] = []
+    N = 8
+    while N <= n_max:
+        try:
+            c = [solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)]
+        except OverflowError:
+            raise IterationLimitError(
+                f"survivor coefficients overflow at N = {N}", trace=trace
+            ) from None
+        gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
+            s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
+        ]
+        residuals = {}
+        for name, alpha, tgt in monomials:
+            g = ExpPoly.one()
+            for fi, ai in zip(gens, alpha):
+                if ai:
+                    g = mul_exppoly(g, pow_exppoly(fi, ai))
+            residuals[name] = sup_distance(apply_symbol_power(spec, g, N), tgt, grid)
+        trace.append((N, max(residuals.values())))
+
+        # the one term magnitude, for the bound sum and the Theta table:
+        # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
+        log_c = [
+            (math.log(abs(bj)) + K_beta * math.log(N) - N * math.log(abs(pv))) / m
+            for bj, pv in zip(b, phi_surv)
+        ]
+        log_mags = []
+        for t in terms:
+            log_x = t.log_weight
+            for vj, lc in zip(t.v, log_c):
+                if vj:
+                    log_x += vj * lc
+            log_mags.append(log_x + N * t.log_phi - t.ell_weight * math.log(N))
+        bound_sum = 0.0
+        for t, log_x in zip(terms, log_mags):
+            if t.counted:
+                bound_sum += math.exp(min(log_x + abs(t.freq) * R, 700.0))
+        if trace[-1][1] <= epsilon and bound_sum <= epsilon:
+            break
+        N *= 2
+    else:
+        raise IterationLimitError(
+            f"residual target {epsilon} not met by N = {n_max}", trace=trace
+        )
+
+    generators = [None] * len(gens)
+    for i, f in zip(perm, gens):
+        generators[i] = f
+    theta_table = tuple(
+        ThetaEntry(
+            t.u, t.v, t.ell, t.alpha, t.theta, t.case,
+            magnitude=math.exp(min(log_x, 700.0)),
+            bound=math.exp(min(log_x + abs(t.freq) * R, 700.0)),
+        )
+        for t, log_x in zip(terms, log_mags)
+    )
+    survivor_values = [
+        cj**m * cmath.exp(complex(N * math.log(abs(pv)), N * cmath.phase(pv)))
+        / N**K_beta
+        for cj, pv in zip(c, phi_surv)
+    ]
+    fields = dict(
+        generators=tuple(generators), q=N, residuals=residuals,
+        theta_table=theta_table, coefficients=tuple(c), trace=tuple(trace),
+        bound_sum=bound_sum,
+    )
+    return fields, survivor_values
 
 
 # ---------------------------------------------------------------------------
@@ -451,136 +651,32 @@ def construct_witness_T2(
     )
     grid = grid or params.grid
     _validate_targets_T2(params, seed, target)
-
-    a_coeffs = [c for c, _ in seed.terms]
-    alpha_freqs = [a for _, a in seed.terms]
-    b_coeffs = [c for c, _ in target.terms]
-    beta_freqs = [b for _, b in target.terms]
-    p = len(b_coeffs)
-    lam = [b / m for b in beta_freqs]
-    phi_at_survivors = [eval_symbol(spec, m * l) for l in lam]
-    for val, l in zip(phi_at_survivors, lam):
-        if abs(val) <= 1 + MODULUS_MARGIN:
-            raise HypothesisError(
-                f"|phi({m * l})| = {abs(val):.9f}; survivor frequencies need "
-                "|phi| > 1 on the convex ray"
-            )
-
+    p = len(target.terms)
     l_m_star, lower = enumerate_lattice(p, m)
-    table_index: list[tuple[tuple, tuple]] = list(l_m_star)
-    for layer in lower:
-        table_index.extend(layer)
     survivors = [
         ((0,) * p, tuple(m if i == j else 0 for i in range(p)))
         for j in range(p)
     ]
-
-    theta_by_tuple = {}
-    violations = []
-    for u, v in table_index:
-        theta, case = theta_ratio(spec, u, v, lam, alpha_freqs, m)
-        theta_by_tuple[(u, v)] = (theta, case)
-        if theta > 1 - THETA_MARGIN:
-            violations.append({"u": u, "v": v, "theta": theta, "case": case})
-    if violations:
-        raise ThetaMarginError(
-            f"{len(violations)} expansion tuples have contraction ratio "
-            f"above {1 - THETA_MARGIN}",
-            entries=violations,
-        )
-
-    R = grid.radius
-    log_b = [math.log(abs(b)) for b in b_coeffs]
-    trace: list[tuple[int, float]] = []
-    N = 8
-    while N <= N_max:
-        c = [
-            solve_coeff(b, m, phi_val, N)
-            for b, phi_val in zip(b_coeffs, phi_at_survivors)
-        ]
-        f = seed + ExpPoly.of(list(zip(c, lam)))
-        residuals = {}
-        worst = 0.0
-        for j in range(1, m + 1):
-            image = apply_symbol_power(spec, pow_exppoly(f, j), N)
-            tgt = target if j == m else ExpPoly.zero()
-            residuals[j] = sup_distance(image, tgt, grid)
-            worst = max(worst, residuals[j])
-        # sound per-tuple budget: the exact term magnitude
-        # |gamma| * prod |b_i|^{v_i/m} * Theta^N times the sup of the
-        # exponential on the grid
-        bound_sum = 0.0
-        for u, v in table_index:
-            theta, _ = theta_by_tuple[(u, v)]
-            gamma = multinomial_gamma(u, v, a_coeffs)
-            if gamma == 0:
-                continue
-            freq = sum(ui * af for ui, af in zip(u, alpha_freqs)) + sum(
-                vi * li for vi, li in zip(v, lam)
-            )
-            log_s = (
-                math.log(abs(gamma))
-                + sum((vi / m) * lb for vi, lb in zip(v, log_b))
-                + N * math.log(theta)
-            )
-            bound_sum += math.exp(min(log_s + abs(freq) * R, 700.0))
-        trace.append((N, worst))
-        if worst <= epsilon and bound_sum <= epsilon:
-            theta_table = []
-            for u, v in table_index + survivors:
-                if (u, v) in theta_by_tuple:
-                    theta, case = theta_by_tuple[(u, v)]
-                else:
-                    theta, case = theta_ratio(spec, u, v, lam, alpha_freqs, m)
-                gamma = multinomial_gamma(u, v, a_coeffs)
-                cv = 1 + 0j
-                for ci, vi in zip(c, v):
-                    cv *= ci**vi
-                freq = sum(ui * af for ui, af in zip(u, alpha_freqs)) + sum(
-                    vi * li for vi, li in zip(v, lam)
-                )
-                phi_freq = eval_symbol(spec, freq)
-                log_mag = (
-                    math.log(max(abs(gamma * cv), 1e-300))
-                    + N * math.log(max(abs(phi_freq), 1e-300))
-                )
-                magnitude = math.exp(min(log_mag, 700.0))
-                bound = math.exp(min(log_mag + abs(freq) * R, 700.0))
-                theta_table.append(
-                    ThetaEntry(
-                        u=u,
-                        v=v,
-                        ell=None,
-                        alpha=None,
-                        theta=theta,
-                        case=case,
-                        magnitude=magnitude,
-                        bound=bound,
-                    )
-                )
-            targets = {(j,): ExpPoly.zero() for j in range(1, m)}
-            targets[(m,)] = target
-            return WitnessReport(
-                kind="single",
-                generators=(f,),
-                q=N,
-                m=m,
-                residuals={str(j): r for j, r in residuals.items()},
-                theta_table=tuple(theta_table),
-                params={
-                    **params.to_dict(),
-                    "symbol": symbol_to_dict(spec),
-                    "seed": _exppoly_dict(seed),
-                    "target": _exppoly_dict(target),
-                },
-                coefficients=tuple(c),
-                trace=tuple(trace),
-                bound_sum=bound_sum,
-                targets=targets,
-            )
-        N *= 2
-    raise IterationLimitError(
-        f"residual target {epsilon} not met by N_max = {N_max}", trace=trace
+    keys = [
+        (u, v, None, None, _single_case(u, v, m), (u, v) not in survivors)
+        for u, v in itertools.chain(l_m_star, *lower, survivors)
+    ]
+    targets = {(j,): ExpPoly.zero() for j in range(1, m)}
+    targets[(m,)] = target
+    fields, _ = _double_until(
+        spec, m, (seed,), target, keys, targets, grid, epsilon, N_max
+    )
+    return WitnessReport(
+        kind="single",
+        m=m,
+        params={
+            **params.to_dict(),
+            "symbol": symbol_to_dict(spec),
+            "seed": exppoly_to_json(seed),
+            "target": exppoly_to_json(target),
+        },
+        targets=targets,
+        **fields,
     )
 
 
@@ -680,18 +776,13 @@ class MultiParams:
         return (self.b * self.w_plus, 2 * self.b * self.w_plus)
 
     def to_dict(self) -> dict:
-        return {
-            "w_minus": _cx(self.w_minus),
-            "w_plus": _cx(self.w_plus),
-            "a": self.a,
-            "b": self.b,
-            "d_A": self.d_A,
-            "m": self.m,
-            "same_ray": self.same_ray,
-            "margins": self.margins,
-            "lambda_window": [_cx(x) for x in self.lambda_window],
-            "gamma_window": [_cx(x) for x in self.gamma_window],
-        }
+        return to_json_value(
+            {
+                **vars(self),
+                "lambda_window": self.lambda_window,
+                "gamma_window": self.gamma_window,
+            }
+        )
 
 
 def derive_multi_params(
@@ -786,40 +877,33 @@ def default_multi_targets(
 def _multi_lattice(alpha, p, n_gen):
     """All (u, v, ell): u a tuple of N vectors in N_0^p, v in N_0^p,
     ell in N_0^{N-1}, with |u_1| + |v| = alpha_1 and |u_i| + ell_i = alpha_i."""
-    first_splits = []
-    for v_total in range(alpha[0] + 1):
-        u1_total = alpha[0] - v_total
-        for u1 in _compositions(u1_total, p):
-            for v in _compositions(v_total, p):
-                first_splits.append((u1, v))
-    rest_options = []
-    for i in range(1, n_gen):
-        opts = []
-        for u_total in range(alpha[i] + 1):
-            ell_i = alpha[i] - u_total
-            for ui in _compositions(u_total, p):
-                opts.append((ui, ell_i))
-        rest_options.append(opts)
-
-    def product(idx, acc_u, acc_ell):
-        if idx == len(rest_options):
-            yield tuple(acc_u), tuple(acc_ell)
-            return
-        for ui, ell_i in rest_options[idx]:
-            yield from product(idx + 1, acc_u + [ui], acc_ell + [ell_i])
-
-    out = []
-    for u1, v in first_splits:
-        for rest_u, ell in product(0, [], []):
-            out.append(((u1,) + rest_u, v, ell))
-    return out
+    first_splits = [
+        (u1, v)
+        for v_total in range(alpha[0] + 1)
+        for u1 in _compositions(alpha[0] - v_total, p)
+        for v in _compositions(v_total, p)
+    ]
+    rest_options = [
+        [
+            (ui, alpha[i] - u_total)
+            for u_total in range(alpha[i] + 1)
+            for ui in _compositions(u_total, p)
+        ]
+        for i in range(1, n_gen)
+    ]
+    return [
+        ((u1, *(ui for ui, _ in rest)), v, tuple(ell_i for _, ell_i in rest))
+        for u1, v in first_splits
+        for rest in itertools.product(*rest_options)
+    ]
 
 
-def _multinom(n: int, parts) -> int:
-    denom = 1
-    for x in parts:
-        denom *= math.factorial(x)
-    return math.factorial(n) // denom
+def _check_window(poly: ExpPoly, window, what: str, name: str):
+    lo, hi = window
+    for _, f in poly.terms:
+        t = (f - lo) / (hi - lo) if hi != lo else 0
+        if abs(t.imag) > 1e-9 or not (-1e-9 <= t.real <= 1 + 1e-9):
+            raise TargetPlacementError(f"{what} {f} outside the {name} window")
 
 
 def construct_witness_multi(
@@ -845,253 +929,81 @@ def construct_witness_multi(
     n_gen = A.n_generators
     exps_perm = [tuple(a[i] for i in perm) for a in A.exponents]
     m = params.m
+    p = len(B.terms)
 
     if seeds is None:
-        B_default, seeds_perm = default_multi_targets(params, n_gen, p=len(B.terms))
-        del B_default
+        _, seeds_perm = default_multi_targets(params, n_gen, p=p)
     else:
         if len(seeds) != n_gen:
             raise TargetPlacementError("need one seed per generator")
         seeds_perm = [seeds[perm[i]] for i in range(n_gen)]
 
-    p = len(B.terms)
-    b_coeffs = [c for c, _ in B.terms]
-    gammas = [f / m for _, f in B.terms]
-    lo, hi = params.gamma_window
-    for _, f in B.terms:
-        t = (f - lo) / (hi - lo) if hi != lo else 0
-        if abs(t.imag) > 1e-9 or not (-1e-9 <= t.real <= 1 + 1e-9):
-            raise TargetPlacementError(
-                f"target frequency {f} outside the growth window"
-            )
-    llo, lhi = params.lambda_window
+    _check_window(B, params.gamma_window, "target frequency", "growth")
     for L in seeds_perm:
         if len(L.terms) != p:
             raise TargetPlacementError(
                 "each seed needs as many terms as the target"
             )
-        for _, f in L.terms:
-            t = (f - llo) / (lhi - llo) if lhi != llo else 0
-            if abs(t.imag) > 1e-9 or not (-1e-9 <= t.real <= 1 + 1e-9):
-                raise TargetPlacementError(
-                    f"seed frequency {f} outside the decay window"
-                )
-
-    phi_surv = [eval_symbol(spec, m * g) for g in gammas]
-    for g, val in zip(gammas, phi_surv):
-        if abs(val) <= 1 + MODULUS_MARGIN:
-            raise HypothesisError(
-                f"|phi({m * g})| = {abs(val):.9f}; need > 1 on the growth window"
-            )
+        _check_window(L, params.lambda_window, "seed frequency", "decay")
 
     K_beta = sum(k[i] * beta[i] for i in range(1, n_gen))
-    a_freqs = [[f for _, f in L.terms] for L in seeds_perm]
-    a_coefs = [[c for c, _ in L.terms] for L in seeds_perm]
-
-    lattices = {alpha: _multi_lattice(alpha, p, n_gen) for alpha in exps_perm}
-
-    def tuple_data(alpha, u, v, ell):
-        freq = sum(
-            uij * a_freqs[i][j]
-            for i in range(n_gen)
-            for j, uij in enumerate(u[i])
-        ) + sum(vj * g for vj, g in zip(v, gammas))
-        log_num = math.log(max(abs(eval_symbol(spec, freq)), 1e-300))
-        log_den = sum(
-            (vj / m) * math.log(abs(pv)) for vj, pv in zip(v, phi_surv) if vj
-        )
-        theta = math.exp(log_num - log_den)
-        usum = sum(sum(ui) for ui in u)
-        if 1 <= usum < params.d_A:
-            case = 1
-        elif usum == params.d_A:
-            case = 2
-        elif max(v) < m:
-            case = 3
-        else:
-            case = 4
-        # n-exponent of |X|: (|v|/m) K_beta - sum k_s ell_s
-        n_exp = (sum(v) / m) * K_beta - sum(
-            k[i] * ell[i - 1] for i in range(1, n_gen)
-        )
-        return freq, theta, case, n_exp
-
-    info = {}
+    keys = []
     violations = []
     for alpha in exps_perm:
-        for u, v, ell in lattices[alpha]:
-            freq, theta, case, n_exp = tuple_data(alpha, u, v, ell)
+        for u, v, ell in _multi_lattice(alpha, p, n_gen):
+            usum = sum(sum(ui) for ui in u)
             survivor_shaped = (
-                sum(sum(ui) for ui in u) == 0
-                and sorted(v, reverse=True)[0] == m
-                and sum(1 for x in v if x) == 1
+                usum == 0 and max(v) == m and sum(1 for x in v if x) == 1
             )
-            info[(alpha, u, v, ell)] = (freq, theta, case, n_exp, survivor_shaped)
-            if survivor_shaped:
-                if alpha != beta:
-                    gap = sum(
-                        k[i] * (beta[i] - alpha[i]) for i in range(1, n_gen)
+            if survivor_shaped and alpha != beta:
+                gap = sum(k[i] * (beta[i] - alpha[i]) for i in range(1, n_gen))
+                if not gap < 0:
+                    violations.append(
+                        {"alpha": alpha, "u": u, "v": v, "why": "no n-decay"}
                     )
-                    if not gap < 0:
-                        violations.append(
-                            {"alpha": alpha, "u": u, "v": v, "why": "no n-decay"}
-                        )
-                continue
-            if theta > 1 - THETA_MARGIN and not (
-                theta <= 1 + 1e-12 and n_exp < 0
-            ):
-                violations.append(
-                    {"alpha": alpha, "u": u, "v": v, "theta": theta, "case": case}
-                )
+            if 1 <= usum < params.d_A:
+                case = 1
+            elif usum == params.d_A:
+                case = 2
+            elif max(v) < m:
+                case = 3
+            else:
+                case = 4
+            counted = not (survivor_shaped and alpha == beta)
+            keys.append((u, v, ell, alpha, case, counted))
     if violations:
         raise ThetaMarginError(
             f"{len(violations)} expansion tuples neither contract nor decay",
             entries=violations,
         )
 
-    R = grid.radius
-    trace: list[tuple[int, float]] = []
-    n = 8
-    while n <= n_max:
-        c = [
-            solve_coeff(b * n**K_beta, m, pv, n)
-            for b, pv in zip(b_coeffs, phi_surv)
-        ]
-        f_perm = [seeds_perm[0] + ExpPoly.of(list(zip(c, gammas)))]
-        for i in range(1, n_gen):
-            f_perm.append(seeds_perm[i] + ExpPoly.of([(n ** -k[i], 0j)]))
-
-        residuals = {}
-        worst = 0.0
-        for alpha_orig, alpha in zip(A.exponents, exps_perm):
-            g = ExpPoly.one()
-            for fi, ai in zip(f_perm, alpha):
-                if ai:
-                    g = mul_exppoly(g, pow_exppoly(fi, ai))
-            image = apply_symbol_power(spec, g, n)
-            tgt = B if alpha == beta else ExpPoly.zero()
-            r = sup_distance(image, tgt, grid)
-            residuals[alpha_orig] = r
-            worst = max(worst, r)
-
-        bound_sum = 0.0
-        log_c = [
-            (math.log(abs(b)) + K_beta * math.log(n) - n * math.log(abs(pv))) / m
-            for b, pv in zip(b_coeffs, phi_surv)
-        ]
-        for alpha in exps_perm:
-            for u, v, ell in lattices[alpha]:
-                freq, theta, case, n_exp, survivor_shaped = info[
-                    (alpha, u, v, ell)
-                ]
-                if survivor_shaped and alpha == beta:
-                    continue
-                coef = _multinom(alpha[0], list(u[0]) + list(v))
-                for i in range(1, n_gen):
-                    coef *= _multinom(alpha[i], list(u[i]) + [ell[i - 1]])
-                log_x = math.log(coef)
-                for i in range(n_gen):
-                    for j, uij in enumerate(u[i]):
-                        if uij:
-                            log_x += uij * math.log(abs(a_coefs[i][j]))
-                for j, vj in enumerate(v):
-                    if vj:
-                        log_x += vj * log_c[j]
-                log_x += n * math.log(
-                    max(abs(eval_symbol(spec, freq)), 1e-300)
-                )
-                log_x -= sum(
-                    k[i] * ell[i - 1] for i in range(1, n_gen)
-                ) * math.log(n)
-                bound_sum += math.exp(min(log_x + abs(freq) * R, 700.0))
-        trace.append((n, worst))
-        if worst <= epsilon and bound_sum <= epsilon:
-            theta_table = []
-            for alpha in exps_perm:
-                for u, v, ell in lattices[alpha]:
-                    freq, theta, case, n_exp, survivor_shaped = info[
-                        (alpha, u, v, ell)
-                    ]
-                    coef = _multinom(alpha[0], list(u[0]) + list(v))
-                    for i in range(1, n_gen):
-                        coef *= _multinom(alpha[i], list(u[i]) + [ell[i - 1]])
-                    log_x = math.log(coef)
-                    for i in range(n_gen):
-                        for j, uij in enumerate(u[i]):
-                            if uij:
-                                log_x += uij * math.log(abs(a_coefs[i][j]))
-                    for j, vj in enumerate(v):
-                        if vj:
-                            log_x += vj * log_c[j]
-                    log_x += n * math.log(
-                        max(abs(eval_symbol(spec, freq)), 1e-300)
-                    )
-                    log_x -= sum(
-                        k[i] * ell[i - 1] for i in range(1, n_gen)
-                    ) * math.log(n)
-                    magnitude = math.exp(min(log_x, 700.0))
-                    bound = math.exp(min(log_x + abs(freq) * R, 700.0))
-                    theta_table.append(
-                        ThetaEntry(
-                            u=u,
-                            v=v,
-                            ell=ell,
-                            alpha=alpha,
-                            theta=theta,
-                            case=case,
-                            magnitude=magnitude,
-                            bound=bound,
-                        )
-                    )
-            # undo the coordinate permutation for the returned generators
-            generators = [None] * n_gen
-            for i in range(n_gen):
-                generators[perm[i]] = f_perm[i]
-            targets = {
-                alpha_orig: (B if alpha == beta else ExpPoly.zero())
-                for alpha_orig, alpha in zip(A.exponents, exps_perm)
-            }
-            survivor_values = [
-                c_j**m
-                * cmath.exp(
-                    complex(
-                        n * math.log(abs(pv)), n * cmath.phase(pv)
-                    )
-                )
-                / n**K_beta
-                for c_j, pv in zip(c, phi_surv)
-            ]
-            return WitnessReport(
-                kind="multi",
-                generators=tuple(generators),
-                q=n,
-                m=m,
-                residuals={
-                    ",".join(map(str, a)): r for a, r in residuals.items()
-                },
-                theta_table=tuple(theta_table),
-                params={
-                    **params.to_dict(),
-                    "symbol": symbol_to_dict(spec),
-                    "weights": list(k),
-                    "beta_permuted": list(beta),
-                    "permutation": list(perm),
-                    "K_beta": K_beta,
-                    "survivor_values": [_cx(sv) for sv in survivor_values],
-                    "target": _exppoly_dict(B),
-                    "seeds": [_exppoly_dict(L) for L in seeds_perm],
-                    "grid": grid.to_dict(),
-                    "epsilon": epsilon,
-                },
-                coefficients=tuple(c),
-                trace=tuple(trace),
-                bound_sum=bound_sum,
-                targets=targets,
-                exponents=A.exponents,
-                weights=k,
-                beta=beta,
-            )
-        n *= 2
-    raise IterationLimitError(
-        f"residual target {epsilon} not met by n_max = {n_max}", trace=trace
+    targets = {
+        alpha_orig: (B if alpha == beta else ExpPoly.zero())
+        for alpha_orig, alpha in zip(A.exponents, exps_perm)
+    }
+    fields, survivor_values = _double_until(
+        spec, m, seeds_perm, B, keys, targets, grid, epsilon, n_max,
+        perm=perm, k=k, K_beta=K_beta,
+    )
+    return WitnessReport(
+        kind="multi",
+        m=m,
+        params={
+            **params.to_dict(),
+            "symbol": symbol_to_dict(spec),
+            "weights": list(k),
+            "beta_permuted": list(beta),
+            "permutation": list(perm),
+            "K_beta": K_beta,
+            "survivor_values": [complex_to_json(sv) for sv in survivor_values],
+            "target": exppoly_to_json(B),
+            "seeds": [exppoly_to_json(L) for L in seeds_perm],
+            "grid": grid.to_dict(),
+            "epsilon": epsilon,
+        },
+        targets=targets,
+        exponents=A.exponents,
+        weights=k,
+        beta=beta,
+        **fields,
     )

@@ -148,6 +148,25 @@ class TestPipelines:
         assert witness["kind"] == "multi"
         assert all(r <= 1e-5 for r in witness["residuals"].values())
 
+    def test_multi_coefficient_overflow_exits_1(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "witness-multi", "symbol": QUAD, "exponents": [[3, 3, 3]]},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("report", [None, "{}", '{"witness": {"q": 8}}', "[1]"])
+    def test_unusable_report_is_a_config_error(self, tmp_path, capsys, report):
+        report_path = tmp_path / "report.json"
+        if report is not None:
+            report_path.write_text(report)
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_path)},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_run_requires_exponents_for_multi(self):
         with pytest.raises(ConfigError):
             run({"command": "witness-multi", "symbol": QUAD})

@@ -14,6 +14,7 @@ from hyperalg import (
     ExpPoly,
     ExponentSet,
     PolyTimesExp,
+    WitnessReport,
     apply_symbol_power,
     construct_witness_T2,
     construct_witness_multi,
@@ -30,7 +31,11 @@ from hyperalg import (
     theta_ratio,
     verify_witness,
 )
-from hyperalg.errors import HypothesisError, TargetPlacementError
+from hyperalg.errors import (
+    HypothesisError,
+    IterationLimitError,
+    TargetPlacementError,
+)
 from hyperalg.witness import fit_target_exppoly
 
 QUAD = CatalogSymbol("exp-quadratic")
@@ -225,6 +230,8 @@ class TestSingleGenerator:
         payload = json.loads(report.to_json())
         assert payload["kind"] == "single"
         assert payload["q"] == report.q
+        assert WitnessReport.from_dict(report.to_dict()).to_json() == report.to_json()
+        assert WitnessReport.from_dict(payload).to_json() == report.to_json()
 
     def test_fit_target_mode_reports_fit_error_separately(self, params):
         grid = DiskGrid(radius=1.0, samples=32, circles=3)
@@ -279,6 +286,21 @@ class TestMultiGenerator:
         rep, _ = multi_report
         passed, _ = verify_witness(QUAD, rep, DiskGrid(radius=3.0), 1e-5)
         assert passed
+
+    def test_report_round_trips(self, multi_report):
+        rep, _ = multi_report
+        assert WitnessReport.from_dict(rep.to_dict()).to_json() == rep.to_json()
+        payload = json.loads(rep.to_json())
+        assert WitnessReport.from_dict(payload).to_json() == rep.to_json()
+
+    def test_coefficient_overflow_is_an_iteration_limit(self):
+        # K_beta = 60, so n**K_beta leaves the double range at n = 2**18
+        A = ExponentSet.of([(3, 3, 3)])
+        params = derive_multi_params(QUAD, A)
+        B, seeds = default_multi_targets(params, A.n_generators)
+        with pytest.raises(IterationLimitError) as info:
+            construct_witness_multi(QUAD, A, B, seeds, params=params)
+        assert [q for q, _ in info.value.trace] == [2**j for j in range(3, 18)]
 
     def test_same_ray_symbol(self):
         spec = PolyTimesExp(poly=(1, 1, 1), a=1)
