@@ -11,9 +11,7 @@ from .classify import (
     Verdict,
     ZeroSetSummary,
     check_T2,
-    check_TIG,
     classify,
-    rescale_symbol,
 )
 from .dynamics import (
     OrbitTrace,
@@ -50,7 +48,6 @@ from .growth import (
     max_modulus,
     ray_below_one,
     scan_ray,
-    tau0,
 )
 from .symbols import (
     CatalogSymbol,
@@ -64,7 +61,6 @@ from .symbols import (
     symbol_from_dict,
     symbol_to_dict,
     to_taylor,
-    weierstrass_factor,
 )
 from .witness import (
     ExponentSet,
@@ -82,7 +78,6 @@ from .witness import (
     multinomial_gamma,
     select_weights,
     solve_coeff,
-    theta_ratio,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

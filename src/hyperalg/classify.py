@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError
-from .exppoly import ExpPoly
 from .growth import (
     check_Tma_conditions,
     estimate_order_type,
@@ -41,6 +40,12 @@ ZERO_SUM_MARGIN = 1e-9
 
 #: Numerical-zero threshold for derivative and coefficient comparisons.
 COEFF_MARGIN = 1e-9
+
+#: :func:`check_T2` looks for progressions of length m = 2..M_MAX.
+M_MAX = 6
+
+#: Radii at which :class:`ZeroSetSummary` counts the zeros inside.
+ZERO_COUNT_RADII = (5.0, 10.0, 50.0, 100.0)
 
 HAS_ALGEBRA = "HasAlgebra"
 NO_ALGEBRA = "NoAlgebra"
@@ -89,7 +94,7 @@ class ZeroSetSummary:
     truncation: int
 
     @staticmethod
-    def from_zeros(zeros, count_radii=(5.0, 10.0, 50.0, 100.0)) -> "ZeroSetSummary":
+    def from_zeros(zeros) -> "ZeroSetSummary":
         zs = [complex(z) for z in zeros]
         if not zs or any(z == 0 for z in zs):
             raise ValueError("need a nonempty list of nonzero zeros")
@@ -111,7 +116,7 @@ class ZeroSetSummary:
             converges = slope > 1.0
         genus = 0 if converges else 1
         counts = tuple(
-            (float(r), sum(1 for m in mags if m <= r)) for r in count_radii
+            (float(r), sum(1 for m in mags if m <= r)) for r in ZERO_COUNT_RADII
         )
         return ZeroSetSummary(
             s1=s1,
@@ -137,32 +142,6 @@ class ZeroSetSummary:
                 "truncation": self.truncation,
             }
         )
-
-
-def rescale_symbol(spec: SymbolSpec, a: complex) -> SymbolSpec:
-    """The symbol ``z -> phi(a z)``, transformed in closed form per variant."""
-    a = complex(a)
-    if a == 0:
-        raise ValueError("rescale factor must be nonzero")
-    if isinstance(spec, CatalogSymbol):
-        return CatalogSymbol(spec.name, a=spec.a, poly=spec.poly, scale=spec.scale * a)
-    if isinstance(spec, ExpPolySymbol):
-        return ExpPolySymbol(ExpPoly.of([(c, f * a) for c, f in spec.poly.terms]))
-    if isinstance(spec, PolyTimesExp):
-        return PolyTimesExp(
-            poly=tuple(c * a**k for k, c in enumerate(spec.poly)),
-            a=spec.a * a,
-            b=spec.b,
-        )
-    if isinstance(spec, HadamardTrunc):
-        return HadamardTrunc(
-            a=spec.a * a,
-            b=spec.b,
-            zeros=tuple(z / a for z in spec.zeros),
-            genus=spec.genus,
-            truncation=spec.truncation,
-        )
-    raise TypeError(f"not a SymbolSpec: {spec!r}")
 
 
 def _structural_poly_exp(spec: SymbolSpec) -> PolyTimesExp | None:
@@ -219,7 +198,7 @@ def _zero_summary(spec: SymbolSpec, zeros) -> ZeroSetSummary | None:
     return None
 
 
-def check_T2(spec: SymbolSpec, m_max: int = 6) -> dict:
+def check_T2(spec: SymbolSpec) -> dict:
     """Curvature-and-progressions evidence: the second-derivative margin
     |phi''(0) phi(0) - phi'(0)^2| and, per power m, a step ``a`` with
     |phi(j a)| < 1 for j = 1..m."""
@@ -231,7 +210,7 @@ def check_T2(spec: SymbolSpec, m_max: int = 6) -> dict:
     derivs, _ = derivs_at_zero(spec, 2)
     margin = abs(derivs[2] * derivs[0] - derivs[1] ** 2)
     progressions: dict[int, complex | None] = {}
-    for m in range(2, m_max + 1):
+    for m in range(2, M_MAX + 1):
         progressions[m] = find_arith_progression(spec, m)
     passed = margin > COEFF_MARGIN and all(
         a is not None for a in progressions.values()
@@ -241,63 +220,16 @@ def check_T2(spec: SymbolSpec, m_max: int = 6) -> dict:
         "derivs": list(derivs),
         "second_deriv_margin": margin,
         "progressions": progressions,
-        "m_max": m_max,
+        "m_max": M_MAX,
         "passed": passed,
     }
-
-
-def check_TIG(spec: SymbolSpec, zeros=None) -> dict:
-    """Checks the three single-generator sufficient conditions: an odd first
-    nonzero derivative at 0; polynomial-times-exponential coefficient
-    inequalities; zero-set sum distinct from the exponent slope."""
-    phi0 = eval_symbol(spec, 0)
-    if abs(abs(phi0) - 1) > COEFF_MARGIN:
-        raise NormalizationError(
-            f"|phi(0)| = {abs(phi0):.12f}; must be 1 (up to rotation)"
-        )
-    derivs, _ = derivs_at_zero(spec, 9)
-    first_index = next(
-        (n for n in range(1, 10) if abs(derivs[n]) > COEFF_MARGIN), None
-    )
-    evidence: dict = {
-        "first_nonzero_derivative_index": first_index,
-        "odd-derivative": {
-            "holds": first_index is not None and first_index % 2 == 1,
-            "index": first_index,
-        },
-    }
-    pe = _structural_poly_exp(spec)
-    if pe is not None:
-        a1 = pe.poly[1] if len(pe.poly) > 1 else 0j
-        a2 = pe.poly[2] if len(pe.poly) > 2 else 0j
-        evidence["poly-exp-coeffs"] = {
-            "a": pe.a,
-            "a1": a1,
-            "a2": a2,
-            "holds": abs(2 * a2 - a1 * a1) > COEFF_MARGIN
-            and abs(a1 + pe.a) > COEFF_MARGIN,
-        }
-    summary = _zero_summary(spec, zeros)
-    slope = _exponent_slope(spec)
-    if summary is not None and slope is not None:
-        evidence["zero-sums"] = {
-            "s1": summary.s1,
-            "a": slope,
-            "inv_modulus_converges": summary.inv_modulus_converges,
-            "holds": summary.inv_modulus_converges is True
-            and abs(summary.s1 - slope) > COEFF_MARGIN,
-        }
-    evidence["passed"] = any(
-        isinstance(v, dict) and v.get("holds") for v in evidence.values()
-    )
-    return evidence
 
 
 def _default_r_grid():
     return list(np.geomspace(1.0, 60.0, 16))
 
 
-def classify(spec: SymbolSpec, zeros=None, r_grid=None, m_max: int = 6) -> Verdict:
+def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     """Runs the decision tree and returns the first verdict it can defend."""
     evidence: dict = {}
 
@@ -356,20 +288,15 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None, m_max: int = 6) -> Verdi
         else:
             evidence["zeros"]["square_sum_ambiguous"] = True
 
-    try:
-        t2 = check_T2(spec, m_max)
-    except NormalizationError:
-        t2 = None
-    if t2 is not None:
-        evidence["curvature-progression"] = {
-            "second_deriv_margin": t2["second_deriv_margin"],
-            "progressions": t2["progressions"],
-            "passed": t2["passed"],
-        }
-        if t2["passed"]:
-            return Verdict(
-                HAS_ALGEBRA, "curvature-progression", evidence, "numerical"
-            )
+    # |phi(0)| = 1 was checked above, so check_T2 cannot raise
+    t2 = check_T2(spec)
+    evidence["curvature-progression"] = {
+        "second_deriv_margin": t2["second_deriv_margin"],
+        "progressions": t2["progressions"],
+        "passed": t2["passed"],
+    }
+    if t2["passed"]:
+        return Verdict(HAS_ALGEBRA, "curvature-progression", evidence, "numerical")
 
     for k in range(24):
         theta = 2 * math.pi * k / 24

@@ -84,7 +84,6 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "m": {"type": "integer", "minimum": 2},
-        "m_max": {"type": "integer", "minimum": 2},
         "n_max": {"type": "integer", "minimum": 8},
         "grid": {
             "type": "object",
@@ -162,12 +161,7 @@ def _load_config(args) -> dict:
 
 
 def _grid(config) -> DiskGrid:
-    g = config.get("grid", {"radius": 3.0})
-    return DiskGrid(
-        radius=float(g["radius"]),
-        samples=int(g.get("samples", 64)),
-        circles=int(g.get("circles", 4)),
-    )
+    return DiskGrid.from_dict(config.get("grid", {"radius": 3.0}))
 
 
 def _require_symbol(config):

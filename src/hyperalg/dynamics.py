@@ -94,16 +94,17 @@ def taylor_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
 
 
 def apply_symbol_taylor(
-    phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int, guard: int = TAYLOR_GUARD
+    phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
 ) -> TaylorPoly:
     """Coefficient-space action ``sum_n a_n D^n``: output coefficient k is
     ``sum_n a_n * (k+n)! / k! * f_{k+n}``, truncated at K.
 
-    Both inputs must carry at least ``K + guard`` coefficients; the guard
-    band absorbs the downward coefficient flow so the first K+1 outputs are
-    trustworthy (for inputs whose tails are already negligible there).
+    ``f_taylor`` must carry at least ``K + TAYLOR_GUARD`` coefficients; the
+    guard band absorbs the downward coefficient flow so the first K+1
+    outputs are trustworthy (for inputs whose tails are already negligible
+    there).
     """
-    need = K + guard
+    need = K + TAYLOR_GUARD
     if f_taylor.cap < need or len(f_taylor.coeffs) < need + 1:
         raise OracleInputError(
             f"f needs >= {need + 1} coefficients, got {len(f_taylor.coeffs)}"

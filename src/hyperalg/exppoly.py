@@ -116,10 +116,6 @@ class ExpPoly:
             list(self.terms) + [(-c, f) for c, f in other.terms]
         )
 
-    def scaled(self, factor: ComplexLike) -> "ExpPoly":
-        factor = complex(factor)
-        return ExpPoly.of([(c * factor, f) for c, f in self.terms])
-
 
 def mul_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
     """Product; frequencies add pairwise and equal sums merge."""
@@ -179,14 +175,6 @@ class TaylorPoly:
         for c in reversed(self.coeffs):
             total = total * zs + c
         return total
-
-    def __sub__(self, other: "TaylorPoly") -> "TaylorPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [0j] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [0j] * (n - len(other.coeffs))
-        return TaylorPoly(
-            tuple(x - y for x, y in zip(a, b)), max(self.cap, other.cap)
-        )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,23 @@ MODULUS_MARGIN = 1e-6
 #: Samples with |phi| below this are skipped when taking logs on a ray.
 LOG_FLOOR = 1e-300
 
+#: Points per circle in :func:`max_modulus` and per ray in :func:`ray_below_one`.
+SCAN_SAMPLES = 256
+
+#: :func:`find_arith_progression` tries these step lengths, smallest first,
+#: each in this many equispaced directions.
+PROGRESSION_STEPS = np.geomspace(1e-3, 10.0, 512)
+PROGRESSION_DIRECTIONS = 360
+
+#: Samples of a discrete log|phi| profile on a segment.
+PROFILE_POINTS = 64
+
+#: :func:`find_convex_ray` halves the segment at most this often.
+MAX_HALVINGS = 40
+
+#: :func:`find_convex_ray` needs |phi'' phi - phi'^2| / |phi|^2 above this.
+CURVATURE_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class RayScan:
@@ -91,27 +108,23 @@ class ConvexRay:
     profile: tuple[float, ...]
 
 
-def max_modulus(spec: SymbolSpec, r: float, samples: int = 256) -> float:
+def max_modulus(spec: SymbolSpec, r: float) -> float:
     """Max of |phi| over equispaced points on the circle |z| = r."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    if samples < 16:
-        raise ValueError("need at least 16 samples")
-    angles = 2 * np.pi * np.arange(samples) / samples
+    angles = 2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
     vals = eval_symbol_array(spec, r * np.exp(1j * angles))
     return float(np.max(np.abs(vals)))
 
 
-def estimate_order_type(
-    spec: SymbolSpec, r_grid, samples: int = 256
-) -> GrowthEstimate:
+def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
     r_grid = [float(r) for r in r_grid]
     if len(r_grid) < 8 or r_grid != sorted(set(r_grid)):
         raise ValueError("r_grid must be strictly increasing with >= 8 points")
     pairs: list[tuple[float, float]] = []
     for r in r_grid:
         try:
-            m = max_modulus(spec, r, samples)
+            m = max_modulus(spec, r)
         except EvaluationRangeError:
             break  # window truncated where evaluation overflows
         pairs.append((r, math.log(max(m, LOG_FLOOR))))
@@ -157,55 +170,32 @@ def indicator(spec: SymbolSpec, theta: float, r_grid) -> float:
     return max(rates)
 
 
-def tau0(
-    spec: SymbolSpec, z1: complex, r_grid, subexponential: bool = False
-) -> float:
-    """Exponential growth rate along the ray through ``z1``, clamped at 0.
-
-    ``subexponential=True`` short-circuits to exactly 0 (the rate is 0 for
-    every direction in that growth class)."""
-    z1 = complex(z1)
-    if z1 == 0:
-        raise ValueError("z1 must be nonzero")
-    if subexponential:
-        return 0.0
-    return max(0.0, indicator(spec, cmath.phase(z1), r_grid))
-
-
-def ray_below_one(
-    spec: SymbolSpec, theta: float, t_max: float, samples: int = 256
-) -> float | None:
+def ray_below_one(spec: SymbolSpec, theta: float, t_max: float) -> float | None:
     """Largest sampled r with |phi| <= 1 - margin on all of (0, r]; None when
     the first sample already fails."""
-    if samples < 64:
-        raise ValueError("need at least 64 samples")
-    ts = t_max * np.arange(1, samples + 1) / samples
+    ts = t_max * np.arange(1, SCAN_SAMPLES + 1) / SCAN_SAMPLES
     vals = np.abs(eval_symbol_array(spec, ts * cmath.exp(1j * theta)))
     below = vals <= 1 - MODULUS_MARGIN
     if not below[0]:
         return None
     bad = np.nonzero(~below)[0]
-    last = (bad[0] - 1) if bad.size else samples - 1
+    last = (bad[0] - 1) if bad.size else SCAN_SAMPLES - 1
     return float(ts[last])
 
 
 def find_arith_progression(
-    spec: SymbolSpec,
-    m: int,
-    directions: int = 360,
-    a_grid=None,
-    margin: float = MODULUS_MARGIN,
+    spec: SymbolSpec, m: int, margin: float = MODULUS_MARGIN
 ) -> complex | None:
     """First step ``a`` (smallest |a| first, then by direction) such that
     |phi(j a)| < 1 - margin for every j = 1..m; None when the grid is
     exhausted."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if a_grid is None:
-        a_grid = np.geomspace(1e-3, 10.0, 512)
-    rays = np.exp(2j * np.pi * np.arange(directions) / directions)
+    rays = np.exp(
+        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
+    )
     js = np.arange(1, m + 1)
-    for t in a_grid:
+    for t in PROGRESSION_STEPS:
         # points[j-1, k] = j * t * e^{i theta_k}
         points = np.multiply.outer(js * float(t), rays)
         try:
@@ -244,22 +234,15 @@ def convex_direction(a1: complex, a2: complex) -> float:
     return float(thetas[best])
 
 
-def find_convex_ray(
-    spec: SymbolSpec,
-    w0: complex,
-    delta: float,
-    points: int = 64,
-    max_halvings: int = 40,
-    hyp_margin: float = 1e-9,
-) -> ConvexRay:
+def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
     """A short segment out of ``w0`` on which log|phi| is strictly increasing
-    and strictly convex (checked on a ``points``-sample grid).
+    and strictly convex (checked on a ``PROFILE_POINTS``-sample grid).
 
     Requires phi(w0) != 0 and phi''(w0) phi(w0) != phi'(w0)^2 with margin
-    ``hyp_margin`` (after normalizing by |phi(w0)|^2).  The segment direction
-    comes from :func:`convex_direction` applied to the first two nonconstant
-    log-derivative coefficients; its length is halved from ``delta / 2``
-    until the discrete profile validates.  When additionally phi'(w0) != 0
+    ``CURVATURE_MARGIN`` (after normalizing by |phi(w0)|^2).  The segment
+    direction comes from :func:`convex_direction` applied to the first two
+    nonconstant log-derivative coefficients; its length is halved from
+    ``delta / 2`` until the discrete profile validates.  When additionally phi'(w0) != 0
     the validated domain extends through ``w0`` to [-1, 1].
     """
     if delta <= 0:
@@ -270,7 +253,7 @@ def find_convex_ray(
     if abs(phi0) < 1e-12:
         raise HypothesisError("symbol vanishes (numerically) at the base point")
     curvature = (phi2 * phi0 - phi1 * phi1) / (phi0 * phi0)
-    if abs(curvature) <= hyp_margin:
+    if abs(curvature) <= CURVATURE_MARGIN:
         raise HypothesisError(
             "second-derivative condition fails: "
             f"|phi'' phi - phi'^2| / |phi|^2 = {abs(curvature):.3e}"
@@ -283,9 +266,9 @@ def find_convex_ray(
     lo = -1.0 if two_sided else 0.0
 
     eta = delta / 2
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         w1 = w0 + eta * cmath.exp(1j * theta)
-        ts = np.linspace(lo, 1.0, points)
+        ts = np.linspace(lo, 1.0, PROFILE_POINTS)
         zs = w0 + np.multiply.outer(ts, w1 - w0)
         mods = np.abs(eval_symbol_array(spec, zs))
         if np.min(mods) >= LOG_FLOOR:
@@ -303,7 +286,7 @@ def find_convex_ray(
                     profile=tuple(float(v) for v in profile),
                 )
         eta /= 2
-        if two_sided and eta < delta / 2 ** (max_halvings // 2):
+        if two_sided and eta < delta / 2 ** (MAX_HALVINGS // 2):
             # a vanishing first derivative estimate can make the two-sided
             # profile non-monotone at every scale; retreat to one-sided
             two_sided = False

@@ -18,7 +18,6 @@ bit-exact round trip), and admit contour-integral derivatives at any point.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -119,31 +118,6 @@ class HadamardTrunc(SymbolSpec):
             raise ValueError("truncation must lie within the zero list")
 
 
-def weierstrass_factor(p: int, z: complex) -> complex:
-    """Canonical factor: ``1 - z`` for p=0, ``(1 - z) exp(z)`` for p=1."""
-    if p == 0:
-        return 1 - complex(z)
-    if p == 1:
-        return (1 - complex(z)) * cmath.exp(complex(z))
-    raise ValueError("only genus 0 and 1 are supported")
-
-
-def suggest_truncation(
-    zeros: Sequence[complex], radius: float, genus: int, tail: float = 1e-8
-) -> int:
-    """Smallest prefix length whose canonical-product tail bound on the disk
-    of the given radius is below ``tail``; the classical estimate sums
-    ``|z / z_n| ** (genus + 1)`` over the discarded zeros."""
-    mags = sorted(abs(z) for z in zeros)
-    power = genus + 1
-    total = sum((radius / m) ** power for m in mags)
-    for count, m in enumerate(mags):
-        if total < tail:
-            return count
-        total -= (radius / m) ** power
-    return len(mags)
-
-
 def _polyval(coeffs: Sequence[complex], z):
     total = 0.0 * z if isinstance(z, np.ndarray) else 0j
     for c in reversed(list(coeffs)):
@@ -222,6 +196,17 @@ def eval_symbol(spec: SymbolSpec, z: Union[complex, float]) -> complex:
 # entire functions, with the doubled-sample difference as error estimate).
 # ---------------------------------------------------------------------------
 
+#: Contour radius of :func:`taylor_coeffs_at`, for low-order derivatives.
+DERIV_RADIUS = 0.5
+
+#: Fewest trapezoid samples on a contour; more when more coefficients are
+#: asked for (two per coefficient for derivatives, four for :func:`to_taylor`).
+CONTOUR_SAMPLES = 64
+
+#: Largest relative disagreement between the estimates at ``samples`` and
+#: ``2 * samples`` points.
+CONTOUR_TOL = 1e-6
+
 
 def _contour_coeffs(
     spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
@@ -234,26 +219,20 @@ def _contour_coeffs(
     return (phases @ vals) / samples / radius**ks
 
 
-def taylor_coeffs_at(
-    spec: SymbolSpec,
-    center: complex,
-    n_max: int,
-    radius: float = 0.5,
-    samples: int = 64,
-    tol: float = 1e-6,
+def _converged_coeffs(
+    spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients of the symbol around ``center`` with error estimates.
+    """Coefficients from ``2 * samples`` points, with their distance to the
+    estimate from ``samples`` points as the error.
 
-    Raises :class:`DerivativeConvergenceError` when the estimates at
-    ``samples`` and ``2 * samples`` points disagree beyond ``tol`` (relative
-    to ``max(1, |coeff|)``).
+    Raises :class:`DerivativeConvergenceError` when the two disagree beyond
+    ``CONTOUR_TOL`` (relative to ``max(1, |coeff|)``).
     """
-    samples = max(samples, 2 * (n_max + 1))
     coarse = _contour_coeffs(spec, center, n_max, radius, samples)
     fine = _contour_coeffs(spec, center, n_max, radius, 2 * samples)
     errors = np.abs(fine - coarse)
     scale = np.maximum(1.0, np.abs(fine))
-    if np.any(errors > tol * scale):
+    if np.any(errors > CONTOUR_TOL * scale):
         raise DerivativeConvergenceError(
             "contour derivative estimates did not converge",
             values=fine,
@@ -262,48 +241,36 @@ def taylor_coeffs_at(
     return fine, errors
 
 
-def derivs_at(
-    spec: SymbolSpec,
-    center: complex,
-    n_max: int,
-    radius: float = 0.5,
-    samples: int = 64,
-    tol: float = 1e-6,
+def taylor_coeffs_at(
+    spec: SymbolSpec, center: complex, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients of the symbol around ``center`` with error
+    estimates, from the circle of radius ``DERIV_RADIUS``; raises
+    :class:`DerivativeConvergenceError` when the estimates disagree."""
+    samples = max(CONTOUR_SAMPLES, 2 * (n_max + 1))
+    return _converged_coeffs(spec, center, n_max, DERIV_RADIUS, samples)
+
+
+def derivs_at_zero(
+    spec: SymbolSpec, n_max: int
 ) -> tuple[tuple[complex, ...], tuple[float, ...]]:
-    coeffs, errors = taylor_coeffs_at(spec, center, n_max, radius, samples, tol)
+    """Derivatives at the origin with per-entry error estimates."""
+    coeffs, errors = taylor_coeffs_at(spec, 0j, n_max)
     facts = np.array([math.factorial(k) for k in range(n_max + 1)], dtype=float)
     return tuple(complex(v) for v in coeffs * facts), tuple(
         float(e) for e in errors * facts
     )
 
 
-def derivs_at_zero(
-    spec: SymbolSpec,
-    n_max: int,
-    radius: float = 0.5,
-    samples: int = 64,
-    tol: float = 1e-6,
-) -> tuple[tuple[complex, ...], tuple[float, ...]]:
-    """Derivatives at the origin with per-entry error estimates."""
-    return derivs_at(spec, 0j, n_max, radius, samples, tol)
-
-
-def to_taylor(
-    spec: SymbolSpec,
-    cap: int,
-    radius: float = 2.0,
-    samples: int | None = None,
-    tol: float = 1e-6,
-) -> TaylorPoly:
+def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     """Truncated Taylor expansion at 0.
 
     The default contour radius is 2 rather than the small circle used for
     low-order derivatives: high-order coefficients on a sub-unit circle lose
     one bit of accuracy per order to roundoff amplification ``radius**-n``.
     """
-    if samples is None:
-        samples = max(64, 4 * (cap + 1))
-    coeffs, _ = taylor_coeffs_at(spec, 0j, cap, radius, samples, tol)
+    samples = max(CONTOUR_SAMPLES, 4 * (cap + 1))
+    coeffs, _ = _converged_coeffs(spec, 0j, cap, radius, samples)
     return TaylorPoly(tuple(complex(c) for c in coeffs), cap)
 
 

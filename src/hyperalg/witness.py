@@ -34,7 +34,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +46,10 @@ from .errors import (
     TargetPlacementError,
     ThetaMarginError,
 )
-from .exppoly import DiskGrid, ExpPoly, mul_exppoly, pow_exppoly
+from .exppoly import DiskGrid, ExpPoly
 from .growth import (
     MODULUS_MARGIN,
-    ConvexRay,
+    PROFILE_POINTS,
     find_arith_progression,
     find_convex_ray,
     ray_below_one,
@@ -64,7 +64,7 @@ from .symbols import (
     symbol_to_dict,
     to_json_value,
 )
-from .dynamics import apply_symbol_power, sup_distance
+from .dynamics import _powers, apply_symbol_power, sup_distance
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
@@ -75,6 +75,9 @@ THETA_MARGIN = 1e-4
 
 #: Total degree cap for the multinomial weight computation.
 GAMMA_DEGREE_CAP = 64
+
+#: Length bound of the convex ray that places the multi-generator windows.
+MULTI_RAY_DELTA = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +172,6 @@ def _single_case(u, v, m: int) -> int:
     if sum(v) < m:
         return 3
     return 1
-
-
-def theta_ratio(spec: SymbolSpec, u, v, lam, alpha_freqs, m: int):
-    """Contraction ratio of one expansion term and its decay-case tag.
-
-    case 2: |u| >= 1 (frequency lands in the sublevel set |phi| < 1);
-    case 3: |u| = 0, |v| < m (convex combination through the origin);
-    case 1: |u| = 0, |v| = m (combination of the survivor frequencies;
-            ratio is exactly 1 on the survivors themselves).
-    """
-    freq = sum(ui * af for ui, af in zip(u, alpha_freqs)) + sum(
-        vi * li for vi, li in zip(v, lam)
-    )
-    phi_surv = [eval_symbol(spec, m * li) for li in lam]
-    return _contraction(spec, freq, v, phi_surv, m)[1], _single_case(u, v, m)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +287,9 @@ class WitnessParams:
     N_max: int
     grid: DiskGrid
     epsilon: float
-    ray: ConvexRay = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
-        chosen = {k: v for k, v in vars(self).items() if k != "ray"}
-        return to_json_value({**chosen, "grid": self.grid.to_dict()})
+        return to_json_value({**vars(self), "grid": self.grid.to_dict()})
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +400,12 @@ def _double_until(
         gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
-        residuals = {}
-        for name, alpha, tgt in monomials:
-            g = ExpPoly.one()
-            for fi, ai in zip(gens, alpha):
-                if ai:
-                    g = mul_exppoly(g, pow_exppoly(fi, ai))
-            residuals[name] = sup_distance(apply_symbol_power(spec, g, N), tgt, grid)
+        residuals = {
+            name: sup_distance(
+                apply_symbol_power(spec, _powers(gens, alpha), N), tgt, grid
+            )
+            for name, alpha, tgt in monomials
+        }
         trace.append((N, max(residuals.values())))
 
         # the one term magnitude, for the bound sum and the Theta table:
@@ -482,9 +467,9 @@ def _check_progression(spec: SymbolSpec, w: complex, m: int) -> float:
     return max(abs(eval_symbol(spec, j * w)) for j in range(1, m + 1))
 
 
-def _segment_convex(spec: SymbolSpec, end: complex, points: int = 64) -> bool:
+def _segment_convex(spec: SymbolSpec, end: complex) -> bool:
     """Discrete strict convexity and monotonicity of log|phi| on [0, end]."""
-    ts = np.linspace(0.0, 1.0, points)
+    ts = np.linspace(0.0, 1.0, PROFILE_POINTS)
     mods = np.abs(
         np.asarray([eval_symbol(spec, complex(t) * end) for t in ts])
     )
@@ -521,8 +506,7 @@ def derive_witness_params(
         raise HypothesisError(
             "no arithmetic progression found inside the sublevel set |phi| < 1"
         )
-    ray = find_convex_ray(spec, 0j, delta=min(abs(w) / 2, 0.5))
-    w_star = ray.w1
+    w_star = find_convex_ray(spec, 0j, delta=min(abs(w) / 2, 0.5)).w1
     progression_worst = _check_progression(spec, w, m)
 
     delta = abs(w) / 4
@@ -570,45 +554,23 @@ def derive_witness_params(
         N_max=N_max,
         grid=grid,
         epsilon=epsilon,
-        ray=ray,
     )
 
 
 def default_targets_T2(
-    params: WitnessParams, p: int = 1, seed_coeff: complex = 1, target_coeff: complex = 1
+    params: WitnessParams, p: int = 1
 ) -> tuple[ExpPoly, ExpPoly]:
-    """Admissible (seed, target) pair with p terms each: seed frequencies
-    spread inside the disk around w, target frequencies on the segment
-    [w0/2, w0] of the convex ray."""
+    """Admissible (seed, target) pair with p unit-coefficient terms each:
+    seed frequencies spread inside the disk around w, target frequencies on
+    the segment [w0/2, w0] of the convex ray."""
     alphas = [
         params.w + (i * params.delta / (2 * p)) * cmath.exp(1j * i)
         for i in range(p)
     ]
     betas = [params.w0 * (0.5 + 0.5 * (i + 1) / (p + 1)) for i in range(p)]
-    seed = ExpPoly.of([(seed_coeff, a) for a in alphas])
-    target = ExpPoly.of([(target_coeff, b) for b in betas])
+    seed = ExpPoly.of([(1, a) for a in alphas])
+    target = ExpPoly.of([(1, b) for b in betas])
     return seed, target
-
-
-def fit_target_exppoly(
-    params: WitnessParams, values_fn, grid: DiskGrid, n_freqs: int = 8
-) -> tuple[ExpPoly, float]:
-    """Least-squares fit of an arbitrary target by exponentials with
-    frequencies auto-placed in the admissible segment [w0/2, w0].
-
-    The fit error is the caller's responsibility to tolerate; it is
-    returned separately and is NOT part of the dynamics residual.
-    """
-    betas = [
-        params.w0 * (0.5 + 0.5 * (i + 1) / (n_freqs + 1)) for i in range(n_freqs)
-    ]
-    pts = grid.points()
-    rhs = np.asarray([complex(values_fn(z)) for z in pts])
-    design = np.exp(np.multiply.outer(pts, np.asarray(betas)))
-    coeffs, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    fit = ExpPoly.of(list(zip(coeffs, betas)))
-    err = float(np.max(np.abs(design @ coeffs - rhs)))
-    return fit, err
 
 
 def _validate_targets_T2(params: WitnessParams, seed: ExpPoly, target: ExpPoly):
@@ -723,32 +685,25 @@ class ExponentSet:
 def select_weights(A: ExponentSet):
     """Weights, distinguished exponent, and coordinate permutation.
 
-    Weights k_i = (d+1)^{i-1} (d = the largest coordinate) are a positional
+    Weights k_i = (m+1)^{i-1} (m = the largest coordinate) are a positional
     encoding, hence injective on the exponent box.  Coordinates are permuted
     so some exponent attains the maximal infinity norm in slot 1, and beta
-    is the strict minimizer of the weight functional among those."""
+    is the minimizer of the weight functional among those; it is strict
+    because the functional separates the exponents, which is checked."""
     m = A.max_inf_norm
-    d = A.max_inf_norm
     star = next(
         i for i in range(A.n_generators) if any(a[i] == m for a in A.exponents)
     )
     perm = tuple([star] + [i for i in range(A.n_generators) if i != star])
     permuted = [tuple(a[i] for i in perm) for a in A.exponents]
-    k = tuple(float((d + 1) ** i) for i in range(A.n_generators))
+    k = tuple(float((m + 1) ** i) for i in range(A.n_generators))
 
-    values = [sum(ki * ai for ki, ai in zip(k, a)) for a in permuted]
-    if len(set(values)) != len(values):
-        raise AssertionError("weight functional failed to separate exponents")
+    def weight(a):
+        return sum(ki * ai for ki, ai in zip(k, a))
 
-    a1 = [a for a in permuted if a[0] == m]
-    beta = min(a1, key=lambda a: sum(ki * ai for ki, ai in zip(k, a)))
-    for a in a1:
-        if a != beta:
-            gap = sum(k[i] * (beta[i] - a[i]) for i in range(1, len(k)))
-            if not gap < 0:
-                raise AssertionError(
-                    "distinguished exponent is not the strict minimizer"
-                )
+    if len({weight(a) for a in permuted}) != len(permuted):
+        raise HypothesisError("weight functional failed to separate exponents")
+    beta = min((a for a in permuted if a[0] == m), key=weight)
     return k, beta, perm
 
 
@@ -785,9 +740,7 @@ class MultiParams:
         )
 
 
-def derive_multi_params(
-    spec: SymbolSpec, A: ExponentSet, ray_delta: float = 2.0
-) -> MultiParams:
+def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
     """Window selection for :func:`construct_witness_multi`.
 
     When phi'(0) != 0 both windows sit on the single two-sided convex ray
@@ -802,7 +755,7 @@ def derive_multi_params(
         raise HypothesisError(f"phi(0) = {phi0}; the construction needs phi(0) = 1")
     d_A = A.max_total
     m = A.max_inf_norm
-    ray = find_convex_ray(spec, 0j, delta=ray_delta)
+    ray = find_convex_ray(spec, 0j, delta=MULTI_RAY_DELTA)
     w_plus = ray.w1
     same_ray = ray.domain[0] < 0  # two-sided: phi'(0) != 0
     a = 0.9 / (2 * d_A)
@@ -948,19 +901,14 @@ def construct_witness_multi(
 
     K_beta = sum(k[i] * beta[i] for i in range(1, n_gen))
     keys = []
-    violations = []
     for alpha in exps_perm:
         for u, v, ell in _multi_lattice(alpha, p, n_gen):
             usum = sum(sum(ui) for ui in u)
+            # survivor-shaped forces alpha_1 = m, so for alpha != beta the
+            # weight separation of select_weights makes the term decay in n
             survivor_shaped = (
                 usum == 0 and max(v) == m and sum(1 for x in v if x) == 1
             )
-            if survivor_shaped and alpha != beta:
-                gap = sum(k[i] * (beta[i] - alpha[i]) for i in range(1, n_gen))
-                if not gap < 0:
-                    violations.append(
-                        {"alpha": alpha, "u": u, "v": v, "why": "no n-decay"}
-                    )
             if 1 <= usum < params.d_A:
                 case = 1
             elif usum == params.d_A:
@@ -971,11 +919,6 @@ def construct_witness_multi(
                 case = 4
             counted = not (survivor_shaped and alpha == beta)
             keys.append((u, v, ell, alpha, case, counted))
-    if violations:
-        raise ThetaMarginError(
-            f"{len(violations)} expansion tuples neither contract nor decay",
-            entries=violations,
-        )
 
     targets = {
         alpha_orig: (B if alpha == beta else ExpPoly.zero())

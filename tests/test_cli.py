@@ -39,6 +39,17 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"command": "classify", "bogus": 1})
         assert main(["--config", path]) == 2
 
+    def test_m_max_is_not_a_config_key(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "command": "classify",
+                "symbol": {"kind": "catalog", "name": "cos"},
+                "m_max": 2,
+            },
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+
     def test_unknown_command_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["bogus"])

@@ -127,12 +127,6 @@ class TestTaylorPoly:
         assert t.cap == 2
         assert t.evaluate(1.0) == pytest.approx(6.0)
 
-    def test_subtraction_aligns_lengths(self):
-        a = TaylorPoly.of([1, 2, 3])
-        b = TaylorPoly.of([1])
-        assert (a - b).evaluate(1.0) == pytest.approx(5.0)
-
-
 class TestDiskGrid:
     def test_points_lie_in_closed_disk(self):
         grid = DiskGrid(radius=3.0, samples=32, circles=4)

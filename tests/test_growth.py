@@ -23,7 +23,6 @@ from hyperalg import (
     max_modulus,
     ray_below_one,
     scan_ray,
-    tau0,
 )
 from hyperalg.errors import HypothesisError
 
@@ -76,14 +75,6 @@ class TestRays:
             CatalogSymbol("exp", a=1), 0.0, np.linspace(1, 40, 64)
         ) == pytest.approx(1.0, abs=1e-9)
 
-    def test_tau0_clamps_at_zero(self):
-        # e^z decays along the negative axis; the rate is clamped to 0
-        assert tau0(CatalogSymbol("exp", a=1), -1.0, np.linspace(1, 40, 64)) == 0.0
-
-    def test_tau0_subexponential_short_circuit(self):
-        spec = ExpPolySymbol(ExpPoly.of([(2.0, 0.0)]))
-        assert tau0(spec, 1.0, R_GRID, subexponential=True) == 0.0
-
     def test_ray_below_one_prefix_invariant(self):
         spec = CatalogSymbol("exp", a=1)
         r = ray_below_one(spec, math.pi, 10.0)
@@ -112,10 +103,7 @@ class TestArithProgression:
 
     def test_constant_above_one_has_no_progression(self):
         spec = ExpPolySymbol(ExpPoly.of([(2.0, 0.0)]))
-        assert (
-            find_arith_progression(spec, 2, a_grid=np.geomspace(1e-3, 0.1, 16))
-            is None
-        )
+        assert find_arith_progression(spec, 2) is None
 
 
 def quadrant_reps():

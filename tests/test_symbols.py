@@ -20,10 +20,9 @@ from hyperalg import (
     symbol_from_dict,
     symbol_to_dict,
     to_taylor,
-    weierstrass_factor,
 )
 from hyperalg.errors import EvaluationRangeError
-from hyperalg.symbols import catalog_zeros, suggest_truncation
+from hyperalg.symbols import catalog_zeros
 
 
 class TestEvaluation:
@@ -108,12 +107,6 @@ class TestHadamard:
             zeros.extend([complex(n), complex(-n)])
         return tuple(zeros)
 
-    def test_weierstrass_factors(self):
-        assert weierstrass_factor(0, 0.5) == pytest.approx(0.5)
-        assert weierstrass_factor(1, 0.5) == pytest.approx(0.5 * math.exp(0.5))
-        with pytest.raises(ValueError):
-            weierstrass_factor(2, 0.5)
-
     def test_product_over_integers_approaches_sinc(self):
         # genus-1 product over +/-1..+/-M at z = 1/2 tends to sin(pi/2)/(pi/2)
         zeros = self.symmetric_integers(400)
@@ -131,13 +124,6 @@ class TestHadamard:
             vals.append(eval_symbol(spec, z))
         gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert gaps == sorted(gaps, reverse=True)
-
-    def test_suggest_truncation_meets_tail_bound(self):
-        zeros = self.symmetric_integers(200)
-        count = suggest_truncation(zeros, radius=1.0, genus=1, tail=1e-4)
-        mags = sorted(abs(z) for z in zeros)
-        tail = sum((1.0 / m) ** 2 for m in mags[count:])
-        assert tail < 1e-4
 
 
 class TestDerivatives:

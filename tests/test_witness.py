@@ -28,7 +28,6 @@ from hyperalg import (
     select_weights,
     solve_coeff,
     sup_distance,
-    theta_ratio,
     verify_witness,
 )
 from hyperalg.errors import (
@@ -36,7 +35,6 @@ from hyperalg.errors import (
     IterationLimitError,
     TargetPlacementError,
 )
-from hyperalg.witness import fit_target_exppoly
 
 QUAD = CatalogSymbol("exp-quadratic")
 
@@ -106,16 +104,23 @@ class TestLattice:
         ) + 2  # add back the two survivors (weight 1 each)
         assert total == pytest.approx(4**3)  # (1+1+1+1)^3
 
-    def test_survivor_ratio_is_exactly_one(self):
-        lam = (0.15 + 0.02j,)
-        theta, case = theta_ratio(QUAD, (0,), (2,), lam, (0.5,), 2)
-        assert theta == pytest.approx(1.0, abs=1e-12)
-        assert case == 1
+    def test_survivor_ratio_is_exactly_one(self, single_report):
+        survivors = [
+            e for e in single_report.theta_table if sum(e.u) == 0 and sum(e.v) == 2
+        ]
+        assert survivors
+        for entry in survivors:
+            assert entry.theta == pytest.approx(1.0, abs=1e-12)
+            assert entry.case == 1
 
-    def test_case_tags(self):
-        lam = (0.1,)
-        assert theta_ratio(QUAD, (1,), (1,), lam, (0.5,), 2)[1] == 2
-        assert theta_ratio(QUAD, (0,), (1,), lam, (0.5,), 2)[1] == 3
+    def test_case_tags(self, single_report):
+        table = single_report.theta_table
+        for entry in table:
+            if sum(entry.u) >= 1:
+                assert entry.case == 2
+            elif sum(entry.v) < 2:
+                assert entry.case == 3
+        assert {entry.case for entry in table} == {1, 2, 3}
 
 
 class TestWeights:
@@ -150,6 +155,12 @@ class TestWeights:
         keys = [sum(w * a[p] for w, p in zip(k, perm)) for a in A.exponents]
         assert len(set(keys)) == len(keys)
 
+    def test_unseparated_exponents_are_a_hypothesis_error(self):
+        # ExponentSet.of drops repeats; built directly, a repeated tuple
+        # gets the same weight as its twin
+        with pytest.raises(HypothesisError):
+            select_weights(ExponentSet(((1, 0), (1, 0))))
+
     def test_exponent_set_validation(self):
         with pytest.raises(ValueError):
             ExponentSet.of([(0, 0)])
@@ -160,6 +171,12 @@ class TestWeights:
 @pytest.fixture(scope="module")
 def params():
     return derive_witness_params(QUAD, 2)
+
+
+@pytest.fixture(scope="module")
+def single_report(params):
+    seed, target = default_targets_T2(params)
+    return construct_witness_T2(QUAD, 2, seed, target, params=params)
 
 
 @pytest.fixture(scope="module")
@@ -232,15 +249,6 @@ class TestSingleGenerator:
         assert payload["q"] == report.q
         assert WitnessReport.from_dict(report.to_dict()).to_json() == report.to_json()
         assert WitnessReport.from_dict(payload).to_json() == report.to_json()
-
-    def test_fit_target_mode_reports_fit_error_separately(self, params):
-        grid = DiskGrid(radius=1.0, samples=32, circles=3)
-        fit, err = fit_target_exppoly(
-            params, lambda z: z * 0 + 1.0, grid, n_freqs=8
-        )
-        assert len(fit.terms) == 8
-        assert err < 1e-6
-        assert sup_distance(fit, ExpPoly.one(), grid) < 1e-5
 
 
 class TestMultiGenerator:
