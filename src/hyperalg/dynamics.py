@@ -4,12 +4,19 @@ On an exponential polynomial the operator acts diagonally: the term
 ``c * exp(l z)`` maps to ``c * phi(l) * exp(l z)``.  The truncated-Taylor
 path applies ``sum a_n D^n`` to coefficient lists instead and knows nothing
 about that diagonal structure, which makes it a genuinely independent check.
+
+The coefficient-space kernels are whole-array numpy expressions with no
+Python loop over coefficients: a truncated product is one ``np.convolve``,
+and ``sum a_n D^n`` is one matrix-vector product against a cached table of
+factorial ratios ``(k+n)! / k!``.  The cross-check's modulus copies and its
+condition sum are array expressions too.
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -65,16 +72,19 @@ def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
     return ExpPoly.of(out)
 
 
+def _taylor(coeffs: np.ndarray, cap: int) -> TaylorPoly:
+    return TaylorPoly(tuple(coeffs.tolist()), cap)
+
+
 def taylor_mul_trunc(a: TaylorPoly, b: TaylorPoly, cap: int) -> TaylorPoly:
-    coeffs = [0j] * (cap + 1)
-    for i, ca in enumerate(a.coeffs):
-        if i > cap:
-            break
-        for j, cb in enumerate(b.coeffs):
-            if i + j > cap:
-                break
-            coeffs[i + j] += ca * cb
-    return TaylorPoly(tuple(coeffs), cap)
+    """Product truncated at ``cap``: ``np.convolve`` of the first ``cap + 1``
+    coefficients of each factor, zero-padded to ``cap + 1`` coefficients
+    when the factors are shorter (an empty factor gives all zeros)."""
+    out = np.zeros(cap + 1, dtype=complex)
+    if a.coeffs and b.coeffs:  # np.convolve rejects empty inputs
+        full = np.convolve(a.coeffs[: cap + 1], b.coeffs[: cap + 1])[: cap + 1]
+        out[: full.size] = full
+    return _taylor(out, cap)
 
 
 def taylor_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
@@ -93,11 +103,31 @@ def taylor_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
     return result
 
 
+@functools.lru_cache(maxsize=8)
+def _perm_table(K: int, length: int) -> np.ndarray:
+    """Read-only table of ``(k+n)! / k!`` for k <= K and n < length, as the
+    running products ``(k+1)(k+2)...(k+n)``; entries past 1e300 (and all
+    after them in their row) are 0, so they drop out of the sum."""
+    steps = np.ones((K + 1, length))
+    steps[:, 1:] = np.arange(K + 1)[:, None] + np.arange(1, length)
+    with np.errstate(over="ignore"):
+        perm = np.cumprod(steps, axis=1)
+    table = np.where(perm > 1e300, 0.0, perm)
+    table.flags.writeable = False
+    return table
+
+
 def apply_symbol_taylor(
     phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
 ) -> TaylorPoly:
     """Coefficient-space action ``sum_n a_n D^n``: output coefficient k is
     ``sum_n a_n * (k+n)! / k! * f_{k+n}``, truncated at K.
+
+    All K+1 outputs come from one matrix-vector product: the table of
+    ``(k+n)! / k!`` (see :func:`_perm_table`) times the sliding windows
+    ``f_k .. f_{k+n}`` of the zero-padded input, applied to ``a``.  Terms
+    whose factorial ratio passes 1e300 or whose index ``k + n`` lies past
+    the end of ``f`` are left out.
 
     ``f_taylor`` must carry at least ``K + TAYLOR_GUARD`` coefficients; the
     guard band absorbs the downward coefficient flow so the first K+1
@@ -111,21 +141,12 @@ def apply_symbol_taylor(
         )
     if len(phi_taylor.coeffs) < 1:
         raise OracleInputError("phi has no coefficients")
-    fs = f_taylor.coeffs
-    out = []
-    for k in range(K + 1):
-        total = 0j
-        perm = 1.0  # (k+n)! / k!, updated incrementally over n
-        for n, a_n in enumerate(phi_taylor.coeffs):
-            if k + n >= len(fs):
-                break
-            if n > 0:
-                perm *= k + n
-                if perm > 1e300:
-                    break
-            total += a_n * perm * fs[k + n]
-        out.append(total)
-    return TaylorPoly(tuple(out), K)
+    a = np.asarray(phi_taylor.coeffs, dtype=complex)
+    padded = np.zeros(K + a.size, dtype=complex)
+    head = f_taylor.coeffs[: padded.size]
+    padded[: len(head)] = head
+    windows = np.lib.stride_tricks.sliding_window_view(padded, a.size)[: K + 1]
+    return _taylor((_perm_table(K, a.size) * windows) @ a, K)
 
 
 def sup_distance(
@@ -174,6 +195,11 @@ def _powers(f_by_index: list[ExpPoly], alpha) -> ExpPoly:
     return out
 
 
+def _abs_taylor(t: TaylorPoly) -> TaylorPoly:
+    """The same series with every coefficient replaced by its modulus."""
+    return _taylor(np.abs(t.coeffs).astype(complex), t.cap)
+
+
 def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     """Sup distance between the diagonal and coefficient-space images under a
     reduced operator power.
@@ -193,15 +219,13 @@ def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     fmax = max((abs(freq) for _, freq in f.terms), default=0.0)
     phi_t = to_taylor(spec, cap, radius=max(2.0, 1.25 * fmax))
     f_t = TaylorPoly.from_exppoly(f, cap)
-    f_abs = TaylorPoly(tuple(abs(c) + 0j for c in f_t.coeffs), f_t.cap)
+    f_abs = _abs_taylor(f_t)
+    radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
     q_red = min(q, CROSS_CHECK_Q)
     while True:
         phi_pow = taylor_pow_trunc(phi_t, q_red, cap)
-        phi_abs = TaylorPoly(
-            tuple(abs(c) + 0j for c in phi_pow.coeffs), phi_pow.cap
-        )
-        cond_poly = apply_symbol_taylor(phi_abs, f_abs, CROSS_CHECK_K)
-        cond = sum(abs(c) * radius**k for k, c in enumerate(cond_poly.coeffs))
+        cond_poly = apply_symbol_taylor(_abs_taylor(phi_pow), f_abs, CROSS_CHECK_K)
+        cond = float(np.abs(cond_poly.coeffs) @ radius_powers)
         if cond <= 1e4 or q_red == 1:
             break
         q_red //= 2
@@ -239,7 +263,6 @@ def verify_witness(
 
     targets = {tuple(k): v for k, v in report.targets.items()}
     passed = True
-    worst: list[tuple[int, float]] = []
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
     residual_by_q = {cq: 0.0 for cq in check_qs}
     for alpha in alphas:

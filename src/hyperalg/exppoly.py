@@ -10,6 +10,7 @@ this package.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -193,11 +194,18 @@ class DiskGrid:
         if self.circles < 2:
             raise ValueError("need at least 2 circles")
 
-    def points(self) -> np.ndarray:
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         angles = 2 * np.pi * np.arange(self.samples) / self.samples
         ring = np.exp(1j * angles)
         radii = self.radius * np.arange(1, self.circles + 1) / self.circles
-        return np.concatenate([r * ring for r in radii])
+        pts = np.concatenate([r * ring for r in radii])
+        pts.flags.writeable = False
+        return pts
+
+    def points(self) -> np.ndarray:
+        """The grid's points, computed once per grid (read-only)."""
+        return self._points
 
     def to_dict(self) -> dict:
         return {

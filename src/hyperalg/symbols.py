@@ -18,6 +18,7 @@ bit-exact round trip), and admit contour-integral derivatives at any point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
@@ -208,15 +209,29 @@ CONTOUR_SAMPLES = 64
 CONTOUR_TOL = 1e-6
 
 
+def _angles(samples: int) -> np.ndarray:
+    return 2 * np.pi * np.arange(samples) / samples
+
+
+@functools.lru_cache(maxsize=16)
+def _dft_phases(n_max: int, samples: int) -> np.ndarray:
+    """Read-only dense DFT matrix ``exp(-1j k theta_j)`` for k <= n_max over
+    ``samples`` equispaced angles; built once per shape and reused."""
+    phases = np.exp(-1j * np.outer(np.arange(n_max + 1), _angles(samples)))
+    phases.flags.writeable = False
+    return phases
+
+
 def _contour_coeffs(
     spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
 ) -> np.ndarray:
-    angles = 2 * np.pi * np.arange(samples) / samples
-    ring = radius * np.exp(1j * angles)
-    vals = eval_symbol_array(spec, center + ring)
+    """Trapezoid-rule Taylor coefficients 0..n_max on the circle of ``radius``
+    around ``center``: the symbol's values on the ring times the cached DFT
+    matrix of :func:`_dft_phases`.  A dense product rather than an FFT, whose
+    different summation order would move the last bits of the results."""
+    vals = eval_symbol_array(spec, center + radius * np.exp(1j * _angles(samples)))
     ks = np.arange(n_max + 1)
-    phases = np.exp(-1j * np.outer(ks, angles))
-    return (phases @ vals) / samples / radius**ks
+    return (_dft_phases(n_max, samples) @ vals) / samples / radius**ks
 
 
 def _converged_coeffs(

@@ -249,13 +249,20 @@ class WitnessReport:
         """Inverse of :meth:`to_dict`.
 
         Checks the shape only, raising KeyError, TypeError, ValueError or
-        AttributeError on a malformed payload; whether the numbers make a
-        witness is for :func:`~hyperalg.dynamics.verify_witness` to decide.
+        AttributeError on a malformed payload; a negative ``q`` or a zero
+        generator is malformed too.  Whether the numbers make a witness is
+        for :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
+        generators = tuple(exppoly_from_json(g) for g in d["generators"])
+        if any(g.is_zero for g in generators):
+            raise ValueError("generators must be nonzero")
+        q = int(d["q"])
+        if q < 0:
+            raise ValueError("q must be non-negative")
         return WitnessReport(
             kind=str(d["kind"]),
-            generators=tuple(exppoly_from_json(g) for g in d["generators"]),
-            q=int(d["q"]),
+            generators=generators,
+            q=q,
             m=int(d["m"]),
             residuals={str(k): float(v) for k, v in d["residuals"].items()},
             theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),

@@ -9,6 +9,25 @@ from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
 
+#: A well-formed single-generator witness payload (one generator e^{z/2},
+#: q = 8); cases override one field to make it unusable.
+BARE_REPORT = {
+    "kind": "single",
+    "generators": [[[[1.0, 0.0], [0.5, 0.0]]]],
+    "q": 8,
+    "m": 1,
+    "residuals": {},
+    "theta_table": [],
+    "params": {},
+    "coefficients": [],
+    "trace": [],
+    "bound_sum": 0.0,
+    "targets": {},
+    "exponents": None,
+    "weights": None,
+    "beta": None,
+}
+
 
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
@@ -166,7 +185,19 @@ class TestPipelines:
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("report", [None, "{}", '{"witness": {"q": 8}}', "[1]"])
+    @pytest.mark.parametrize(
+        "report",
+        [
+            None,
+            "{}",
+            '{"witness": {"q": 8}}',
+            "[1]",
+            pytest.param(json.dumps({**BARE_REPORT, "q": -1}), id="negative-q"),
+            pytest.param(
+                json.dumps({**BARE_REPORT, "generators": [[]]}), id="empty-generator"
+            ),
+        ],
+    )
     def test_unusable_report_is_a_config_error(self, tmp_path, capsys, report):
         report_path = tmp_path / "report.json"
         if report is not None:

@@ -21,8 +21,9 @@ from hyperalg import (
     sup_distance,
     to_taylor,
 )
-from hyperalg.dynamics import taylor_mul_trunc, taylor_pow_trunc
+from hyperalg.dynamics import TAYLOR_GUARD, taylor_mul_trunc, taylor_pow_trunc
 from hyperalg.errors import EvaluationRangeError, OracleInputError
+from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
 
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
@@ -147,6 +148,113 @@ class TestCoefficientOracle:
         assert sup_distance(diagonal, oracle, GRID) < 1e-7 * max(
             1.0, max(abs(c) for c in f.coefficients() or [0])
         )
+
+
+def reference_mul_trunc(a: TaylorPoly, b: TaylorPoly, cap: int) -> TaylorPoly:
+    """Scalar reference for ``taylor_mul_trunc``: a double loop over pairs."""
+    coeffs = [0j] * (cap + 1)
+    for i, ca in enumerate(a.coeffs):
+        if i > cap:
+            break
+        for j, cb in enumerate(b.coeffs):
+            if i + j > cap:
+                break
+            coeffs[i + j] += ca * cb
+    return TaylorPoly(tuple(coeffs), cap)
+
+
+def reference_apply_symbol_taylor(
+    phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
+) -> TaylorPoly:
+    """Scalar reference for ``apply_symbol_taylor``: one running product
+    ``(k+n)!/k!`` per output, cut at 1e300 or at the end of ``f``."""
+    fs = f_taylor.coeffs
+    out = []
+    for k in range(K + 1):
+        total = 0j
+        perm = 1.0
+        for n, a_n in enumerate(phi_taylor.coeffs):
+            if k + n >= len(fs):
+                break
+            if n > 0:
+                perm *= k + n
+                if perm > 1e300:
+                    break
+            total += a_n * perm * fs[k + n]
+        out.append(total)
+    return TaylorPoly(tuple(out), K)
+
+
+def random_taylor(rng, length, cap=None):
+    coeffs = rng.uniform(-1, 1, length) + 1j * rng.uniform(-1, 1, length)
+    return TaylorPoly(tuple(coeffs.tolist()), max(length - 1, 0) if cap is None else cap)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestVectorizedKernels:
+    """The numpy kernels against scalar reference loops."""
+
+    @pytest.mark.parametrize(
+        "len_a, len_b", [(0, 5), (5, 0), (0, 0), (3, 4), (1, 12), (12, 7), (30, 40)]
+    )
+    def test_mul_matches_scalar_reference(self, len_a, len_b):
+        rng = np.random.default_rng(1000 * len_a + len_b)
+        cap = 10  # shorter than, equal to and longer than cap + 1 inputs
+        a = random_taylor(rng, len_a, cap=max(len_a - 1, cap))
+        b = random_taylor(rng, len_b, cap=max(len_b - 1, cap))
+        out = taylor_mul_trunc(a, b, cap)
+        ref = reference_mul_trunc(a, b, cap)
+        assert out.cap == ref.cap and len(out.coeffs) == cap + 1
+        assert all(isinstance(c, complex) for c in out.coeffs)
+        np.testing.assert_allclose(out.coeffs, ref.coeffs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "len_phi, extra, K", [(1, 0, 60), (7, 0, 60), (81, 0, 60), (40, 25, 10), (95, 3, 0)]
+    )
+    def test_apply_matches_scalar_reference(self, len_phi, extra, K):
+        rng = np.random.default_rng(100 * len_phi + extra)
+        phi = random_taylor(rng, len_phi)
+        f = random_taylor(rng, K + TAYLOR_GUARD + 1 + extra)
+        out = apply_symbol_taylor(phi, f, K)
+        ref = reference_apply_symbol_taylor(phi, f, K)
+        assert out.cap == K and len(out.coeffs) == K + 1
+        assert all(isinstance(c, complex) for c in out.coeffs)
+        np.testing.assert_allclose(out.coeffs, ref.coeffs, rtol=1e-12, atol=0)
+
+    def test_apply_drops_the_same_terms_past_the_factorial_cutoff(self):
+        # (k+n)!/k! passes 1e300 inside the first 300 orders for every k <= 60
+        rng = np.random.default_rng(60)
+        phi = random_taylor(rng, 300)
+        f = random_taylor(rng, 300)
+        assert math.factorial(170) > 1e300
+        out = apply_symbol_taylor(phi, f, 60)
+        ref = reference_apply_symbol_taylor(phi, f, 60)
+        assert np.all(np.isfinite(out.coeffs))
+        np.testing.assert_allclose(out.coeffs, ref.coeffs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "name, center, n_max, radius, samples",
+        [("cos", 0j, 6, 0.5, 64), ("exp-quadratic", 0j, 80, 2.5, 324),
+         ("sin+exp(-z)", 0.3 - 0.2j, 2, 0.5, 128)],
+    )
+    def test_contour_coeffs_bit_identical_to_dense_dft(
+        self, name, center, n_max, radius, samples
+    ):
+        spec = CatalogSymbol(name)
+        angles = 2 * np.pi * np.arange(samples) / samples
+        vals = eval_symbol_array(spec, center + radius * np.exp(1j * angles))
+        ks = np.arange(n_max + 1)
+        dense = (np.exp(-1j * np.outer(ks, angles)) @ vals) / samples / radius**ks
+        for _ in range(2):  # a cache miss, then a hit
+            got = _contour_coeffs(spec, center, n_max, radius, samples)
+            assert np.array_equal(got, dense)
+
+    def test_cached_phases_are_read_only(self):
+        phases = _dft_phases(4, 16)
+        assert phases is _dft_phases(4, 16)
+        assert not phases.flags.writeable
+        with pytest.raises(ValueError):
+            phases[0, 0] = 0
 
 
 class TestSupDistance:

@@ -138,6 +138,15 @@ class TestDiskGrid:
         grid = DiskGrid(radius=1.0, samples=16, circles=3)
         assert len(grid.points()) == 16 * 3
 
+    def test_points_computed_once_and_read_only(self):
+        grid = DiskGrid(radius=2.0, samples=16, circles=3)
+        pts = grid.points()
+        assert pts is grid.points()
+        assert not pts.flags.writeable
+        ring = np.exp(1j * 2 * np.pi * np.arange(16) / 16)
+        expected = np.concatenate([r * ring for r in 2.0 * np.arange(1, 4) / 3])
+        assert np.array_equal(pts, expected)
+
     def test_dict_round_trip(self):
         grid = DiskGrid(radius=2.5, samples=48, circles=5)
         assert DiskGrid.from_dict(grid.to_dict()) == grid
