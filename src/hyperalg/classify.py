@@ -209,9 +209,8 @@ def check_T2(spec: SymbolSpec) -> dict:
         )
     derivs, _ = derivs_at_zero(spec, 2)
     margin = abs(derivs[2] * derivs[0] - derivs[1] ** 2)
-    progressions: dict[int, complex | None] = {}
-    for m in range(2, M_MAX + 1):
-        progressions[m] = find_arith_progression(spec, m)
+    steps = find_arith_progression(spec, M_MAX)
+    progressions = {m: steps[m] for m in range(2, M_MAX + 1)}
     passed = margin > COEFF_MARGIN and all(
         a is not None for a in progressions.values()
     )

@@ -185,28 +185,39 @@ def ray_below_one(spec: SymbolSpec, theta: float, t_max: float) -> float | None:
 
 def find_arith_progression(
     spec: SymbolSpec, m: int, margin: float = MODULUS_MARGIN
-) -> complex | None:
-    """First step ``a`` (smallest |a| first, then by direction) such that
-    |phi(j a)| < 1 - margin for every j = 1..m; None when the grid is
-    exhausted."""
+) -> dict[int, complex | None]:
+    """First step ``a`` for every length k = 1..m (smallest |a| first, then
+    by direction) such that |phi(j a)| <= 1 - margin for every j = 1..k;
+    None for a length the grid never meets.
+
+    One sweep serves every length.  At each step the rows ``j a`` (all
+    directions at once) are tested for j = 1, 2, ... while some direction
+    has passed every row so far; the step is left at the first empty row,
+    or at the first row that overflows.
+    """
     if m < 1:
         raise ValueError("m must be >= 1")
     rays = np.exp(
         2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
     )
-    js = np.arange(1, m + 1)
+    found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
     for t in PROGRESSION_STEPS:
-        # points[j-1, k] = j * t * e^{i theta_k}
-        points = np.multiply.outer(js * float(t), rays)
-        try:
-            mods = np.abs(eval_symbol_array(spec, points))
-        except EvaluationRangeError:
-            continue
-        ok = np.all(mods <= 1 - margin, axis=0)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            return complex(float(t) * rays[hits[0]])
-    return None
+        t = float(t)
+        ok = np.ones(PROGRESSION_DIRECTIONS, dtype=bool)
+        for j in range(1, m + 1):
+            try:
+                mods = np.abs(eval_symbol_array(spec, (j * t) * rays))
+            except EvaluationRangeError:
+                break
+            ok &= mods <= 1 - margin
+            hits = np.nonzero(ok)[0]
+            if not hits.size:
+                break
+            if found[j] is None:
+                found[j] = complex(t * rays[hits[0]])
+        if found[m] is not None:
+            break  # a hit of length m is a hit of every shorter length
+    return found
 
 
 def convex_direction(a1: complex, a2: complex) -> float:

@@ -59,6 +59,7 @@ from .symbols import (
     complex_from_json,
     complex_to_json,
     eval_symbol,
+    eval_symbol_array,
     exppoly_from_json,
     exppoly_to_json,
     symbol_to_dict,
@@ -471,15 +472,15 @@ def _double_until(
 
 def _check_progression(spec: SymbolSpec, w: complex, m: int) -> float:
     """Worst |phi(j w)| over j = 1..m (must be < 1)."""
-    return max(abs(eval_symbol(spec, j * w)) for j in range(1, m + 1))
+    # Python's abs, not np.abs: the two round some moduli differently
+    vals = eval_symbol_array(spec, np.arange(1, m + 1) * w).tolist()
+    return max(abs(v) for v in vals)
 
 
 def _segment_convex(spec: SymbolSpec, end: complex) -> bool:
     """Discrete strict convexity and monotonicity of log|phi| on [0, end]."""
     ts = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    mods = np.abs(
-        np.asarray([eval_symbol(spec, complex(t) * end) for t in ts])
-    )
+    mods = np.abs(eval_symbol_array(spec, ts * complex(end)))
     if np.min(mods) <= 0:
         return False
     prof = np.log(mods)
@@ -506,7 +507,7 @@ def derive_witness_params(
     grid = grid or DiskGrid(3.0)
     w = None
     for margin in (0.5, 0.1, MODULUS_MARGIN):
-        w = find_arith_progression(spec, m, margin=margin)
+        w = find_arith_progression(spec, m, margin=margin)[m]
         if w is not None:
             break
     if w is None:

@@ -1,5 +1,6 @@
 """Decision-tree classification and its supporting evidence gatherers."""
 
+import importlib
 import json
 import math
 
@@ -14,9 +15,13 @@ from hyperalg import (
     ZeroSetSummary,
     check_T2,
     classify,
+    find_arith_progression,
 )
 from hyperalg.classify import Verdict
 from hyperalg.errors import NormalizationError
+
+# the package re-exports the function classify under the module's name
+classify_module = importlib.import_module("hyperalg.classify")
 
 
 class TestZeroSetSummary:
@@ -62,6 +67,18 @@ class TestCheckT2:
         assert result["passed"]
         assert result["second_deriv_margin"] == pytest.approx(1.0, abs=1e-8)
         assert all(a is not None for a in result["progressions"].values())
+
+    def test_one_progression_sweep_serves_every_length(self, monkeypatch):
+        calls = []
+
+        def counting(spec, m, *args, **kwargs):
+            calls.append(m)
+            return find_arith_progression(spec, m, *args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "find_arith_progression", counting)
+        result = check_T2(CatalogSymbol("sin+exp(-z)"))
+        assert calls == [6]
+        assert sorted(result["progressions"]) == [2, 3, 4, 5, 6]
 
     def test_unnormalized_symbol_rejected(self):
         with pytest.raises(NormalizationError):

@@ -1,10 +1,10 @@
-"""Witness reports against stored fixtures.
+"""Witness and classify reports against stored fixtures.
 
 The determinism tests compare two runs of the same code; these compare the
-reports of today's constructions with the JSON in ``tests/data``, written by
-an earlier version of them, so a refactor that moves a report fails
-here.  Structure, integers and strings must match exactly, floats to a
-relative 1e-12.
+reports of today's constructions and verdicts with the JSON in
+``tests/data``, written by an earlier version of them, so a refactor that
+moves a report fails here.  Structure, integers and strings must match
+exactly, floats to a relative 1e-12.
 
 Regenerate the fixtures only for an intended report change:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -18,7 +18,11 @@ import pytest
 
 from hyperalg import (
     CatalogSymbol,
+    ExpPoly,
+    ExpPolySymbol,
     ExponentSet,
+    HadamardTrunc,
+    classify,
     construct_witness_T2,
     construct_witness_multi,
     default_multi_targets,
@@ -54,6 +58,26 @@ GOLDEN = {
     "multi-100-010-001": lambda: _multi(QUAD, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
 }
 
+#: Zeros ±(k + 1/2)π of cos, nearest first.
+COS_ZEROS = tuple((k + 0.5) * math.pi * s for k in range(40) for s in (1, -1))
+
+#: Symbols whose verdicts rest on the curvature-progression evidence.
+CLASSIFY = {
+    "cos": CatalogSymbol("cos"),
+    "cos-scale0.6": CatalogSymbol("cos", scale=0.6),
+    "sin+exp": CatalogSymbol("sin+exp(-z)"),
+    "sin+exp-scale0.6": CatalogSymbol("sin+exp(-z)", scale=0.6),
+    "sinc-pi": CatalogSymbol("sinc-pi"),
+    "sinc-pi-scale0.6": CatalogSymbol("sinc-pi", scale=0.6),
+    "hadamard-cos-even": HadamardTrunc(0j, 0j, COS_ZEROS, 0, 60),
+    "hadamard-cos-odd": HadamardTrunc(0j, 0j, COS_ZEROS, 0, 61),
+    "exppoly-cos": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
+}
+
+
+def _classify_report(name):
+    return json.dumps(classify(CLASSIFY[name]).to_dict(), sort_keys=True, indent=2)
+
 
 def assert_matches(got, want, path="$"):
     assert type(got) is type(want), f"{path}: {type(got)} != {type(want)}"
@@ -78,7 +102,16 @@ def test_report_matches_fixture(name):
     assert_matches(got, want)
 
 
+@pytest.mark.parametrize("name", sorted(CLASSIFY))
+def test_classify_matches_fixture(name):
+    want = json.loads((DATA / f"classify-{name}.json").read_text())
+    got = json.loads(_classify_report(name))
+    assert_matches(got, want)
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     for name, build in GOLDEN.items():
         (DATA / f"{name}.json").write_text(build().to_json() + "\n")
+    for name in CLASSIFY:
+        (DATA / f"classify-{name}.json").write_text(_classify_report(name) + "\n")

@@ -12,6 +12,7 @@ from hyperalg import (
     CatalogSymbol,
     ExpPolySymbol,
     ExpPoly,
+    HadamardTrunc,
     PolyTimesExp,
     check_Tma_conditions,
     convex_direction,
@@ -24,7 +25,10 @@ from hyperalg import (
     ray_below_one,
     scan_ray,
 )
-from hyperalg.errors import HypothesisError
+from hyperalg import growth
+from hyperalg.errors import EvaluationRangeError, HypothesisError
+from hyperalg.growth import MODULUS_MARGIN, PROGRESSION_DIRECTIONS
+from hyperalg.symbols import eval_symbol_array
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
 
@@ -89,21 +93,101 @@ class TestRays:
 class TestArithProgression:
     def test_cos_progression_memberships(self):
         spec = CatalogSymbol("cos")
-        a = find_arith_progression(spec, 5)
+        a = find_arith_progression(spec, 5)[5]
         assert a is not None
         for j in range(1, 6):
             assert abs(eval_symbol(spec, j * a)) < 1.0
 
     def test_poly_exp_progression_found_on_decaying_ray(self):
         spec = CatalogSymbol("exp-poly", a=1, poly=(1, 1))
-        a = find_arith_progression(spec, 3)
+        a = find_arith_progression(spec, 3)[3]
         assert a is not None
         for j in range(1, 4):
             assert abs(eval_symbol(spec, j * a)) < 1.0
 
     def test_constant_above_one_has_no_progression(self):
         spec = ExpPolySymbol(ExpPoly.of([(2.0, 0.0)]))
-        assert find_arith_progression(spec, 2) is None
+        assert find_arith_progression(spec, 2)[2] is None
+
+
+def reference_progression(spec, m, margin):
+    """The search one length at a time: every row j = 1..m of a step in one
+    evaluation, the step skipped when any of them overflows."""
+    rays = np.exp(
+        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
+    )
+    js = np.arange(1, m + 1)
+    for t in growth.PROGRESSION_STEPS:
+        points = np.multiply.outer(js * float(t), rays)
+        try:
+            mods = np.abs(eval_symbol_array(spec, points))
+        except EvaluationRangeError:
+            continue
+        hits = np.nonzero(np.all(mods <= 1 - margin, axis=0))[0]
+        if hits.size:
+            return complex(float(t) * rays[hits[0]])
+    return None
+
+
+COS_ZEROS = tuple((k + 0.5) * math.pi * s for k in range(6) for s in (1, -1))
+
+#: Row 1 needs e^{3 - t cos(theta)} <= 1 - margin, so t >= 3; the tiny term
+#: makes every row j with 100 j t > 700 overflow, which at t >= 3 is j >= 3.
+#: Lengths 1 (and 2, for small margins) hit; 3..6 never do.
+STEEP = ExpPolySymbol(ExpPoly.of([(math.exp(3.0), -1.0), (1e-300, 100.0)]))
+
+PROGRESSION_PANEL = {
+    "cos": CatalogSymbol("cos"),
+    "cos-scale120": CatalogSymbol("cos", scale=120),
+    "sin+exp": CatalogSymbol("sin+exp(-z)"),
+    "sin+exp-scale60": CatalogSymbol("sin+exp(-z)", scale=60),
+    "sinc-pi": CatalogSymbol("sinc-pi"),
+    "sinc-pi-scale0.5": CatalogSymbol("sinc-pi", scale=0.5),
+    "exp-poly": CatalogSymbol("exp-poly", a=1, poly=(1, 1)),
+    "exp-poly-scale40": CatalogSymbol("exp-poly", a=1j, poly=(1, 0.5), scale=40),
+    "exp-quadratic": CatalogSymbol("exp-quadratic"),
+    "exp-quadratic-scale8": CatalogSymbol("exp-quadratic", scale=8),
+    "hadamard-even": HadamardTrunc(0j, 0j, COS_ZEROS, 0, 10),
+    "hadamard-odd": HadamardTrunc(0j, 0j, COS_ZEROS, 0, 11),
+    "exppoly-two-term": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
+    "constant-above-one": ExpPolySymbol(ExpPoly.of([(2.0, 0.0)])),
+    "steep-overflow": STEEP,
+}
+
+
+class TestProgressionSweep:
+    """The one-sweep search against the search one length at a time.
+
+    The margin of ``classify`` runs on the full step grid; the wide margins
+    of ``derive_witness_params``, whose first hits lie far out, on every
+    8th step of it, which keeps the per-length reference affordable.
+    """
+
+    @pytest.mark.parametrize(
+        "margin, stride", [(0.5, 8), (0.1, 8), (MODULUS_MARGIN, 1)]
+    )
+    @pytest.mark.parametrize("name", sorted(PROGRESSION_PANEL))
+    def test_matches_search_per_length(self, name, margin, stride, monkeypatch):
+        monkeypatch.setattr(
+            growth, "PROGRESSION_STEPS", growth.PROGRESSION_STEPS[::stride]
+        )
+        spec = PROGRESSION_PANEL[name]
+        want = {k: reference_progression(spec, k, margin) for k in range(1, 7)}
+        assert find_arith_progression(spec, 6, margin=margin) == want
+        assert find_arith_progression(spec, 3, margin=margin) == {
+            k: want[k] for k in range(1, 4)
+        }
+
+    def test_overflowing_rows_keep_the_shorter_lengths(self):
+        found = find_arith_progression(STEEP, 6, margin=0.1)
+        assert found[1] is not None and found[2] is not None
+        assert all(found[k] is None for k in range(3, 7))
+        with pytest.raises(EvaluationRangeError):
+            eval_symbol_array(STEEP, 3 * found[2])
+
+    def test_rejects_empty_length(self):
+        with pytest.raises(ValueError):
+            find_arith_progression(CatalogSymbol("cos"), 0)
 
 
 def quadrant_reps():
