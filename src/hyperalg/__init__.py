@@ -44,6 +44,7 @@ from .growth import (
     estimate_order_type,
     find_arith_progression,
     find_convex_ray,
+    first_ray_below_one,
     indicator,
     max_modulus,
     ray_below_one,

@@ -33,7 +33,7 @@ from .exppoly import (
     mul_exppoly,
     pow_exppoly,
 )
-from .symbols import SymbolSpec, eval_symbol, to_taylor
+from .symbols import SymbolSpec, _symbol_values, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -42,7 +42,8 @@ TAYLOR_GUARD = 20
 
 def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
     """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
-    return ExpPoly.of([(c * eval_symbol(spec, l), l) for c, l in f.terms])
+    vals = _symbol_values(spec, [l for _, l in f.terms])
+    return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
 
 
 def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
@@ -50,13 +51,14 @@ def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
 
     The eigenvalue power ``phi(l)**q`` is computed in polar form,
     ``exp(q log|phi(l)|) * exp(i q arg phi(l))``, which stays accurate for q
-    up to 2**20 where repeated multiplication would drift.
+    up to 2**20 where repeated multiplication would drift.  phi is
+    evaluated at every frequency of ``f`` in one call.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
     out = []
-    for c, l in f.terms:
-        val = eval_symbol(spec, l)
+    vals = _symbol_values(spec, [l for _, l in f.terms])
+    for (c, l), val in zip(f.terms, vals):
         if val == 0:
             if q > 0:
                 continue
@@ -87,19 +89,35 @@ def taylor_mul_trunc(a: TaylorPoly, b: TaylorPoly, cap: int) -> TaylorPoly:
     return _taylor(out, cap)
 
 
-def taylor_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
+def taylor_pow_trunc(
+    a: TaylorPoly, n: int, cap: int, squares: list[TaylorPoly] | None = None
+) -> TaylorPoly:
     """Truncated power by binary exponentiation (truncation is stable: the
-    first ``cap + 1`` output coefficients never depend on discarded ones)."""
+    first ``cap + 1`` output coefficients never depend on discarded ones).
+
+    ``squares``, when given, holds the squarings ``a, a**2, a**4, ...`` of
+    this ``a`` at this ``cap`` across calls: the ones it has are reused and
+    the missing ones appended, so :func:`_power_from_squarings` can form
+    any smaller power later without squaring again.
+    """
     if n < 0:
         raise ValueError("exponent must be non-negative")
+    if squares is None:
+        squares = []
+    if n and not squares:
+        squares.append(TaylorPoly(a.coeffs[: cap + 1], cap))
+    while len(squares) < n.bit_length():
+        squares.append(taylor_mul_trunc(squares[-1], squares[-1], cap))
+    return _power_from_squarings(squares, n, cap)
+
+
+def _power_from_squarings(squares: list[TaylorPoly], n: int, cap: int) -> TaylorPoly:
+    """``a**n`` from the squarings ``squares[i] = a**(2**i)``: their product
+    over the set bits i of n, lowest bit first, starting from 1."""
     result = TaylorPoly.of([1 + 0j], cap)
-    base = TaylorPoly(a.coeffs[: cap + 1], cap)
-    while n:
-        if n & 1:
-            result = taylor_mul_trunc(result, base, cap)
-        n >>= 1
-        if n:
-            base = taylor_mul_trunc(base, base, cap)
+    for i in range(n.bit_length()):
+        if n >> i & 1:
+            result = taylor_mul_trunc(result, squares[i], cap)
     return result
 
 
@@ -204,13 +222,14 @@ def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     """Sup distance between the diagonal and coefficient-space images under a
     reduced operator power.
 
-    The reduced power starts at min(q, CROSS_CHECK_Q) and is halved while
-    the coefficient-space sum is ill-conditioned: when the terms
-    ``a_n (k+n)!/k! f_{k+n}`` are huge compared with the result, the sum
-    loses absolute accuracy to cancellation, which would fail the comparison
-    for reasons unrelated to correctness of either path.  The condition
-    estimate is the same sum with every factor replaced by its modulus,
-    evaluated on the check circle."""
+    The reduced power starts at min(q, CROSS_CHECK_Q) and is halved, while
+    it is above 1, as long as the coefficient-space sum is ill-conditioned:
+    when the terms ``a_n (k+n)!/k! f_{k+n}`` are huge compared with the
+    result, the sum loses absolute accuracy to cancellation, which would
+    fail the comparison for reasons unrelated to correctness of either
+    path.  The condition estimate is the same sum with every factor
+    replaced by its modulus, evaluated on the check circle.  All reduced
+    powers come from the squarings of the first one."""
     radius = min(grid.radius, 0.5)
     cap = CROSS_CHECK_K + TAYLOR_GUARD
     # contour radius above the largest frequency of f: the n-th coefficient's
@@ -222,13 +241,15 @@ def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     f_abs = _abs_taylor(f_t)
     radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
     q_red = min(q, CROSS_CHECK_Q)
+    squares: list[TaylorPoly] = []
+    phi_pow = taylor_pow_trunc(phi_t, q_red, cap, squares)
     while True:
-        phi_pow = taylor_pow_trunc(phi_t, q_red, cap)
         cond_poly = apply_symbol_taylor(_abs_taylor(phi_pow), f_abs, CROSS_CHECK_K)
         cond = float(np.abs(cond_poly.coeffs) @ radius_powers)
-        if cond <= 1e4 or q_red == 1:
+        if cond <= 1e4 or q_red <= 1:
             break
         q_red //= 2
+        phi_pow = _power_from_squarings(squares, q_red, cap)
     oracle = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
     diagonal = apply_symbol_power(spec, f, q_red)
     small_grid = DiskGrid(radius, grid.samples, grid.circles)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationRangeError, HypothesisError, SearchFailureError
-from .symbols import SymbolSpec, eval_symbol_array, taylor_coeffs_at
+from .symbols import (
+    ExpPolySymbol,
+    HadamardTrunc,
+    SymbolSpec,
+    eval_symbol_array,
+    taylor_coeffs_at,
+)
 
 #: "|phi| < 1" is enforced as |phi| <= 1 - MODULUS_MARGIN (and ">" dually).
 MODULUS_MARGIN = 1e-6
@@ -33,6 +39,14 @@ SCAN_SAMPLES = 256
 #: each in this many equispaced directions.
 PROGRESSION_STEPS = np.geomspace(1e-3, 10.0, 512)
 PROGRESSION_DIRECTIONS = 360
+
+#: After a step that no direction passes (a dead step),
+#: :func:`find_arith_progression` screens the first row of the next steps in
+#: one evaluation, in blocks that double up to this many steps.
+SCREEN_STEPS = 16
+
+#: :func:`first_ray_below_one` evaluates this many rays per call.
+RAY_BLOCK = 16
 
 #: Samples of a discrete log|phi| profile on a segment.
 PROFILE_POINTS = 64
@@ -170,17 +184,103 @@ def indicator(spec: SymbolSpec, theta: float, r_grid) -> float:
     return max(rates)
 
 
-def ray_below_one(spec: SymbolSpec, theta: float, t_max: float) -> float | None:
-    """Largest sampled r with |phi| <= 1 - margin on all of (0, r]; None when
-    the first sample already fails."""
-    ts = t_max * np.arange(1, SCAN_SAMPLES + 1) / SCAN_SAMPLES
-    vals = np.abs(eval_symbol_array(spec, ts * cmath.exp(1j * theta)))
-    below = vals <= 1 - MODULUS_MARGIN
+def _ray_samples(t_max: float) -> np.ndarray:
+    return t_max * np.arange(1, SCAN_SAMPLES + 1) / SCAN_SAMPLES
+
+
+def _last_below_one(ts: np.ndarray, mods: np.ndarray) -> float | None:
+    """:func:`ray_below_one`'s rule on the moduli ``mods`` at ``ts``."""
+    below = mods <= 1 - MODULUS_MARGIN
     if not below[0]:
         return None
     bad = np.nonzero(~below)[0]
-    last = (bad[0] - 1) if bad.size else SCAN_SAMPLES - 1
+    last = (bad[0] - 1) if bad.size else ts.size - 1
     return float(ts[last])
+
+
+def ray_below_one(spec: SymbolSpec, theta: float, t_max: float) -> float | None:
+    """Largest sampled r with |phi| <= 1 - margin on all of (0, r]; None when
+    the first sample already fails."""
+    ts = _ray_samples(t_max)
+    vals = np.abs(eval_symbol_array(spec, ts * cmath.exp(1j * theta)))
+    return _last_below_one(ts, vals)
+
+
+def first_ray_below_one(
+    spec: SymbolSpec, thetas, t_max: float, r_min: float
+) -> float | None:
+    """The first of ``thetas`` whose :func:`ray_below_one` radius is at
+    least ``r_min``; None when no direction has one.
+
+    ``RAY_BLOCK`` rays are evaluated per call, each row judged by
+    :func:`ray_below_one`'s rule.  A block that overflows is evaluated one
+    ray at a time, so the scan raises only where a loop of
+    :func:`ray_below_one` calls would.
+    """
+    ts = _ray_samples(t_max)
+    thetas = [float(theta) for theta in thetas]
+    for start in range(0, len(thetas), RAY_BLOCK):
+        block = thetas[start : start + RAY_BLOCK]
+        directions = [cmath.exp(1j * theta) for theta in block]
+        try:
+            rows = np.abs(
+                eval_symbol_array(spec, ts * np.asarray(directions)[:, None])
+            )
+        except EvaluationRangeError:
+            rows = (
+                np.abs(eval_symbol_array(spec, ts * direction))
+                for direction in directions
+            )
+        for theta, mods in zip(block, rows):
+            r = _last_below_one(ts, mods)
+            if r is not None and r >= r_min:
+                return theta
+    return None
+
+
+def _screen_limit(spec: SymbolSpec) -> int:
+    """Most steps per screening call: ``SCREEN_STEPS`` over the factors one
+    point costs.  A truncated product with many zeros, whose single row
+    already costs far more than a call, keeps one step per call."""
+    if isinstance(spec, HadamardTrunc):
+        factors = spec.truncation + 1
+    elif isinstance(spec, ExpPolySymbol):
+        factors = len(spec.poly.terms)
+    else:
+        factors = 1
+    return max(1, SCREEN_STEPS // max(factors, 1))
+
+
+def _row_passes(spec: SymbolSpec, points: np.ndarray, margin: float) -> np.ndarray:
+    """Where |phi| <= 1 - margin on the rows of ``points``, a row that
+    overflows passing nowhere: one evaluation for all rows, or one per row
+    when the block overflows."""
+    try:
+        return np.abs(eval_symbol_array(spec, points)) <= 1 - margin
+    except EvaluationRangeError:
+        if len(points) == 1:
+            return np.zeros(points.shape, dtype=bool)
+        return np.concatenate([_row_passes(spec, row[None], margin) for row in points])
+
+
+def _live_steps(spec: SymbolSpec, rays: np.ndarray, margin: float):
+    """Yields ``(t, where row 1 passes)`` for every progression step t, in
+    order, that some direction passes in row 1 (a live step).
+
+    Row 1 is evaluated in blocks of steps: one step at first, twice as many
+    after a block of dead steps, up to :func:`_screen_limit`, and one again
+    after a block with a live step.
+    """
+    limit = _screen_limit(spec)
+    block, start = 1, 0
+    while start < PROGRESSION_STEPS.size:
+        ts = PROGRESSION_STEPS[start : start + block]
+        start += ts.size
+        passes = _row_passes(spec, np.multiply.outer(ts, rays), margin)
+        live = np.nonzero(passes.any(axis=1))[0]
+        for i in live:
+            yield float(ts[i]), passes[i]
+        block = 1 if live.size else min(2 * block, limit)
 
 
 def find_arith_progression(
@@ -193,7 +293,8 @@ def find_arith_progression(
     One sweep serves every length.  At each step the rows ``j a`` (all
     directions at once) are tested for j = 1, 2, ... while some direction
     has passed every row so far; the step is left at the first empty row,
-    or at the first row that overflows.
+    or at the first row that overflows.  Row 1 comes from
+    :func:`_live_steps`, which screens runs of dead steps in one call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -201,15 +302,10 @@ def find_arith_progression(
         2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
     )
     found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
-    for t in PROGRESSION_STEPS:
-        t = float(t)
-        ok = np.ones(PROGRESSION_DIRECTIONS, dtype=bool)
+    for t, ok in _live_steps(spec, rays, margin):
         for j in range(1, m + 1):
-            try:
-                mods = np.abs(eval_symbol_array(spec, (j * t) * rays))
-            except EvaluationRangeError:
-                break
-            ok &= mods <= 1 - margin
+            if j > 1:
+                ok = ok & _row_passes(spec, ((j * t) * rays)[None], margin)[0]
             hits = np.nonzero(ok)[0]
             if not hits.size:
                 break

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -157,14 +157,17 @@ def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
             guard(1j * np.pi * w)
             return _sinc_pi(w)
         if spec.name == CATALOG_EXP:
-            guard(spec.a * w)
-            return np.exp(spec.a * w)
+            exponent = spec.a * w
+            guard(exponent)
+            return np.exp(exponent)
         if spec.name == CATALOG_EXP_POLY:
-            guard(spec.a * w)
-            return np.exp(spec.a * w) * _polyval(spec.poly, w)
+            exponent = spec.a * w
+            guard(exponent)
+            return np.exp(exponent) * _polyval(spec.poly, w)
         if spec.name == CATALOG_EXP_QUADRATIC:
-            guard(spec.a * w * w)
-            return np.exp(spec.a * w * w)
+            exponent = spec.a * w * w
+            guard(exponent)
+            return np.exp(exponent)
         raise AssertionError(spec.name)
     if isinstance(spec, ExpPolySymbol):
         return spec.poly.evaluate_array(zs)
@@ -190,6 +193,20 @@ def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
 
 def eval_symbol(spec: SymbolSpec, z: Union[complex, float]) -> complex:
     return complex(eval_symbol_array(spec, np.asarray([complex(z)]))[0])
+
+
+def _symbol_values(spec: SymbolSpec, zs: Sequence[complex]) -> Iterable[complex]:
+    """phi at each of ``zs``, as Python complex numbers, from one
+    :func:`eval_symbol_array` call.
+
+    When that call overflows, the values come lazily one point at a time
+    instead, so a caller that walks them in order raises at the same point,
+    with the same error, as a loop of :func:`eval_symbol` would.
+    """
+    try:
+        return eval_symbol_array(spec, np.asarray(zs, dtype=complex)).tolist()
+    except EvaluationRangeError:
+        return (eval_symbol(spec, z) for z in zs)
 
 
 # ---------------------------------------------------------------------------

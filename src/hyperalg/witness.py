@@ -52,10 +52,11 @@ from .growth import (
     PROFILE_POINTS,
     find_arith_progression,
     find_convex_ray,
-    ray_below_one,
+    first_ray_below_one,
 )
 from .symbols import (
     SymbolSpec,
+    _symbol_values,
     complex_from_json,
     complex_to_json,
     eval_symbol,
@@ -157,10 +158,10 @@ def multinomial_gamma(u, v, a) -> complex:
     return weight
 
 
-def _contraction(spec: SymbolSpec, freq: complex, v, phi_surv, m: int):
-    """``(log|phi(freq)|, Theta)``: the term's eigenvalue against the
-    survivor eigenvalues ``phi_surv`` weighted by ``v / m``."""
-    log_phi = math.log(max(abs(eval_symbol(spec, freq)), 1e-300))
+def _contraction(phi_val: complex, v, phi_surv, m: int):
+    """``(log|phi_val|, Theta)``: the term's eigenvalue ``phi_val`` against
+    the survivor eigenvalues ``phi_surv`` weighted by ``v / m``."""
+    log_phi = math.log(max(abs(phi_val), 1e-300))
     log_den = sum(
         (vi / m) * math.log(abs(pv)) for vi, pv in zip(v, phi_surv) if vi
     )
@@ -347,7 +348,7 @@ def _double_until(
     """
     b = [c for c, _ in target.terms]
     gammas = [f / m for _, f in target.terms]
-    phi_surv = [eval_symbol(spec, m * g) for g in gammas]
+    phi_surv = list(_symbol_values(spec, [m * g for g in gammas]))
     for g, val in zip(gammas, phi_surv):
         if abs(val) <= 1 + MODULUS_MARGIN:
             raise HypothesisError(
@@ -355,17 +356,22 @@ def _double_until(
                 "need |phi| > 1"
             )
 
-    terms = []
-    violations = []
-    for key in keys:
-        u, v, ell, alpha, case, counted = key
-        rows, ells = ((u,), ()) if alpha is None else (u, ell)
-        freq = sum(
+    def frequency(key):
+        u, v, _, alpha, _, _ = key
+        rows = (u,) if alpha is None else u
+        return sum(
             uij * f
             for row, s in zip(rows, seeds)
             for uij, (_, f) in zip(row, s.terms)
         ) + sum(vj * g for vj, g in zip(v, gammas))
-        log_phi, theta = _contraction(spec, freq, v, phi_surv, m)
+
+    freqs = [frequency(key) for key in keys]
+    terms = []
+    violations = []
+    for key, freq, phi_val in zip(keys, freqs, _symbol_values(spec, freqs)):
+        u, v, ell, alpha, case, counted = key
+        rows, ells = ((u,), ()) if alpha is None else (u, ell)
+        log_phi, theta = _contraction(phi_val, v, phi_surv, m)
         count = math.prod(  # of each generator's power, seeds aside
             multinomial_gamma(row, w, ())
             for row, w in zip(rows, (v, *((e,) for e in ells)))
@@ -470,6 +476,14 @@ def _double_until(
 # ---------------------------------------------------------------------------
 
 
+def _inside_sublevel_set(spec: SymbolSpec, points: list[complex]) -> bool:
+    """Whether |phi| <= 1 - MODULUS_MARGIN at every one of ``points``, all
+    evaluated in one call (every point is evaluated even after a failure,
+    so an overflow anywhere raises)."""
+    moduli = [abs(v) for v in _symbol_values(spec, points)]
+    return not any(r > 1 - MODULUS_MARGIN for r in moduli)
+
+
 def _check_progression(spec: SymbolSpec, w: complex, m: int) -> float:
     """Worst |phi(j w)| over j = 1..m (must be < 1)."""
     # Python's abs, not np.abs: the two round some moduli differently
@@ -521,10 +535,10 @@ def derive_witness_params(
     w0 = 0.75 * w_star
     ok = False
     for _ in range(30):
-        ok = True
         # every frequency the expansion can produce with at least one seed
         # factor must stay inside |phi| < 1: sample disk corners around
         # s*w plus the extreme correction shifts
+        points = []
         for s in range(1, m + 1):
             shifts = [0j, (m - s) * w0 / m] if s < m else [0j]
             corners = [0j] + [
@@ -532,9 +546,8 @@ def derive_witness_params(
             ]
             for shift in shifts:
                 for corner in corners:
-                    z = s * w + corner + shift
-                    if abs(eval_symbol(spec, z)) > 1 - MODULUS_MARGIN:
-                        ok = False
+                    points.append(s * w + corner + shift)
+        ok = _inside_sublevel_set(spec, points)
         if ok:
             break
         delta /= 2
@@ -770,31 +783,30 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
     if same_ray:
         w_minus = w_plus
     else:
-        w_minus = None
         scale = abs(w_plus)
-        for k in range(360):
-            theta = 2 * math.pi * k / 360
-            r = ray_below_one(spec, theta, t_max=2 * a * d_A * scale * 1.05)
-            if r is not None and r >= 2 * a * d_A * scale:
-                w_minus = scale * cmath.exp(1j * theta)
-                break
-        if w_minus is None:
+        theta = first_ray_below_one(
+            spec,
+            [2 * math.pi * k / 360 for k in range(360)],
+            t_max=2 * a * d_A * scale * 1.05,
+            r_min=2 * a * d_A * scale,
+        )
+        if theta is None:
             raise SearchFailureError(
                 "no direction keeps |phi| < 1 across the decay window"
             )
+        w_minus = scale * cmath.exp(1j * theta)
 
     b = 0.9 * a / (2 * d_A)
     ok = False
     for _ in range(25):
-        ok = True
+        points = []
         for s in range(1, d_A + 1):
             d_cnt_max = d_A if s < d_A else 0
             for d_cnt in range(0, d_cnt_max + 1):
                 for t in (a * s, 2 * a * s):
                     for rr in (b * d_cnt, 2 * b * d_cnt):
-                        z = -t * w_minus + rr * w_plus
-                        if s >= 1 and abs(eval_symbol(spec, z)) > 1 - MODULUS_MARGIN:
-                            ok = False
+                        points.append(-t * w_minus + rr * w_plus)
+        ok = _inside_sublevel_set(spec, points)
         if ok:
             break
         b /= 2

@@ -1,9 +1,14 @@
 """Config validation, report writing and exit codes of the batch driver."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hyperalg
 from hyperalg.cli import CONFIG_SCHEMA, REPORT_SCHEMA, catalog_list, main, run
 from hyperalg.errors import ConfigError
 
@@ -208,6 +213,40 @@ class TestPipelines:
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_verify_of_zero_q_report_exits_1(self, tmp_path):
+        # generator coefficients reach 8e4, so the oracle's condition sum
+        # stays above 1e4 at every reduced power; with q = 0 the reduced
+        # power cannot halve, and verify must still return
+        path = write_config(
+            tmp_path,
+            {"command": "witness-multi", "symbol": QUAD, "exponents": [[2, 1], [0, 1]]},
+            "w.json",
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        report_file = tmp_path / "witness-multi-report.json"
+        payload = json.loads(report_file.read_text())
+        payload["outcome"]["witness"]["q"] = 0
+        report_file.write_text(json.dumps(payload))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+            "v.json",
+        )
+        src = str(Path(hyperalg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hyperalg.cli", "--config", v_path,
+                 "--out", str(tmp_path)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("verify of a q = 0 report did not return within 60 s")
+        assert done.returncode == 1, done.stderr
+        assert read_report(tmp_path, "verify")["outcome"]["verified"] is False
 
     def test_run_requires_exponents_for_multi(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 """Diagonal operator action versus the coefficient-space oracle."""
 
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hyperalg import (
     DiskGrid,
     ExpPoly,
     ExpPolySymbol,
+    HadamardTrunc,
     OrbitTrace,
     TaylorPoly,
     apply_symbol,
@@ -21,7 +24,13 @@ from hyperalg import (
     sup_distance,
     to_taylor,
 )
-from hyperalg.dynamics import TAYLOR_GUARD, taylor_mul_trunc, taylor_pow_trunc
+from hyperalg import dynamics, symbols
+from hyperalg.dynamics import (
+    TAYLOR_GUARD,
+    _power_from_squarings,
+    taylor_mul_trunc,
+    taylor_pow_trunc,
+)
 from hyperalg.errors import EvaluationRangeError, OracleInputError
 from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
 
@@ -255,6 +264,163 @@ class TestVectorizedKernels:
         assert not phases.flags.writeable
         with pytest.raises(ValueError):
             phases[0, 0] = 0
+
+
+def reference_apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
+    """Scalar reference for ``apply_symbol_power``: one ``eval_symbol`` call
+    per term, in term order."""
+    out = []
+    for c, l in f.terms:
+        val = eval_symbol(spec, l)
+        if val == 0:
+            if q > 0:
+                continue
+            factor = 1 + 0j
+        else:
+            log_mag = q * math.log(abs(val))
+            if log_mag > 700.0:
+                raise EvaluationRangeError(
+                    f"|phi({l})|^{q} overflows double precision", z=l
+                )
+            factor = cmath.exp(complex(log_mag, q * cmath.phase(val)))
+        out.append((c * factor, l))
+    return ExpPoly.of(out)
+
+
+def reference_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
+    """Reference binary power: square and multiply in one loop."""
+    result = TaylorPoly.of([1 + 0j], cap)
+    base = TaylorPoly(a.coeffs[: cap + 1], cap)
+    while n:
+        if n & 1:
+            result = taylor_mul_trunc(result, base, cap)
+        n >>= 1
+        if n:
+            base = taylor_mul_trunc(base, base, cap)
+    return result
+
+
+def bits(values) -> list[str]:
+    """Every real and imaginary part in hex, so -0.0 and 0.0 differ."""
+    return [x.hex() for z in values for x in (z.real, z.imag)]
+
+
+def term_bits(f: ExpPoly) -> list[str]:
+    return bits(z for term in f.terms for z in term)
+
+
+#: (c, l) for one term that overflows only through |phi(l)|^q, and one whose
+#: own evaluation overflows (cos at 800i).
+POWER_OVERFLOW = (1.0, 3j)
+EVAL_OVERFLOW = (1.0, 800j)
+
+#: phi(w) = e^w - 1 vanishes exactly at w = 0 in floating point.
+VANISHING = ExpPolySymbol(ExpPoly.of([(1.0, 1.0), (-1.0, 0.0)]))
+
+
+class TestBatchedDiagonalAction:
+    """One evaluation per frequency set, bit for bit the scalar loop."""
+
+    SPECS = {
+        "cos": CatalogSymbol("cos"),
+        "sin+exp": CatalogSymbol("sin+exp(-z)", scale=0.7),
+        "exp-quadratic": CatalogSymbol("exp-quadratic", scale=1.3),
+        "exppoly": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
+        "hadamard": HadamardTrunc(0.2, 0j, (1.5, -1.5, 2.5j, -2.5j), 1, 4),
+        "vanishing": VANISHING,
+    }
+
+    @pytest.mark.parametrize("q", [0, 1, 7, 2048, 2**20])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_power_matches_scalar_reference(self, name, q):
+        spec = self.SPECS[name]
+        rng = np.random.default_rng(len(name) * 31 + q % 97)
+        for size in (1, 3, 12):
+            c = rng.normal(size=size) + 1j * rng.normal(size=size)
+            l = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+            f = ExpPoly.of(list(zip(c.tolist(), l.tolist())) + [(2.0, 0.0)])
+            try:
+                want = reference_apply_symbol_power(spec, f, q)
+            except EvaluationRangeError as exc:
+                with pytest.raises(EvaluationRangeError, match=re.escape(str(exc))):
+                    apply_symbol_power(spec, f, q)
+                continue
+            assert term_bits(apply_symbol_power(spec, f, q)) == term_bits(want)
+
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_zero_eigenvalue(self, q):
+        f = ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)])
+        got = apply_symbol_power(VANISHING, f, q)
+        want = reference_apply_symbol_power(VANISHING, f, q)
+        assert term_bits(got) == term_bits(want)
+        assert (0j in got.frequencies()) == (q == 0)
+
+    @pytest.mark.parametrize(
+        "terms, q",
+        [
+            ([POWER_OVERFLOW], 2**20),
+            ([EVAL_OVERFLOW, (1.0, 0.5)], 1),
+            # the power overflow comes first in term order, before the
+            # term whose evaluation overflows
+            ([POWER_OVERFLOW, EVAL_OVERFLOW], 2**20),
+        ],
+    )
+    def test_overflow_raises_the_scalar_loop_error(self, terms, q):
+        spec = CatalogSymbol("cos")
+        f = ExpPoly.of(terms)
+        with pytest.raises(EvaluationRangeError) as want:
+            reference_apply_symbol_power(spec, f, q)
+        with pytest.raises(EvaluationRangeError) as got:
+            apply_symbol_power(spec, f, q)
+        assert str(got.value) == str(want.value)
+
+    def test_one_evaluation_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(spec, zs):
+            calls.append(np.size(zs))
+            return eval_symbol_array(spec, zs)
+
+        monkeypatch.setattr(symbols, "eval_symbol_array", counting)
+        f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
+        spec = CatalogSymbol("exp-quadratic")
+        apply_symbol_power(spec, f, 64)
+        apply_symbol(spec, f)
+        assert calls == [9, 9]
+
+
+class TestCrossCheckPowers:
+    """The halvings of the reduced power share one set of squarings."""
+
+    def test_powers_are_bitwise_the_fresh_binary_power(self):
+        phi_t = to_taylor(CatalogSymbol("exp-quadratic", scale=1.2), 80)
+        squares = []
+        for n in (32, 16, 8, 4, 2, 1, 0, 37, 5, 64):
+            want = bits(reference_pow_trunc(phi_t, n, 80).coeffs)
+            assert bits(taylor_pow_trunc(phi_t, n, 80).coeffs) == want
+            assert bits(taylor_pow_trunc(phi_t, n, 80, squares).coeffs) == want
+            assert bits(_power_from_squarings(squares, n, 80).coeffs) == want
+        assert len(squares) == 7  # a, a^2, ..., a^64
+
+    def test_halvings_reuse_the_squarings(self, monkeypatch):
+        # a coefficient of 1e6 keeps the condition sum above 1e4 at every
+        # reduced power, so q_red halves from 32 down to 1
+        counts = {"pow": 0, "mul": 0}
+
+        def count(key, fn):
+            def counted(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return counted
+
+        for key, name in (("pow", "taylor_pow_trunc"), ("mul", "taylor_mul_trunc")):
+            monkeypatch.setattr(dynamics, name, count(key, getattr(dynamics, name)))
+        f = ExpPoly.of([(1e6, 0.3)])
+        dynamics._cross_check(CatalogSymbol("exp-quadratic"), f, 2**20, GRID)
+        # 5 squarings for 32, then one product per power 32, 16, ..., 1
+        # (a fresh binary power per halving takes 6 + 5 + ... + 1 = 21)
+        assert counts == {"pow": 1, "mul": 11}
 
 
 class TestSupDistance:

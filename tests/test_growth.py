@@ -20,6 +20,7 @@ from hyperalg import (
     eval_symbol,
     find_arith_progression,
     find_convex_ray,
+    first_ray_below_one,
     indicator,
     max_modulus,
     ray_below_one,
@@ -188,6 +189,127 @@ class TestProgressionSweep:
     def test_rejects_empty_length(self):
         with pytest.raises(ValueError):
             find_arith_progression(CatalogSymbol("cos"), 0)
+
+
+def per_step_progression(spec, m, margin, evaluate):
+    """The search before screening, row by row: every row of every step is
+    one ``evaluate`` call, and row 1 of a dead step is its only call."""
+    rays = np.exp(
+        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
+    )
+    found = dict.fromkeys(range(1, m + 1))
+    for t in growth.PROGRESSION_STEPS:
+        t = float(t)
+        ok = np.ones(PROGRESSION_DIRECTIONS, dtype=bool)
+        for j in range(1, m + 1):
+            try:
+                mods = np.abs(evaluate(spec, (j * t) * rays))
+            except EvaluationRangeError:
+                break
+            ok &= mods <= 1 - margin
+            hits = np.nonzero(ok)[0]
+            if not hits.size:
+                break
+            if found[j] is None:
+                found[j] = complex(t * rays[hits[0]])
+        if found[m] is not None:
+            break
+    return found
+
+
+def recording(calls):
+    """``eval_symbol_array`` that appends the points of each call to ``calls``."""
+
+    def evaluate(spec, zs):
+        calls.append(np.asarray(zs, dtype=complex).ravel())
+        return eval_symbol_array(spec, zs)
+
+    return evaluate
+
+
+#: A truncated product whose single row costs far more than a call.
+HADAMARD_60 = HadamardTrunc(
+    0j, 0j, tuple((k + 0.5) * math.pi * s for k in range(30) for s in (1, -1)), 0, 60
+)
+
+
+class TestProgressionScreening:
+    """Runs of dead steps are screened in one call where rows are cheap."""
+
+    def test_costly_symbol_keeps_the_per_step_calls(self, monkeypatch):
+        want_calls, calls = [], []
+        want = per_step_progression(
+            HADAMARD_60, 4, MODULUS_MARGIN, recording(want_calls)
+        )
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        assert find_arith_progression(HADAMARD_60, 4) == want
+        assert len(calls) == len(want_calls) > 20
+        for got, ref in zip(calls, want_calls):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_dead_steps_take_a_tenth_of_the_calls(self, m, monkeypatch):
+        spec = CatalogSymbol("exp-quadratic")
+        want_calls, calls = [], []
+        want = per_step_progression(spec, m, 0.5, recording(want_calls))
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        assert find_arith_progression(spec, m, margin=0.5) == want
+        assert len(want_calls) > 300
+        assert len(calls) <= len(want_calls) / 10
+
+    def test_overflowing_screen_falls_back_row_by_row(self, monkeypatch):
+        # row 1 overflows beyond t = 7 (the 1e-300 e^{100 z} term) and no
+        # step ever passes row 3, so the sweep screens overflowing blocks
+        calls = []
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        found = find_arith_progression(STEEP, 3, margin=0.1)
+        assert found == {
+            k: reference_progression(STEEP, k, 0.1) for k in range(1, 4)
+        }
+        overflowing = [z for z in calls if np.max(np.abs(z.real)) > 7]
+        assert any(z.size > PROGRESSION_DIRECTIONS for z in overflowing)
+
+
+class TestDirectionScan:
+    """The blocked scan against a loop of :func:`ray_below_one` calls."""
+
+    @staticmethod
+    def loop(spec, thetas, t_max, r_min):
+        for theta in thetas:
+            r = ray_below_one(spec, theta, t_max)
+            if r is not None and r >= r_min:
+                return theta
+        return None
+
+    @pytest.mark.parametrize(
+        "spec, t_max",
+        [
+            (CatalogSymbol("exp-quadratic"), 0.9),
+            (CatalogSymbol("exp-quadratic", scale=1.3), 2.0),
+            (CatalogSymbol("cos"), 1.0),
+            (CatalogSymbol("exp-poly", a=1, poly=(1, 1)), 1.5),
+            (ExpPolySymbol(ExpPoly.of([(2.0, 0.0)])), 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99])
+    def test_picks_the_same_direction(self, spec, t_max, fraction):
+        thetas = [2 * math.pi * k / 360 for k in range(360)]
+        r_min = fraction * t_max
+        assert first_ray_below_one(spec, thetas, t_max, r_min) == self.loop(
+            spec, thetas, t_max, r_min
+        )
+
+    def test_overflowing_block_raises_only_past_the_pick(self):
+        # cos stays below one on the first samples of the real axis and
+        # overflows up the imaginary axis, which a loop of ray_below_one
+        # calls never reaches once the real axis is picked
+        spec = CatalogSymbol("cos")
+        thetas = [0.0, math.pi / 2]
+        with pytest.raises(EvaluationRangeError):
+            ray_below_one(spec, math.pi / 2, 800.0)
+        assert first_ray_below_one(spec, thetas, 800.0, 1.0) == 0.0
+        with pytest.raises(EvaluationRangeError):
+            first_ray_below_one(spec, thetas[::-1], 800.0, 1.0)
 
 
 def quadrant_reps():

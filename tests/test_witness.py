@@ -30,6 +30,7 @@ from hyperalg import (
     sup_distance,
     verify_witness,
 )
+from hyperalg import dynamics, symbols, witness
 from hyperalg.errors import (
     HypothesisError,
     IterationLimitError,
@@ -322,6 +323,43 @@ class TestMultiGenerator:
         spec = CatalogSymbol("exp-poly", a=1, poly=(2, 1))
         with pytest.raises((HypothesisError, ValueError)):
             derive_multi_params(spec, self.A)
+
+
+class TestBatchedEvaluation:
+    """Builds evaluate phi on whole point sets, never point by point."""
+
+    @pytest.fixture
+    def scalar_calls(self, monkeypatch):
+        calls = []
+
+        def counting(spec, z):
+            calls.append(z)
+            return eval_symbol(spec, z)
+
+        for module in (symbols, dynamics, witness):
+            if hasattr(module, "eval_symbol"):
+                monkeypatch.setattr(module, "eval_symbol", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_single_generator(self, m, scalar_calls):
+        params = derive_witness_params(QUAD, m)
+        assert scalar_calls == []
+        seed, target = default_targets_T2(params)
+        construct_witness_T2(QUAD, m, seed, target, params=params)
+        assert scalar_calls == []
+
+    @pytest.mark.parametrize(
+        "exponents", [[(2, 0), (1, 1), (0, 1)], [(2, 1), (0, 1)], [(3,), (1,)]]
+    )
+    def test_multi_generator(self, exponents, scalar_calls):
+        A = ExponentSet.of(exponents)
+        multi_params = derive_multi_params(QUAD, A)
+        assert scalar_calls == [0]  # the phi(0) = 1 check
+        scalar_calls.clear()
+        B, seeds = default_multi_targets(multi_params, A.n_generators)
+        construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
+        assert scalar_calls == []
 
 
 class TestDeterminism:
