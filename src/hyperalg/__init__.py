@@ -75,7 +75,6 @@ from .witness import (
     default_targets_T2,
     derive_multi_params,
     derive_witness_params,
-    enumerate_lattice,
     multinomial_gamma,
     select_weights,
     solve_coeff,

@@ -5,7 +5,8 @@ times exponential, zero-set sums), then the numerical checkers (curvature
 plus arithmetic progressions; ray growth gap).  ``Unknown`` is the fallback,
 never a guess: each verdict carries the evidence that produced it and a
 ``confidence`` tag — ``exact`` for structural routes, ``numerical`` for
-anything resting on sampled growth estimates.
+anything resting on sampled growth estimates or on a regression fit, such as
+the convergence of the zero-set sums.
 """
 
 from __future__ import annotations
@@ -275,14 +276,14 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
         evidence["zeros"] = summary.to_dict()
         if abs(summary.s2) > ZERO_SUM_MARGIN:
             if summary.inv_modulus_converges is True:
-                return Verdict(HAS_ALGEBRA, "zeros-summable", evidence, "exact")
+                return Verdict(HAS_ALGEBRA, "zeros-summable", evidence, "numerical")
             if (
                 summary.inv_modulus_converges is False
                 and slope is not None
                 and slope != 0
             ):
                 return Verdict(
-                    HAS_ALGEBRA, "zeros-divergent-nonzero-slope", evidence, "exact"
+                    HAS_ALGEBRA, "zeros-divergent-nonzero-slope", evidence, "numerical"
                 )
         else:
             evidence["zeros"]["square_sum_ambiguous"] = True

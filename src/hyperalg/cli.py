@@ -237,9 +237,7 @@ def run(config: dict) -> dict:
         epsilon = float(config.get("epsilon", 1e-6))
         grid = _grid(config)
         n_max = int(config.get("n_max", 2**20))
-        params = derive_witness_params(
-            spec, m, grid=grid, epsilon=epsilon, N_max=n_max
-        )
+        params = derive_witness_params(spec, m)
         if "seed_terms" in config or "target_terms" in config:
             if not ("seed_terms" in config and "target_terms" in config):
                 raise ConfigError(

@@ -34,7 +34,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -113,34 +113,51 @@ def _compositions(total: int, parts: int):
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        yield (total,)
-        return
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
-def enumerate_lattice(p: int, m: int):
-    """Index tuples (u, v) in N_0^p x N_0^p of the m-th power expansion.
+def _multi_lattice(alpha, p):
+    """All (u, v, ell) of f^alpha for N = len(alpha) generators: u a tuple
+    of N vectors in N_0^p, v in N_0^p, ell in N_0^{N-1}, with
+    |u_1| + |v| = alpha_1 and |u_i| + ell_i = alpha_i."""
+    first_splits = [
+        (u1, v)
+        for v_total in range(alpha[0] + 1)
+        for u1 in _compositions(alpha[0] - v_total, p)
+        for v in _compositions(v_total, p)
+    ]
+    rest_options = [
+        [
+            (ui, alpha[i] - u_total)
+            for u_total in range(alpha[i] + 1)
+            for ui in _compositions(u_total, p)
+        ]
+        for i in range(1, len(alpha))
+    ]
+    return [
+        ((u1, *(ui for ui, _ in rest)), v, tuple(ell_i for _, ell_i in rest))
+        for u1, v in first_splits
+        for rest in itertools.product(*rest_options)
+    ]
 
-    Returns ``(L_m_star, lower)`` where ``L_m_star`` is the total-degree-m
-    layer minus the p survivors (|u| = 0, v = m e_j) and ``lower`` lists the
-    full layers of total degree 1..m-1.
-    """
-    if p < 1 or m < 2:
-        raise ValueError("need p >= 1 and m >= 2")
 
-    def layer(n):
-        return [(c[:p], c[p:]) for c in _compositions(n, 2 * p)]
-
-    survivors = {
-        ((0,) * p, tuple(m if i == j else 0 for i in range(p)))
-        for j in range(p)
-    }
-    l_m_star = [t for t in layer(m) if t not in survivors]
-    lower = [layer(n) for n in range(1, m)]
-    return l_m_star, lower
+def _expansion_keys(exponents, beta, p, case):
+    """Expansion tuples ``(u, v, ell, alpha, case, counted)`` of every
+    monomial f^alpha, alpha in ``exponents``, with ``case(|u|, v)`` its
+    decay case.  The survivors (u = 0, v = m e_j with m = beta_1) of the
+    distinguished monomial beta carry the target and are not counted; for
+    any other alpha the survivor shape forces alpha_1 = m, so the weight
+    separation of :func:`select_weights` makes the term decay in N."""
+    m = beta[0]
+    keys = []
+    for alpha in exponents:
+        for u, v, ell in _multi_lattice(alpha, p):
+            usum = sum(map(sum, u))
+            survivor = alpha == beta and usum == 0 and max(v) == m == sum(v)
+            keys.append((u, v, ell, alpha, case(usum, v), not survivor))
+    return keys
 
 
 def multinomial_gamma(u, v, a) -> complex:
@@ -166,14 +183,6 @@ def _contraction(phi_val: complex, v, phi_surv, m: int):
         (vi / m) * math.log(abs(pv)) for vi, pv in zip(v, phi_surv) if vi
     )
     return log_phi, math.exp(log_phi - log_den)
-
-
-def _single_case(u, v, m: int) -> int:
-    if sum(u) >= 1:
-        return 2
-    if sum(v) < m:
-        return 3
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +293,8 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class WitnessParams:
-    """Everything the single-generator construction chose before seeing N."""
+    """The geometry the single-generator construction chose before seeing
+    N; the build records its grid, epsilon and N_max beside it."""
 
     w: complex
     delta: float
@@ -293,12 +303,9 @@ class WitnessParams:
     m: int
     lambda_window: tuple[complex, complex]
     margins: dict
-    N_max: int
-    grid: DiskGrid
-    epsilon: float
 
     def to_dict(self) -> dict:
-        return to_json_value({**vars(self), "grid": self.grid.to_dict()})
+        return to_json_value(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +319,8 @@ class _Term(NamedTuple):
 
     u: tuple
     v: tuple
-    ell: tuple | None
-    alpha: tuple | None
+    ell: tuple
+    alpha: tuple
     case: int
     counted: bool  # False for the survivors that carry the target
     freq: complex
@@ -336,10 +343,10 @@ def _double_until(
     caller's exponents, everything else is in slot order.
 
     ``keys`` lists every monomial's expansion tuples ``(u, v, ell, alpha,
-    case, counted)``: u[i][j] factors of seed term j of generator i, v[j] of
-    survivor j and ell[i-1] of N**-k[i] (one generator: u is the one row,
-    ell and alpha are None).  N doubles from 8 until each monomial is within
-    epsilon of its target and so is the bound sum of the counted terms.
+    case, counted)`` from :func:`_expansion_keys`: u[i][j] factors of seed
+    term j of generator i, v[j] of survivor j and ell[i-1] of N**-k[i].  N
+    doubles from 8 until each monomial is within epsilon of its target and so
+    is the bound sum of the counted terms.
 
     Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
     Raises ThetaMarginError first when a counted term neither contracts nor
@@ -356,40 +363,36 @@ def _double_until(
                 "need |phi| > 1"
             )
 
-    def frequency(key):
-        u, v, _, alpha, _, _ = key
-        rows = (u,) if alpha is None else u
-        return sum(
+    freqs = [
+        sum(
             uij * f
-            for row, s in zip(rows, seeds)
+            for row, s in zip(u, seeds)
             for uij, (_, f) in zip(row, s.terms)
         ) + sum(vj * g for vj, g in zip(v, gammas))
-
-    freqs = [frequency(key) for key in keys]
+        for u, v, *_ in keys
+    ]
     terms = []
     violations = []
     for key, freq, phi_val in zip(keys, freqs, _symbol_values(spec, freqs)):
         u, v, ell, alpha, case, counted = key
-        rows, ells = ((u,), ()) if alpha is None else (u, ell)
         log_phi, theta = _contraction(phi_val, v, phi_surv, m)
         count = math.prod(  # of each generator's power, seeds aside
             multinomial_gamma(row, w, ())
-            for row, w in zip(rows, (v, *((e,) for e in ells)))
+            for row, w in zip(u, (v, *((e,) for e in ell)))
         )
         log_weight = math.log(abs(count))
-        for row, s in zip(rows, seeds):
+        for row, s in zip(u, seeds):
             for uij, (a, _) in zip(row, s.terms):
                 if uij:
                     log_weight += uij * math.log(abs(a))
-        ell_weight = sum(ki * e for ki, e in zip(k[1:], ells))
+        ell_weight = sum(ki * e for ki, e in zip(k[1:], ell))
         terms.append(_Term(*key, freq, theta, log_phi, log_weight, ell_weight))
         n_exp = (sum(v) / m) * K_beta - ell_weight
         if counted and theta > 1 - THETA_MARGIN and not (
             theta <= 1 + 1e-12 and n_exp < 0
         ):
             violations.append(
-                ({} if alpha is None else {"alpha": alpha})
-                | {"u": u, "v": v, "theta": theta, "case": case}
+                {"alpha": alpha, "u": u, "v": v, "theta": theta, "case": case}
             )
     if violations:
         raise ThetaMarginError(
@@ -447,9 +450,7 @@ def _double_until(
             f"residual target {epsilon} not met by N = {n_max}", trace=trace
         )
 
-    generators = [None] * len(gens)
-    for i, f in zip(perm, gens):
-        generators[i] = f
+    generators = [gens[perm.index(i)] for i in range(len(gens))]
     theta_table = tuple(
         ThetaEntry(
             t.u, t.v, t.ell, t.alpha, t.theta, t.case,
@@ -472,16 +473,37 @@ def _double_until(
 
 
 # ---------------------------------------------------------------------------
-# Single-generator construction
+# Windows
 # ---------------------------------------------------------------------------
 
 
-def _inside_sublevel_set(spec: SymbolSpec, points: list[complex]) -> bool:
-    """Whether |phi| <= 1 - MODULUS_MARGIN at every one of ``points``, all
-    evaluated in one call (every point is evaluated even after a failure,
-    so an overflow anywhere raises)."""
-    moduli = [abs(v) for v in _symbol_values(spec, points)]
-    return not any(r > 1 - MODULUS_MARGIN for r in moduli)
+def _halve_until_inside(spec: SymbolSpec, points_at, attempts: int, failure: str):
+    """The first scale 2**-k (k < ``attempts``) at which |phi| <= 1 -
+    MODULUS_MARGIN at every one of ``points_at(scale)``; each attempt
+    evaluates its whole point set in one call.  Raises SearchFailureError
+    with the message ``failure`` when no attempt passes."""
+    for k in range(attempts):
+        scale = 2.0**-k
+        # a list, so that an overflow at any point raises
+        moduli = [abs(v) for v in _symbol_values(spec, points_at(scale))]
+        if not any(r > 1 - MODULUS_MARGIN for r in moduli):
+            return scale
+    raise SearchFailureError(failure)
+
+
+def _check_window(poly: ExpPoly, window, what: str):
+    """Every frequency of ``poly`` on the segment ``window``, to 1e-9 of
+    its length."""
+    lo, hi = window
+    for _, f in poly.terms:
+        t = (f - lo) / (hi - lo) if hi != lo else 0
+        if abs(t.imag) > 1e-9 or not (-1e-9 <= t.real <= 1 + 1e-9):
+            raise TargetPlacementError(f"{what} {f} outside the window [{lo}, {hi}]")
+
+
+# ---------------------------------------------------------------------------
+# Single-generator construction
+# ---------------------------------------------------------------------------
 
 
 def _check_progression(spec: SymbolSpec, w: complex, m: int) -> float:
@@ -502,13 +524,7 @@ def _segment_convex(spec: SymbolSpec, end: complex) -> bool:
     return bool(np.all(d1 > 0) and np.all(np.diff(d1) > 0))
 
 
-def derive_witness_params(
-    spec: SymbolSpec,
-    m: int,
-    grid: DiskGrid | None = None,
-    epsilon: float = 1e-6,
-    N_max: int = N_MAX_DEFAULT,
-) -> WitnessParams:
+def derive_witness_params(spec: SymbolSpec, m: int) -> WitnessParams:
     """Chooses the geometry for :func:`construct_witness_T2`.
 
     The progression step is searched with a comfortable modulus margin
@@ -518,8 +534,6 @@ def derive_witness_params(
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    grid = grid or DiskGrid(3.0)
-    w = None
     for margin in (0.5, 0.1, MODULUS_MARGIN):
         w = find_arith_progression(spec, m, margin=margin)[m]
         if w is not None:
@@ -531,35 +545,26 @@ def derive_witness_params(
     w_star = find_convex_ray(spec, 0j, delta=min(abs(w) / 2, 0.5)).w1
     progression_worst = _check_progression(spec, w, m)
 
-    delta = abs(w) / 4
-    w0 = 0.75 * w_star
-    ok = False
-    for _ in range(30):
+    def corners(scale):
         # every frequency the expansion can produce with at least one seed
         # factor must stay inside |phi| < 1: sample disk corners around
         # s*w plus the extreme correction shifts
-        points = []
-        for s in range(1, m + 1):
-            shifts = [0j, (m - s) * w0 / m] if s < m else [0j]
-            corners = [0j] + [
+        delta, w0 = abs(w) / 4 * scale, 0.75 * w_star * scale
+        return [
+            s * w + corner + shift
+            for s in range(1, m + 1)
+            for shift in ([0j, (m - s) * w0 / m] if s < m else [0j])
+            for corner in [0j] + [
                 s * delta * cmath.exp(1j * math.pi * k / 2) for k in range(4)
             ]
-            for shift in shifts:
-                for corner in corners:
-                    points.append(s * w + corner + shift)
-        ok = _inside_sublevel_set(spec, points)
-        if ok:
-            break
-        delta /= 2
-        w0 /= 2
-    if not ok:
-        raise SearchFailureError(
-            "could not validate the seed/correction frequency windows"
-        )
+        ]
+
+    scale = _halve_until_inside(
+        spec, corners, 30, "could not validate the seed/correction frequency windows"
+    )
     if not _segment_convex(spec, w_star):
-        raise HypothesisError(
-            "log|phi| is not strictly convex increasing on [0, w*]"
-        )
+        raise HypothesisError("log|phi| is not strictly convex increasing on [0, w*]")
+    delta, w0 = abs(w) / 4 * scale, 0.75 * w_star * scale
     return WitnessParams(
         w=complex(w),
         delta=float(delta),
@@ -572,9 +577,6 @@ def derive_witness_params(
             "modulus": MODULUS_MARGIN,
             "theta": THETA_MARGIN,
         },
-        N_max=N_max,
-        grid=grid,
-        epsilon=epsilon,
     )
 
 
@@ -608,12 +610,7 @@ def _validate_targets_T2(params: WitnessParams, seed: ExpPoly, target: ExpPoly):
                 f"seed frequency {a} outside the disk of radius "
                 f"{params.delta} around {params.w}"
             )
-    for _, b in target.terms:
-        ratio = b / params.w0
-        if abs(ratio.imag) > 1e-9 or not (0.5 - 1e-12 <= ratio.real <= 1 + 1e-12):
-            raise TargetPlacementError(
-                f"target frequency {b} outside the segment [w0/2, w0]"
-            )
+    _check_window(target, (params.w0 / 2, params.w0), "target frequency")
 
 
 def construct_witness_T2(
@@ -628,32 +625,38 @@ def construct_witness_T2(
 ) -> WitnessReport:
     """Single-generator witness: finds N with f = seed + R_N such that the
     N-th operator power takes f^m within epsilon of the target and f^j
-    (1 <= j < m) within epsilon of zero, in sup norm on the grid."""
-    params = params or derive_witness_params(
-        spec, m, grid=grid, epsilon=epsilon, N_max=N_max
-    )
-    grid = grid or params.grid
+    (1 <= j < m) within epsilon of zero, in sup norm on the grid.
+
+    This is the multi-generator engine with one generator, monomials
+    f, ..., f^m and beta = (m,); the report keeps the one-generator shape
+    (u one row, ell and alpha None)."""
+    params = params or derive_witness_params(spec, m)
+    if params.m != m:
+        raise ValueError(f"params were derived for m = {params.m}, not {m}")
+    grid = grid or DiskGrid(3.0)
     _validate_targets_T2(params, seed, target)
-    p = len(target.terms)
-    l_m_star, lower = enumerate_lattice(p, m)
-    survivors = [
-        ((0,) * p, tuple(m if i == j else 0 for i in range(p)))
-        for j in range(p)
-    ]
-    keys = [
-        (u, v, None, None, _single_case(u, v, m), (u, v) not in survivors)
-        for u, v in itertools.chain(l_m_star, *lower, survivors)
-    ]
-    targets = {(j,): ExpPoly.zero() for j in range(1, m)}
+    exponents = [(j,) for j in range(1, m + 1)]
+    keys = _expansion_keys(
+        exponents, (m,), len(target.terms),
+        lambda usum, v: 2 if usum else 3 if sum(v) < m else 1,
+    )
+    targets = {alpha: ExpPoly.zero() for alpha in exponents}
     targets[(m,)] = target
     fields, _ = _double_until(
         spec, m, (seed,), target, keys, targets, grid, epsilon, N_max
+    )
+    fields["theta_table"] = tuple(
+        replace(e, u=e.u[0], ell=None, alpha=None)
+        for e in fields["theta_table"]
     )
     return WitnessReport(
         kind="single",
         m=m,
         params={
             **params.to_dict(),
+            "N_max": N_max,
+            "grid": grid.to_dict(),
+            "epsilon": epsilon,
             "symbol": symbol_to_dict(spec),
             "seed": exppoly_to_json(seed),
             "target": exppoly_to_json(target),
@@ -796,29 +799,25 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
             )
         w_minus = scale * cmath.exp(1j * theta)
 
-    b = 0.9 * a / (2 * d_A)
-    ok = False
-    for _ in range(25):
-        points = []
-        for s in range(1, d_A + 1):
-            d_cnt_max = d_A if s < d_A else 0
-            for d_cnt in range(0, d_cnt_max + 1):
-                for t in (a * s, 2 * a * s):
-                    for rr in (b * d_cnt, 2 * b * d_cnt):
-                        points.append(-t * w_minus + rr * w_plus)
-        ok = _inside_sublevel_set(spec, points)
-        if ok:
-            break
-        b /= 2
-    if not ok:
-        raise SearchFailureError(
-            "could not validate the combined window memberships"
-        )
+    def sums(scale):
+        # s decay frequencies plus d_cnt growth frequencies, at both ends
+        b = 0.9 * a / (2 * d_A) * scale
+        return [
+            -t * w_minus + rr * w_plus
+            for s in range(1, d_A + 1)
+            for d_cnt in range(d_A + 1 if s < d_A else 1)
+            for t in (a * s, 2 * a * s)
+            for rr in (b * d_cnt, 2 * b * d_cnt)
+        ]
+
+    scale = _halve_until_inside(
+        spec, sums, 25, "could not validate the combined window memberships"
+    )
     return MultiParams(
         w_minus=complex(w_minus),
         w_plus=complex(w_plus),
         a=a,
-        b=b,
+        b=0.9 * a / (2 * d_A) * scale,
         d_A=d_A,
         m=m,
         same_ray=same_ray,
@@ -845,38 +844,6 @@ def default_multi_targets(
         ]
         seeds.append(ExpPoly.of([(1 + 0j, l) for l in lams]))
     return B, seeds
-
-
-def _multi_lattice(alpha, p, n_gen):
-    """All (u, v, ell): u a tuple of N vectors in N_0^p, v in N_0^p,
-    ell in N_0^{N-1}, with |u_1| + |v| = alpha_1 and |u_i| + ell_i = alpha_i."""
-    first_splits = [
-        (u1, v)
-        for v_total in range(alpha[0] + 1)
-        for u1 in _compositions(alpha[0] - v_total, p)
-        for v in _compositions(v_total, p)
-    ]
-    rest_options = [
-        [
-            (ui, alpha[i] - u_total)
-            for u_total in range(alpha[i] + 1)
-            for ui in _compositions(u_total, p)
-        ]
-        for i in range(1, n_gen)
-    ]
-    return [
-        ((u1, *(ui for ui, _ in rest)), v, tuple(ell_i for _, ell_i in rest))
-        for u1, v in first_splits
-        for rest in itertools.product(*rest_options)
-    ]
-
-
-def _check_window(poly: ExpPoly, window, what: str, name: str):
-    lo, hi = window
-    for _, f in poly.terms:
-        t = (f - lo) / (hi - lo) if hi != lo else 0
-        if abs(t.imag) > 1e-9 or not (-1e-9 <= t.real <= 1 + 1e-9):
-            raise TargetPlacementError(f"{what} {f} outside the {name} window")
 
 
 def construct_witness_multi(
@@ -911,34 +878,24 @@ def construct_witness_multi(
             raise TargetPlacementError("need one seed per generator")
         seeds_perm = [seeds[perm[i]] for i in range(n_gen)]
 
-    _check_window(B, params.gamma_window, "target frequency", "growth")
+    _check_window(B, params.gamma_window, "target frequency")
     for L in seeds_perm:
         if len(L.terms) != p:
             raise TargetPlacementError(
                 "each seed needs as many terms as the target"
             )
-        _check_window(L, params.lambda_window, "seed frequency", "decay")
+        _check_window(L, params.lambda_window, "seed frequency")
 
     K_beta = sum(k[i] * beta[i] for i in range(1, n_gen))
-    keys = []
-    for alpha in exps_perm:
-        for u, v, ell in _multi_lattice(alpha, p, n_gen):
-            usum = sum(sum(ui) for ui in u)
-            # survivor-shaped forces alpha_1 = m, so for alpha != beta the
-            # weight separation of select_weights makes the term decay in n
-            survivor_shaped = (
-                usum == 0 and max(v) == m and sum(1 for x in v if x) == 1
-            )
-            if 1 <= usum < params.d_A:
-                case = 1
-            elif usum == params.d_A:
-                case = 2
-            elif max(v) < m:
-                case = 3
-            else:
-                case = 4
-            counted = not (survivor_shaped and alpha == beta)
-            keys.append((u, v, ell, alpha, case, counted))
+
+    def case(usum, v):
+        if 1 <= usum < params.d_A:
+            return 1
+        if usum == params.d_A:
+            return 2
+        return 3 if max(v) < m else 4
+
+    keys = _expansion_keys(exps_perm, beta, p, case)
 
     targets = {
         alpha_orig: (B if alpha == beta else ExpPoly.zero())

@@ -142,6 +142,8 @@ class TestClassifyCatalog:
         verdict = classify(spec, zeros=zeros)
         assert verdict.outcome == "HasAlgebra"
         assert verdict.route == "zeros-summable"
+        # the convergence of sum 1/|z_k| is read off a regression slope
+        assert verdict.confidence == "numerical"
 
 
 class TestVerdict:

@@ -22,7 +22,6 @@ from hyperalg import (
     default_targets_T2,
     derive_multi_params,
     derive_witness_params,
-    enumerate_lattice,
     eval_symbol,
     multinomial_gamma,
     select_weights,
@@ -35,6 +34,7 @@ from hyperalg.errors import (
     HypothesisError,
     IterationLimitError,
     TargetPlacementError,
+    ThetaMarginError,
 )
 
 QUAD = CatalogSymbol("exp-quadratic")
@@ -74,22 +74,64 @@ class TestSolveCoeff:
             solve_coeff(0, 2, 4, 1)
 
 
+def single_keys(p, m):
+    """The single builder's expansion keys as one-row (u, v) pairs: the
+    counted ones of each power f^j, and the uncounted survivors."""
+    keys = witness._expansion_keys(
+        [(j,) for j in range(1, m + 1)], (m,), p, lambda usum, v: 0
+    )
+    layers = {j: set() for j in range(1, m + 1)}
+    survivors = set()
+    for u, v, ell, alpha, _, counted in keys:
+        assert len(u) == 1 and ell == ()
+        (layers[alpha[0]] if counted else survivors).add((u[0], v))
+    return layers, survivors
+
+
+def reference_lattice(p, m):
+    """The (u, v) lattice the single builder enumerated on its own before it
+    shared the multi-generator keys: the total-degree-m layer minus the p
+    survivors, and the full layers of degree 1..m-1."""
+
+    def layer(n):
+        return [(c[:p], c[p:]) for c in witness._compositions(n, 2 * p)]
+
+    survivors = {
+        ((0,) * p, tuple(m if i == j else 0 for i in range(p))) for j in range(p)
+    }
+    return [t for t in layer(m) if t not in survivors], [layer(n) for n in range(1, m)]
+
+
 class TestLattice:
     def test_one_term_square_expansion(self):
-        l_star, lower = enumerate_lattice(1, 2)
-        assert set(l_star) == {((2,), (0,)), ((1,), (1,))}
-        assert [set(layer) for layer in lower] == [{((1,), (0,)), ((0,), (1,))}]
+        layers, survivors = single_keys(1, 2)
+        assert layers[2] == {((2,), (0,)), ((1,), (1,))}
+        assert layers[1] == {((1,), (0,)), ((0,), (1,))}
+        assert survivors == {((0,), (2,))}
 
     def test_two_term_counts(self):
-        l_star, lower = enumerate_lattice(2, 2)
+        layers, survivors = single_keys(2, 2)
         # C(5, 3) = 10 degree-2 tuples minus the 2 survivors
-        assert len(l_star) == 8
-        assert len(lower[0]) == 4
+        assert len(layers[2]) == 8
+        assert len(layers[1]) == 4
+        assert len(survivors) == 2
 
     def test_survivors_are_excluded(self):
-        l_star, _ = enumerate_lattice(2, 3)
-        assert ((0, 0), (3, 0)) not in l_star
-        assert ((0, 0), (0, 3)) not in l_star
+        layers, survivors = single_keys(2, 3)
+        assert ((0, 0), (3, 0)) not in layers[3]
+        assert ((0, 0), (0, 3)) not in layers[3]
+        assert survivors == {((0, 0), (3, 0)), ((0, 0), (0, 3))}
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_keys_match_the_reference_lattice(self, p, m):
+        layers, survivors = single_keys(p, m)
+        l_star, lower = reference_lattice(p, m)
+        assert layers[m] == set(l_star) and len(l_star) == len(set(l_star))
+        assert [layers[j] for j in range(1, m)] == [set(x) for x in lower]
+        assert survivors == {
+            ((0,) * p, tuple(m if i == j else 0 for i in range(p))) for j in range(p)
+        }
 
     def test_gamma_specializations(self):
         a = (0.7 - 0.2j,)
@@ -100,8 +142,7 @@ class TestLattice:
     def test_gamma_matches_trinomial(self):
         a = (1.0, 1.0)
         total = sum(
-            multinomial_gamma(u, v, a).real
-            for u, v in enumerate_lattice(2, 3)[0]
+            multinomial_gamma(u, v, a).real for u, v in single_keys(2, 3)[0][3]
         ) + 2  # add back the two survivors (weight 1 each)
         assert total == pytest.approx(4**3)  # (1+1+1+1)^3
 
@@ -224,7 +265,7 @@ class TestSingleGenerator:
     def test_report_survives_verification(self, params):
         seed, target = default_targets_T2(params)
         report = construct_witness_T2(QUAD, 2, seed, target, params=params)
-        passed, _ = verify_witness(QUAD, report, params.grid, 1e-6)
+        passed, _ = verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)
         assert passed
 
     def test_tampered_report_fails_verification(self, params):
@@ -233,14 +274,49 @@ class TestSingleGenerator:
         import dataclasses
 
         tampered = dataclasses.replace(report, q=report.q // 2)
-        passed, _ = verify_witness(QUAD, tampered, params.grid, 1e-6)
+        passed, _ = verify_witness(QUAD, tampered, DiskGrid(3.0), 1e-6)
         assert not passed
 
     def test_misplaced_target_rejected(self, params):
         seed, _ = default_targets_T2(params)
-        bad_target = ExpPoly.of([(1.0, 100.0)])
-        with pytest.raises(TargetPlacementError):
-            construct_witness_T2(QUAD, 2, seed, bad_target, params=params)
+        for freq in (100.0, params.w0 * (1 + 1e-6)):
+            bad_target = ExpPoly.of([(1.0, freq)])
+            with pytest.raises(TargetPlacementError):
+                construct_witness_T2(QUAD, 2, seed, bad_target, params=params)
+
+    def test_mismatched_params_rejected(self, params):
+        seed, target = default_targets_T2(params)
+        with pytest.raises(ValueError, match="m = 2"):
+            construct_witness_T2(QUAD, 3, seed, target, params=params)
+
+    def test_report_records_the_build_settings(self, params):
+        seed, target = default_targets_T2(params)
+        grid = DiskGrid(3.0, samples=48)
+        report = construct_witness_T2(
+            QUAD, 2, seed, target, epsilon=1e-8, grid=grid, N_max=2**18,
+            params=params,
+        )
+        assert report.params["epsilon"] == 1e-8
+        assert report.params["grid"] == grid.to_dict()
+        assert report.params["N_max"] == 2**18
+        assert max(report.residuals.values()) <= 1e-8
+        assert report.bound_sum <= 1e-8
+
+    def test_theta_margin_entries_share_the_multi_shape(self, params):
+        # three default targets: two survivor-mixing tuples of f^2 sit at
+        # Theta = 0.99990, inside the margin
+        seed, target = default_targets_T2(params, p=3)
+        with pytest.raises(ThetaMarginError) as info:
+            construct_witness_T2(QUAD, 2, seed, target, params=params)
+        entries = info.value.entries
+        assert len(entries) == 2
+        for entry in entries:
+            assert set(entry) == {"alpha", "u", "v", "theta", "case"}
+            assert entry["alpha"] == (2,)
+            assert entry["u"] == ((0, 0, 0),)
+            assert sorted(entry["v"]) == [0, 1, 1]
+            assert entry["theta"] == pytest.approx(0.9999, abs=1e-5)
+            assert entry["case"] == 1
 
     def test_report_serializes(self, params):
         seed, target = default_targets_T2(params)
