@@ -45,6 +45,9 @@ COEFF_MARGIN = 1e-9
 #: :func:`check_T2` looks for progressions of length m = 2..M_MAX.
 M_MAX = 6
 
+#: Radii of the growth window :func:`classify` reads |phi| on by default.
+_DEFAULT_R_GRID = tuple(np.geomspace(1.0, 60.0, 16).tolist())
+
 #: Radii at which :class:`ZeroSetSummary` counts the zeros inside.
 ZERO_COUNT_RADII = (5.0, 10.0, 50.0, 100.0)
 
@@ -225,15 +228,11 @@ def check_T2(spec: SymbolSpec) -> dict:
     }
 
 
-def _default_r_grid():
-    return list(np.geomspace(1.0, 60.0, 16))
-
-
 def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     """Runs the decision tree and returns the first verdict it can defend."""
     evidence: dict = {}
 
-    growth = estimate_order_type(spec, r_grid or _default_r_grid())
+    growth = estimate_order_type(spec, r_grid or _DEFAULT_R_GRID)
     evidence["growth"] = {
         "order": growth.order,
         "type": growth.type_,

@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .classify import classify
+from .classify import _DEFAULT_R_GRID, classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
 from .exppoly import DiskGrid
@@ -212,7 +212,7 @@ def run(config: dict) -> dict:
         outcome = {"verdict": verdict.to_dict()}
     elif command == "analyze":
         spec = _require_symbol(config)
-        r_grid = config.get("r_grid") or list(np.geomspace(1.0, 60.0, 16))
+        r_grid = config.get("r_grid") or _DEFAULT_R_GRID
         growth = estimate_order_type(spec, r_grid)
         derivs, errs = derivs_at_zero(spec, 6)
         for k in range(8):

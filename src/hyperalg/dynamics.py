@@ -30,10 +30,11 @@ from .exppoly import (
     DiskGrid,
     ExpPoly,
     TaylorPoly,
+    _exp_row,
     mul_exppoly,
     pow_exppoly,
 )
-from .symbols import SymbolSpec, _symbol_values, to_taylor
+from .symbols import SymbolSpec, _symbol_values, eval_symbol_array, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -56,8 +57,13 @@ def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
     """
     if q < 0:
         raise ValueError("q must be non-negative")
+    return _power_image(f, _symbol_values(spec, [l for _, l in f.terms]), q)
+
+
+def _power_image(f: ExpPoly, vals, q: int) -> ExpPoly:
+    """:func:`apply_symbol_power` given phi at the frequencies of ``f``, in
+    order (``vals`` may be lazy: a value that raises stops the walk)."""
     out = []
-    vals = _symbol_values(spec, [l for _, l in f.terms])
     for (c, l), val in zip(f.terms, vals):
         if val == 0:
             if q > 0:
@@ -174,6 +180,53 @@ def sup_distance(
     return float(np.max(np.abs(f.evaluate_array(pts) - g.evaluate_array(pts))))
 
 
+class _DiagonalResidual:
+    """``sup_distance(apply_symbol_power(spec, f, q), target, grid)`` for
+    many ``(f, q)`` whose frequency sets repeat, bit for bit.
+
+    What does not change with q or with the coefficients of ``f`` is kept:
+    phi at each frequency tuple of ``f`` from one evaluation, the rows
+    ``exp(l z)`` on the grid, and the target on the grid.  The image is
+    :func:`apply_symbol_power`'s, term for term, and it is summed in
+    :meth:`ExpPoly.evaluate_array`'s order.  A frequency tuple whose phi
+    evaluation overflows is not kept; its calls take the unbatched path,
+    which raises where and as it always has.
+    """
+
+    def __init__(self, spec: SymbolSpec, target: ExpPoly, grid: DiskGrid):
+        self.spec, self.target, self.grid = spec, target, grid
+        self._points = grid.points()
+        self._phi: dict[tuple[complex, ...], list[complex]] = {}
+        self._rows: dict[complex, np.ndarray] = {}
+        self._target_values: np.ndarray | None = None
+
+    def _phi_at(self, freqs: tuple[complex, ...]) -> list[complex] | None:
+        if freqs not in self._phi:
+            try:
+                vals = eval_symbol_array(self.spec, np.asarray(freqs, dtype=complex))
+            except EvaluationRangeError:
+                return None
+            self._phi[freqs] = vals.tolist()
+        return self._phi[freqs]
+
+    def __call__(self, f: ExpPoly, q: int) -> float:
+        if q < 0:
+            raise ValueError("q must be non-negative")
+        vals = self._phi_at(f.frequencies())
+        if vals is None:
+            return sup_distance(
+                apply_symbol_power(self.spec, f, q), self.target, self.grid
+            )
+        out = np.zeros(self._points.shape, dtype=complex)
+        for c, l in _power_image(f, vals, q).terms:
+            if l not in self._rows:
+                self._rows[l] = _exp_row(l, self._points)
+            out += c * self._rows[l]
+        if self._target_values is None:
+            self._target_values = self.target.evaluate_array(self._points)
+        return float(np.max(np.abs(out - self._target_values)))
+
+
 @dataclass(frozen=True)
 class OrbitTrace:
     """Residuals against a fixed target along increasing iterate counts."""
@@ -206,10 +259,13 @@ CROSS_CHECK_K = 60
 
 
 def _powers(f_by_index: list[ExpPoly], alpha) -> ExpPoly:
-    out = ExpPoly.one()
-    for f, a in zip(f_by_index, alpha):
-        if a:
-            out = mul_exppoly(out, pow_exppoly(f, int(a)))
+    """The monomial ``prod_i f_i**alpha_i``, from its first nonzero factor."""
+    factors = [pow_exppoly(f, int(a)) for f, a in zip(f_by_index, alpha) if a]
+    if not factors:
+        return ExpPoly.one()
+    out = factors[0]
+    for factor in factors[1:]:
+        out = mul_exppoly(out, factor)
     return out
 
 
@@ -289,10 +345,9 @@ def verify_witness(
     for alpha in alphas:
         power = _powers(generators, alpha)
         target = targets.get(tuple(alpha), ExpPoly.zero())
+        residual = _DiagonalResidual(spec, target, grid)
         for cq in check_qs:
-            image = apply_symbol_power(spec, power, cq)
-            r = sup_distance(image, target, grid)
-            residual_by_q[cq] = max(residual_by_q[cq], r)
+            residual_by_q[cq] = max(residual_by_q[cq], residual(power, cq))
         if residual_by_q[q] > epsilon:
             passed = False
         agreement = _cross_check(spec, power, q, grid)

@@ -35,6 +35,16 @@ def _require_finite(value: complex, what: str) -> complex:
     return value
 
 
+def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
+    """``exp(freq * zs)`` on an array of points, guarded like :func:`_guarded_exp`."""
+    w = freq * zs
+    if w.size and np.max(np.abs(w.real)) > EXP_GUARD:
+        raise EvaluationRangeError(
+            "exp argument exceeds the overflow guard on the grid"
+        )
+    return np.exp(w)
+
+
 def _guarded_exp(w: complex) -> complex:
     if abs(w.real) > EXP_GUARD:
         raise EvaluationRangeError(
@@ -101,12 +111,7 @@ class ExpPoly:
         zs = np.asarray(zs, dtype=complex)
         out = np.zeros(zs.shape, dtype=complex)
         for c, f in self.terms:
-            w = f * zs
-            if w.size and np.max(np.abs(w.real)) > EXP_GUARD:
-                raise EvaluationRangeError(
-                    "exp argument exceeds the overflow guard on the grid"
-                )
-            out += c * np.exp(w)
+            out += c * _exp_row(f, zs)
         return out
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
@@ -129,8 +134,10 @@ def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
     """n-th power as n-1 folds of :func:`mul_exppoly`; ``f**0`` is the constant 1."""
     if n < 0:
         raise ValueError("exponent must be non-negative")
-    result = ExpPoly.one()
-    for _ in range(n):
+    if n == 0:
+        return ExpPoly.one()
+    result = f
+    for _ in range(n - 1):
         result = mul_exppoly(result, f)
     return result
 

@@ -122,26 +122,51 @@ class ConvexRay:
     profile: tuple[float, ...]
 
 
+#: The ``SCAN_SAMPLES`` equispaced points of the unit circle (read-only).
+_RING = np.exp(1j * (2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES))
+_RING.flags.writeable = False
+
+
 def max_modulus(spec: SymbolSpec, r: float) -> float:
     """Max of |phi| over equispaced points on the circle |z| = r."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    angles = 2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES
-    vals = eval_symbol_array(spec, r * np.exp(1j * angles))
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(eval_symbol_array(spec, r * _RING))))
+
+
+def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
+    """Yields :func:`max_modulus` at each radius of ``r_grid`` in order,
+    stopping before the first radius where evaluation overflows.
+
+    The circles are evaluated :func:`_screen_limit` at a time, one call per
+    block; a block that overflows is evaluated one circle at a time.
+    """
+    limit = _screen_limit(spec)
+    for start in range(0, len(r_grid), limit):
+        block = r_grid[start : start + limit]
+        try:
+            vals = eval_symbol_array(spec, np.multiply.outer(block, _RING))
+        except EvaluationRangeError:
+            for r in block:
+                try:
+                    yield max_modulus(spec, r)
+                except EvaluationRangeError:
+                    return
+            continue
+        yield from np.max(np.abs(vals), axis=1).tolist()
 
 
 def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
     r_grid = [float(r) for r in r_grid]
     if len(r_grid) < 8 or r_grid != sorted(set(r_grid)):
         raise ValueError("r_grid must be strictly increasing with >= 8 points")
-    pairs: list[tuple[float, float]] = []
-    for r in r_grid:
-        try:
-            m = max_modulus(spec, r)
-        except EvaluationRangeError:
-            break  # window truncated where evaluation overflows
-        pairs.append((r, math.log(max(m, LOG_FLOOR))))
+    if r_grid[0] <= 0:
+        raise ValueError("radius must be positive")
+    # the window is truncated where evaluation overflows
+    pairs = [
+        (r, math.log(max(m, LOG_FLOOR)))
+        for r, m in zip(r_grid, _max_moduli(spec, r_grid))
+    ]
     if len(pairs) < 4:
         raise EvaluationRangeError(
             "symbol overflows on almost the entire requested window"
@@ -239,9 +264,10 @@ def first_ray_below_one(
 
 
 def _screen_limit(spec: SymbolSpec) -> int:
-    """Most steps per screening call: ``SCREEN_STEPS`` over the factors one
+    """Most rows per evaluation call, for the progression screens and the
+    circles of :func:`_max_moduli`: ``SCREEN_STEPS`` over the factors one
     point costs.  A truncated product with many zeros, whose single row
-    already costs far more than a call, keeps one step per call."""
+    already costs far more than a call, keeps one row per call."""
     if isinstance(spec, HadamardTrunc):
         factors = spec.truncation + 1
     elif isinstance(spec, ExpPolySymbol):

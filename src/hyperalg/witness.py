@@ -66,7 +66,7 @@ from .symbols import (
     symbol_to_dict,
     to_json_value,
 )
-from .dynamics import _powers, apply_symbol_power, sup_distance
+from .dynamics import _DiagonalResidual, _powers
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
@@ -401,8 +401,13 @@ def _double_until(
         )
 
     R = grid.radius
+    # phi at a monomial's frequencies does not depend on N: one plan each
     monomials = [
-        (",".join(map(str, alpha)), tuple(alpha[i] for i in perm), tgt)
+        (
+            ",".join(map(str, alpha)),
+            tuple(alpha[i] for i in perm),
+            _DiagonalResidual(spec, tgt, grid),
+        )
         for alpha, tgt in targets.items()
     ]
     trace: list[tuple[int, float]] = []
@@ -418,10 +423,8 @@ def _double_until(
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
         residuals = {
-            name: sup_distance(
-                apply_symbol_power(spec, _powers(gens, alpha), N), tgt, grid
-            )
-            for name, alpha, tgt in monomials
+            name: residual(_powers(gens, alpha), N)
+            for name, alpha, residual in monomials
         }
         trace.append((N, max(residuals.values())))
 
@@ -865,6 +868,11 @@ def construct_witness_multi(
     """
     grid = grid or DiskGrid(3.0)
     params = params or derive_multi_params(spec, A)
+    if (params.m, params.d_A) != (A.max_inf_norm, A.max_total):
+        raise ValueError(
+            f"params were derived for m = {params.m}, d_A = {params.d_A}, not "
+            f"m = {A.max_inf_norm}, d_A = {A.max_total}"
+        )
     k, beta, perm = select_weights(A)
     n_gen = A.n_generators
     exps_perm = [tuple(a[i] for i in perm) for a in A.exponents]

@@ -27,6 +27,7 @@ from hyperalg import (
 from hyperalg import dynamics, symbols
 from hyperalg.dynamics import (
     TAYLOR_GUARD,
+    _DiagonalResidual,
     _power_from_squarings,
     taylor_mul_trunc,
     taylor_pow_trunc,
@@ -453,3 +454,90 @@ class TestOrbitTrace:
         assert lines[0] == "q,residual"
         assert lines[1].startswith("8,")
         assert float(lines[2].split(",")[1]) == 0.125
+
+
+class TestDiagonalResidual:
+    """One plan per monomial: bit for bit the unbatched residual."""
+
+    GRID = DiskGrid(3.0)
+
+    @staticmethod
+    def random_exppoly(rng, size, scale=1.0):
+        c = rng.normal(size=size) + 1j * rng.normal(size=size)
+        l = scale * (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
+        return ExpPoly.of(zip(c.tolist(), l.tolist()))
+
+    @staticmethod
+    def unbatched(spec, f, q, target, grid):
+        return sup_distance(apply_symbol_power(spec, f, q), target, grid)
+
+    @pytest.mark.parametrize("name", sorted(TestBatchedDiagonalAction.SPECS))
+    def test_matches_sup_distance_of_the_power(self, name):
+        spec = TestBatchedDiagonalAction.SPECS[name]
+        rng = np.random.default_rng(len(name))
+        for size in (1, 4, 12):
+            target = self.random_exppoly(rng, 2)
+            residual = _DiagonalResidual(spec, target, self.GRID)
+            f = self.random_exppoly(rng, size) + ExpPoly.of([(2.0, 0.0)])
+            # the same frequencies with new coefficients reuse the plan
+            g = ExpPoly(tuple((2 * c + 1j, l) for c, l in f.terms))
+            for h in (f, g):
+                for q in (0, 1, 7, 2**10, 2**20):
+                    try:
+                        want = self.unbatched(spec, h, q, target, self.GRID)
+                    except EvaluationRangeError as exc:
+                        with pytest.raises(
+                            EvaluationRangeError, match=re.escape(str(exc))
+                        ):
+                            residual(h, q)
+                        continue
+                    assert residual(h, q).hex() == want.hex()
+
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_zero_eigenvalue(self, q):
+        f = ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)])
+        target = ExpPoly.of([(1.0, 0.0)])
+        got = _DiagonalResidual(VANISHING, target, self.GRID)(f, q)
+        want = self.unbatched(VANISHING, f, q, target, self.GRID)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "terms, target, q",
+        [
+            # |phi|^q overflows
+            ([POWER_OVERFLOW], [(1.0, 0.5)], 2**20),
+            # phi itself overflows: the batched evaluation is not kept
+            ([EVAL_OVERFLOW, (1.0, 0.5)], [(1.0, 0.5)], 1),
+            ([POWER_OVERFLOW, EVAL_OVERFLOW], [(1.0, 0.5)], 2**20),
+            # exp(l z) overflows on the grid, in the image or in the target
+            ([(1.0, 300.0), (1.0, 0.5)], [(1.0, 0.5)], 1),
+            ([(1.0, 0.5)], [(1.0, 300.0)], 1),
+        ],
+    )
+    def test_overflow_raises_the_unbatched_error(self, terms, target, q):
+        spec = CatalogSymbol("cos")
+        f, target = ExpPoly.of(terms), ExpPoly.of(target)
+        with pytest.raises(EvaluationRangeError) as want:
+            self.unbatched(spec, f, q, target, self.GRID)
+        residual = _DiagonalResidual(spec, target, self.GRID)
+        for _ in range(2):  # a failed call leaves nothing behind
+            with pytest.raises(EvaluationRangeError) as got:
+                residual(f, q)
+            assert str(got.value) == str(want.value)
+
+    def test_one_evaluation_per_frequency_set(self, monkeypatch):
+        calls = []
+
+        def counting(spec, zs):
+            calls.append(np.size(zs))
+            return eval_symbol_array(spec, zs)
+
+        monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
+        spec = CatalogSymbol("exp-quadratic")
+        f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
+        residual = _DiagonalResidual(spec, ExpPoly.zero(), self.GRID)
+        for q in (8, 16, 32, 64):
+            residual(ExpPoly(tuple((q * c, l) for c, l in f.terms)), q)
+        assert calls == [9]
+        residual(ExpPoly.of(f.terms[:4]), 8)
+        assert calls == [9, 4]

@@ -417,3 +417,100 @@ class TestTmaConditions:
         assert 0 < r < R
         assert abs(eval_symbol(spec, r)) < 1
         assert abs(eval_symbol(spec, R)) > 1
+
+
+def reference_estimate_order_type(spec, r_grid):
+    """Scalar reference for ``estimate_order_type``: one :func:`max_modulus`
+    call per radius, stopping at the first radius that overflows."""
+    pairs = []
+    for r in r_grid:
+        try:
+            m = max_modulus(spec, float(r))
+        except EvaluationRangeError:
+            break
+        pairs.append((float(r), math.log(max(m, growth.LOG_FLOOR))))
+    top = pairs[len(pairs) // 2 :]
+    usable = [(r, lm) for r, lm in top if lm > 0]
+    if not usable:
+        return pairs, 0.0, 0.0, 0.0
+    xs = np.log([r for r, _ in usable])
+    ys = np.log([lm for _, lm in usable])
+    if len(usable) >= 2 and xs[-1] > xs[0]:
+        slope, intercept = np.polyfit(xs, ys, 1)
+        resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
+    else:
+        slope, resid = 0.0, math.inf
+    order = max(float(slope), 0.0)
+    type_ = 0.0
+    if abs(order - 1.0) <= 0.2:
+        type_ = max(max(lm / r for r, lm in top), 0.0)
+    return pairs, order, type_, resid
+
+
+def hex_bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+class TestBatchedOrderEstimate:
+    """The circles of a growth window are evaluated in blocks, bit for bit
+    the per-radius loop."""
+
+    SPECS = {
+        **{
+            f"{name}-scale{scale}": CatalogSymbol(name, scale=scale)
+            for name in ("cos", "sin+exp(-z)", "sinc-pi", "exp", "exp-poly")
+            for scale in (0.5, 1.0, 1.5, 2.0)
+        },
+        "exppoly-two-term": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
+        "poly-times-exp": PolyTimesExp(poly=(1, 0.5, 0.25j), a=0.3 + 0.2j),
+        "hadamard-60": HADAMARD_60,
+        "exp-quadratic": CatalogSymbol("exp-quadratic"),
+        "exp-steep": CatalogSymbol("exp", a=20),
+    }
+
+    #: One evaluation per block of circles; one per circle for the product.
+    CALLS = {"exppoly-two-term": 2, "hadamard-60": len(R_GRID)}
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_matches_the_per_radius_loop(self, name, monkeypatch):
+        spec = self.SPECS[name]
+        pairs, order, type_, quality = reference_estimate_order_type(spec, R_GRID)
+        calls = []
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        est = estimate_order_type(spec, R_GRID)
+        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
+        assert hex_bits([est.order, est.type_, est.quality]) == hex_bits(
+            [order, type_, quality]
+        )
+        if len(pairs) == len(R_GRID):
+            assert len(calls) == self.CALLS.get(name, 1)
+
+    @pytest.mark.parametrize("name", ["exp-quadratic", "exp-steep"])
+    def test_overflow_truncates_at_the_same_radius(self, name, monkeypatch):
+        spec = self.SPECS[name]
+        pairs, *_ = reference_estimate_order_type(spec, R_GRID)
+        assert 4 <= len(pairs) < len(R_GRID)
+        calls = []
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        est = estimate_order_type(spec, R_GRID)
+        assert est.r_window == (R_GRID[0], pairs[-1][0])
+        # the overflowing block, then one circle at a time up to the first
+        # radius that overflows
+        assert [z.size for z in calls] == [len(R_GRID) * growth.SCAN_SAMPLES] + [
+            growth.SCAN_SAMPLES
+        ] * (len(pairs) + 1)
+
+    def test_blocks_cover_a_longer_window(self, monkeypatch):
+        # 20 radii in blocks of 16 and 4 circles
+        spec = CatalogSymbol("cos", scale=0.7)
+        r_grid = list(np.geomspace(0.5, 80.0, 20))
+        pairs, *_ = reference_estimate_order_type(spec, r_grid)
+        calls = []
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        est = estimate_order_type(spec, r_grid)
+        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
+        assert [z.size // growth.SCAN_SAMPLES for z in calls] == [16, 4]
+
+    def test_nonpositive_radius_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            estimate_order_type(CatalogSymbol("cos"), [0.0] + R_GRID)

@@ -4,6 +4,7 @@ single- and multi-generator pipelines on fast configurations."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from hyperalg import (
     verify_witness,
 )
 from hyperalg import dynamics, symbols, witness
+from hyperalg.symbols import eval_symbol_array
 from hyperalg.errors import (
     HypothesisError,
     IterationLimitError,
@@ -395,6 +397,14 @@ class TestMultiGenerator:
         rep = construct_witness_multi(spec, self.A, B, seeds, params=params)
         assert all(r <= 1e-5 for r in rep.residuals.values())
 
+    def test_mismatched_params_rejected(self):
+        # windows derived for m = 1, d_A = 1 would fail late, with |phi|^N
+        # overflowing at the first iterate counts
+        params = derive_multi_params(QUAD, ExponentSet.of([(1, 0), (0, 1)]))
+        B, seeds = default_multi_targets(params, self.A.n_generators)
+        with pytest.raises(ValueError, match="m = 1, d_A = 1, not m = 2, d_A = 2"):
+            construct_witness_multi(QUAD, self.A, B, seeds, params=params)
+
     def test_unnormalized_symbol_rejected(self):
         spec = CatalogSymbol("exp-poly", a=1, poly=(2, 1))
         with pytest.raises((HypothesisError, ValueError)):
@@ -436,6 +446,42 @@ class TestBatchedEvaluation:
         B, seeds = default_multi_targets(multi_params, A.n_generators)
         construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
         assert scalar_calls == []
+
+
+class TestOnePlanPerMonomial:
+    """phi at a monomial's frequencies is evaluated once per build and once
+    per verify, not once per iterate count."""
+
+    @pytest.fixture
+    def plan_calls(self, monkeypatch):
+        calls = []
+
+        def counting(spec, zs):
+            calls.append(np.size(zs))
+            return eval_symbol_array(spec, zs)
+
+        monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
+        return calls
+
+    def test_single_generator(self, params, plan_calls):
+        seed, target = default_targets_T2(params)
+        report = construct_witness_T2(QUAD, 2, seed, target, params=params)
+        assert len(report.trace) > 2
+        assert len(plan_calls) == 2  # f and f^2
+        plan_calls.clear()
+        verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)
+        assert len(plan_calls) == 2
+
+    def test_multi_generator(self, plan_calls):
+        A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
+        multi_params = derive_multi_params(QUAD, A)
+        B, seeds = default_multi_targets(multi_params, A.n_generators)
+        report = construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
+        assert len(report.trace) > 2
+        assert len(plan_calls) == len(A.exponents)
+        plan_calls.clear()
+        verify_witness(QUAD, report, DiskGrid(3.0), 1e-5)
+        assert len(plan_calls) == len(A.exponents)
 
 
 class TestDeterminism:
