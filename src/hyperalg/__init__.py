@@ -59,6 +59,7 @@ from .symbols import (
     derivs_at_zero,
     eval_symbol,
     eval_symbol_array,
+    eval_symbol_masked,
     symbol_from_dict,
     symbol_to_dict,
     to_taylor,

@@ -34,7 +34,13 @@ from .exppoly import (
     mul_exppoly,
     pow_exppoly,
 )
-from .symbols import SymbolSpec, _symbol_values, eval_symbol_array, to_taylor
+from .symbols import (
+    SymbolSpec,
+    _in_range_values,
+    _symbol_values,
+    eval_symbol_masked,
+    to_taylor,
+)
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -188,37 +194,26 @@ class _DiagonalResidual:
     phi at each frequency tuple of ``f`` from one evaluation, the rows
     ``exp(l z)`` on the grid, and the target on the grid.  The image is
     :func:`apply_symbol_power`'s, term for term, and it is summed in
-    :meth:`ExpPoly.evaluate_array`'s order.  A frequency tuple whose phi
-    evaluation overflows is not kept; its calls take the unbatched path,
-    which raises where and as it always has.
+    :meth:`ExpPoly.evaluate_array`'s order.  A frequency at which phi
+    overflows raises when the image reaches it, as in
+    :func:`apply_symbol_power`.
     """
 
     def __init__(self, spec: SymbolSpec, target: ExpPoly, grid: DiskGrid):
-        self.spec, self.target, self.grid = spec, target, grid
+        self.spec, self.target = spec, target
         self._points = grid.points()
-        self._phi: dict[tuple[complex, ...], list[complex]] = {}
+        self._phi: dict[tuple[complex, ...], tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[complex, np.ndarray] = {}
         self._target_values: np.ndarray | None = None
-
-    def _phi_at(self, freqs: tuple[complex, ...]) -> list[complex] | None:
-        if freqs not in self._phi:
-            try:
-                vals = eval_symbol_array(self.spec, np.asarray(freqs, dtype=complex))
-            except EvaluationRangeError:
-                return None
-            self._phi[freqs] = vals.tolist()
-        return self._phi[freqs]
 
     def __call__(self, f: ExpPoly, q: int) -> float:
         if q < 0:
             raise ValueError("q must be non-negative")
-        vals = self._phi_at(f.frequencies())
-        if vals is None:
-            return sup_distance(
-                apply_symbol_power(self.spec, f, q), self.target, self.grid
-            )
+        freqs = f.frequencies()
+        if freqs not in self._phi:
+            self._phi[freqs] = eval_symbol_masked(self.spec, freqs)
         out = np.zeros(self._points.shape, dtype=complex)
-        for c, l in _power_image(f, vals, q).terms:
+        for c, l in _power_image(f, _in_range_values(*self._phi[freqs]), q).terms:
             if l not in self._rows:
                 self._rows[l] = _exp_row(l, self._points)
             out += c * self._rows[l]
@@ -326,6 +321,7 @@ def verify_witness(
 
     ``report`` is duck-typed: it needs ``generators``, ``q``, ``m`` or
     ``exponents``, and ``targets`` (mapping of power-tuple -> ExpPoly).
+    A zero generator or an empty list of monomials raises ValueError.
     """
     generators: list[ExpPoly] = list(report.generators)
     q = int(report.q)
@@ -335,8 +331,9 @@ def verify_witness(
     if getattr(report, "exponents", None) is not None:
         alphas = [tuple(a) for a in report.exponents]
     else:
-        m = int(report.m)
-        alphas = [(j,) for j in range(1, m + 1)]
+        alphas = [(j,) for j in range(1, int(report.m) + 1)]
+    if not alphas:
+        raise ValueError("the report has no monomial to check")
 
     targets = {tuple(k): v for k, v in report.targets.items()}
     passed = True

@@ -22,7 +22,9 @@ from .symbols import (
     ExpPolySymbol,
     HadamardTrunc,
     SymbolSpec,
+    _raise_out_of_range,
     eval_symbol_array,
+    eval_symbol_masked,
     taylor_coeffs_at,
 )
 
@@ -44,9 +46,6 @@ PROGRESSION_DIRECTIONS = 360
 #: :func:`find_arith_progression` screens the first row of the next steps in
 #: one evaluation, in blocks that double up to this many steps.
 SCREEN_STEPS = 16
-
-#: :func:`first_ray_below_one` evaluates this many rays per call.
-RAY_BLOCK = 16
 
 #: Samples of a discrete log|phi| profile on a segment.
 PROFILE_POINTS = 64
@@ -136,24 +135,16 @@ def max_modulus(spec: SymbolSpec, r: float) -> float:
 
 def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
     """Yields :func:`max_modulus` at each radius of ``r_grid`` in order,
-    stopping before the first radius where evaluation overflows.
-
-    The circles are evaluated :func:`_screen_limit` at a time, one call per
-    block; a block that overflows is evaluated one circle at a time.
-    """
+    stopping before the first radius where evaluation overflows; one call
+    per block of :func:`_screen_limit` circles."""
     limit = _screen_limit(spec)
     for start in range(0, len(r_grid), limit):
-        block = r_grid[start : start + limit]
-        try:
-            vals = eval_symbol_array(spec, np.multiply.outer(block, _RING))
-        except EvaluationRangeError:
-            for r in block:
-                try:
-                    yield max_modulus(spec, r)
-                except EvaluationRangeError:
-                    return
-            continue
-        yield from np.max(np.abs(vals), axis=1).tolist()
+        block = np.multiply.outer(r_grid[start : start + limit], _RING)
+        vals, in_range = eval_symbol_masked(spec, block)
+        ok = np.logical_and.accumulate(in_range.all(axis=1))
+        yield from np.max(np.abs(vals[: ok.sum()]), axis=1).tolist()
+        if not ok.all():
+            return
 
 
 def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
@@ -201,7 +192,10 @@ def indicator(spec: SymbolSpec, theta: float, r_grid) -> float:
     """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
     top half of the window.  Samples where |phi| < 1e-300 are skipped (log
     singularities at zeros on the ray do not affect the limsup)."""
-    scan = scan_ray(spec, theta, r_grid)
+    return _top_rate(scan_ray(spec, theta, r_grid))
+
+
+def _top_rate(scan: RayScan) -> float:
     top = list(zip(scan.t_grid, scan.moduli))[len(scan.t_grid) // 2 :]
     rates = [math.log(m) / t for t, m in top if m >= LOG_FLOOR]
     if not rates:
@@ -237,26 +231,20 @@ def first_ray_below_one(
     """The first of ``thetas`` whose :func:`ray_below_one` radius is at
     least ``r_min``; None when no direction has one.
 
-    ``RAY_BLOCK`` rays are evaluated per call, each row judged by
-    :func:`ray_below_one`'s rule.  A block that overflows is evaluated one
-    ray at a time, so the scan raises only where a loop of
-    :func:`ray_below_one` calls would.
+    :func:`_screen_limit` rays are evaluated per call, each row judged by
+    :func:`ray_below_one`'s rule.  The scan raises at the first ray that
+    overflows, where a loop of :func:`ray_below_one` calls would.
     """
     ts = _ray_samples(t_max)
     thetas = [float(theta) for theta in thetas]
-    for start in range(0, len(thetas), RAY_BLOCK):
-        block = thetas[start : start + RAY_BLOCK]
-        directions = [cmath.exp(1j * theta) for theta in block]
-        try:
-            rows = np.abs(
-                eval_symbol_array(spec, ts * np.asarray(directions)[:, None])
-            )
-        except EvaluationRangeError:
-            rows = (
-                np.abs(eval_symbol_array(spec, ts * direction))
-                for direction in directions
-            )
-        for theta, mods in zip(block, rows):
+    limit = _screen_limit(spec)
+    for start in range(0, len(thetas), limit):
+        block = thetas[start : start + limit]
+        directions = np.asarray([cmath.exp(1j * theta) for theta in block])
+        vals, in_range = eval_symbol_masked(spec, ts * directions[:, None])
+        for theta, mods, ok in zip(block, np.abs(vals), in_range.all(axis=1)):
+            if not ok:
+                _raise_out_of_range()
             r = _last_below_one(ts, mods)
             if r is not None and r >= r_min:
                 return theta
@@ -264,8 +252,9 @@ def first_ray_below_one(
 
 
 def _screen_limit(spec: SymbolSpec) -> int:
-    """Most rows per evaluation call, for the progression screens and the
-    circles of :func:`_max_moduli`: ``SCREEN_STEPS`` over the factors one
+    """Most rows per evaluation call, for the progression screens, the
+    circles of :func:`_max_moduli` and the rays of
+    :func:`first_ray_below_one`: ``SCREEN_STEPS`` over the factors one
     point costs.  A truncated product with many zeros, whose single row
     already costs far more than a call, keeps one row per call."""
     if isinstance(spec, HadamardTrunc):
@@ -278,15 +267,11 @@ def _screen_limit(spec: SymbolSpec) -> int:
 
 
 def _row_passes(spec: SymbolSpec, points: np.ndarray, margin: float) -> np.ndarray:
-    """Where |phi| <= 1 - margin on the rows of ``points``, a row that
-    overflows passing nowhere: one evaluation for all rows, or one per row
-    when the block overflows."""
-    try:
-        return np.abs(eval_symbol_array(spec, points)) <= 1 - margin
-    except EvaluationRangeError:
-        if len(points) == 1:
-            return np.zeros(points.shape, dtype=bool)
-        return np.concatenate([_row_passes(spec, row[None], margin) for row in points])
+    """Where |phi| <= 1 - margin on the rows of ``points``, from one
+    evaluation; a row that overflows passes nowhere."""
+    vals, in_range = eval_symbol_masked(spec, points)
+    passes = np.abs(vals) <= 1 - margin
+    return passes if in_range.all() else passes & in_range.all(axis=1, keepdims=True)
 
 
 def _live_steps(spec: SymbolSpec, rays: np.ndarray, margin: float):
@@ -438,20 +423,12 @@ def check_Tma_conditions(
     r = ray_below_one(spec, theta, t_max)
     if r is None:
         return None
-    R_grid = [float(R) for R in R_grid]
+    scan = scan_ray(spec, theta, R_grid)
     try:
-        h_hat = indicator(spec, theta, R_grid)
+        h_hat = _top_rate(scan)
     except HypothesisError:
         return None
-    direction = cmath.exp(1j * theta)
-    for R in R_grid:
-        try:
-            vals = eval_symbol_array(spec, np.asarray([R * direction]))
-        except EvaluationRangeError:
-            break
-        mod = float(np.abs(vals[0]))
-        if mod < LOG_FLOOR:
-            continue
-        if math.log(mod) > max(0.0, h_hat * R) + MODULUS_MARGIN:
-            return (r, R)
+    for R, mod in zip(scan.t_grid, scan.moduli):
+        if mod >= LOG_FLOOR and math.log(mod) > max(0.0, h_hat * R) + MODULUS_MARGIN:
+            return (r, float(R))
     return None

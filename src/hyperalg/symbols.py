@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -127,22 +127,33 @@ def _polyval(coeffs: Sequence[complex], z):
 
 
 def _sinc_pi(w: np.ndarray) -> np.ndarray:
+    """sin(pi w) / (pi w), from the series 1 - x^2/6 + x^4/120 where |w| < 1e-5."""
     w = np.asarray(w, dtype=complex)
-    out = np.ones(w.shape, dtype=complex)
-    small = np.abs(w) < 1e-5
     x = np.pi * w
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(small, 1 - x * x / 6 + x**4 / 120, np.sin(x) / np.where(small, 1, x))
+        out = np.asarray(np.sin(x) / x)
+    small = np.abs(w) < 1e-5
+    xs = np.pi * w[small]
+    out[small] = 1 - xs * xs / 6 + xs**4 / 120
     return out
 
 
-def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
-    """Vectorized evaluation; raises :class:`EvaluationRangeError` on overflow."""
-    zs = np.asarray(zs, dtype=complex)
+def _raise_out_of_range() -> NoReturn:
+    raise EvaluationRangeError("exp argument exceeds the overflow guard")
 
-    def guard(exponents):
-        if exponents.size and np.max(np.abs(np.real(exponents))) > EXP_GUARD:
-            raise EvaluationRangeError("exp argument exceeds the overflow guard")
+
+def _guard(exponents: np.ndarray) -> None:
+    if exponents.size and np.abs(exponents.real).max() > EXP_GUARD:
+        _raise_out_of_range()
+
+
+def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
+    """phi on the complex array ``zs``, each array of exp arguments shown to
+    ``guard`` first."""
+
+    def exp(w):
+        guard(w)
+        return np.exp(w)
 
     if isinstance(spec, CatalogSymbol):
         w = spec.scale * zs
@@ -151,62 +162,86 @@ def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
             return np.cos(w)
         if spec.name == CATALOG_SIN_PLUS_EXP:
             guard(1j * w)
-            guard(-w)
-            return np.sin(w) + np.exp(-w)
+            return np.sin(w) + exp(-w)
         if spec.name == CATALOG_SINC_PI:
             guard(1j * np.pi * w)
             return _sinc_pi(w)
         if spec.name == CATALOG_EXP:
-            exponent = spec.a * w
-            guard(exponent)
-            return np.exp(exponent)
+            return exp(spec.a * w)
         if spec.name == CATALOG_EXP_POLY:
-            exponent = spec.a * w
-            guard(exponent)
-            return np.exp(exponent) * _polyval(spec.poly, w)
+            return exp(spec.a * w) * _polyval(spec.poly, w)
         if spec.name == CATALOG_EXP_QUADRATIC:
-            exponent = spec.a * w * w
-            guard(exponent)
-            return np.exp(exponent)
+            return exp(spec.a * w * w)
         raise AssertionError(spec.name)
     if isinstance(spec, ExpPolySymbol):
-        return spec.poly.evaluate_array(zs)
+        # ExpPoly.evaluate_array's sum, under this module's guard
+        out = np.zeros(zs.shape, dtype=complex)
+        for c, l in spec.poly.terms:
+            out += c * exp(l * zs)
+        return out
     if isinstance(spec, PolyTimesExp):
-        w = spec.a * zs + spec.b
-        guard(w)
-        return np.exp(w) * _polyval(spec.poly, zs)
+        return exp(spec.a * zs + spec.b) * _polyval(spec.poly, zs)
     if isinstance(spec, HadamardTrunc):
-        w = spec.a * zs + spec.b
-        guard(w)
-        out = np.exp(w)
+        out = exp(spec.a * zs + spec.b)
         used = np.asarray(spec.zeros[: spec.truncation], dtype=complex)
         if used.size:
             ratios = zs[..., None] / used
             factors = 1 - ratios
             if spec.genus == 1:
-                guard(ratios)
-                factors = factors * np.exp(ratios)
+                factors = factors * exp(ratios)
             out = out * np.prod(factors, axis=-1)
         return out
     raise TypeError(f"not a SymbolSpec: {spec!r}")
+
+
+def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
+    """Vectorized evaluation; raises :class:`EvaluationRangeError` on overflow."""
+    return _evaluate(spec, np.asarray(zs, dtype=complex), _guard)
+
+
+@functools.lru_cache(maxsize=64)
+def _all_in_range(shape: tuple[int, ...]) -> np.ndarray:
+    mask = np.ones(shape, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def eval_symbol_masked(spec: SymbolSpec, zs) -> tuple[np.ndarray, np.ndarray]:
+    """phi on ``zs`` and the mask of the points where :func:`eval_symbol_array`
+    would not raise (shared and read-only when that is all of them), with NaN
+    outside it.  Only when eval_symbol_array raises is the mask built."""
+    zs = np.asarray(zs, dtype=complex)
+    try:
+        return eval_symbol_array(spec, zs), _all_in_range(zs.shape)
+    except EvaluationRangeError:
+        in_range = np.ones(zs.shape, dtype=bool)
+
+    def mark(exponents):
+        over = np.abs(np.real(exponents)) > EXP_GUARD
+        in_range[over.reshape(*zs.shape, -1).any(axis=-1)] = False
+
+    with np.errstate(all="ignore"):
+        values = np.asarray(_evaluate(spec, zs, mark))
+    values[~in_range] = np.nan
+    return values, in_range
 
 
 def eval_symbol(spec: SymbolSpec, z: Union[complex, float]) -> complex:
     return complex(eval_symbol_array(spec, np.asarray([complex(z)]))[0])
 
 
-def _symbol_values(spec: SymbolSpec, zs: Sequence[complex]) -> Iterable[complex]:
-    """phi at each of ``zs``, as Python complex numbers, from one
-    :func:`eval_symbol_array` call.
+def _in_range_values(values: np.ndarray, in_range: np.ndarray) -> Iterable[complex]:
+    """``values`` as Python complex numbers: a list, or when a point is out of
+    range, a lazy walk that raises there, as a loop of eval_symbol would."""
+    values, in_range = values.tolist(), in_range.tolist()
+    if all(in_range):
+        return values
+    return (v if ok else _raise_out_of_range() for v, ok in zip(values, in_range))
 
-    When that call overflows, the values come lazily one point at a time
-    instead, so a caller that walks them in order raises at the same point,
-    with the same error, as a loop of :func:`eval_symbol` would.
-    """
-    try:
-        return eval_symbol_array(spec, np.asarray(zs, dtype=complex)).tolist()
-    except EvaluationRangeError:
-        return (eval_symbol(spec, z) for z in zs)
+
+def _symbol_values(spec: SymbolSpec, zs: Sequence[complex]) -> Iterable[complex]:
+    """phi at each of ``zs`` from one :func:`eval_symbol_masked` call."""
+    return _in_range_values(*eval_symbol_masked(spec, zs))
 
 
 # ---------------------------------------------------------------------------

@@ -260,21 +260,22 @@ class WitnessReport:
         """Inverse of :meth:`to_dict`.
 
         Checks the shape only, raising KeyError, TypeError, ValueError or
-        AttributeError on a malformed payload; a negative ``q`` or a zero
-        generator is malformed too.  Whether the numbers make a witness is
-        for :func:`~hyperalg.dynamics.verify_witness` to decide.
+        AttributeError on a malformed payload; a negative ``q``, an ``m``
+        below 1, an empty exponent list or a zero generator is malformed
+        too.  Whether the numbers make a witness is for
+        :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
         generators = tuple(exppoly_from_json(g) for g in d["generators"])
         if any(g.is_zero for g in generators):
             raise ValueError("generators must be nonzero")
-        q = int(d["q"])
-        if q < 0:
-            raise ValueError("q must be non-negative")
+        q, m, exponents = int(d["q"]), int(d["m"]), _tuples(d["exponents"])
+        if q < 0 or m < 1 or exponents == ():
+            raise ValueError("q must be >= 0, m >= 1 and exponents non-empty")
         return WitnessReport(
             kind=str(d["kind"]),
             generators=generators,
             q=q,
-            m=int(d["m"]),
+            m=m,
             residuals={str(k): float(v) for k, v in d["residuals"].items()},
             theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),
             params=dict(d["params"]),
@@ -285,7 +286,7 @@ class WitnessReport:
                 tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
                 for k, v in d["targets"].items()
             },
-            exponents=_tuples(d["exponents"] or None),
+            exponents=exponents,
             weights=_tuples(d["weights"], float),
             beta=_tuples(d["beta"]),
         )

@@ -201,6 +201,11 @@ class TestPipelines:
             pytest.param(
                 json.dumps({**BARE_REPORT, "generators": [[]]}), id="empty-generator"
             ),
+            pytest.param(json.dumps({**BARE_REPORT, "m": 0}), id="zero-m"),
+            pytest.param(json.dumps({**BARE_REPORT, "m": -1}), id="negative-m"),
+            pytest.param(
+                json.dumps({**BARE_REPORT, "exponents": []}), id="empty-exponents"
+            ),
         ],
     )
     def test_unusable_report_is_a_config_error(self, tmp_path, capsys, report):

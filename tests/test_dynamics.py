@@ -33,7 +33,12 @@ from hyperalg.dynamics import (
     taylor_pow_trunc,
 )
 from hyperalg.errors import EvaluationRangeError, OracleInputError
-from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
+from hyperalg.symbols import (
+    _contour_coeffs,
+    _dft_phases,
+    eval_symbol_array,
+    eval_symbol_masked,
+)
 
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
@@ -319,6 +324,19 @@ EVAL_OVERFLOW = (1.0, 800j)
 VANISHING = ExpPolySymbol(ExpPoly.of([(1.0, 1.0), (-1.0, 0.0)]))
 
 
+def counting_masked(monkeypatch, module):
+    """The point count of every :func:`eval_symbol_masked` call ``module``
+    makes."""
+    calls = []
+
+    def counting(spec, zs):
+        calls.append(np.size(zs))
+        return eval_symbol_masked(spec, zs)
+
+    monkeypatch.setattr(module, "eval_symbol_masked", counting)
+    return calls
+
+
 class TestBatchedDiagonalAction:
     """One evaluation per frequency set, bit for bit the scalar loop."""
 
@@ -376,18 +394,18 @@ class TestBatchedDiagonalAction:
         assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_call(self, monkeypatch):
-        calls = []
-
-        def counting(spec, zs):
-            calls.append(np.size(zs))
-            return eval_symbol_array(spec, zs)
-
-        monkeypatch.setattr(symbols, "eval_symbol_array", counting)
+        calls = counting_masked(monkeypatch, symbols)
         f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
         spec = CatalogSymbol("exp-quadratic")
         apply_symbol_power(spec, f, 64)
         apply_symbol(spec, f)
         assert calls == [9, 9]
+        # also when phi overflows at one of the frequencies
+        f = ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)])
+        for apply in (apply_symbol, lambda spec, f: apply_symbol_power(spec, f, 1)):
+            with pytest.raises(EvaluationRangeError):
+                apply(CatalogSymbol("cos"), f)
+        assert calls == [9, 9, 2, 2]
 
 
 class TestCrossCheckPowers:
@@ -526,13 +544,7 @@ class TestDiagonalResidual:
             assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_frequency_set(self, monkeypatch):
-        calls = []
-
-        def counting(spec, zs):
-            calls.append(np.size(zs))
-            return eval_symbol_array(spec, zs)
-
-        monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
+        calls = counting_masked(monkeypatch, dynamics)
         spec = CatalogSymbol("exp-quadratic")
         f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
         residual = _DiagonalResidual(spec, ExpPoly.zero(), self.GRID)
@@ -541,3 +553,9 @@ class TestDiagonalResidual:
         assert calls == [9]
         residual(ExpPoly.of(f.terms[:4]), 8)
         assert calls == [9, 4]
+        # also when phi overflows at one of the frequencies
+        residual = _DiagonalResidual(CatalogSymbol("cos"), ExpPoly.zero(), self.GRID)
+        for q in (1, 2):
+            with pytest.raises(EvaluationRangeError):
+                residual(ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)]), q)
+        assert calls == [9, 4, 2]

@@ -29,7 +29,7 @@ from hyperalg import (
 from hyperalg import growth
 from hyperalg.errors import EvaluationRangeError, HypothesisError
 from hyperalg.growth import MODULUS_MARGIN, PROGRESSION_DIRECTIONS
-from hyperalg.symbols import eval_symbol_array
+from hyperalg.symbols import eval_symbol_array, eval_symbol_masked
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
 
@@ -217,14 +217,23 @@ def per_step_progression(spec, m, margin, evaluate):
     return found
 
 
-def recording(calls):
-    """``eval_symbol_array`` that appends the points of each call to ``calls``."""
+def recording(calls, evaluate=eval_symbol_array):
+    """``evaluate`` that appends the points of each call to ``calls``."""
 
-    def evaluate(spec, zs):
+    def recorded(spec, zs):
         calls.append(np.asarray(zs, dtype=complex).ravel())
-        return eval_symbol_array(spec, zs)
+        return evaluate(spec, zs)
 
-    return evaluate
+    return recorded
+
+
+def record_masked(monkeypatch):
+    """The points of every :func:`eval_symbol_masked` call ``growth`` makes."""
+    calls = []
+    monkeypatch.setattr(
+        growth, "eval_symbol_masked", recording(calls, eval_symbol_masked)
+    )
+    return calls
 
 
 #: A truncated product whose single row costs far more than a call.
@@ -237,11 +246,11 @@ class TestProgressionScreening:
     """Runs of dead steps are screened in one call where rows are cheap."""
 
     def test_costly_symbol_keeps_the_per_step_calls(self, monkeypatch):
-        want_calls, calls = [], []
+        want_calls = []
         want = per_step_progression(
             HADAMARD_60, 4, MODULUS_MARGIN, recording(want_calls)
         )
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         assert find_arith_progression(HADAMARD_60, 4) == want
         assert len(calls) == len(want_calls) > 20
         for got, ref in zip(calls, want_calls):
@@ -250,24 +259,28 @@ class TestProgressionScreening:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_dead_steps_take_a_tenth_of_the_calls(self, m, monkeypatch):
         spec = CatalogSymbol("exp-quadratic")
-        want_calls, calls = [], []
+        want_calls = []
         want = per_step_progression(spec, m, 0.5, recording(want_calls))
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         assert find_arith_progression(spec, m, margin=0.5) == want
         assert len(want_calls) > 300
-        assert len(calls) <= len(want_calls) / 10
+        assert 0 < len(calls) <= len(want_calls) / 10
 
-    def test_overflowing_screen_falls_back_row_by_row(self, monkeypatch):
+    def test_overflowing_screen_takes_one_call(self, monkeypatch):
         # row 1 overflows beyond t = 7 (the 1e-300 e^{100 z} term) and no
         # step ever passes row 3, so the sweep screens overflowing blocks
-        calls = []
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         found = find_arith_progression(STEEP, 3, margin=0.1)
         assert found == {
             k: reference_progression(STEEP, k, 0.1) for k in range(1, 4)
         }
         overflowing = [z for z in calls if np.max(np.abs(z.real)) > 7]
         assert any(z.size > PROGRESSION_DIRECTIONS for z in overflowing)
+        # no row is evaluated twice
+        rows = [
+            tuple(row) for z in calls for row in z.reshape(-1, PROGRESSION_DIRECTIONS)
+        ]
+        assert len(rows) == len(set(rows))
 
 
 class TestDirectionScan:
@@ -310,6 +323,19 @@ class TestDirectionScan:
         assert first_ray_below_one(spec, thetas, 800.0, 1.0) == 0.0
         with pytest.raises(EvaluationRangeError):
             first_ray_below_one(spec, thetas[::-1], 800.0, 1.0)
+
+    def test_overflowing_block_takes_one_call(self, monkeypatch):
+        calls = record_masked(monkeypatch)
+        with pytest.raises(EvaluationRangeError):
+            first_ray_below_one(CatalogSymbol("cos"), [math.pi / 2, 0.0], 800.0, 1.0)
+        assert [z.size for z in calls] == [2 * growth.SCAN_SAMPLES]
+
+    def test_costly_symbol_scans_one_ray_per_call(self, monkeypatch):
+        thetas = [2 * math.pi * k / 8 for k in range(8)]
+        assert self.loop(HADAMARD_60, thetas, 2.0, 3.0) is None
+        calls = record_masked(monkeypatch)
+        assert first_ray_below_one(HADAMARD_60, thetas, 2.0, 3.0) is None
+        assert [z.size for z in calls] == [growth.SCAN_SAMPLES] * len(thetas)
 
 
 def quadrant_reps():
@@ -418,6 +444,14 @@ class TestTmaConditions:
         assert abs(eval_symbol(spec, r)) < 1
         assert abs(eval_symbol(spec, R)) > 1
 
+    def test_one_evaluation_per_ray(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        spec = PolyTimesExp(poly=(1, -1, 0, 1), a=0)
+        assert check_Tma_conditions(spec, 0.0, 0.5, np.linspace(1, 40, 64))
+        # the ray below one, then the growth window
+        assert [z.size for z in calls] == [growth.SCAN_SAMPLES, 64]
+
 
 def reference_estimate_order_type(spec, r_grid):
     """Scalar reference for ``estimate_order_type``: one :func:`max_modulus`
@@ -475,8 +509,7 @@ class TestBatchedOrderEstimate:
     def test_matches_the_per_radius_loop(self, name, monkeypatch):
         spec = self.SPECS[name]
         pairs, order, type_, quality = reference_estimate_order_type(spec, R_GRID)
-        calls = []
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         est = estimate_order_type(spec, R_GRID)
         assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
         assert hex_bits([est.order, est.type_, est.quality]) == hex_bits(
@@ -490,23 +523,18 @@ class TestBatchedOrderEstimate:
         spec = self.SPECS[name]
         pairs, *_ = reference_estimate_order_type(spec, R_GRID)
         assert 4 <= len(pairs) < len(R_GRID)
-        calls = []
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         est = estimate_order_type(spec, R_GRID)
         assert est.r_window == (R_GRID[0], pairs[-1][0])
-        # the overflowing block, then one circle at a time up to the first
-        # radius that overflows
-        assert [z.size for z in calls] == [len(R_GRID) * growth.SCAN_SAMPLES] + [
-            growth.SCAN_SAMPLES
-        ] * (len(pairs) + 1)
+        # the overflowing block is the only call
+        assert [z.size for z in calls] == [len(R_GRID) * growth.SCAN_SAMPLES]
 
     def test_blocks_cover_a_longer_window(self, monkeypatch):
         # 20 radii in blocks of 16 and 4 circles
         spec = CatalogSymbol("cos", scale=0.7)
         r_grid = list(np.geomspace(0.5, 80.0, 20))
         pairs, *_ = reference_estimate_order_type(spec, r_grid)
-        calls = []
-        monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        calls = record_masked(monkeypatch)
         est = estimate_order_type(spec, r_grid)
         assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
         assert [z.size // growth.SCAN_SAMPLES for z in calls] == [16, 4]

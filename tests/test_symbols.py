@@ -22,7 +22,7 @@ from hyperalg import (
     to_taylor,
 )
 from hyperalg.errors import EvaluationRangeError
-from hyperalg.symbols import catalog_zeros
+from hyperalg.symbols import _sinc_pi, catalog_zeros, eval_symbol_masked
 
 
 class TestEvaluation:
@@ -50,6 +50,28 @@ class TestEvaluation:
         expected = np.sin(np.pi * zs) / (np.pi * zs)
         assert np.allclose(vals, expected, rtol=1e-12)
 
+    def test_sinc_matches_the_two_branch_expression(self):
+        def two_branch(w):
+            w = np.asarray(w, dtype=complex)
+            small = np.abs(w) < 1e-5
+            x = np.pi * w
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.where(
+                    small, 1 - x * x / 6 + x**4 / 120, np.sin(x) / np.where(small, 1, x)
+                )
+
+        radii = np.concatenate(
+            [[0.0, 1e-5, np.nextafter(1e-5, 0), np.nextafter(1e-5, 1)],
+             np.geomspace(1e-9, 3.0, 40)]
+        )
+        w = np.multiply.outer(radii, np.exp(1j * np.linspace(0.0, 3.0, 5)))
+        assert 0 < np.count_nonzero(np.abs(w) < 1e-5) < w.size
+        for got in (_sinc_pi(w), eval_symbol_array(CatalogSymbol("sinc-pi"), w)):
+            assert [(v.real.hex(), v.imag.hex()) for v in got.ravel()] == [
+                (v.real.hex(), v.imag.hex()) for v in two_branch(w).ravel()
+            ]
+        assert complex(_sinc_pi(0.0)) == 1.0
+
     def test_exp_quadratic(self):
         spec = CatalogSymbol("exp-quadratic")
         z = 1.2 + 0.4j
@@ -74,6 +96,59 @@ class TestEvaluation:
     def test_overflow_guard(self):
         with pytest.raises(EvaluationRangeError):
             eval_symbol(CatalogSymbol("exp", a=1), 1000.0)
+
+
+#: Every kind of symbol, each with points past the overflow guard below.
+MASK_PANEL = {
+    "cos": CatalogSymbol("cos"),
+    "sin+exp": CatalogSymbol("sin+exp(-z)"),
+    "sinc-pi": CatalogSymbol("sinc-pi"),
+    "exp": CatalogSymbol("exp", a=1),
+    "exp-poly": CatalogSymbol("exp-poly", a=1, poly=(1, 1)),
+    "exp-quadratic": CatalogSymbol("exp-quadratic"),
+    "exppoly": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -3.0)])),
+    "poly-times-exp": PolyTimesExp(poly=(1, 0.5), a=2),
+    "hadamard-genus1": HadamardTrunc(0.2, 0j, (0.5, -0.5, 2j), 1, 3),
+}
+
+#: Radii from 0 to past the guard, in eight directions.
+MASK_POINTS = np.multiply.outer(
+    [0.0, 1.0, 30.0, 200.0, 400.0, 701.0, 1000.0],
+    np.exp(2j * np.pi * np.arange(8) / 8),
+)
+
+
+def complex_bits(v) -> tuple[str, str]:
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+class TestMaskedEvaluation:
+    """:func:`eval_symbol_masked` against :func:`eval_symbol` point by point."""
+
+    @pytest.mark.parametrize("name", sorted(MASK_PANEL))
+    def test_mask_and_values_match_the_point_loop(self, name):
+        spec = MASK_PANEL[name]
+        values, in_range = eval_symbol_masked(spec, MASK_POINTS)
+        assert values.shape == in_range.shape == MASK_POINTS.shape
+        assert not in_range.all()
+        for z, value, ok in zip(MASK_POINTS.ravel(), values.ravel(), in_range.ravel()):
+            try:
+                want = eval_symbol(spec, z)
+            except EvaluationRangeError:
+                assert not ok and cmath.isnan(value)
+                continue
+            assert ok and complex_bits(value) == complex_bits(want)
+
+    @pytest.mark.parametrize("name", sorted(MASK_PANEL))
+    def test_in_range_block_is_the_raising_evaluation(self, name):
+        spec = MASK_PANEL[name]
+        zs = MASK_POINTS[:2]
+        values, in_range = eval_symbol_masked(spec, zs)
+        assert in_range.all()
+        assert [complex_bits(v) for v in values.ravel()] == [
+            complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()
+        ]
 
 
 class TestValidation:

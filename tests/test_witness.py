@@ -31,7 +31,7 @@ from hyperalg import (
     verify_witness,
 )
 from hyperalg import dynamics, symbols, witness
-from hyperalg.symbols import eval_symbol_array
+from hyperalg.symbols import eval_symbol_masked
 from hyperalg.errors import (
     HypothesisError,
     IterationLimitError,
@@ -279,6 +279,17 @@ class TestSingleGenerator:
         passed, _ = verify_witness(QUAD, tampered, DiskGrid(3.0), 1e-6)
         assert not passed
 
+    @pytest.mark.parametrize("fields", [{"m": 0}, {"m": -1}, {"exponents": ()}])
+    def test_report_without_monomials_is_rejected(self, params, fields):
+        seed, target = default_targets_T2(params)
+        report = construct_witness_T2(QUAD, 2, seed, target, params=params)
+        import dataclasses
+
+        with pytest.raises(ValueError, match="no monomial"):
+            verify_witness(
+                QUAD, dataclasses.replace(report, **fields), DiskGrid(3.0), 1e-6
+            )
+
     def test_misplaced_target_rejected(self, params):
         seed, _ = default_targets_T2(params)
         for freq in (100.0, params.w0 * (1 + 1e-6)):
@@ -458,9 +469,9 @@ class TestOnePlanPerMonomial:
 
         def counting(spec, zs):
             calls.append(np.size(zs))
-            return eval_symbol_array(spec, zs)
+            return eval_symbol_masked(spec, zs)
 
-        monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
+        monkeypatch.setattr(dynamics, "eval_symbol_masked", counting)
         return calls
 
     def test_single_generator(self, params, plan_calls):
