@@ -33,6 +33,7 @@ from .symbols import (
     symbol_to_dict,
 )
 from .witness import (
+    DEFAULT_EPSILON,
     ExponentSet,
     WitnessReport,
     construct_witness_T2,
@@ -234,7 +235,7 @@ def run(config: dict) -> dict:
     elif command == "witness":
         spec = _require_symbol(config)
         m = int(config.get("m", 2))
-        epsilon = float(config.get("epsilon", 1e-6))
+        epsilon = float(config.get("epsilon", DEFAULT_EPSILON["single"]))
         grid = _grid(config)
         n_max = int(config.get("n_max", 2**20))
         params = derive_witness_params(spec, m)
@@ -265,7 +266,7 @@ def run(config: dict) -> dict:
         if "exponents" not in config:
             raise ConfigError("witness-multi requires 'exponents'")
         A = ExponentSet.of(config["exponents"])
-        epsilon = float(config.get("epsilon", 1e-5))
+        epsilon = float(config.get("epsilon", DEFAULT_EPSILON["multi"]))
         grid = _grid(config)
         n_max = int(config.get("n_max", 2**20))
         params = derive_multi_params(spec, A)
@@ -292,7 +293,8 @@ def run(config: dict) -> dict:
             raise ConfigError("verify requires 'report_path'")
         report = _load_report(config["report_path"])
         grid = _grid(config)
-        epsilon = float(config.get("epsilon", 1e-6))
+        # the default tolerance of the report's kind, never the report's own number
+        epsilon = float(config.get("epsilon", DEFAULT_EPSILON[report.kind]))
         passed, trace = verify_witness(spec, report, grid, epsilon)
         side_files["orbit-trace.csv"] = trace.to_csv()
         outcome = {

@@ -20,7 +20,6 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -32,15 +31,8 @@ from .exppoly import (
     TaylorPoly,
     _exp_row,
     mul_exppoly,
-    pow_exppoly,
 )
-from .symbols import (
-    SymbolSpec,
-    _in_range_values,
-    _symbol_values,
-    eval_symbol_masked,
-    to_taylor,
-)
+from .symbols import SymbolSpec, eval_symbol_array, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -49,7 +41,7 @@ TAYLOR_GUARD = 20
 
 def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
     """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
-    vals = _symbol_values(spec, [l for _, l in f.terms])
+    vals = eval_symbol_array(spec, f.frequencies()).tolist()
     return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
 
 
@@ -61,14 +53,13 @@ def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
     up to 2**20 where repeated multiplication would drift.  phi is
     evaluated at every frequency of ``f`` in one call.
     """
+    return _power_image(f, eval_symbol_array(spec, f.frequencies()).tolist(), q)
+
+
+def _power_image(f: ExpPoly, vals: list[complex], q: int) -> ExpPoly:
+    """:func:`apply_symbol_power` given phi at the frequencies of ``f``."""
     if q < 0:
         raise ValueError("q must be non-negative")
-    return _power_image(f, _symbol_values(spec, [l for _, l in f.terms]), q)
-
-
-def _power_image(f: ExpPoly, vals, q: int) -> ExpPoly:
-    """:func:`apply_symbol_power` given phi at the frequencies of ``f``, in
-    order (``vals`` may be lazy: a value that raises stops the walk)."""
     out = []
     for (c, l), val in zip(f.terms, vals):
         if val == 0:
@@ -81,7 +72,7 @@ def _power_image(f: ExpPoly, vals, q: int) -> ExpPoly:
                 raise EvaluationRangeError(
                     f"|phi({l})|^{q} overflows double precision", z=l
                 )
-            factor = cmath.exp(complex(log_mag, q * cmath.phase(val)))
+            factor = cmath.exp(complex(log_mag, q * math.atan2(val.imag, val.real)))
         out.append((c * factor, l))
     return ExpPoly.of(out)
 
@@ -180,7 +171,7 @@ def apply_symbol_taylor(
 
 
 def sup_distance(
-    f: Union[ExpPoly, TaylorPoly], g: Union[ExpPoly, TaylorPoly], grid: DiskGrid
+    f: ExpPoly | TaylorPoly, g: ExpPoly | TaylorPoly, grid: DiskGrid
 ) -> float:
     pts = grid.points()
     return float(np.max(np.abs(f.evaluate_array(pts) - g.evaluate_array(pts))))
@@ -194,26 +185,23 @@ class _DiagonalResidual:
     phi at each frequency tuple of ``f`` from one evaluation, the rows
     ``exp(l z)`` on the grid, and the target on the grid.  The image is
     :func:`apply_symbol_power`'s, term for term, and it is summed in
-    :meth:`ExpPoly.evaluate_array`'s order.  A frequency at which phi
-    overflows raises when the image reaches it, as in
-    :func:`apply_symbol_power`.
+    :meth:`ExpPoly.evaluate_array`'s order.  A frequency set at which phi
+    overflows raises, as in :func:`apply_symbol_power`, and is not kept.
     """
 
-    def __init__(self, spec: SymbolSpec, target: ExpPoly, grid: DiskGrid):
+    def __init__(self, spec: SymbolSpec, target: ExpPoly | TaylorPoly, grid: DiskGrid):
         self.spec, self.target = spec, target
         self._points = grid.points()
-        self._phi: dict[tuple[complex, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._phi: dict[tuple[complex, ...], list[complex]] = {}
         self._rows: dict[complex, np.ndarray] = {}
         self._target_values: np.ndarray | None = None
 
     def __call__(self, f: ExpPoly, q: int) -> float:
-        if q < 0:
-            raise ValueError("q must be non-negative")
         freqs = f.frequencies()
         if freqs not in self._phi:
-            self._phi[freqs] = eval_symbol_masked(self.spec, freqs)
+            self._phi[freqs] = eval_symbol_array(self.spec, freqs).tolist()
         out = np.zeros(self._points.shape, dtype=complex)
-        for c, l in _power_image(f, _in_range_values(*self._phi[freqs]), q).terms:
+        for c, l in _power_image(f, self._phi[freqs], q).terms:
             if l not in self._rows:
                 self._rows[l] = _exp_row(l, self._points)
             out += c * self._rows[l]
@@ -253,14 +241,22 @@ CROSS_CHECK_Q = 32
 CROSS_CHECK_K = 60
 
 
-def _powers(f_by_index: list[ExpPoly], alpha) -> ExpPoly:
-    """The monomial ``prod_i f_i**alpha_i``, from its first nonzero factor."""
-    factors = [pow_exppoly(f, int(a)) for f, a in zip(f_by_index, alpha) if a]
-    if not factors:
-        return ExpPoly.one()
-    out = factors[0]
-    for factor in factors[1:]:
-        out = mul_exppoly(out, factor)
+def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
+    """The monomial ``prod_i f_i**alpha_i`` of each alpha, from its first
+    nonzero factor.  Each generator's powers come from one table, with
+    ``f**k = f**(k-1) * f`` as in :func:`~hyperalg.exppoly.pow_exppoly`."""
+    tables = [[ExpPoly.one(), g] for g in gens]
+    out = []
+    for alpha in alphas:
+        factors = []
+        for table, a in zip(tables, map(int, alpha), strict=True):
+            if a < 0:
+                raise ValueError("exponents must be non-negative")
+            while len(table) <= a:
+                table.append(mul_exppoly(table[-1], table[1]))
+            if a:
+                factors.append(table[a])
+        out.append(functools.reduce(mul_exppoly, factors) if factors else ExpPoly.one())
     return out
 
 
@@ -302,9 +298,8 @@ def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
         q_red //= 2
         phi_pow = _power_from_squarings(squares, q_red, cap)
     oracle = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
-    diagonal = apply_symbol_power(spec, f, q_red)
     small_grid = DiskGrid(radius, grid.samples, grid.circles)
-    return sup_distance(diagonal, oracle, small_grid)
+    return _DiagonalResidual(spec, oracle, small_grid)(f, q_red)
 
 
 def verify_witness(
@@ -321,7 +316,8 @@ def verify_witness(
 
     ``report`` is duck-typed: it needs ``generators``, ``q``, ``m`` or
     ``exponents``, and ``targets`` (mapping of power-tuple -> ExpPoly).
-    A zero generator or an empty list of monomials raises ValueError.
+    A zero generator, an empty list of monomials or an exponent tuple
+    without one non-negative entry per generator raises ValueError.
     """
     generators: list[ExpPoly] = list(report.generators)
     q = int(report.q)
@@ -339,8 +335,7 @@ def verify_witness(
     passed = True
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
     residual_by_q = {cq: 0.0 for cq in check_qs}
-    for alpha in alphas:
-        power = _powers(generators, alpha)
+    for alpha, power in zip(alphas, _monomials(generators, alphas)):
         target = targets.get(tuple(alpha), ExpPoly.zero())
         residual = _DiagonalResidual(spec, target, grid)
         for cq in check_qs:

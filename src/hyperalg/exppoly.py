@@ -38,7 +38,8 @@ def _require_finite(value: complex, what: str) -> complex:
 def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
     """``exp(freq * zs)`` on an array of points, guarded like :func:`_guarded_exp`."""
     w = freq * zs
-    if w.size and np.max(np.abs(w.real)) > EXP_GUARD:
+    # not <=, so that a NaN argument raises too
+    if w.size and not np.max(np.abs(w.real)) <= EXP_GUARD:
         raise EvaluationRangeError(
             "exp argument exceeds the overflow guard on the grid"
         )
@@ -46,7 +47,7 @@ def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
 
 
 def _guarded_exp(w: complex) -> complex:
-    if abs(w.real) > EXP_GUARD:
+    if not abs(w.real) <= EXP_GUARD:
         raise EvaluationRangeError(
             f"exp argument real part {w.real:.3g} exceeds the overflow guard", z=w
         )

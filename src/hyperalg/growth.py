@@ -339,7 +339,7 @@ def convex_direction(a1: complex, a2: complex) -> float:
     if a2 == 0:
         raise ValueError("a2 must be nonzero")
     if a1 == 0:
-        return -cmath.phase(a2) / 2
+        return -math.atan2(a2.imag, a2.real) / 2
     thetas = 2 * np.pi * np.arange(4096) / 4096
     m1 = np.real(a1 * np.exp(1j * thetas)) / abs(a1)
     m2 = np.real(a2 * np.exp(2j * thetas)) / abs(a2)

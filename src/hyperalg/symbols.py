@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn, Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -130,7 +130,8 @@ def _sinc_pi(w: np.ndarray) -> np.ndarray:
     """sin(pi w) / (pi w), from the series 1 - x^2/6 + x^4/120 where |w| < 1e-5."""
     w = np.asarray(w, dtype=complex)
     x = np.pi * w
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # sin(x) / x may overflow at a subnormal x, which the series replaces
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.asarray(np.sin(x) / x)
     small = np.abs(w) < 1e-5
     xs = np.pi * w[small]
@@ -143,7 +144,8 @@ def _raise_out_of_range() -> NoReturn:
 
 
 def _guard(exponents: np.ndarray) -> None:
-    if exponents.size and np.abs(exponents.real).max() > EXP_GUARD:
+    # not <=, so that a NaN argument raises too
+    if exponents.size and not np.abs(exponents.real).max() <= EXP_GUARD:
         _raise_out_of_range()
 
 
@@ -217,7 +219,7 @@ def eval_symbol_masked(spec: SymbolSpec, zs) -> tuple[np.ndarray, np.ndarray]:
         in_range = np.ones(zs.shape, dtype=bool)
 
     def mark(exponents):
-        over = np.abs(np.real(exponents)) > EXP_GUARD
+        over = ~(np.abs(np.real(exponents)) <= EXP_GUARD)
         in_range[over.reshape(*zs.shape, -1).any(axis=-1)] = False
 
     with np.errstate(all="ignore"):
@@ -228,20 +230,6 @@ def eval_symbol_masked(spec: SymbolSpec, zs) -> tuple[np.ndarray, np.ndarray]:
 
 def eval_symbol(spec: SymbolSpec, z: Union[complex, float]) -> complex:
     return complex(eval_symbol_array(spec, np.asarray([complex(z)]))[0])
-
-
-def _in_range_values(values: np.ndarray, in_range: np.ndarray) -> Iterable[complex]:
-    """``values`` as Python complex numbers: a list, or when a point is out of
-    range, a lazy walk that raises there, as a loop of eval_symbol would."""
-    values, in_range = values.tolist(), in_range.tolist()
-    if all(in_range):
-        return values
-    return (v if ok else _raise_out_of_range() for v, ok in zip(values, in_range))
-
-
-def _symbol_values(spec: SymbolSpec, zs: Sequence[complex]) -> Iterable[complex]:
-    """phi at each of ``zs`` from one :func:`eval_symbol_masked` call."""
-    return _in_range_values(*eval_symbol_masked(spec, zs))
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,6 @@ from .growth import (
 )
 from .symbols import (
     SymbolSpec,
-    _symbol_values,
     complex_from_json,
     complex_to_json,
     eval_symbol,
@@ -66,7 +65,7 @@ from .symbols import (
     symbol_to_dict,
     to_json_value,
 )
-from .dynamics import _DiagonalResidual, _powers
+from .dynamics import _DiagonalResidual, _monomials
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
@@ -80,6 +79,9 @@ GAMMA_DEGREE_CAP = 64
 
 #: Length bound of the convex ray that places the multi-generator windows.
 MULTI_RAY_DELTA = 2.0
+
+#: Default residual tolerance of a build, and of verifying its report, by kind.
+DEFAULT_EPSILON = {"single": 1e-6, "multi": 1e-5}
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def solve_coeff(b: complex, m: int, phi_val: complex, N: int) -> complex:
             f"|phi| = {abs(phi_val):.9f} at the survivor frequency; need > 1"
         )
     log_mag = (math.log(abs(b)) - N * math.log(abs(phi_val))) / m
-    arg = (cmath.phase(b) - N * cmath.phase(phi_val)) / m
+    arg = (math.atan2(b.imag, b.real) - N * math.atan2(phi_val.imag, phi_val.real)) / m
     return cmath.exp(complex(log_mag, arg))
 
 
@@ -260,17 +262,30 @@ class WitnessReport:
         """Inverse of :meth:`to_dict`.
 
         Checks the shape only, raising KeyError, TypeError, ValueError or
-        AttributeError on a malformed payload; a negative ``q``, an ``m``
-        below 1, an empty exponent list or a zero generator is malformed
-        too.  Whether the numbers make a witness is for
+        AttributeError on a malformed payload; a ``kind`` other than
+        "single" or "multi", a negative ``q``, an ``m`` below 1, an empty
+        exponent list, a zero generator, a monomial without one non-negative
+        exponent per generator and a target of no monomial are malformed too.
+        Whether the numbers make a witness is for
         :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
+        if d["kind"] not in ("single", "multi"):
+            raise ValueError(f"unknown report kind {d['kind']!r}")
         generators = tuple(exppoly_from_json(g) for g in d["generators"])
         if any(g.is_zero for g in generators):
             raise ValueError("generators must be nonzero")
         q, m, exponents = int(d["q"]), int(d["m"]), _tuples(d["exponents"])
         if q < 0 or m < 1 or exponents == ():
             raise ValueError("q must be >= 0, m >= 1 and exponents non-empty")
+        targets = {
+            tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
+            for k, v in d["targets"].items()
+        }
+        monomials = exponents or tuple((j,) for j in range(1, m + 1))
+        if any(len(a) != len(generators) or min(a) < 0 for a in monomials):
+            raise ValueError("each exponent tuple needs one entry per generator")
+        if not targets.keys() <= set(monomials):
+            raise ValueError("every target must belong to a checked monomial")
         return WitnessReport(
             kind=str(d["kind"]),
             generators=generators,
@@ -282,10 +297,7 @@ class WitnessReport:
             coefficients=tuple(complex_from_json(c) for c in d["coefficients"]),
             trace=tuple((int(q), float(r)) for q, r in d["trace"]),
             bound_sum=float(d["bound_sum"]),
-            targets={
-                tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
-                for k, v in d["targets"].items()
-            },
+            targets=targets,
             exponents=exponents,
             weights=_tuples(d["weights"], float),
             beta=_tuples(d["beta"]),
@@ -356,7 +368,7 @@ def _double_until(
     """
     b = [c for c, _ in target.terms]
     gammas = [f / m for _, f in target.terms]
-    phi_surv = list(_symbol_values(spec, [m * g for g in gammas]))
+    phi_surv = eval_symbol_array(spec, [m * g for g in gammas]).tolist()
     for g, val in zip(gammas, phi_surv):
         if abs(val) <= 1 + MODULUS_MARGIN:
             raise HypothesisError(
@@ -374,7 +386,7 @@ def _double_until(
     ]
     terms = []
     violations = []
-    for key, freq, phi_val in zip(keys, freqs, _symbol_values(spec, freqs)):
+    for key, freq, phi_val in zip(keys, freqs, eval_symbol_array(spec, freqs).tolist()):
         u, v, ell, alpha, case, counted = key
         log_phi, theta = _contraction(phi_val, v, phi_surv, m)
         count = math.prod(  # of each generator's power, seeds aside
@@ -403,14 +415,9 @@ def _double_until(
 
     R = grid.radius
     # phi at a monomial's frequencies does not depend on N: one plan each
-    monomials = [
-        (
-            ",".join(map(str, alpha)),
-            tuple(alpha[i] for i in perm),
-            _DiagonalResidual(spec, tgt, grid),
-        )
-        for alpha, tgt in targets.items()
-    ]
+    names = [",".join(map(str, alpha)) for alpha in targets]
+    alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
+    plans = [_DiagonalResidual(spec, tgt, grid) for tgt in targets.values()]
     trace: list[tuple[int, float]] = []
     N = 8
     while N <= n_max:
@@ -423,9 +430,9 @@ def _double_until(
         gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
+        powers = _monomials(gens, alphas)
         residuals = {
-            name: residual(_powers(gens, alpha), N)
-            for name, alpha, residual in monomials
+            name: plan(power, N) for name, plan, power in zip(names, plans, powers)
         }
         trace.append((N, max(residuals.values())))
 
@@ -464,7 +471,8 @@ def _double_until(
         for t, log_x in zip(terms, log_mags)
     )
     survivor_values = [
-        cj**m * cmath.exp(complex(N * math.log(abs(pv)), N * cmath.phase(pv)))
+        cj**m
+        * cmath.exp(complex(N * math.log(abs(pv)), N * math.atan2(pv.imag, pv.real)))
         / N**K_beta
         for cj, pv in zip(c, phi_surv)
     ]
@@ -488,8 +496,8 @@ def _halve_until_inside(spec: SymbolSpec, points_at, attempts: int, failure: str
     with the message ``failure`` when no attempt passes."""
     for k in range(attempts):
         scale = 2.0**-k
-        # a list, so that an overflow at any point raises
-        moduli = [abs(v) for v in _symbol_values(spec, points_at(scale))]
+        # Python's abs, not np.abs: the two round some moduli differently
+        moduli = [abs(v) for v in eval_symbol_array(spec, points_at(scale)).tolist()]
         if not any(r > 1 - MODULUS_MARGIN for r in moduli):
             return scale
     raise SearchFailureError(failure)
@@ -622,7 +630,7 @@ def construct_witness_T2(
     m: int,
     seed: ExpPoly,
     target: ExpPoly,
-    epsilon: float = 1e-6,
+    epsilon: float = DEFAULT_EPSILON["single"],
     grid: DiskGrid | None = None,
     N_max: int = N_MAX_DEFAULT,
     params: WitnessParams | None = None,
@@ -855,7 +863,7 @@ def construct_witness_multi(
     A: ExponentSet,
     B: ExpPoly,
     seeds: list[ExpPoly] | None = None,
-    epsilon: float = 1e-5,
+    epsilon: float = DEFAULT_EPSILON["multi"],
     grid: DiskGrid | None = None,
     n_max: int = N_MAX_DEFAULT,
     params: MultiParams | None = None,

@@ -206,6 +206,28 @@ class TestPipelines:
             pytest.param(
                 json.dumps({**BARE_REPORT, "exponents": []}), id="empty-exponents"
             ),
+            # monomials of a second generator the report does not have
+            pytest.param(
+                json.dumps(
+                    {
+                        **BARE_REPORT,
+                        "exponents": [[1, 5], [2, 7]],
+                        "targets": dict.fromkeys(["1,5", "2,7"], []),
+                    }
+                ),
+                id="relabelled-exponents",
+            ),
+            pytest.param(
+                json.dumps({**BARE_REPORT, "exponents": [[-1]]}), id="negative-exponent"
+            ),
+            # a target that no checked monomial uses
+            pytest.param(
+                json.dumps({**BARE_REPORT, "targets": {"2": []}}), id="stray-target"
+            ),
+            # the kind picks verify's default tolerance
+            pytest.param(
+                json.dumps({**BARE_REPORT, "kind": "bogus"}), id="unknown-kind"
+            ),
         ],
     )
     def test_unusable_report_is_a_config_error(self, tmp_path, capsys, report):
@@ -218,6 +240,46 @@ class TestPipelines:
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_relabelled_report_is_a_config_error(self, tmp_path, capsys):
+        # a one-generator witness relabelled as monomials f1 f2^5, f1^2 f2^7
+        w_path = write_config(
+            tmp_path, {"command": "witness", "symbol": QUAD, "m": 2}, "w.json"
+        )
+        assert main(["--config", w_path, "--out", str(tmp_path)]) == 0
+        report_file = tmp_path / "witness-report.json"
+        payload = json.loads(report_file.read_text())
+        witness = payload["outcome"]["witness"]
+        witness["exponents"] = [[1, 5], [2, 7]]
+        witness["targets"] = {
+            "1,5": witness["targets"]["1"], "2,7": witness["targets"]["2"]
+        }
+        report_file.write_text(json.dumps(payload))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+            "v.json",
+        )
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 2
+        assert "one entry per generator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exponents", [[[1, 0], [0, 1]], [[2], [1]]])
+    def test_verify_defaults_to_the_build_tolerance(self, tmp_path, exponents):
+        # these witnesses are built to 1e-5, with residuals above 1e-6
+        w_path = write_config(
+            tmp_path,
+            {"command": "witness-multi", "symbol": QUAD, "exponents": exponents},
+            "w.json",
+        )
+        assert main(["--config", w_path, "--out", str(tmp_path)]) == 0
+        report_file = tmp_path / "witness-multi-report.json"
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+            "v.json",
+        )
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 0
+        assert read_report(tmp_path, "verify")["outcome"]["verified"] is True
 
     def test_verify_of_zero_q_report_exits_1(self, tmp_path):
         # generator coefficients reach 8e4, so the oracle's condition sum

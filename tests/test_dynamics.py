@@ -21,10 +21,12 @@ from hyperalg import (
     apply_symbol_power,
     apply_symbol_taylor,
     eval_symbol,
+    mul_exppoly,
+    pow_exppoly,
     sup_distance,
     to_taylor,
 )
-from hyperalg import dynamics, symbols
+from hyperalg import dynamics
 from hyperalg.dynamics import (
     TAYLOR_GUARD,
     _DiagonalResidual,
@@ -33,12 +35,7 @@ from hyperalg.dynamics import (
     taylor_pow_trunc,
 )
 from hyperalg.errors import EvaluationRangeError, OracleInputError
-from hyperalg.symbols import (
-    _contour_coeffs,
-    _dft_phases,
-    eval_symbol_array,
-    eval_symbol_masked,
-)
+from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
 
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
@@ -324,16 +321,16 @@ EVAL_OVERFLOW = (1.0, 800j)
 VANISHING = ExpPolySymbol(ExpPoly.of([(1.0, 1.0), (-1.0, 0.0)]))
 
 
-def counting_masked(monkeypatch, module):
-    """The point count of every :func:`eval_symbol_masked` call ``module``
+def counting_evaluations(monkeypatch):
+    """The point count of every :func:`eval_symbol_array` call ``dynamics``
     makes."""
     calls = []
 
     def counting(spec, zs):
         calls.append(np.size(zs))
-        return eval_symbol_masked(spec, zs)
+        return eval_symbol_array(spec, zs)
 
-    monkeypatch.setattr(module, "eval_symbol_masked", counting)
+    monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
     return calls
 
 
@@ -379,8 +376,8 @@ class TestBatchedDiagonalAction:
         [
             ([POWER_OVERFLOW], 2**20),
             ([EVAL_OVERFLOW, (1.0, 0.5)], 1),
-            # the power overflow comes first in term order, before the
-            # term whose evaluation overflows
+            # the power overflow comes first in term order, but the term
+            # whose evaluation overflows raises first
             ([POWER_OVERFLOW, EVAL_OVERFLOW], 2**20),
         ],
     )
@@ -388,13 +385,16 @@ class TestBatchedDiagonalAction:
         spec = CatalogSymbol("cos")
         f = ExpPoly.of(terms)
         with pytest.raises(EvaluationRangeError) as want:
+            # phi is read at every frequency before any power is taken
+            for _, l in f.terms:
+                eval_symbol(spec, l)
             reference_apply_symbol_power(spec, f, q)
         with pytest.raises(EvaluationRangeError) as got:
             apply_symbol_power(spec, f, q)
         assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_call(self, monkeypatch):
-        calls = counting_masked(monkeypatch, symbols)
+        calls = counting_evaluations(monkeypatch)
         f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
         spec = CatalogSymbol("exp-quadratic")
         apply_symbol_power(spec, f, 64)
@@ -440,6 +440,76 @@ class TestCrossCheckPowers:
         # 5 squarings for 32, then one product per power 32, 16, ..., 1
         # (a fresh binary power per halving takes 6 + 5 + ... + 1 = 21)
         assert counts == {"pow": 1, "mul": 11}
+
+
+def reference_monomial(gens, alpha) -> ExpPoly:
+    """The monomial from scratch: ``pow_exppoly`` of each nonzero factor,
+    folded with ``mul_exppoly`` from the first."""
+    factors = [pow_exppoly(g, a) for g, a in zip(gens, alpha) if a]
+    out = factors[0] if factors else ExpPoly.one()
+    for factor in factors[1:]:
+        out = mul_exppoly(out, factor)
+    return out
+
+
+#: The exponent sets of the benchmark's witness workload.
+WITNESS_EXPONENT_SETS = (
+    ((2, 0), (1, 1), (0, 1)),
+    ((1, 0), (0, 1)),
+    ((2, 0), (0, 2), (1, 1)),
+    ((1, 1), (1, 0)),
+    ((2,), (1,)),
+    ((3,), (1,)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((2, 1), (0, 1)),
+)
+
+
+class TestMonomials:
+    """One power table per generator: bit for bit the from-scratch products."""
+
+    @staticmethod
+    def generators(n, terms=4):
+        rng = np.random.default_rng(n)
+        gens = []
+        for _ in range(n):
+            c = rng.normal(size=terms) + 1j * rng.normal(size=terms)
+            # frequencies 0, 1, 2, ...: a product merges many terms at each
+            # frequency, so the order of every fold shows in the last bits
+            gens.append(ExpPoly.of(zip(c.tolist(), range(terms))))
+        return gens
+
+    def check(self, gens, alphas):
+        got = dynamics._monomials(gens, alphas)
+        want = [reference_monomial(gens, alpha) for alpha in alphas]
+        assert [term_bits(f) for f in got] == [term_bits(f) for f in want]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_single_generator_powers(self, m):
+        self.check(self.generators(1), [(j,) for j in range(1, m + 1)])
+
+    @pytest.mark.parametrize("exponents", WITNESS_EXPONENT_SETS)
+    def test_witness_exponent_sets(self, exponents):
+        self.check(self.generators(len(exponents[0])), list(exponents))
+
+    def test_zero_tuple_is_one(self):
+        assert dynamics._monomials(self.generators(2), [(0, 0)]) == [ExpPoly.one()]
+
+    def test_powers_take_one_product_each(self, monkeypatch):
+        calls = []
+
+        def counting(f, g):
+            calls.append(1)
+            return mul_exppoly(f, g)
+
+        monkeypatch.setattr(dynamics, "mul_exppoly", counting)
+        dynamics._monomials(self.generators(1), [(j,) for j in range(1, 6)])
+        assert len(calls) == 4  # f^2, ..., f^5 (from scratch: 1 + 2 + 3 + 4)
+
+    @pytest.mark.parametrize("alpha", [(1,), (1, 2, 3), (1, -1)])
+    def test_malformed_exponents_raise(self, alpha):
+        with pytest.raises(ValueError):
+            dynamics._monomials(self.generators(2), [alpha])
 
 
 class TestSupDistance:
@@ -511,6 +581,19 @@ class TestDiagonalResidual:
                         continue
                     assert residual(h, q).hex() == want.hex()
 
+    def test_taylor_target_matches_sup_distance(self):
+        # the cross-check measures the diagonal image against the oracle's
+        # truncated Taylor series
+        spec = CatalogSymbol("exp-quadratic")
+        rng = np.random.default_rng(7)
+        f = self.random_exppoly(rng, 5)
+        oracle = TaylorPoly.from_exppoly(self.random_exppoly(rng, 3), 40)
+        grid = DiskGrid(0.5)
+        residual = _DiagonalResidual(spec, oracle, grid)
+        for q in (1, 8, 32):
+            want = sup_distance(apply_symbol_power(spec, f, q), oracle, grid)
+            assert residual(f, q).hex() == want.hex()
+
     @pytest.mark.parametrize("q", [0, 3])
     def test_zero_eigenvalue(self, q):
         f = ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)])
@@ -544,7 +627,7 @@ class TestDiagonalResidual:
             assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_frequency_set(self, monkeypatch):
-        calls = counting_masked(monkeypatch, dynamics)
+        calls = counting_evaluations(monkeypatch)
         spec = CatalogSymbol("exp-quadratic")
         f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
         residual = _DiagonalResidual(spec, ExpPoly.zero(), self.GRID)
@@ -553,9 +636,10 @@ class TestDiagonalResidual:
         assert calls == [9]
         residual(ExpPoly.of(f.terms[:4]), 8)
         assert calls == [9, 4]
-        # also when phi overflows at one of the frequencies
+        # also when phi overflows at one of the frequencies; a set that
+        # raises is not kept, so each call evaluates it anew
         residual = _DiagonalResidual(CatalogSymbol("cos"), ExpPoly.zero(), self.GRID)
         for q in (1, 2):
             with pytest.raises(EvaluationRangeError):
                 residual(ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)]), q)
-        assert calls == [9, 4, 2]
+        assert calls == [9, 4, 2, 2]

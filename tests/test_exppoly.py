@@ -96,6 +96,14 @@ class TestAlgebra:
             f.evaluate(z) - g.evaluate(z), rel=1e-10, abs=1e-10
         )
 
+    def test_nan_point_exceeds_the_guard(self):
+        f = ExpPoly.of([(1.0, 1.0)])
+        for zs in ([np.nan, 1000.0], [np.nan, 1.0]):
+            with pytest.raises(EvaluationRangeError):
+                f.evaluate_array(np.array(zs))
+        with pytest.raises(EvaluationRangeError):
+            f.evaluate(complex("nan"))
+
     def test_evaluate_array_matches_scalar_loop(self):
         f = ExpPoly.of([(1.0, 1.0j), (0.5, -0.3)])
         zs = np.array([0.1, 0.5 + 0.5j, -1.0j])

@@ -72,6 +72,11 @@ class TestEvaluation:
             ]
         assert complex(_sinc_pi(0.0)) == 1.0
 
+    def test_sinc_at_a_subnormal_point(self):
+        # sin(x) / x overflows there; the series gives the value
+        w = np.array([2.225073858507e-311, 5e-324j])
+        assert eval_symbol_array(CatalogSymbol("sinc-pi"), w).tolist() == [1, 1]
+
     def test_exp_quadratic(self):
         spec = CatalogSymbol("exp-quadratic")
         z = 1.2 + 0.4j
@@ -139,6 +144,14 @@ class TestMaskedEvaluation:
                 assert not ok and cmath.isnan(value)
                 continue
             assert ok and complex_bits(value) == complex_bits(want)
+
+    def test_nan_point_is_out_of_range(self):
+        spec = CatalogSymbol("exp", a=1)
+        for zs in ([np.nan, 1000.0], [np.nan, 1.0]):
+            with pytest.raises(EvaluationRangeError):
+                eval_symbol_array(spec, zs)
+        _, in_range = eval_symbol_masked(spec, [np.nan, 1.0, 1000.0])
+        assert in_range.tolist() == [False, True, False]
 
     @pytest.mark.parametrize("name", sorted(MASK_PANEL))
     def test_in_range_block_is_the_raising_evaluation(self, name):
