@@ -16,7 +16,6 @@ from .classify import (
 from .dynamics import (
     OrbitTrace,
     apply_symbol,
-    apply_symbol_power,
     apply_symbol_taylor,
     sup_distance,
     verify_witness,
@@ -34,7 +33,7 @@ from .errors import (
     TargetPlacementError,
     ThetaMarginError,
 )
-from .exppoly import DiskGrid, ExpPoly, TaylorPoly, mul_exppoly, pow_exppoly
+from .exppoly import DiskGrid, ExpPoly, TaylorPoly, mul_exppoly
 from .growth import (
     ConvexRay,
     GrowthEstimate,
@@ -45,8 +44,6 @@ from .growth import (
     find_arith_progression,
     find_convex_ray,
     first_ray_below_one,
-    indicator,
-    max_modulus,
     ray_below_one,
     scan_ray,
 )
@@ -61,7 +58,7 @@ from .symbols import (
     eval_symbol_array,
     eval_symbol_masked,
     symbol_from_dict,
-    symbol_to_dict,
+    to_json_value,
     to_taylor,
 )
 from .witness import (

@@ -23,8 +23,11 @@ from .growth import (
     find_arith_progression,
 )
 from .symbols import (
+    CATALOG_COS,
     CATALOG_EXP,
     CATALOG_EXP_POLY,
+    CATALOG_EXP_QUADRATIC,
+    CATALOG_SINC_PI,
     CatalogSymbol,
     ExpPolySymbol,
     HadamardTrunc,
@@ -68,14 +71,6 @@ class Verdict:
             raise ValueError(f"bad outcome {self.outcome!r}")
         if self.confidence not in ("exact", "numerical"):
             raise ValueError(f"bad confidence {self.confidence!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "route": self.route,
-            "evidence": to_json_value(self.evidence),
-            "confidence": self.confidence,
-        }
 
 
 @dataclass(frozen=True)
@@ -133,20 +128,6 @@ class ZeroSetSummary:
             truncation=len(zs),
         )
 
-    def to_dict(self) -> dict:
-        return to_json_value(
-            {
-                "s1": self.s1,
-                "s2": self.s2,
-                "sum_abs_inv": self.sum_abs_inv,
-                "genus_guess": self.genus_guess,
-                "modulus_slope": self.modulus_slope,
-                "inv_modulus_converges": self.inv_modulus_converges,
-                "counts": self.counts,
-                "truncation": self.truncation,
-            }
-        )
-
 
 def _structural_poly_exp(spec: SymbolSpec) -> PolyTimesExp | None:
     """Closed polynomial-times-exponential form, when one is available."""
@@ -172,7 +153,7 @@ def _structurally_zero_free(spec: SymbolSpec) -> bool:
     if isinstance(spec, HadamardTrunc):
         return len(spec.zeros) == 0
     if isinstance(spec, CatalogSymbol):
-        return spec.name == "exp-quadratic"
+        return spec.name == CATALOG_EXP_QUADRATIC
     return False
 
 
@@ -183,7 +164,7 @@ def _exponent_slope(spec: SymbolSpec) -> complex | None:
     pe = _structural_poly_exp(spec)
     if pe is not None:
         return pe.a
-    if isinstance(spec, CatalogSymbol) and spec.name in ("cos", "sinc-pi"):
+    if isinstance(spec, CatalogSymbol) and spec.name in (CATALOG_COS, CATALOG_SINC_PI):
         return 0j  # even functions: no linear exponent in the product form
     return None
 
@@ -233,13 +214,7 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     evidence: dict = {}
 
     growth = estimate_order_type(spec, r_grid or _DEFAULT_R_GRID)
-    evidence["growth"] = {
-        "order": growth.order,
-        "type": growth.type_,
-        "degenerate": growth.degenerate,
-        "quality": growth.quality,
-        "r_window": list(growth.r_window),
-    }
+    evidence["growth"] = growth.summary()
     subexp = growth.degenerate or growth.order < 0.9 or (
         abs(growth.order - 1.0) <= 0.2 and growth.type_ < 0.05
     )
@@ -272,7 +247,7 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     summary = _zero_summary(spec, zeros)
     slope = _exponent_slope(spec)
     if summary is not None:
-        evidence["zeros"] = summary.to_dict()
+        evidence["zeros"] = to_json_value(summary)
         if abs(summary.s2) > ZERO_SUM_MARGIN:
             if summary.inv_modulus_converges is True:
                 return Verdict(HAS_ALGEBRA, "zeros-summable", evidence, "numerical")
@@ -290,9 +265,7 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     # |phi(0)| = 1 was checked above, so check_T2 cannot raise
     t2 = check_T2(spec)
     evidence["curvature-progression"] = {
-        "second_deriv_margin": t2["second_deriv_margin"],
-        "progressions": t2["progressions"],
-        "passed": t2["passed"],
+        key: t2[key] for key in ("second_deriv_margin", "progressions", "passed")
     }
     if t2["passed"]:
         return Verdict(HAS_ALGEBRA, "curvature-progression", evidence, "numerical")

@@ -22,7 +22,7 @@ from . import __version__
 from .classify import _DEFAULT_R_GRID, classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
-from .exppoly import DiskGrid
+from .exppoly import GRID_RADIUS, DiskGrid
 from .growth import estimate_order_type, scan_ray
 from .symbols import (
     CatalogSymbol,
@@ -30,10 +30,11 @@ from .symbols import (
     derivs_at_zero,
     exppoly_from_json,
     symbol_from_dict,
-    symbol_to_dict,
+    to_json_value,
 )
 from .witness import (
     DEFAULT_EPSILON,
+    N_MAX_DEFAULT,
     ExponentSet,
     WitnessReport,
     construct_witness_T2,
@@ -45,6 +46,8 @@ from .witness import (
 )
 
 REPORT_SCHEMA = "hyperalg-report/1"
+
+COMMANDS = ("analyze", "classify", "witness", "witness-multi", "verify", "catalog")
 
 _COMPLEX = {
     "type": "array",
@@ -67,16 +70,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["command"],
     "properties": {
-        "command": {
-            "enum": [
-                "analyze",
-                "classify",
-                "witness",
-                "witness-multi",
-                "verify",
-                "catalog",
-            ]
-        },
+        "command": {"enum": list(COMMANDS)},
         "symbol": {
             "type": "object",
             "required": ["kind"],
@@ -113,7 +107,8 @@ CONFIG_SCHEMA = {
 
 
 def catalog_list() -> list[dict]:
-    """Named symbol presets with the verdict the classifier should reach."""
+    """Named symbol presets with the verdict the classifier should reach,
+    as JSON data."""
     entries = [
         (CatalogSymbol("cos"), "HasAlgebra"),
         (CatalogSymbol("sin+exp(-z)"), "HasAlgebra"),
@@ -123,10 +118,9 @@ def catalog_list() -> list[dict]:
         # not of exponential type: outside every classification route
         (CatalogSymbol("exp-quadratic", a=1), "Unknown"),
     ]
-    return [
-        {"symbol": symbol_to_dict(spec), "expected": expected}
-        for spec, expected in entries
-    ]
+    return to_json_value(
+        [{"symbol": spec, "expected": expected} for spec, expected in entries]
+    )
 
 
 def _load_config(args) -> dict:
@@ -146,7 +140,7 @@ def _load_config(args) -> dict:
     if args.n_max is not None:
         config["n_max"] = args.n_max
     if args.grid_radius is not None or args.grid_samples is not None:
-        grid = dict(config.get("grid", {"radius": 3.0}))
+        grid = dict(config.get("grid", {"radius": GRID_RADIUS}))
         if args.grid_radius is not None:
             grid["radius"] = args.grid_radius
         if args.grid_samples is not None:
@@ -162,7 +156,7 @@ def _load_config(args) -> dict:
 
 
 def _grid(config) -> DiskGrid:
-    return DiskGrid.from_dict(config.get("grid", {"radius": 3.0}))
+    return DiskGrid.from_dict(config["grid"]) if "grid" in config else DiskGrid()
 
 
 def _require_symbol(config):
@@ -195,11 +189,13 @@ def run(config: dict) -> dict:
     warnings: list[str] = []
     side_files: dict[str, str] = {}
     started = time.monotonic()
+    spec = None if command == "catalog" else _require_symbol(config)
+    grid = _grid(config)
+    n_max = int(config.get("n_max", N_MAX_DEFAULT))
 
     if command == "catalog":
         outcome = {"catalog": catalog_list()}
     elif command == "classify":
-        spec = _require_symbol(config)
         zeros = (
             [complex_from_json(z) for z in config["zeros"]]
             if "zeros" in config
@@ -210,9 +206,8 @@ def run(config: dict) -> dict:
             warnings.append(
                 "verdict rests on sampled growth estimates, not a proof"
             )
-        outcome = {"verdict": verdict.to_dict()}
+        outcome = {"verdict": verdict}
     elif command == "analyze":
-        spec = _require_symbol(config)
         r_grid = config.get("r_grid") or _DEFAULT_R_GRID
         growth = estimate_order_type(spec, r_grid)
         derivs, errs = derivs_at_zero(spec, 6)
@@ -222,22 +217,13 @@ def run(config: dict) -> dict:
             side_files[f"ray-{k}.csv"] = scan.to_csv()
         side_files["growth.csv"] = growth.to_csv()
         outcome = {
-            "growth": {
-                "order": growth.order,
-                "type": growth.type_,
-                "quality": growth.quality,
-                "degenerate": growth.degenerate,
-                "r_window": list(growth.r_window),
-            },
-            "derivatives_at_zero": [[d.real, d.imag] for d in derivs],
-            "derivative_errors": list(errs),
+            "growth": growth.summary(),
+            "derivatives_at_zero": derivs,
+            "derivative_errors": errs,
         }
     elif command == "witness":
-        spec = _require_symbol(config)
         m = int(config.get("m", 2))
         epsilon = float(config.get("epsilon", DEFAULT_EPSILON["single"]))
-        grid = _grid(config)
-        n_max = int(config.get("n_max", 2**20))
         params = derive_witness_params(spec, m)
         if "seed_terms" in config or "target_terms" in config:
             if not ("seed_terms" in config and "target_terms" in config):
@@ -252,23 +238,16 @@ def run(config: dict) -> dict:
         report = construct_witness_T2(
             spec, m, seed, target, epsilon, grid, n_max, params=params
         )
-        side_files["trace.csv"] = "q,residual\n" + "".join(
-            f"{q},{r!r}\n" for q, r in report.trace
-        )
         side_files["theta-table.csv"] = "u,v,theta,case,magnitude,bound\n" + "".join(
             f"\"{list(e.u)}\",\"{list(e.v)}\",{e.theta!r},{e.case},"
             f"{e.magnitude!r},{e.bound!r}\n"
             for e in report.theta_table
         )
-        outcome = {"witness": report.to_dict()}
     elif command == "witness-multi":
-        spec = _require_symbol(config)
         if "exponents" not in config:
             raise ConfigError("witness-multi requires 'exponents'")
         A = ExponentSet.of(config["exponents"])
         epsilon = float(config.get("epsilon", DEFAULT_EPSILON["multi"]))
-        grid = _grid(config)
-        n_max = int(config.get("n_max", 2**20))
         params = derive_multi_params(spec, A)
         if "target_terms" in config:
             B = exppoly_from_json(config["target_terms"])
@@ -283,28 +262,25 @@ def run(config: dict) -> dict:
         report = construct_witness_multi(
             spec, A, B, seeds, epsilon, grid, n_max, params=params
         )
-        side_files["trace.csv"] = "q,residual\n" + "".join(
-            f"{q},{r!r}\n" for q, r in report.trace
-        )
-        outcome = {"witness": report.to_dict()}
     elif command == "verify":
-        spec = _require_symbol(config)
         if "report_path" not in config:
             raise ConfigError("verify requires 'report_path'")
         report = _load_report(config["report_path"])
-        grid = _grid(config)
         # the default tolerance of the report's kind, never the report's own number
         epsilon = float(config.get("epsilon", DEFAULT_EPSILON[report.kind]))
         passed, trace = verify_witness(spec, report, grid, epsilon)
         side_files["orbit-trace.csv"] = trace.to_csv()
-        outcome = {
-            "verified": passed,
-            "trace": [[q, r] for q, r in trace.iterates],
-        }
+        outcome = {"verified": passed, "trace": trace.iterates}
         if not passed:
             warnings.append("verification FAILED: residuals or oracle disagree")
     else:  # pragma: no cover - schema forbids it
         raise ConfigError(f"unknown command {command!r}")
+    if command in ("witness", "witness-multi"):
+        side_files["trace.csv"] = "q,residual\n" + "".join(
+            f"{q},{r!r}\n" for q, r in report.trace
+        )
+        outcome = {"witness": report}
+    outcome = to_json_value(outcome)
 
     wall = time.monotonic() - started
     echo = {k: v for k, v in config.items() if k != "out"}
@@ -328,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "command",
         nargs="?",
-        choices=["analyze", "classify", "witness", "witness-multi", "verify", "catalog"],
+        choices=COMMANDS,
         help="pipeline to run (may also come from the config file)",
     )
     parser.add_argument("--config", help="JSON experiment config")

@@ -15,9 +15,7 @@ condition sum are array expressions too.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass
 
@@ -32,7 +30,7 @@ from .exppoly import (
     _exp_row,
     mul_exppoly,
 )
-from .symbols import SymbolSpec, eval_symbol_array, to_taylor
+from .symbols import SymbolSpec, _csv_text, eval_symbol_array, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -45,19 +43,14 @@ def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
     return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
 
 
-def apply_symbol_power(spec: SymbolSpec, f: ExpPoly, q: int) -> ExpPoly:
-    """Diagonal action of the q-th operator power.
+def _power_image(f: ExpPoly, vals: list[complex], q: int) -> ExpPoly:
+    """Diagonal action of the q-th operator power, given phi at the
+    frequencies of ``f``.
 
     The eigenvalue power ``phi(l)**q`` is computed in polar form,
     ``exp(q log|phi(l)|) * exp(i q arg phi(l))``, which stays accurate for q
-    up to 2**20 where repeated multiplication would drift.  phi is
-    evaluated at every frequency of ``f`` in one call.
+    up to 2**20 where repeated multiplication would drift.
     """
-    return _power_image(f, eval_symbol_array(spec, f.frequencies()).tolist(), q)
-
-
-def _power_image(f: ExpPoly, vals: list[complex], q: int) -> ExpPoly:
-    """:func:`apply_symbol_power` given phi at the frequencies of ``f``."""
     if q < 0:
         raise ValueError("q must be non-negative")
     out = []
@@ -178,15 +171,15 @@ def sup_distance(
 
 
 class _DiagonalResidual:
-    """``sup_distance(apply_symbol_power(spec, f, q), target, grid)`` for
-    many ``(f, q)`` whose frequency sets repeat, bit for bit.
+    """The sup distance on ``grid`` between the q-th operator power of f and
+    ``target``, for many ``(f, q)`` whose frequency sets repeat.
 
     What does not change with q or with the coefficients of ``f`` is kept:
     phi at each frequency tuple of ``f`` from one evaluation, the rows
     ``exp(l z)`` on the grid, and the target on the grid.  The image is
-    :func:`apply_symbol_power`'s, term for term, and it is summed in
-    :meth:`ExpPoly.evaluate_array`'s order.  A frequency set at which phi
-    overflows raises, as in :func:`apply_symbol_power`, and is not kept.
+    :func:`_power_image`'s, summed in :meth:`ExpPoly.evaluate_array`'s
+    order, so the distance is :func:`sup_distance`'s bit for bit.  A
+    frequency set at which phi overflows raises and is not kept.
     """
 
     def __init__(self, spec: SymbolSpec, target: ExpPoly | TaylorPoly, grid: DiskGrid):
@@ -224,12 +217,7 @@ class OrbitTrace:
             raise ValueError("iterate counts must be strictly increasing")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["q", "residual"])
-        for q, r in self.iterates:
-            writer.writerow([q, repr(r)])
-        return buf.getvalue()
+        return _csv_text(["q", "residual"], self.iterates)
 
 
 #: Iterate count used for the reduced-power oracle cross-check: beyond this,
@@ -244,7 +232,7 @@ CROSS_CHECK_K = 60
 def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
     """The monomial ``prod_i f_i**alpha_i`` of each alpha, from its first
     nonzero factor.  Each generator's powers come from one table, with
-    ``f**k = f**(k-1) * f`` as in :func:`~hyperalg.exppoly.pow_exppoly`."""
+    ``f**k = f**(k-1) * f``."""
     tables = [[ExpPoly.one(), g] for g in gens]
     out = []
     for alpha in alphas:
@@ -314,29 +302,24 @@ def verify_witness(
     iterate counts real witnesses need; the reduced power still catches any
     bookkeeping error in the diagonal path itself).
 
-    ``report`` is duck-typed: it needs ``generators``, ``q``, ``m`` or
-    ``exponents``, and ``targets`` (mapping of power-tuple -> ExpPoly).
-    A zero generator, an empty list of monomials or an exponent tuple
-    without one non-negative entry per generator raises ValueError.
+    ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
+    generator, an empty list of monomials or an exponent tuple without one
+    non-negative entry per generator raises ValueError.
     """
     generators: list[ExpPoly] = list(report.generators)
     q = int(report.q)
     if any(g.is_zero for g in generators):
         raise ValueError("generators must be nonzero")
 
-    if getattr(report, "exponents", None) is not None:
-        alphas = [tuple(a) for a in report.exponents]
-    else:
-        alphas = [(j,) for j in range(1, int(report.m) + 1)]
+    alphas = report.monomials
     if not alphas:
         raise ValueError("the report has no monomial to check")
 
-    targets = {tuple(k): v for k, v in report.targets.items()}
     passed = True
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
     residual_by_q = {cq: 0.0 for cq in check_qs}
     for alpha, power in zip(alphas, _monomials(generators, alphas)):
-        target = targets.get(tuple(alpha), ExpPoly.zero())
+        target = report.targets.get(alpha, ExpPoly.zero())
         residual = _DiagonalResidual(spec, target, grid)
         for cq in check_qs:
             residual_by_q[cq] = max(residual_by_q[cq], residual(power, cq))

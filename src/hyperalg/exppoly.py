@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -24,6 +24,9 @@ FREQ_MERGE_TOL = 1e-12
 
 #: |Re(freq * z)| beyond this raises EvaluationRangeError (double exp limit).
 EXP_GUARD = 700.0
+
+#: Radius of the evaluation disk when a pipeline is given none.
+GRID_RADIUS = 3.0
 
 ComplexLike = Union[complex, float, int]
 
@@ -131,18 +134,6 @@ def mul_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
     )
 
 
-def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
-    """n-th power as n-1 folds of :func:`mul_exppoly`; ``f**0`` is the constant 1."""
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    if n == 0:
-        return ExpPoly.one()
-    result = f
-    for _ in range(n - 1):
-        result = mul_exppoly(result, f)
-    return result
-
-
 @dataclass(frozen=True)
 class TaylorPoly:
     """Truncated Taylor series around 0: ``coeffs[k]`` multiplies ``z**k``."""
@@ -190,7 +181,7 @@ class TaylorPoly:
 class DiskGrid:
     """Deterministic point set on a closed disk: equispaced circles and angles."""
 
-    radius: float
+    radius: float = GRID_RADIUS
     samples: int = 64
     circles: int = 4
 
@@ -216,11 +207,8 @@ class DiskGrid:
         return self._points
 
     def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "samples": self.samples,
-            "circles": self.circles,
-        }
+        """The fields, without the cached points."""
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "DiskGrid":

@@ -10,8 +10,6 @@ them are tagged accordingly.
 from __future__ import annotations
 
 import cmath
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -22,6 +20,7 @@ from .symbols import (
     ExpPolySymbol,
     HadamardTrunc,
     SymbolSpec,
+    _csv_text,
     _raise_out_of_range,
     eval_symbol_array,
     eval_symbol_masked,
@@ -34,7 +33,7 @@ MODULUS_MARGIN = 1e-6
 #: Samples with |phi| below this are skipped when taking logs on a ray.
 LOG_FLOOR = 1e-300
 
-#: Points per circle in :func:`max_modulus` and per ray in :func:`ray_below_one`.
+#: Points per circle of the growth window and per ray in :func:`ray_below_one`.
 SCAN_SAMPLES = 256
 
 #: :func:`find_arith_progression` tries these step lengths, smallest first,
@@ -72,12 +71,7 @@ class RayScan:
             raise ValueError("t_grid and moduli lengths differ")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["t", "modulus"])
-        for t, m in zip(self.t_grid, self.moduli):
-            writer.writerow([repr(t), repr(m)])
-        return buf.getvalue()
+        return _csv_text(["t", "modulus"], zip(self.t_grid, self.moduli))
 
 
 @dataclass(frozen=True)
@@ -98,13 +92,18 @@ class GrowthEstimate:
     degenerate: bool
     samples: tuple[tuple[float, float], ...]  # (r, log M(r)) pairs
 
+    def summary(self) -> dict:
+        """The estimate without its samples, as reports show it."""
+        return {
+            "order": self.order,
+            "type": self.type_,
+            "quality": self.quality,
+            "degenerate": self.degenerate,
+            "r_window": self.r_window,
+        }
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["r", "log_max_modulus"])
-        for r, logm in self.samples:
-            writer.writerow([repr(r), repr(logm)])
-        return buf.getvalue()
+        return _csv_text(["r", "log_max_modulus"], self.samples)
 
 
 @dataclass(frozen=True)
@@ -126,17 +125,11 @@ _RING = np.exp(1j * (2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES))
 _RING.flags.writeable = False
 
 
-def max_modulus(spec: SymbolSpec, r: float) -> float:
-    """Max of |phi| over equispaced points on the circle |z| = r."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return float(np.max(np.abs(eval_symbol_array(spec, r * _RING))))
-
-
 def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
-    """Yields :func:`max_modulus` at each radius of ``r_grid`` in order,
-    stopping before the first radius where evaluation overflows; one call
-    per block of :func:`_screen_limit` circles."""
+    """Yields the max of |phi| over the ``_RING`` points of the circle of
+    each radius of ``r_grid`` in order, stopping before the first radius
+    where evaluation overflows; one call per block of :func:`_screen_limit`
+    circles."""
     limit = _screen_limit(spec)
     for start in range(0, len(r_grid), limit):
         block = np.multiply.outer(r_grid[start : start + limit], _RING)
@@ -188,14 +181,10 @@ def scan_ray(spec: SymbolSpec, theta: float, t_grid) -> RayScan:
     return RayScan(float(theta), tuple(ts), tuple(float(a) for a in np.abs(vals)))
 
 
-def indicator(spec: SymbolSpec, theta: float, r_grid) -> float:
-    """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
-    top half of the window.  Samples where |phi| < 1e-300 are skipped (log
-    singularities at zeros on the ray do not affect the limsup)."""
-    return _top_rate(scan_ray(spec, theta, r_grid))
-
-
 def _top_rate(scan: RayScan) -> float:
+    """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
+    top half of the scan.  Samples where |phi| < 1e-300 are skipped (log
+    singularities at zeros on the ray do not affect the limsup)."""
     top = list(zip(scan.t_grid, scan.moduli))[len(scan.t_grid) // 2 :]
     rates = [math.log(m) / t for t, m in top if m >= LOG_FLOOR]
     if not rates:

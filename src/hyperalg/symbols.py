@@ -18,9 +18,11 @@ bit-exact round trip), and admit contour-integral derivatives at any point.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import NoReturn, Sequence, Union
 
 import numpy as np
@@ -330,73 +332,73 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: JSON-compatible dicts, complex numbers as [re, im].
+# Serialization: JSON-compatible values, complex numbers as [re, im].
 # ---------------------------------------------------------------------------
 
-
-def complex_to_json(value: complex) -> list[float]:
-    value = complex(value)
-    return [value.real, value.imag]
+#: The ``kind`` tag of each symbol variant in its JSON dict.
+_KINDS = {
+    CatalogSymbol: "catalog",
+    ExpPolySymbol: "exppoly",
+    PolyTimesExp: "poly-times-exp",
+    HadamardTrunc: "hadamard",
+}
 
 
 def complex_from_json(pair) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def exppoly_to_json(f: ExpPoly) -> list:
-    """Terms as ``[[coeff], [freq]]`` pairs of ``[re, im]``."""
-    return [[complex_to_json(c), complex_to_json(freq)] for c, freq in f.terms]
-
-
 def exppoly_from_json(raw) -> ExpPoly:
     return ExpPoly.of([(complex_from_json(c), complex_from_json(f)) for c, f in raw])
 
 
-def to_json_value(value):
-    """Complex numbers, numpy scalars, tuples and non-string keys of a nested
-    structure made JSON-compatible."""
-    if isinstance(value, complex):
-        return complex_to_json(value)
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {str(k): to_json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json_value(v) for v in value]
+def _int_from_json(value) -> int:
+    """``value`` when it is a JSON integer; a float or a bool raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
     return value
 
 
-def symbol_to_dict(spec: SymbolSpec) -> dict:
-    if isinstance(spec, CatalogSymbol):
-        return {
-            "kind": "catalog",
-            "name": spec.name,
-            "a": complex_to_json(spec.a),
-            "poly": [complex_to_json(c) for c in spec.poly],
-            "scale": complex_to_json(spec.scale),
-        }
-    if isinstance(spec, ExpPolySymbol):
-        return {
-            "kind": "exppoly",
-            "terms": exppoly_to_json(spec.poly),
-        }
-    if isinstance(spec, PolyTimesExp):
-        return {
-            "kind": "poly-times-exp",
-            "poly": [complex_to_json(c) for c in spec.poly],
-            "a": complex_to_json(spec.a),
-            "b": complex_to_json(spec.b),
-        }
-    if isinstance(spec, HadamardTrunc):
-        return {
-            "kind": "hadamard",
-            "a": complex_to_json(spec.a),
-            "b": complex_to_json(spec.b),
-            "zeros": [complex_to_json(z) for z in spec.zeros],
-            "genus": spec.genus,
-            "truncation": spec.truncation,
-        }
-    raise TypeError(f"not a SymbolSpec: {spec!r}")
+def _json_key(key) -> str:
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
+def to_json_value(value):
+    """``value`` as JSON data; every report is written through it.
+
+    None, strings, ints and floats (tested first) stay; a complex number
+    becomes ``[re, im]``, a numpy scalar its Python value, a tuple a list, a
+    tuple dict key its entries joined with commas, an :class:`ExpPoly` its
+    terms, a symbol ``{"kind": tag, **fields}`` and a dataclass its fields.
+    """
+    kind = type(value)
+    if value is None or kind is str or kind is int or kind is float or kind is bool:
+        return value
+    if kind is complex:
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {_json_key(k): to_json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(v) for v in value]
+    if isinstance(value, np.generic):
+        return to_json_value(value.item())
+    if isinstance(value, ExpPoly):
+        return [to_json_value((complex(c), complex(f))) for c, f in value.terms]
+    if isinstance(value, SymbolSpec):
+        fields = {"terms": value.poly} if kind is ExpPolySymbol else vars(value)
+        return {"kind": _KINDS[kind], **to_json_value(fields)}
+    if is_dataclass(value):
+        return to_json_value(vars(value))
+    return value
+
+
+def _csv_text(header, rows) -> str:
+    """A CSV table (CRLF line ends) with every value written as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([repr(x) for x in row] for row in rows)
+    return buf.getvalue()
 
 
 def symbol_from_dict(d: dict) -> SymbolSpec:
@@ -425,8 +427,8 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
             a=complex_from_json(d["a"]),
             b=complex_from_json(opt("b", [0.0, 0.0])),
             zeros=tuple(complex_from_json(z) for z in d["zeros"]),
-            genus=int(d["genus"]),
-            truncation=int(d["truncation"]),
+            genus=_int_from_json(d["genus"]),
+            truncation=_int_from_json(d["truncation"]),
         )
     raise ValueError(f"unknown symbol kind {kind!r}")
 

@@ -56,13 +56,11 @@ from .growth import (
 )
 from .symbols import (
     SymbolSpec,
+    _int_from_json,
     complex_from_json,
-    complex_to_json,
     eval_symbol,
     eval_symbol_array,
     exppoly_from_json,
-    exppoly_to_json,
-    symbol_to_dict,
     to_json_value,
 )
 from .dynamics import _DiagonalResidual, _monomials
@@ -192,7 +190,7 @@ def _contraction(phi_val: complex, v, phi_surv, m: int):
 # ---------------------------------------------------------------------------
 
 
-def _tuples(x, convert=int):
+def _tuples(x, convert=_int_from_json):
     """JSON lists back to (nested) tuples of converted scalars; None stays."""
     if x is None:
         return None
@@ -210,18 +208,20 @@ class ThetaEntry:
     magnitude: float
     bound: float
 
-    def to_dict(self) -> dict:
-        return to_json_value(vars(self))
-
     @staticmethod
     def from_dict(d: dict) -> "ThetaEntry":
         return ThetaEntry(
             *(_tuples(d[key]) for key in ("u", "v", "ell", "alpha")),
             theta=float(d["theta"]),
-            case=int(d["case"]),
+            case=_int_from_json(d["case"]),
             magnitude=float(d["magnitude"]),
             bound=float(d["bound"]),
         )
+
+
+def _single_monomials(m: int) -> tuple[tuple[int, ...], ...]:
+    """The monomials f, ..., f^m of a single generator: (1,), ..., (m,)."""
+    return tuple((j,) for j in range(1, m + 1))
 
 
 @dataclass(frozen=True)
@@ -241,18 +241,14 @@ class WitnessReport:
     weights: tuple[float, ...] | None = None
     beta: tuple[int, ...] | None = None
 
+    @property
+    def monomials(self) -> tuple[tuple[int, ...], ...]:
+        """The exponent tuples the report checks: ``exponents``, or those of
+        a single generator."""
+        return _single_monomials(self.m) if self.exponents is None else self.exponents
+
     def to_dict(self) -> dict:
-        return to_json_value(
-            {
-                **vars(self),
-                "generators": [exppoly_to_json(g) for g in self.generators],
-                "theta_table": [e.to_dict() for e in self.theta_table],
-                "targets": {
-                    ",".join(map(str, k)): exppoly_to_json(v)
-                    for k, v in self.targets.items()
-                },
-            }
-        )
+        return to_json_value(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -263,9 +259,10 @@ class WitnessReport:
 
         Checks the shape only, raising KeyError, TypeError, ValueError or
         AttributeError on a malformed payload; a ``kind`` other than
-        "single" or "multi", a negative ``q``, an ``m`` below 1, an empty
-        exponent list, a zero generator, a monomial without one non-negative
-        exponent per generator and a target of no monomial are malformed too.
+        "single" or "multi", a ``q``, ``m`` or exponent that is not a JSON
+        integer, a negative ``q``, an ``m`` below 1, an empty exponent list,
+        a zero generator, a monomial without one non-negative exponent per
+        generator and a target of no monomial are malformed too.
         Whether the numbers make a witness is for
         :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
@@ -274,19 +271,11 @@ class WitnessReport:
         generators = tuple(exppoly_from_json(g) for g in d["generators"])
         if any(g.is_zero for g in generators):
             raise ValueError("generators must be nonzero")
-        q, m, exponents = int(d["q"]), int(d["m"]), _tuples(d["exponents"])
+        q, m = _int_from_json(d["q"]), _int_from_json(d["m"])
+        exponents = _tuples(d["exponents"])
         if q < 0 or m < 1 or exponents == ():
             raise ValueError("q must be >= 0, m >= 1 and exponents non-empty")
-        targets = {
-            tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
-            for k, v in d["targets"].items()
-        }
-        monomials = exponents or tuple((j,) for j in range(1, m + 1))
-        if any(len(a) != len(generators) or min(a) < 0 for a in monomials):
-            raise ValueError("each exponent tuple needs one entry per generator")
-        if not targets.keys() <= set(monomials):
-            raise ValueError("every target must belong to a checked monomial")
-        return WitnessReport(
+        report = WitnessReport(
             kind=str(d["kind"]),
             generators=generators,
             q=q,
@@ -295,13 +284,22 @@ class WitnessReport:
             theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),
             params=dict(d["params"]),
             coefficients=tuple(complex_from_json(c) for c in d["coefficients"]),
-            trace=tuple((int(q), float(r)) for q, r in d["trace"]),
+            trace=tuple((_int_from_json(n), float(r)) for n, r in d["trace"]),
             bound_sum=float(d["bound_sum"]),
-            targets=targets,
+            targets={
+                tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
+                for k, v in d["targets"].items()
+            },
             exponents=exponents,
             weights=_tuples(d["weights"], float),
             beta=_tuples(d["beta"]),
         )
+        monomials = report.monomials
+        if any(len(a) != len(generators) or min(a) < 0 for a in monomials):
+            raise ValueError("each exponent tuple needs one entry per generator")
+        if not report.targets.keys() <= set(monomials):
+            raise ValueError("every target must belong to a checked monomial")
+        return report
 
 
 @dataclass(frozen=True)
@@ -316,9 +314,6 @@ class WitnessParams:
     m: int
     lambda_window: tuple[complex, complex]
     margins: dict
-
-    def to_dict(self) -> dict:
-        return to_json_value(vars(self))
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +640,9 @@ def construct_witness_T2(
     params = params or derive_witness_params(spec, m)
     if params.m != m:
         raise ValueError(f"params were derived for m = {params.m}, not {m}")
-    grid = grid or DiskGrid(3.0)
+    grid = grid or DiskGrid()
     _validate_targets_T2(params, seed, target)
-    exponents = [(j,) for j in range(1, m + 1)]
+    exponents = _single_monomials(m)
     keys = _expansion_keys(
         exponents, (m,), len(target.terms),
         lambda usum, v: 2 if usum else 3 if sum(v) < m else 1,
@@ -664,15 +659,15 @@ def construct_witness_T2(
     return WitnessReport(
         kind="single",
         m=m,
-        params={
-            **params.to_dict(),
+        params=to_json_value({
+            **vars(params),
             "N_max": N_max,
             "grid": grid.to_dict(),
             "epsilon": epsilon,
-            "symbol": symbol_to_dict(spec),
-            "seed": exppoly_to_json(seed),
-            "target": exppoly_to_json(target),
-        },
+            "symbol": spec,
+            "seed": seed,
+            "target": target,
+        }),
         targets=targets,
         **fields,
     )
@@ -875,7 +870,7 @@ def construct_witness_multi(
     other monomial f^alpha (alpha in A) within epsilon of zero.  ``seeds``
     are the L_i parts of the generators (defaulted admissibly when None).
     """
-    grid = grid or DiskGrid(3.0)
+    grid = grid or DiskGrid()
     params = params or derive_multi_params(spec, A)
     if (params.m, params.d_A) != (A.max_inf_norm, A.max_total):
         raise ValueError(
@@ -925,19 +920,19 @@ def construct_witness_multi(
     return WitnessReport(
         kind="multi",
         m=m,
-        params={
+        params=to_json_value({
             **params.to_dict(),
-            "symbol": symbol_to_dict(spec),
-            "weights": list(k),
-            "beta_permuted": list(beta),
-            "permutation": list(perm),
+            "symbol": spec,
+            "weights": k,
+            "beta_permuted": beta,
+            "permutation": perm,
             "K_beta": K_beta,
-            "survivor_values": [complex_to_json(sv) for sv in survivor_values],
-            "target": exppoly_to_json(B),
-            "seeds": [exppoly_to_json(L) for L in seeds_perm],
+            "survivor_values": survivor_values,
+            "target": B,
+            "seeds": seeds_perm,
             "grid": grid.to_dict(),
             "epsilon": epsilon,
-        },
+        }),
         targets=targets,
         exponents=A.exponents,
         weights=k,

@@ -1,0 +1,39 @@
+"""Functions the package no longer exports, kept here as the references and
+subjects of the tests that use them."""
+
+import numpy as np
+
+from hyperalg import ExpPoly, dynamics, growth, mul_exppoly, scan_ray
+
+
+def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
+    """n-th power as n-1 folds of ``mul_exppoly``; ``f**0`` is the constant 1."""
+    if n < 0:
+        raise ValueError("exponent must be non-negative")
+    if n == 0:
+        return ExpPoly.one()
+    result = f
+    for _ in range(n - 1):
+        result = mul_exppoly(result, f)
+    return result
+
+
+def apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
+    """Diagonal action of the q-th operator power, as the diagonal path
+    takes it: phi at every frequency of ``f`` in one evaluation, then the
+    polar-form powers of ``dynamics._power_image``."""
+    vals = dynamics.eval_symbol_array(spec, f.frequencies()).tolist()
+    return dynamics._power_image(f, vals, q)
+
+
+def max_modulus(spec, r: float) -> float:
+    """Max of |phi| over equispaced points on the circle |z| = r."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return float(np.max(np.abs(growth.eval_symbol_array(spec, r * growth._RING))))
+
+
+def indicator(spec, theta: float, r_grid) -> float:
+    """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
+    top half of the window."""
+    return growth._top_rate(scan_ray(spec, theta, r_grid))

@@ -16,6 +16,7 @@ from hyperalg import (
     check_T2,
     classify,
     find_arith_progression,
+    to_json_value,
 )
 from hyperalg.classify import Verdict
 from hyperalg.errors import NormalizationError
@@ -58,7 +59,7 @@ class TestZeroSetSummary:
 
     def test_serializes_to_json(self):
         summary = ZeroSetSummary.from_zeros([complex(n) for n in range(1, 10)])
-        json.dumps(summary.to_dict())
+        json.dumps(to_json_value(summary))
 
 
 class TestCheckT2:
@@ -149,7 +150,7 @@ class TestClassifyCatalog:
 class TestVerdict:
     def test_serializes_complex_evidence(self):
         verdict = classify(CatalogSymbol("cos"))
-        payload = json.dumps(verdict.to_dict())
+        payload = json.dumps(to_json_value(verdict))
         assert "outcome" in payload
 
     def test_validation(self):

@@ -315,6 +315,49 @@ class TestPipelines:
         assert done.returncode == 1, done.stderr
         assert read_report(tmp_path, "verify")["outcome"]["verified"] is False
 
+    def test_non_integer_report_fields_exit_2(self, tmp_path, capsys):
+        # a default {(1,0),(0,1)} witness with fractional exponents and q
+        w_path = write_config(
+            tmp_path,
+            {"command": "witness-multi", "symbol": QUAD, "exponents": [[1, 0], [0, 1]]},
+            "w.json",
+        )
+        assert main(["--config", w_path, "--out", str(tmp_path)]) == 0
+        report_file = tmp_path / "witness-multi-report.json"
+        payload = json.loads(report_file.read_text())
+        witness = payload["outcome"]["witness"]
+        witness["exponents"] = [[1.9, 0], [0, 1.2]]
+        witness["q"] += 0.9
+        report_file.write_text(json.dumps(payload))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+            "v.json",
+        )
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_non_integer_symbol_fields_exit_2(self, tmp_path, capsys):
+        symbol = {
+            "kind": "hadamard",
+            "a": [0.0, 0.0],
+            "zeros": [[1.5, 0.0], [-1.5, 0.0], [0.0, 2.5], [0.0, -2.5]],
+            "genus": 0.5,
+            "truncation": 3.7,
+        }
+        path = write_config(tmp_path, {"command": "classify", "symbol": symbol})
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        assert "expected an integer" in capsys.readouterr().err
+
+    def test_witness_trace_csv_bytes(self, tmp_path):
+        # LF line ends, each residual as its repr
+        path = write_config(tmp_path, {"command": "witness", "symbol": QUAD, "m": 2})
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        trace = read_report(tmp_path, "witness")["outcome"]["witness"]["trace"]
+        want = "q,residual\n" + "".join(f"{q},{r!r}\n" for q, r in trace)
+        assert (tmp_path / "witness-trace.csv").read_bytes() == want.encode()
+        assert [q for q, _ in trace] == [2**k for k in range(3, 3 + len(trace))]
+
     def test_run_requires_exponents_for_multi(self):
         with pytest.raises(ConfigError):
             run({"command": "witness-multi", "symbol": QUAD})

@@ -18,11 +18,9 @@ from hyperalg import (
     OrbitTrace,
     TaylorPoly,
     apply_symbol,
-    apply_symbol_power,
     apply_symbol_taylor,
     eval_symbol,
     mul_exppoly,
-    pow_exppoly,
     sup_distance,
     to_taylor,
 )
@@ -36,6 +34,7 @@ from hyperalg.dynamics import (
 )
 from hyperalg.errors import EvaluationRangeError, OracleInputError
 from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
+from reference import apply_symbol_power, pow_exppoly
 
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
@@ -270,8 +269,8 @@ class TestVectorizedKernels:
 
 
 def reference_apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
-    """Scalar reference for ``apply_symbol_power``: one ``eval_symbol`` call
-    per term, in term order."""
+    """Scalar reference for :func:`reference.apply_symbol_power`: one
+    ``eval_symbol`` call per term, in term order."""
     out = []
     for c, l in f.terms:
         val = eval_symbol(spec, l)
@@ -542,6 +541,10 @@ class TestOrbitTrace:
         assert lines[0] == "q,residual"
         assert lines[1].startswith("8,")
         assert float(lines[2].split(",")[1]) == 0.125
+
+    def test_csv_bytes(self):
+        trace = OrbitTrace(((8, 0.5), (16, 0.1)), "t", GRID)
+        assert trace.to_csv().encode() == b"q,residual\r\n8,0.5\r\n16,0.1\r\n"
 
 
 class TestDiagonalResidual:

@@ -29,6 +29,7 @@ from hyperalg import (
     default_targets_T2,
     derive_multi_params,
     derive_witness_params,
+    to_json_value,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -76,7 +77,7 @@ CLASSIFY = {
 
 
 def _classify_report(name):
-    return json.dumps(classify(CLASSIFY[name]).to_dict(), sort_keys=True, indent=2)
+    return json.dumps(to_json_value(classify(CLASSIFY[name])), sort_keys=True, indent=2)
 
 
 def assert_matches(got, want, path="$"):

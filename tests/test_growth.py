@@ -21,8 +21,6 @@ from hyperalg import (
     find_arith_progression,
     find_convex_ray,
     first_ray_below_one,
-    indicator,
-    max_modulus,
     ray_below_one,
     scan_ray,
 )
@@ -30,6 +28,7 @@ from hyperalg import growth
 from hyperalg.errors import EvaluationRangeError, HypothesisError
 from hyperalg.growth import MODULUS_MARGIN, PROGRESSION_DIRECTIONS
 from hyperalg.symbols import eval_symbol_array, eval_symbol_masked
+from reference import indicator, max_modulus
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
 
@@ -66,6 +65,16 @@ class TestOrderType:
         lines = est.to_csv().strip().splitlines()
         assert lines[0] == "r,log_max_modulus"
         assert len(lines) == 1 + len(est.samples)
+
+    def test_csv_bytes(self):
+        est = growth.GrowthEstimate(
+            1.0, 1.0, (1.0, 2.0), 0.0, False, ((1.0, 0.5), (2.0, 1.75))
+        )
+        assert est.to_csv().encode() == (
+            b"r,log_max_modulus\r\n1.0,0.5\r\n2.0,1.75\r\n"
+        )
+        scan = growth.RayScan(0.5, (0.25, 1.0), (0.75, 2.5))
+        assert scan.to_csv().encode() == b"t,modulus\r\n0.25,0.75\r\n1.0,2.5\r\n"
 
 
 class TestRays:

@@ -1,6 +1,8 @@
 """Symbol evaluation, contour derivatives and serialization."""
 
 import cmath
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,7 +20,7 @@ from hyperalg import (
     eval_symbol,
     eval_symbol_array,
     symbol_from_dict,
-    symbol_to_dict,
+    to_json_value,
     to_taylor,
 )
 from hyperalg.errors import EvaluationRangeError
@@ -273,7 +275,46 @@ class TestSerialization:
         ],
     )
     def test_round_trip(self, spec):
-        assert symbol_from_dict(symbol_to_dict(spec)) == spec
+        assert symbol_from_dict(to_json_value(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "spec, text",
+        [
+            (
+                CatalogSymbol("exp-poly", a=0.5, poly=(1, 1j), scale=2.0),
+                '{"a": [0.5, 0.0], "kind": "catalog", "name": "exp-poly", '
+                '"poly": [[1.0, 0.0], [0.0, 1.0]], "scale": [2.0, 0.0]}',
+            ),
+            (
+                ExpPolySymbol(ExpPoly.of([(1.0, 1j), (2.0, -1j)])),
+                '{"kind": "exppoly", '
+                '"terms": [[[2.0, 0.0], [-0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]]]}',
+            ),
+            (
+                PolyTimesExp(poly=(1, 0.5), a=1, b=0.25j),
+                '{"a": [1.0, 0.0], "b": [0.0, 0.25], "kind": "poly-times-exp", '
+                '"poly": [[1.0, 0.0], [0.5, 0.0]]}',
+            ),
+            (
+                HadamardTrunc(a=1, b=0, zeros=(1 + 0j, -2j), genus=1, truncation=2),
+                '{"a": [1.0, 0.0], "b": [0.0, 0.0], "genus": 1, "kind": "hadamard", '
+                '"truncation": 2, "zeros": [[1.0, 0.0], [-0.0, -2.0]]}',
+            ),
+        ],
+        ids=["catalog", "exppoly", "poly-times-exp", "hadamard"],
+    )
+    def test_json_of_each_kind(self, spec, text):
+        assert json.dumps(to_json_value(spec), sort_keys=True) == text
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("genus", 0.5), ("genus", 1.0), ("genus", True), ("truncation", 3.7)],
+    )
+    def test_non_integer_hadamard_field_rejected(self, field, value):
+        zeros = (1 + 0j, -2j, 3 + 0j, -4j)
+        raw = to_json_value(HadamardTrunc(1, 0, zeros, genus=1, truncation=3))
+        with pytest.raises(TypeError, match="expected an integer"):
+            symbol_from_dict({**raw, field: value})
 
     def test_null_optional_fields_use_defaults(self):
         spec = symbol_from_dict(
@@ -303,3 +344,55 @@ class TestCatalogZeros:
     def test_zero_free_entries(self):
         assert catalog_zeros(CatalogSymbol("exp", a=1), 4) == ()
         assert catalog_zeros(CatalogSymbol("exp-quadratic"), 4) == ()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    z: complex
+    n: int
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    f: ExpPoly
+    table: dict
+
+
+class TestToJsonValue:
+    """One rule per kind of value; JSON data comes back unchanged."""
+
+    def test_plain_values_unchanged(self):
+        for value in (None, "s", 3, 2.5, True, -0.0):
+            assert to_json_value(value) is value
+
+    def test_complex_is_a_pair(self):
+        assert to_json_value(1.5 - 2j) == [1.5, -2.0]
+
+    def test_numpy_scalars_become_python_values(self):
+        values = [np.float64(0.5), np.int64(3), np.bool_(True), np.complex128(1j)]
+        got = to_json_value(values)
+        assert got == [0.5, 3, True, [0.0, 1.0]]
+        assert [type(v) for v in got[:3]] == [float, int, bool]
+
+    def test_exppoly_is_its_terms(self):
+        f = ExpPoly.of([(2.0, 0.5j), (1j, -1.0)])
+        assert to_json_value(f) == [[[0.0, 1.0], [-1.0, 0.0]], [[2.0, 0.0], [0.0, 0.5]]]
+        assert to_json_value(ExpPoly.zero()) == []
+
+    def test_tuple_keys_are_joined_with_commas(self):
+        assert to_json_value({(1, 0): 1j, (2,): None, 3: "x", "k": ()}) == {
+            "1,0": [0.0, 1.0], "2": None, "3": "x", "k": []
+        }
+
+    def test_nested_dataclass_is_its_fields(self):
+        value = _Outer(_Inner(2j, 4), ExpPoly.one(), {(0, 1): (1 + 0j,)})
+        assert to_json_value(value) == {
+            "inner": {"z": [0.0, 2.0], "n": 4},
+            "f": [[[1.0, 0.0], [0.0, 0.0]]],
+            "table": {"0,1": [[1.0, 0.0]]},
+        }
+
+    def test_json_data_is_a_fixed_point(self):
+        data = to_json_value(_Outer(_Inner(2j, 4), ExpPoly.one(), {(0, 1): (1 + 0j,)}))
+        assert to_json_value(data) == data

@@ -16,7 +16,6 @@ from hyperalg import (
     ExponentSet,
     PolyTimesExp,
     WitnessReport,
-    apply_symbol_power,
     construct_witness_T2,
     construct_witness_multi,
     default_multi_targets,
@@ -38,6 +37,7 @@ from hyperalg.errors import (
     TargetPlacementError,
     ThetaMarginError,
 )
+from reference import apply_symbol_power, pow_exppoly
 
 QUAD = CatalogSymbol("exp-quadratic")
 
@@ -344,6 +344,10 @@ class TestSingleGenerator:
         assert WitnessReport.from_dict(report.to_dict()).to_json() == report.to_json()
         assert WitnessReport.from_dict(payload).to_json() == report.to_json()
 
+    def test_params_are_written_as_built(self, single_report):
+        written = single_report.to_dict()["params"]
+        assert json.dumps(single_report.params) == json.dumps(written)
+
 
 class TestMultiGenerator:
     A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
@@ -361,7 +365,7 @@ class TestMultiGenerator:
     def test_joint_power_reaches_target(self, multi_report):
         rep, B = multi_report
         f = ExpPoly.one()
-        from hyperalg import mul_exppoly, pow_exppoly
+        from hyperalg import mul_exppoly
 
         beta = rep.beta
         for g, e in zip(rep.generators, beta):
@@ -372,7 +376,7 @@ class TestMultiGenerator:
 
     def test_off_target_powers_go_to_zero(self, multi_report):
         rep, _ = multi_report
-        from hyperalg import mul_exppoly, pow_exppoly
+        from hyperalg import mul_exppoly
 
         grid = DiskGrid(radius=3.0)
         for alpha in rep.exponents:
@@ -394,6 +398,28 @@ class TestMultiGenerator:
         assert WitnessReport.from_dict(rep.to_dict()).to_json() == rep.to_json()
         payload = json.loads(rep.to_json())
         assert WitnessReport.from_dict(payload).to_json() == rep.to_json()
+
+    def test_params_are_written_as_built(self, multi_report):
+        rep, _ = multi_report
+        assert json.dumps(rep.params) == json.dumps(rep.to_dict()["params"])
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"q": 512.9},
+            {"q": 512.0},
+            {"q": True},
+            {"m": 2.0},
+            {"exponents": [[1.9, 0], [0, 1.2]]},
+            {"exponents": [[1.0, 0.0], [0.0, 1.0]]},
+        ],
+        ids=["q-fraction", "q-float", "q-bool", "m-float", "exponents-fraction",
+             "exponents-float"],
+    )
+    def test_non_integer_fields_rejected(self, multi_report, fields):
+        rep, _ = multi_report
+        with pytest.raises(TypeError, match="expected an integer"):
+            WitnessReport.from_dict({**rep.to_dict(), **fields})
 
     def test_coefficient_overflow_is_an_iteration_limit(self):
         # K_beta = 60, so n**K_beta leaves the double range at n = 2**18
