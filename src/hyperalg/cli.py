@@ -26,6 +26,7 @@ from .exppoly import GRID_RADIUS, DiskGrid
 from .growth import estimate_order_type, scan_ray
 from .symbols import (
     CatalogSymbol,
+    _csv_text,
     complex_from_json,
     derivs_at_zero,
     exppoly_from_json,
@@ -276,9 +277,7 @@ def run(config: dict) -> dict:
     else:  # pragma: no cover - schema forbids it
         raise ConfigError(f"unknown command {command!r}")
     if command in ("witness", "witness-multi"):
-        side_files["trace.csv"] = "q,residual\n" + "".join(
-            f"{q},{r!r}\n" for q, r in report.trace
-        )
+        side_files["trace.csv"] = _csv_text(["q", "residual"], report.trace)
         outcome = {"witness": report}
     outcome = to_json_value(outcome)
 

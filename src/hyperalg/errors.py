@@ -35,7 +35,10 @@ class TargetPlacementError(HypothesisError):
 
 
 class ThetaMarginError(HyperalgError):
-    """A non-survivor lattice tuple has a contraction ratio too close to 1."""
+    """Counted expansion terms whose bound stays above the tolerance at every
+    iterate count up to the cap, so that no doubling could finish.  Each of
+    ``entries`` names one term (``alpha, u, v, theta, case``) with its
+    smallest bound ``bound`` and the iterate count ``n`` where it occurs."""
 
     def __init__(self, message, entries=None):
         super().__init__(message)

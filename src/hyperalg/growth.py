@@ -178,7 +178,7 @@ def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
 def scan_ray(spec: SymbolSpec, theta: float, t_grid) -> RayScan:
     ts = np.asarray([float(t) for t in t_grid], dtype=float)
     vals = eval_symbol_array(spec, ts * cmath.exp(1j * theta))
-    return RayScan(float(theta), tuple(ts), tuple(float(a) for a in np.abs(vals)))
+    return RayScan(float(theta), tuple(ts.tolist()), tuple(np.abs(vals).tolist()))
 
 
 def _top_rate(scan: RayScan) -> float:

@@ -393,9 +393,9 @@ def to_json_value(value):
 
 
 def _csv_text(header, rows) -> str:
-    """A CSV table (CRLF line ends) with every value written as its repr."""
+    """A CSV table (LF line ends) with every value written as its repr."""
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([repr(x) for x in row] for row in rows)
     return buf.getvalue()

@@ -15,13 +15,12 @@ powers near zero.  Two constructions are provided:
 
 Both run on one engine.  The single generator is the multi-generator scheme
 with one generator, monomials f, ..., f^m, beta = (m,) and K_beta = 0.  Each
-construction lists the terms of its expansion once, in a table that holds
-everything that does not depend on the iterate count N: frequency,
-contraction ratio Theta, decay case, log|phi(freq)|, log weight and the power
-of 1/N.  The engine, :func:`_double_until`, doubles N, solves the survivor
-coefficients, measures every monomial's residual and sums the term bounds,
-all through one log-magnitude formula that also fills the report's Theta
-table.
+construction lists the terms of its expansion once, as keys.  The engine,
+:func:`_double_until`, evaluates one log-magnitude formula for every term at
+every iterate count N of the doubling grid, in one table; the table admits
+the terms, gives the bound sum at each N and fills the report's Theta table.
+Then N doubles, and at each N the engine solves the survivor coefficients
+and measures every monomial's residual.
 
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
@@ -35,7 +34,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -67,10 +65,6 @@ from .dynamics import _DiagonalResidual, _monomials
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
-
-#: Non-survivor contraction ratios must stay below 1 by this much (unless
-#: the tuple decays through an explicit negative power of the iterate count).
-THETA_MARGIN = 1e-4
 
 #: Total degree cap for the multinomial weight computation.
 GAMMA_DEGREE_CAP = 64
@@ -321,23 +315,6 @@ class WitnessParams:
 # ---------------------------------------------------------------------------
 
 
-class _Term(NamedTuple):
-    """One expansion tuple with everything about it that does not depend on
-    the iterate count N."""
-
-    u: tuple
-    v: tuple
-    ell: tuple
-    alpha: tuple
-    case: int
-    counted: bool  # False for the survivors that carry the target
-    freq: complex
-    theta: float
-    log_phi: float  # log|phi(freq)|
-    log_weight: float  # log multinomial count + sum u log|seed coefficient|
-    ell_weight: float  # the term carries the factor N**-ell_weight
-
-
 def _double_until(
     spec, m, seeds, target, keys, targets, grid, epsilon, n_max,
     perm=(0,), k=(1.0,), K_beta=0,
@@ -357,9 +334,9 @@ def _double_until(
     is the bound sum of the counted terms.
 
     Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
-    Raises ThetaMarginError first when a counted term neither contracts nor
-    decays in N, and IterationLimitError, with the trace so far, when N
-    passes ``n_max`` or the coefficients overflow.
+    Raises ThetaMarginError first when the bound of a counted term stays
+    above epsilon at every N <= ``n_max``, and IterationLimitError, with the
+    trace so far, when N passes ``n_max`` or the coefficients overflow.
     """
     b = [c for c, _ in target.terms]
     gammas = [f / m for _, f in target.terms]
@@ -379,10 +356,10 @@ def _double_until(
         ) + sum(vj * g for vj, g in zip(v, gammas))
         for u, v, *_ in keys
     ]
-    terms = []
-    violations = []
-    for key, freq, phi_val in zip(keys, freqs, eval_symbol_array(spec, freqs).tolist()):
-        u, v, ell, alpha, case, counted = key
+    # per key: its contraction ratio, and the parts of its log-magnitude
+    # that do not depend on N
+    thetas, logs = [], []
+    for (u, v, ell, *_), phi_val in zip(keys, eval_symbol_array(spec, freqs).tolist()):
         log_phi, theta = _contraction(phi_val, v, phi_surv, m)
         count = math.prod(  # of each generator's power, seeds aside
             multinomial_gamma(row, w, ())
@@ -393,29 +370,53 @@ def _double_until(
             for uij, (a, _) in zip(row, s.terms):
                 if uij:
                     log_weight += uij * math.log(abs(a))
-        ell_weight = sum(ki * e for ki, e in zip(k[1:], ell))
-        terms.append(_Term(*key, freq, theta, log_phi, log_weight, ell_weight))
-        n_exp = (sum(v) / m) * K_beta - ell_weight
-        if counted and theta > 1 - THETA_MARGIN and not (
-            theta <= 1 + 1e-12 and n_exp < 0
-        ):
-            violations.append(
-                {"alpha": alpha, "u": u, "v": v, "theta": theta, "case": case}
-            )
+        thetas.append(theta)
+        logs.append((log_weight, log_phi, sum(ki * e for ki, e in zip(k[1:], ell))))
+
+    # the one term magnitude, a row per term and a column per N of the
+    # doubling grid, for admission, the bound sum and the Theta table:
+    # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
+    ns = [2**i for i in range(3, int(n_max).bit_length())]
+    n_grid, log_n = np.array(ns), np.log(ns)  # np.log = math.log at powers of 2
+    log_weight, log_phi, ell_weight = np.array(logs, dtype=float).T[:, :, None]
+    log_mag = np.tile(log_weight, len(ns))
+    vs = np.array([v for _, v, *_ in keys])
+    for j, (bj, pv) in enumerate(zip(b, phi_surv)):
+        log_c = (math.log(abs(bj)) + K_beta * log_n - n_grid * math.log(abs(pv))) / m
+        rows = vs[:, j] != 0  # each term adds its v_j log c_j in order of j
+        log_mag[rows] += vs[rows, j][:, None] * log_c
+    log_mag = log_mag + n_grid * log_phi - ell_weight * log_n
+    # Python's abs, not np.abs: the two round some moduli differently
+    log_bound = log_mag + grid.radius * np.array([abs(f) for f in freqs])[:, None]
+
+    # a counted term whose bound stays above epsilon at every N keeps the
+    # bound sum above epsilon too, so no doubling could finish
+    violations = []
+    counted = [i for i, key in enumerate(keys) if key[5]]
+    if ns:  # an empty grid is left to the iterate cap
+        at = log_bound.argmin(axis=1).tolist()
+        lowest = np.minimum(log_bound.min(axis=1), 700.0).tolist()
+        for i in counted:
+            bound = math.exp(lowest[i])
+            if bound > epsilon:
+                u, v, _, alpha, case, _ = keys[i]
+                violations.append(dict(
+                    alpha=alpha, u=u, v=v, theta=thetas[i], case=case,
+                    bound=bound, n=ns[at[i]],
+                ))
     if violations:
         raise ThetaMarginError(
-            f"{len(violations)} expansion tuples neither contract nor decay",
-            entries=violations,
+            f"{len(violations)} expansion tuples stay above epsilon at every "
+            f"N <= {n_max}", entries=violations,
         )
 
-    R = grid.radius
     # phi at a monomial's frequencies does not depend on N: one plan each
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
     plans = [_DiagonalResidual(spec, tgt, grid) for tgt in targets.values()]
+    counted_bounds = np.minimum(log_bound[counted], 700.0)
     trace: list[tuple[int, float]] = []
-    N = 8
-    while N <= n_max:
+    for col, N in enumerate(ns):
         try:
             c = [solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)]
         except OverflowError:
@@ -430,27 +431,11 @@ def _double_until(
             name: plan(power, N) for name, plan, power in zip(names, plans, powers)
         }
         trace.append((N, max(residuals.values())))
-
-        # the one term magnitude, for the bound sum and the Theta table:
-        # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
-        log_c = [
-            (math.log(abs(bj)) + K_beta * math.log(N) - N * math.log(abs(pv))) / m
-            for bj, pv in zip(b, phi_surv)
-        ]
-        log_mags = []
-        for t in terms:
-            log_x = t.log_weight
-            for vj, lc in zip(t.v, log_c):
-                if vj:
-                    log_x += vj * lc
-            log_mags.append(log_x + N * t.log_phi - t.ell_weight * math.log(N))
-        bound_sum = 0.0
-        for t, log_x in zip(terms, log_mags):
-            if t.counted:
-                bound_sum += math.exp(min(log_x + abs(t.freq) * R, 700.0))
+        bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
+        for x in counted_bounds[:, col].tolist():
+            bound_sum += math.exp(x)
         if trace[-1][1] <= epsilon and bound_sum <= epsilon:
             break
-        N *= 2
     else:
         raise IterationLimitError(
             f"residual target {epsilon} not met by N = {n_max}", trace=trace
@@ -459,11 +444,12 @@ def _double_until(
     generators = [gens[perm.index(i)] for i in range(len(gens))]
     theta_table = tuple(
         ThetaEntry(
-            t.u, t.v, t.ell, t.alpha, t.theta, t.case,
-            magnitude=math.exp(min(log_x, 700.0)),
-            bound=math.exp(min(log_x + abs(t.freq) * R, 700.0)),
+            u, v, ell, alpha, theta, case,
+            magnitude=math.exp(min(lm, 700.0)), bound=math.exp(min(lb, 700.0)),
         )
-        for t, log_x in zip(terms, log_mags)
+        for (u, v, ell, alpha, case, _), theta, lm, lb in zip(
+            keys, thetas, log_mag[:, col].tolist(), log_bound[:, col].tolist()
+        )
     )
     survivor_values = [
         cj**m
@@ -582,7 +568,6 @@ def derive_witness_params(spec: SymbolSpec, m: int) -> WitnessParams:
         margins={
             "progression_worst_modulus": progression_worst,
             "modulus": MODULUS_MARGIN,
-            "theta": THETA_MARGIN,
         },
     )
 
@@ -828,7 +813,7 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
         d_A=d_A,
         m=m,
         same_ray=same_ray,
-        margins={"modulus": MODULUS_MARGIN, "theta": THETA_MARGIN},
+        margins={"modulus": MODULUS_MARGIN},
     )
 
 
@@ -930,6 +915,7 @@ def construct_witness_multi(
             "survivor_values": survivor_values,
             "target": B,
             "seeds": seeds_perm,
+            "N_max": n_max,
             "grid": grid.to_dict(),
             "epsilon": epsilon,
         }),

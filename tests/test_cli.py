@@ -126,6 +126,16 @@ class TestPipelines:
         report = read_report(tmp_path, "analyze")
         assert report["outcome"]["growth"]["order"] == pytest.approx(1.0, abs=0.05)
 
+    def test_ray_csv_holds_plain_floats(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"command": "analyze", "symbol": {"kind": "catalog", "name": "cos"}},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "analyze-ray-0.csv").read_text().splitlines()
+        assert rows[0] == "t,modulus"
+        assert rows[1].startswith("0.25,")  # not np.float64(0.25)
+
     def test_witness_then_verify_round_trip(self, tmp_path):
         w_path = write_config(
             tmp_path, {"command": "witness", "symbol": QUAD, "m": 2}, "w.json"

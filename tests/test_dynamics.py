@@ -544,7 +544,7 @@ class TestOrbitTrace:
 
     def test_csv_bytes(self):
         trace = OrbitTrace(((8, 0.5), (16, 0.1)), "t", GRID)
-        assert trace.to_csv().encode() == b"q,residual\r\n8,0.5\r\n16,0.1\r\n"
+        assert trace.to_csv().encode() == b"q,residual\n8,0.5\n16,0.1\n"
 
 
 class TestDiagonalResidual:

@@ -71,10 +71,10 @@ class TestOrderType:
             1.0, 1.0, (1.0, 2.0), 0.0, False, ((1.0, 0.5), (2.0, 1.75))
         )
         assert est.to_csv().encode() == (
-            b"r,log_max_modulus\r\n1.0,0.5\r\n2.0,1.75\r\n"
+            b"r,log_max_modulus\n1.0,0.5\n2.0,1.75\n"
         )
         scan = growth.RayScan(0.5, (0.25, 1.0), (0.75, 2.5))
-        assert scan.to_csv().encode() == b"t,modulus\r\n0.25,0.75\r\n1.0,2.5\r\n"
+        assert scan.to_csv().encode() == b"t,modulus\n0.25,0.75\n1.0,2.5\n"
 
 
 class TestRays:

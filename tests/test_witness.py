@@ -1,6 +1,7 @@
 """Witness construction: coefficient equation, lattice bookkeeping and the
 single- and multi-generator pipelines on fast configurations."""
 
+import itertools
 import json
 import math
 
@@ -235,6 +236,24 @@ def multi_report():
     return construct_witness_multi(QUAD, A, B, seeds, params=multi_params), B
 
 
+@pytest.fixture
+def no_doubling(monkeypatch):
+    """Fails a build that reaches its first doubling step."""
+
+    def refuse(*args):
+        raise AssertionError("the doubling started")
+
+    monkeypatch.setattr(witness, "_monomials", refuse)
+
+
+def lattice(n_gen, d):
+    """Every nonzero exponent tuple of ``n_gen`` generators of total <= d."""
+    return [
+        a for a in itertools.product(range(d + 1), repeat=n_gen)
+        if 0 < sum(a) <= d
+    ]
+
+
 class TestSingleGenerator:
 
     def test_progression_memberships(self, params):
@@ -319,21 +338,35 @@ class TestSingleGenerator:
         assert max(report.residuals.values()) <= 1e-8
         assert report.bound_sum <= 1e-8
 
-    def test_theta_margin_entries_share_the_multi_shape(self, params):
-        # three default targets: two survivor-mixing tuples of f^2 sit at
-        # Theta = 0.99990, inside the margin
-        seed, target = default_targets_T2(params, p=3)
+    def test_term_above_epsilon_at_every_n_is_rejected_up_front(
+        self, params, no_doubling
+    ):
+        # capped at N = 64, the pure survivor power of f (u = 0, v = (1,))
+        # is smallest at the cap and still about 0.95
+        seed, target = default_targets_T2(params)
         with pytest.raises(ThetaMarginError) as info:
+            construct_witness_T2(QUAD, 2, seed, target, N_max=64, params=params)
+        [entry] = info.value.entries
+        assert set(entry) == {"alpha", "u", "v", "theta", "case", "bound", "n"}
+        assert entry["alpha"] == (1,)
+        assert entry["u"] == ((0,),)
+        assert entry["v"] == (1,)
+        assert entry["theta"] == pytest.approx(0.99646, abs=1e-5)
+        assert entry["case"] == 3
+        assert entry["bound"] == pytest.approx(0.953, abs=1e-3)
+        assert entry["n"] == 64
+
+    def test_three_targets_reach_the_iterate_cap(self, params):
+        # every term is admitted; the residual falls to 0.23 at N = 2**15,
+        # then the coefficient products underflow and it rises again
+        seed, target = default_targets_T2(params, p=3)
+        with pytest.raises(IterationLimitError) as info:
             construct_witness_T2(QUAD, 2, seed, target, params=params)
-        entries = info.value.entries
-        assert len(entries) == 2
-        for entry in entries:
-            assert set(entry) == {"alpha", "u", "v", "theta", "case"}
-            assert entry["alpha"] == (2,)
-            assert entry["u"] == ((0, 0, 0),)
-            assert sorted(entry["v"]) == [0, 1, 1]
-            assert entry["theta"] == pytest.approx(0.9999, abs=1e-5)
-            assert entry["case"] == 1
+        trace = info.value.trace
+        assert [q for q, _ in trace] == [2**j for j in range(3, 21)]
+        q_best, r_best = min(trace, key=lambda row: row[1])
+        assert q_best == 2**15 and r_best == pytest.approx(0.228, abs=1e-3)
+        assert trace[-1][1] == pytest.approx(4.29, abs=0.01)
 
     def test_report_serializes(self, params):
         seed, target = default_targets_T2(params)
@@ -420,6 +453,35 @@ class TestMultiGenerator:
         rep, _ = multi_report
         with pytest.raises(TypeError, match="expected an integer"):
             WitnessReport.from_dict({**rep.to_dict(), **fields})
+
+    def test_report_records_the_iterate_cap(self, multi_report):
+        rep, _ = multi_report
+        assert rep.params["N_max"] == witness.N_MAX_DEFAULT
+
+    @pytest.mark.parametrize("name", ["exp-quadratic", "cos"])
+    def test_degree_six_is_rejected_up_front(self, name, no_doubling):
+        # the pure survivor powers contract too slowly to pass 1e-5 by 2**20
+        spec, A = CatalogSymbol(name), ExponentSet.of(lattice(1, 6))
+        params = derive_multi_params(spec, A)
+        B, seeds = default_multi_targets(params, 1)
+        with pytest.raises(ThetaMarginError) as info:
+            construct_witness_multi(spec, A, B, seeds, params=params)
+        assert info.value.entries
+        for entry in info.value.entries:
+            assert entry["bound"] > 1e-5
+            assert entry["u"] == ((0,),) and entry["v"] == entry["alpha"]
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @pytest.mark.parametrize("n_gen", [1, 2])
+    @pytest.mark.parametrize("name", ["exp-quadratic", "cos", "sinc-pi"])
+    def test_lattices_up_to_degree_five_verify(self, name, n_gen, d):
+        spec, A = CatalogSymbol(name), ExponentSet.of(lattice(n_gen, d))
+        params = derive_multi_params(spec, A)
+        B, seeds = default_multi_targets(params, n_gen)
+        rep = construct_witness_multi(spec, A, B, seeds, params=params)
+        assert max(rep.residuals.values()) <= 1e-5 and rep.bound_sum <= 1e-5
+        passed, _ = verify_witness(spec, rep, DiskGrid(), 1e-5)
+        assert passed
 
     def test_coefficient_overflow_is_an_iteration_limit(self):
         # K_beta = 60, so n**K_beta leaves the double range at n = 2**18
