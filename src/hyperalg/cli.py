@@ -80,7 +80,8 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "epsilon": {"type": "number", "exclusiveMinimum": 0},
         "m": {"type": "integer", "minimum": 2},
-        "n_max": {"type": "integer", "minimum": 8},
+        # a 64-bit iterate cap: the doubling grid has one column per power of 2
+        "n_max": {"type": "integer", "minimum": 8, "maximum": 2**62},
         "grid": {
             "type": "object",
             "additionalProperties": False,

@@ -377,17 +377,19 @@ def _double_until(
     # doubling grid, for admission, the bound sum and the Theta table:
     # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
     ns = [2**i for i in range(3, int(n_max).bit_length())]
-    n_grid, log_n = np.array(ns), np.log(ns)  # np.log = math.log at powers of 2
+    n_grid = np.array(ns, dtype=float)  # exact: every N is a power of 2
+    log_n = np.log(n_grid)  # np.log = math.log at powers of 2
     log_weight, log_phi, ell_weight = np.array(logs, dtype=float).T[:, :, None]
     log_mag = np.tile(log_weight, len(ns))
     vs = np.array([v for _, v, *_ in keys])
     for j, (bj, pv) in enumerate(zip(b, phi_surv)):
+        # in order of j; a term with v_j = 0 adds an exact 0 (log c_j is finite)
         log_c = (math.log(abs(bj)) + K_beta * log_n - n_grid * math.log(abs(pv))) / m
-        rows = vs[:, j] != 0  # each term adds its v_j log c_j in order of j
-        log_mag[rows] += vs[rows, j][:, None] * log_c
+        log_mag += vs[:, j, None] * log_c
     log_mag = log_mag + n_grid * log_phi - ell_weight * log_n
     # Python's abs, not np.abs: the two round some moduli differently
     log_bound = log_mag + grid.radius * np.array([abs(f) for f in freqs])[:, None]
+    log_mag, log_bound = np.minimum(log_mag, 700.0), np.minimum(log_bound, 700.0)
 
     # a counted term whose bound stays above epsilon at every N keeps the
     # bound sum above epsilon too, so no doubling could finish
@@ -395,7 +397,7 @@ def _double_until(
     counted = [i for i, key in enumerate(keys) if key[5]]
     if ns:  # an empty grid is left to the iterate cap
         at = log_bound.argmin(axis=1).tolist()
-        lowest = np.minimum(log_bound.min(axis=1), 700.0).tolist()
+        lowest = log_bound.min(axis=1).tolist()
         for i in counted:
             bound = math.exp(lowest[i])
             if bound > epsilon:
@@ -414,7 +416,7 @@ def _double_until(
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
     plans = [_DiagonalResidual(spec, tgt, grid) for tgt in targets.values()]
-    counted_bounds = np.minimum(log_bound[counted], 700.0)
+    counted_bounds = log_bound[counted]
     trace: list[tuple[int, float]] = []
     for col, N in enumerate(ns):
         try:
@@ -445,7 +447,7 @@ def _double_until(
     theta_table = tuple(
         ThetaEntry(
             u, v, ell, alpha, theta, case,
-            magnitude=math.exp(min(lm, 700.0)), bound=math.exp(min(lb, 700.0)),
+            magnitude=math.exp(lm), bound=math.exp(lb),
         )
         for (u, v, ell, alpha, case, _), theta, lm, lb in zip(
             keys, thetas, log_mag[:, col].tolist(), log_bound[:, col].tolist()

@@ -98,6 +98,13 @@ class TestConfigHandling:
         assert report["config"]["seed"] == 7
         assert report["config"]["epsilon"] == 0.5
 
+    @pytest.mark.parametrize("n_max, code", [(2**62, 0), (2**65, 2)])
+    def test_n_max_is_capped_at_a_64_bit_count(self, tmp_path, n_max, code):
+        path = write_config(
+            tmp_path, {"command": "witness", "symbol": QUAD, "m": 2, "n_max": n_max}
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == code
+
     def test_schema_rejects_nonpositive_epsilon(self):
         import jsonschema
 
