@@ -11,6 +11,7 @@ the convergence of the zero-set sums.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,6 @@ from .symbols import (
     CATALOG_COS,
     CATALOG_EXP,
     CATALOG_EXP_POLY,
-    CATALOG_EXP_QUADRATIC,
     CATALOG_SINC_PI,
     CatalogSymbol,
     ExpPolySymbol,
@@ -73,6 +73,15 @@ class Verdict:
             raise ValueError(f"bad confidence {self.confidence!r}")
 
 
+def _zero_list(zeros) -> list[complex]:
+    """``zeros`` as complex numbers, when the list is nonempty and every zero
+    is finite and nonzero; raises ValueError otherwise."""
+    zs = [complex(z) for z in zeros]
+    if not zs or not all(map(cmath.isfinite, zs)) or 0 in zs:
+        raise ValueError("need a nonempty list of finite, nonzero zeros")
+    return zs
+
+
 @dataclass(frozen=True)
 class ZeroSetSummary:
     """Partial sums over a (truncated) zero list, plus a convergence guess.
@@ -94,9 +103,7 @@ class ZeroSetSummary:
 
     @staticmethod
     def from_zeros(zeros) -> "ZeroSetSummary":
-        zs = [complex(z) for z in zeros]
-        if not zs or any(z == 0 for z in zs):
-            raise ValueError("need a nonempty list of nonzero zeros")
+        zs = _zero_list(zeros)
         mags = sorted(abs(z) for z in zs)
         s1 = sum(1 / z for z in zs)
         s2 = sum(1 / (z * z) for z in zs)
@@ -144,42 +151,28 @@ def _structural_poly_exp(spec: SymbolSpec) -> PolyTimesExp | None:
     return None
 
 
-def _structurally_zero_free(spec: SymbolSpec) -> bool:
-    pe = _structural_poly_exp(spec)
-    if pe is not None:
-        return len(pe.poly) == 1
-    if isinstance(spec, ExpPolySymbol):
-        return len(spec.poly.terms) == 1
+def _structural_zeros(spec: SymbolSpec, pe: PolyTimesExp | None):
+    """The zeros phi has, as far as its structure tells (``()`` when it is
+    zero-free), or None when the structure gives no zero list."""
     if isinstance(spec, HadamardTrunc):
-        return len(spec.zeros) == 0
+        return spec.zeros[: spec.truncation]  # the factors phi multiplies
     if isinstance(spec, CatalogSymbol):
-        return spec.name == CATALOG_EXP_QUADRATIC
-    return False
+        return catalog_zeros(spec, 400)
+    if (pe is not None and len(pe.poly) == 1) or (
+        isinstance(spec, ExpPolySymbol) and len(spec.poly.terms) == 1
+    ):
+        return ()
+    return None
 
 
-def _exponent_slope(spec: SymbolSpec) -> complex | None:
+def _exponent_slope(spec: SymbolSpec, pe: PolyTimesExp | None) -> complex | None:
     """The linear exponent of the Hadamard form, when structure provides it."""
     if isinstance(spec, HadamardTrunc):
         return spec.a
-    pe = _structural_poly_exp(spec)
     if pe is not None:
         return pe.a
     if isinstance(spec, CatalogSymbol) and spec.name in (CATALOG_COS, CATALOG_SINC_PI):
         return 0j  # even functions: no linear exponent in the product form
-    return None
-
-
-def _zero_summary(spec: SymbolSpec, zeros) -> ZeroSetSummary | None:
-    if zeros is not None:
-        if isinstance(zeros, ZeroSetSummary):
-            return zeros
-        return ZeroSetSummary.from_zeros(zeros)
-    if isinstance(spec, HadamardTrunc) and spec.zeros:
-        return ZeroSetSummary.from_zeros(spec.zeros)
-    if isinstance(spec, CatalogSymbol):
-        known = catalog_zeros(spec, 400)
-        if known:
-            return ZeroSetSummary.from_zeros(known)
     return None
 
 
@@ -196,16 +189,9 @@ def check_T2(spec: SymbolSpec) -> dict:
     margin = abs(derivs[2] * derivs[0] - derivs[1] ** 2)
     steps = find_arith_progression(spec, M_MAX)
     progressions = {m: steps[m] for m in range(2, M_MAX + 1)}
-    passed = margin > COEFF_MARGIN and all(
-        a is not None for a in progressions.values()
-    )
+    passed = margin > COEFF_MARGIN and None not in progressions.values()
     return {
-        "phi0": phi0,
-        "derivs": list(derivs),
-        "second_deriv_margin": margin,
-        "progressions": progressions,
-        "m_max": M_MAX,
-        "passed": passed,
+        "second_deriv_margin": margin, "progressions": progressions, "passed": passed
     }
 
 
@@ -213,7 +199,7 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
     """Runs the decision tree and returns the first verdict it can defend."""
     evidence: dict = {}
 
-    growth = estimate_order_type(spec, r_grid or _DEFAULT_R_GRID)
+    growth = estimate_order_type(spec, _DEFAULT_R_GRID if r_grid is None else r_grid)
     evidence["growth"] = growth.summary()
     subexp = growth.degenerate or growth.order < 0.9 or (
         abs(growth.order - 1.0) <= 0.2 and growth.type_ < 0.05
@@ -232,11 +218,12 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
         # below (only moduli and the curvature margin are consulted)
         evidence["rotation"] = phi0
 
-    if _structurally_zero_free(spec):
+    pe = _structural_poly_exp(spec)
+    structural = _structural_zeros(spec, pe)
+    if structural == ():
         return Verdict(NO_ALGEBRA, "zero-free", evidence, "exact")
 
-    pe = _structural_poly_exp(spec)
-    if pe is not None and len(pe.poly) > 1 and pe.a != 0:
+    if pe is not None and pe.a != 0:
         a1 = pe.poly[1]
         a2 = pe.poly[2] if len(pe.poly) > 2 else 0j
         ratio = a1 / pe.a
@@ -244,18 +231,16 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
         if abs(ratio.imag) > COEFF_MARGIN or abs(2 * a2 - a1 * a1) > COEFF_MARGIN:
             return Verdict(HAS_ALGEBRA, "poly-times-exp", evidence, "exact")
 
-    summary = _zero_summary(spec, zeros)
-    slope = _exponent_slope(spec)
-    if summary is not None:
+    # a caller's list is checked even when empty: from_zeros rejects that
+    listed = structural if zeros is None else zeros
+    if listed is not None:
+        summary = ZeroSetSummary.from_zeros(listed)
         evidence["zeros"] = to_json_value(summary)
         if abs(summary.s2) > ZERO_SUM_MARGIN:
             if summary.inv_modulus_converges is True:
                 return Verdict(HAS_ALGEBRA, "zeros-summable", evidence, "numerical")
-            if (
-                summary.inv_modulus_converges is False
-                and slope is not None
-                and slope != 0
-            ):
+            slope = _exponent_slope(spec, pe)
+            if summary.inv_modulus_converges is False and slope not in (None, 0):
                 return Verdict(
                     HAS_ALGEBRA, "zeros-divergent-nonzero-slope", evidence, "numerical"
                 )
@@ -264,9 +249,7 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
 
     # |phi(0)| = 1 was checked above, so check_T2 cannot raise
     t2 = check_T2(spec)
-    evidence["curvature-progression"] = {
-        key: t2[key] for key in ("second_deriv_margin", "progressions", "passed")
-    }
+    evidence["curvature-progression"] = t2
     if t2["passed"]:
         return Verdict(HAS_ALGEBRA, "curvature-progression", evidence, "numerical")
 

@@ -19,11 +19,11 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .classify import _DEFAULT_R_GRID, classify
+from .classify import _DEFAULT_R_GRID, _zero_list, classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
-from .exppoly import GRID_RADIUS, DiskGrid
-from .growth import estimate_order_type, scan_ray
+from .exppoly import GRID_RADIUS, DiskGrid, _require_finite
+from .growth import _radius_grid, estimate_order_type, scan_ray
 from .symbols import (
     CatalogSymbol,
     _csv_text,
@@ -157,17 +157,30 @@ def _load_config(args) -> dict:
     return config
 
 
-def _grid(config) -> DiskGrid:
-    return DiskGrid.from_dict(config["grid"]) if "grid" in config else DiskGrid()
-
-
-def _require_symbol(config):
-    if "symbol" not in config:
-        raise ConfigError("this command requires a 'symbol' entry")
-    try:
-        return symbol_from_dict(config["symbol"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad symbol entry: {exc}") from exc
+def _read_values(config) -> dict:
+    """Each structured config value as the object the pipelines take.  The
+    schema admits some values no pipeline can take (a zero exponent tuple, a
+    NaN coefficient, a zero at the origin): reading one raises KeyError,
+    TypeError or ValueError, and that is a config error."""
+    readers = {
+        "symbol": symbol_from_dict,
+        "epsilon": lambda eps: _require_finite(eps, "epsilon").real,
+        "grid": DiskGrid.from_dict,
+        "zeros": lambda raw: _zero_list([complex_from_json(z) for z in raw]),
+        "r_grid": _radius_grid,
+        "seed_terms": exppoly_from_json,
+        "target_terms": exppoly_from_json,
+        "seeds_terms": lambda raw: [exppoly_from_json(t) for t in raw],
+        "exponents": ExponentSet.of,
+    }
+    values = {}
+    for key, read in readers.items():
+        if key in config:
+            try:
+                values[key] = read(config[key])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {key} entry: {exc}") from exc
+    return values
 
 
 def _load_report(path: str) -> WitnessReport:
@@ -191,27 +204,24 @@ def run(config: dict) -> dict:
     warnings: list[str] = []
     side_files: dict[str, str] = {}
     started = time.monotonic()
-    spec = None if command == "catalog" else _require_symbol(config)
-    grid = _grid(config)
+    values = _read_values(config)
+    if command != "catalog" and "symbol" not in values:
+        raise ConfigError("this command requires a 'symbol' entry")
+    spec = values.get("symbol")
+    grid = values.get("grid", DiskGrid())
     n_max = int(config.get("n_max", N_MAX_DEFAULT))
 
     if command == "catalog":
         outcome = {"catalog": catalog_list()}
     elif command == "classify":
-        zeros = (
-            [complex_from_json(z) for z in config["zeros"]]
-            if "zeros" in config
-            else None
-        )
-        verdict = classify(spec, zeros=zeros, r_grid=config.get("r_grid"))
+        verdict = classify(spec, zeros=values.get("zeros"), r_grid=values.get("r_grid"))
         if verdict.confidence == "numerical":
             warnings.append(
                 "verdict rests on sampled growth estimates, not a proof"
             )
         outcome = {"verdict": verdict}
     elif command == "analyze":
-        r_grid = config.get("r_grid") or _DEFAULT_R_GRID
-        growth = estimate_order_type(spec, r_grid)
+        growth = estimate_order_type(spec, values.get("r_grid", _DEFAULT_R_GRID))
         derivs, errs = derivs_at_zero(spec, 6)
         for k in range(8):
             theta = 2 * math.pi * k / 8
@@ -225,15 +235,14 @@ def run(config: dict) -> dict:
         }
     elif command == "witness":
         m = int(config.get("m", 2))
-        epsilon = float(config.get("epsilon", DEFAULT_EPSILON["single"]))
+        epsilon = values.get("epsilon", DEFAULT_EPSILON["single"])
         params = derive_witness_params(spec, m)
-        if "seed_terms" in config or "target_terms" in config:
-            if not ("seed_terms" in config and "target_terms" in config):
+        if "seed_terms" in values or "target_terms" in values:
+            if not ("seed_terms" in values and "target_terms" in values):
                 raise ConfigError(
                     "seed_terms and target_terms must be given together"
                 )
-            seed = exppoly_from_json(config["seed_terms"])
-            target = exppoly_from_json(config["target_terms"])
+            seed, target = values["seed_terms"], values["target_terms"]
         else:
             seed, target = default_targets_T2(params)
             warnings.append("no targets supplied; using auto-placed defaults")
@@ -246,30 +255,25 @@ def run(config: dict) -> dict:
             for e in report.theta_table
         )
     elif command == "witness-multi":
-        if "exponents" not in config:
+        if "exponents" not in values:
             raise ConfigError("witness-multi requires 'exponents'")
-        A = ExponentSet.of(config["exponents"])
-        epsilon = float(config.get("epsilon", DEFAULT_EPSILON["multi"]))
+        A = values["exponents"]
+        epsilon = values.get("epsilon", DEFAULT_EPSILON["multi"])
         params = derive_multi_params(spec, A)
-        if "target_terms" in config:
-            B = exppoly_from_json(config["target_terms"])
+        if "target_terms" in values:
+            B = values["target_terms"]
         else:
             B, _ = default_multi_targets(params, A.n_generators)
             warnings.append("no target supplied; using auto-placed default")
-        seeds = (
-            [exppoly_from_json(t) for t in config["seeds_terms"]]
-            if "seeds_terms" in config
-            else None
-        )
         report = construct_witness_multi(
-            spec, A, B, seeds, epsilon, grid, n_max, params=params
+            spec, A, B, values.get("seeds_terms"), epsilon, grid, n_max, params=params
         )
     elif command == "verify":
         if "report_path" not in config:
             raise ConfigError("verify requires 'report_path'")
         report = _load_report(config["report_path"])
         # the default tolerance of the report's kind, never the report's own number
-        epsilon = float(config.get("epsilon", DEFAULT_EPSILON[report.kind]))
+        epsilon = values.get("epsilon", DEFAULT_EPSILON[report.kind])
         passed, trace = verify_witness(spec, report, grid, epsilon)
         side_files["orbit-trace.csv"] = trace.to_csv()
         outcome = {"verified": passed, "trace": trace.iterates}

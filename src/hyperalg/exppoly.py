@@ -213,7 +213,7 @@ class DiskGrid:
     @staticmethod
     def from_dict(d: dict) -> "DiskGrid":
         return DiskGrid(
-            radius=float(d["radius"]),
+            radius=_require_finite(d["radius"], "grid radius").real,
             samples=int(d.get("samples", 64)),
             circles=int(d.get("circles", 4)),
         )

@@ -140,12 +140,19 @@ def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
             return
 
 
-def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
+def _radius_grid(r_grid) -> list[float]:
+    """``r_grid`` as floats, when it holds >= 8 strictly increasing positive
+    radii; raises ValueError otherwise."""
     r_grid = [float(r) for r in r_grid]
     if len(r_grid) < 8 or r_grid != sorted(set(r_grid)):
         raise ValueError("r_grid must be strictly increasing with >= 8 points")
     if r_grid[0] <= 0:
         raise ValueError("radius must be positive")
+    return r_grid
+
+
+def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
+    r_grid = _radius_grid(r_grid)
     # the window is truncated where evaluation overflows
     pairs = [
         (r, math.log(max(m, LOG_FLOOR)))

@@ -440,7 +440,8 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
 
 def catalog_zeros(spec: CatalogSymbol, count: int) -> tuple[complex, ...] | None:
     """First ``count`` zeros (by modulus, with multiplicity) of a catalog
-    symbol, or None when the symbol is zero-free or has no closed-form list."""
+    symbol: ``()`` when the symbol is zero-free, None when it has no
+    closed-form list."""
     if spec.name == CATALOG_COS:
         base = []
         k = 0

@@ -869,6 +869,8 @@ def construct_witness_multi(
     exps_perm = [tuple(a[i] for i in perm) for a in A.exponents]
     m = params.m
     p = len(B.terms)
+    if B.is_zero:
+        raise TargetPlacementError("target must be nonzero")
 
     if seeds is None:
         _, seeds_perm = default_multi_targets(params, n_gen, p=p)

@@ -85,6 +85,12 @@ class TestCheckT2:
         with pytest.raises(NormalizationError):
             check_T2(ExpPolySymbol(ExpPoly.of([(2.0, 1.0)])))
 
+    def test_returns_only_the_evidence_classify_records(self):
+        result = check_T2(CatalogSymbol("cos"))
+        assert set(result) == {"second_deriv_margin", "progressions", "passed"}
+        verdict = classify(CatalogSymbol("cos"))
+        assert verdict.evidence["curvature-progression"] == result
+
     def test_pure_exponential_has_no_curvature(self):
         result = check_T2(CatalogSymbol("exp", a=1))
         assert result["second_deriv_margin"] < 1e-9
@@ -158,3 +164,63 @@ class TestVerdict:
             Verdict("Maybe", "route", {}, "exact")
         with pytest.raises(ValueError):
             Verdict("Unknown", "route", {}, "guessy")
+
+
+class TestStructuralZeros:
+    """Zero-free means an empty structural zero list, and the zero-set routes
+    read the zeros the symbol multiplies."""
+
+    SQUARES = tuple(complex(n * n) for n in range(1, 100))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # e^z: the product multiplies none of its zeros
+            HadamardTrunc(a=1, b=0, zeros=SQUARES, genus=0, truncation=0),
+            # -e^z, the rotation of CatalogSymbol("exp")
+            CatalogSymbol("exp-poly", a=1, poly=(-1,)),
+        ],
+        ids=["truncation-0-product", "rotated-exp-poly"],
+    )
+    def test_zero_free_symbols(self, spec):
+        verdict = classify(spec)
+        assert (verdict.outcome, verdict.route, verdict.confidence) == (
+            "NoAlgebra",
+            "zero-free",
+            "exact",
+        )
+
+    def test_truncated_product_summarizes_the_zeros_it_multiplies(self):
+        spec = HadamardTrunc(a=1, b=0, zeros=self.SQUARES, genus=0, truncation=30)
+        verdict = classify(spec)
+        assert verdict.route == "zeros-summable"
+        assert verdict.evidence["zeros"]["truncation"] == spec.truncation
+
+    def test_caller_zeros_are_checked_even_when_empty(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            classify(CatalogSymbol("cos"), zeros=[])
+
+    def test_empty_r_grid_is_checked_not_replaced(self):
+        with pytest.raises(ValueError, match=">= 8 points"):
+            classify(CatalogSymbol("cos"), r_grid=[])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CatalogSymbol("cos"),
+            CatalogSymbol("exp-poly", a=1, poly=(1, 1j)),
+            HadamardTrunc(a=1, b=0, zeros=SQUARES, genus=0, truncation=40),
+        ],
+        ids=["cos", "exp-poly", "product"],
+    )
+    def test_structure_is_read_once(self, spec, monkeypatch):
+        calls = []
+        read = classify_module._structural_poly_exp
+
+        def counting(s):
+            calls.append(s)
+            return read(s)
+
+        monkeypatch.setattr(classify_module, "_structural_poly_exp", counting)
+        classify(spec)
+        assert len(calls) == 1

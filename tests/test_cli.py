@@ -13,6 +13,7 @@ from hyperalg.cli import CONFIG_SCHEMA, REPORT_SCHEMA, catalog_list, main, run
 from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
+COS = {"kind": "catalog", "name": "cos"}
 
 #: A well-formed single-generator witness payload (one generator e^{z/2},
 #: q = 8); cases override one field to make it unusable.
@@ -104,6 +105,41 @@ class TestConfigHandling:
             tmp_path, {"command": "witness", "symbol": QUAD, "m": 2, "n_max": n_max}
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == code
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"command": "witness-multi", "exponents": [[0, 0], [1, 0]]},
+            {"command": "witness-multi", "exponents": [[1], [1, 0]]},
+            {
+                "command": "witness",
+                "seed_terms": [[[float("nan"), 0.0], [0.1, 0.0]]],
+                "target_terms": [[[1.0, 0.0], [0.1, 0.0]]],
+            },
+            {"command": "classify", "zeros": []},
+            {"command": "classify", "zeros": [[0.0, 0.0]]},
+            {"command": "classify", "r_grid": [1.0, 2.0, 3.0]},
+            {"command": "analyze", "r_grid": [0.0, 1, 2, 3, 4, 5, 6, 7]},
+            {"command": "witness", "epsilon": float("nan")},
+            {"command": "witness", "grid": {"radius": float("inf")}},
+        ],
+        ids=[
+            "zero-exponent-tuple",
+            "mixed-exponent-lengths",
+            "nan-seed-coefficient",
+            "empty-zeros",
+            "zero-at-origin",
+            "short-r-grid",
+            "nonpositive-radius",
+            "nan-epsilon",
+            "infinite-grid-radius",
+        ],
+    )
+    def test_malformed_value_is_a_config_error(self, tmp_path, capsys, extra):
+        symbol = QUAD if extra["command"].startswith("witness") else COS
+        path = write_config(tmp_path, {"symbol": symbol, **extra})
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_schema_rejects_nonpositive_epsilon(self):
         import jsonschema
@@ -374,6 +410,19 @@ class TestPipelines:
         want = "q,residual\n" + "".join(f"{q},{r!r}\n" for q, r in trace)
         assert (tmp_path / "witness-trace.csv").read_bytes() == want.encode()
         assert [q for q, _ in trace] == [2**k for k in range(3, 3 + len(trace))]
+
+    def test_zero_multi_target_exits_1(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "command": "witness-multi",
+                "symbol": QUAD,
+                "exponents": [[1, 0], [0, 1]],
+                "target_terms": [],
+            },
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("TargetPlacementError:")
 
     def test_run_requires_exponents_for_multi(self):
         with pytest.raises(ConfigError):

@@ -500,6 +500,13 @@ class TestMultiGenerator:
         rep = construct_witness_multi(spec, self.A, B, seeds, params=params)
         assert all(r <= 1e-5 for r in rep.residuals.values())
 
+    def test_zero_target_rejected(self):
+        # like the single builder, before any expansion key is built
+        with pytest.raises(TargetPlacementError, match="target must be nonzero"):
+            construct_witness_multi(
+                QUAD, ExponentSet.of([(1, 0), (0, 1)]), ExpPoly.zero()
+            )
+
     def test_mismatched_params_rejected(self):
         # windows derived for m = 1, d_A = 1 would fail late, with |phi|^N
         # overflowing at the first iterate counts
