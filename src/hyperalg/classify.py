@@ -11,6 +11,7 @@ the convergence of the zero-set sums.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ class ZeroSetSummary:
             converges = slope > 1.0
         genus = 0 if converges else 1
         counts = tuple(
-            (float(r), sum(1 for m in mags if m <= r)) for r in ZERO_COUNT_RADII
+            (float(r), bisect.bisect_right(mags, r)) for r in ZERO_COUNT_RADII
         )
         return ZeroSetSummary(
             s1=s1,

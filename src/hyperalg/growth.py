@@ -21,6 +21,7 @@ from .symbols import (
     HadamardTrunc,
     SymbolSpec,
     _csv_text,
+    _product_factors,
     _raise_out_of_range,
     eval_symbol_array,
     eval_symbol_masked,
@@ -251,10 +252,13 @@ def _screen_limit(spec: SymbolSpec) -> int:
     """Most rows per evaluation call, for the progression screens, the
     circles of :func:`_max_moduli` and the rays of
     :func:`first_ray_below_one`: ``SCREEN_STEPS`` over the factors one
-    point costs.  A truncated product with many zeros, whose single row
-    already costs far more than a call, keeps one row per call."""
+    point costs, for a truncated product its exponential and the rows of
+    its factor table (one per pair of zeros z, -z, one per other zero).  A
+    product with many zeros, whose single row already costs far more than a
+    call, keeps one row per call."""
     if isinstance(spec, HadamardTrunc):
-        factors = spec.truncation + 1
+        inv_squares, lone = _product_factors(spec)
+        factors = inv_squares.size + lone.size + 1
     elif isinstance(spec, ExpPolySymbol):
         factors = len(spec.poly.terms)
     else:

@@ -151,6 +151,32 @@ def _guard(exponents: np.ndarray) -> None:
         _raise_out_of_range()
 
 
+@functools.lru_cache(maxsize=64)
+def _product_factors(spec: HadamardTrunc) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of a truncated product, built once per spec: ``1 / z**2``
+    for each pair (z, -z) among the zeros it multiplies, whose two factors
+    make ``1 - x**2 / z**2``, and the zeros left unpaired, in their order
+    (both read-only).  A genus-1 product pairs nothing, and neither does a
+    zero whose ``1 / z**2`` is zero or not finite."""
+    used = np.asarray(spec.zeros[: spec.truncation], dtype=complex)
+    with np.errstate(all="ignore"):
+        inv_squares = 1 / (used * used)
+    pairable = np.isfinite(inv_squares) & (inv_squares != 0) & (spec.genus == 0)
+    waiting: dict[complex, list[int]] = {}
+    paired = []
+    for i, z in enumerate(used.tolist()):
+        if not pairable[i]:
+            continue
+        if waiting.get(-z):
+            paired += [waiting[-z].pop(), i]
+        else:
+            waiting.setdefault(z, []).append(i)
+    table = inv_squares[paired[1::2]], np.delete(used, paired)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
 def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
     """phi on the complex array ``zs``, each array of exp arguments shown to
     ``guard`` first."""
@@ -187,9 +213,13 @@ def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
         return exp(spec.a * zs + spec.b) * _polyval(spec.poly, zs)
     if isinstance(spec, HadamardTrunc):
         out = exp(spec.a * zs + spec.b)
-        used = np.asarray(spec.zeros[: spec.truncation], dtype=complex)
-        if used.size:
-            ratios = zs[..., None] / used
+        inv_squares, lone = _product_factors(spec)
+        if inv_squares.size:
+            factors = np.multiply.outer(zs * zs, inv_squares)
+            np.subtract(1, factors, out=factors)
+            out = out * np.prod(factors, axis=-1)
+        if lone.size:
+            ratios = zs[..., None] / lone
             factors = 1 - ratios
             if spec.genus == 1:
                 factors = factors * exp(ratios)

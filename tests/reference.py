@@ -3,7 +3,7 @@ subjects of the tests that use them."""
 
 import numpy as np
 
-from hyperalg import ExpPoly, dynamics, growth, mul_exppoly, scan_ray
+from hyperalg import ExpPoly, dynamics, growth, mul_exppoly, scan_ray, symbols
 
 
 def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
@@ -37,3 +37,23 @@ def indicator(spec, theta: float, r_grid) -> float:
     """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
     top half of the window."""
     return growth._top_rate(scan_ray(spec, theta, r_grid))
+
+
+def hadamard_trunc(spec, zs) -> np.ndarray:
+    """phi of a truncated product as one division per zero and point, the
+    kernel the factor table replaced, under the package's overflow guard."""
+    zs = np.asarray(zs, dtype=complex)
+
+    def exp(w):
+        symbols._guard(w)
+        return np.exp(w)
+
+    out = exp(spec.a * zs + spec.b)
+    used = np.asarray(spec.zeros[: spec.truncation], dtype=complex)
+    if used.size:
+        ratios = zs[..., None] / used
+        factors = 1 - ratios
+        if spec.genus == 1:
+            factors = factors * exp(ratios)
+        out = out * np.prod(factors, axis=-1)
+    return out

@@ -53,6 +53,11 @@ class TestZeroSetSummary:
         assert values == sorted(values)
         assert dict(counts)[5.0] == 5
 
+    def test_a_modulus_on_a_radius_counts_inside(self):
+        zeros = [1, 3 + 4j, -5, 5j, 6 - 8j, 10, 50.000000000000014, 100j, -100]
+        counts = ZeroSetSummary.from_zeros([complex(z) for z in zeros]).counts
+        assert counts == ((5.0, 4), (10.0, 6), (50.0, 6), (100.0, 9))
+
     def test_rejects_zero_at_origin(self):
         with pytest.raises(ValueError):
             ZeroSetSummary.from_zeros([0j, 1 + 0j])

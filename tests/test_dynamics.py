@@ -342,6 +342,7 @@ class TestBatchedDiagonalAction:
         "exp-quadratic": CatalogSymbol("exp-quadratic", scale=1.3),
         "exppoly": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
         "hadamard": HadamardTrunc(0.2, 0j, (1.5, -1.5, 2.5j, -2.5j), 1, 4),
+        "hadamard-genus0": HadamardTrunc(0.2, 0j, (1.5, 2.5j, -1.5, -2.5j, 3j), 0, 5),
         "vanishing": VANISHING,
     }
 

@@ -548,6 +548,17 @@ class TestBatchedOrderEstimate:
         assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
         assert [z.size // growth.SCAN_SAMPLES for z in calls] == [16, 4]
 
+    def test_product_blocks_count_its_factor_rows(self, monkeypatch):
+        # two pairs (z, -z) and one lone zero: three rows and the exponential,
+        # so four circles per call, bit for bit the per-radius loop
+        spec = HadamardTrunc(0.1, 0j, (1.5, 2j, -1.5, 3 + 1j, -2j), 0, 5)
+        assert growth._screen_limit(spec) == 4
+        pairs, *_ = reference_estimate_order_type(spec, R_GRID)
+        calls = record_masked(monkeypatch)
+        est = estimate_order_type(spec, R_GRID)
+        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
+        assert [z.size // growth.SCAN_SAMPLES for z in calls] == [4, 4, 4, 4]
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             estimate_order_type(CatalogSymbol("cos"), [0.0] + R_GRID)

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,16 @@ from hyperalg import (
     to_taylor,
 )
 from hyperalg.errors import EvaluationRangeError
-from hyperalg.symbols import _sinc_pi, catalog_zeros, eval_symbol_masked
+from hyperalg import growth
+from hyperalg.classify import _DEFAULT_R_GRID
+from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
+from hyperalg.symbols import (
+    _product_factors,
+    _sinc_pi,
+    catalog_zeros,
+    eval_symbol_masked,
+)
+from reference import hadamard_trunc
 
 
 class TestEvaluation:
@@ -116,6 +126,7 @@ MASK_PANEL = {
     "exppoly": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -3.0)])),
     "poly-times-exp": PolyTimesExp(poly=(1, 0.5), a=2),
     "hadamard-genus1": HadamardTrunc(0.2, 0j, (0.5, -0.5, 2j), 1, 3),
+    "hadamard-genus0": HadamardTrunc(2.0, 0j, (0.5, 2j, -0.5, 3 + 1j, -2j), 0, 5),
 }
 
 #: Radii from 0 to past the guard, in eight directions.
@@ -214,6 +225,103 @@ class TestHadamard:
             vals.append(eval_symbol(spec, z))
         gaps = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert gaps == sorted(gaps, reverse=True)
+
+
+#: The benchmark's zero lists: the first 202 zeros of cos and of sinc-pi.
+BENCHMARK_ZEROS = {
+    name: catalog_zeros(CatalogSymbol(name), 202) for name in ("cos", "sinc-pi")
+}
+
+#: Genus-0 products that pair their zeros in each way the factor table can.
+PAIRING_PANEL = {
+    "even": HadamardTrunc(0.3, 0j, BENCHMARK_ZEROS["cos"], 0, 60),
+    "odd": HadamardTrunc(0.3, 0j, BENCHMARK_ZEROS["cos"], 0, 59),
+    "duplicated": HadamardTrunc(0j, 0j, (1.5, 1.5, -1.5), 0, 3),
+    "imaginary-pair": HadamardTrunc(0j, 0j, (2.5j, -2.5j), 0, 2),
+    "non-adjacent": HadamardTrunc(0j, 0j, (1, 2j, 3, -1, 4, -2j, -3), 0, 7),
+}
+
+#: The circles of the default growth window, and the progression rows
+#: ``j * t * ray`` (j = 1..6) of every 32nd step.
+KERNEL_POINTS = {
+    "circles": np.multiply.outer(_DEFAULT_R_GRID, growth._RING),
+    "rows": np.multiply.outer(
+        np.multiply.outer(np.arange(1, 7), PROGRESSION_STEPS[31::32]),
+        np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS),
+    ),
+}
+
+
+class TestProductKernel:
+    """The factor table of a truncated product: one row per pair (z, -z)."""
+
+    @pytest.mark.parametrize(
+        "name, inv_squares, lone",
+        [
+            ("duplicated", [1 / 2.25], [1.5]),
+            ("imaginary-pair", [-1 / 6.25], []),
+            ("non-adjacent", [1, -1 / 4, 1 / 9], [4]),
+        ],
+    )
+    def test_pairs_and_lone_zeros(self, name, inv_squares, lone):
+        got_inv_squares, got_lone = _product_factors(PAIRING_PANEL[name])
+        assert got_inv_squares.tolist() == pytest.approx(inv_squares, rel=1e-15)
+        assert got_lone.tolist() == lone
+
+    def test_odd_truncation_leaves_one_zero(self):
+        inv_squares, lone = _product_factors(PAIRING_PANEL["odd"])
+        assert inv_squares.size == 29
+        assert lone.tolist() == [BENCHMARK_ZEROS["cos"][58]]
+
+    @pytest.mark.parametrize("size", [1, 3, 8, 256, 361])
+    @pytest.mark.parametrize("name", sorted(PAIRING_PANEL))
+    def test_batch_is_each_point_alone(self, name, size):
+        spec = PAIRING_PANEL[name]
+        rng = np.random.default_rng(size)
+        zs = 3 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        batch = eval_symbol_array(spec, zs)
+        assert [complex_bits(v) for v in batch] == [
+            complex_bits(eval_symbol(spec, z)) for z in zs
+        ]
+
+    @pytest.mark.parametrize("points", sorted(KERNEL_POINTS))
+    @pytest.mark.parametrize("truncation", [50, 51, 126, 199])
+    @pytest.mark.parametrize("name", sorted(BENCHMARK_ZEROS))
+    def test_agrees_with_the_division_kernel(self, name, truncation, points):
+        # relative to the largest modulus on each circle or row: at a point
+        # next to a zero, both kernels lose the same leading bits to 1 - x
+        spec = HadamardTrunc(0j, 0j, BENCHMARK_ZEROS[name], 0, truncation)
+        for zs in KERNEL_POINTS[points]:
+            want = hadamard_trunc(spec, zs)
+            error = np.abs(eval_symbol_array(spec, zs) - want).max(axis=-1)
+            assert np.all(error <= 1e-13 * np.abs(want).max(axis=-1))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            HadamardTrunc(0.2, 0j, BENCHMARK_ZEROS["cos"], 1, 51),
+            HadamardTrunc(0j, 0j, tuple(complex(k) for k in range(1, 60)), 0, 59),
+        ],
+        ids=["genus1", "one-sided"],
+    )
+    def test_unpaired_zeros_keep_the_division_kernel(self, spec):
+        inv_squares, lone = _product_factors(spec)
+        assert inv_squares.size == 0 and lone.size == spec.truncation
+        zs = KERNEL_POINTS["circles"]
+        assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
+            complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
+        ]
+
+    def test_zeros_whose_inverse_square_overflows_stay_unpaired(self):
+        spec = HadamardTrunc(0j, 0j, (1e-200, -1e-200), 0, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv_squares, lone = _product_factors.__wrapped__(spec)
+        assert inv_squares.size == 0 and lone.tolist() == [1e-200, -1e-200]
+        zs = 1e-200 * np.multiply.outer([0.5, 2.0, 3.0], growth._RING)
+        assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
+            complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
+        ]
 
 
 class TestDerivatives:
