@@ -24,8 +24,8 @@ from hyperalg import (
     to_json_value,
     to_taylor,
 )
-from hyperalg.errors import EvaluationRangeError
 from hyperalg import growth
+from hyperalg.errors import EvaluationRangeError
 from hyperalg.classify import _DEFAULT_R_GRID
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
@@ -312,13 +312,16 @@ class TestProductKernel:
             complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
         ]
 
-    def test_zeros_whose_inverse_square_overflows_stay_unpaired(self):
-        spec = HadamardTrunc(0j, 0j, (1e-200, -1e-200), 0, 2)
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_zeros_whose_inverse_square_is_not_finite_or_zero_stay_unpaired(
+        self, scale
+    ):
+        spec = HadamardTrunc(0j, 0j, (scale, -scale), 0, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             inv_squares, lone = _product_factors.__wrapped__(spec)
-        assert inv_squares.size == 0 and lone.tolist() == [1e-200, -1e-200]
-        zs = 1e-200 * np.multiply.outer([0.5, 2.0, 3.0], growth._RING)
+        assert inv_squares.size == 0 and lone.tolist() == [scale, -scale]
+        zs = scale * np.multiply.outer([0.5, 2.0, 3.0], growth._RING)
         assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
             complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
         ]
