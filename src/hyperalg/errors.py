@@ -6,7 +6,8 @@ class HyperalgError(Exception):
 
 
 class EvaluationRangeError(HyperalgError):
-    """An evaluation would overflow double-precision exp (|Re| beyond the guard)."""
+    """An evaluation would overflow double-precision exp (|Re| beyond the
+    guard), or a truncated product is not finite."""
 
     def __init__(self, message, z=None):
         super().__init__(message)

@@ -21,7 +21,6 @@ from .symbols import (
     HadamardTrunc,
     SymbolSpec,
     _csv_text,
-    _product_factors,
     _raise_out_of_range,
     eval_symbol_array,
     eval_symbol_masked,
@@ -257,7 +256,7 @@ def _screen_limit(spec: SymbolSpec) -> int:
     product with many zeros, whose single row already costs far more than a
     call, keeps one row per call."""
     if isinstance(spec, HadamardTrunc):
-        inv_squares, lone = _product_factors(spec)
+        inv_squares, lone = spec._factors
         factors = inv_squares.size + lone.size + 1
     elif isinstance(spec, ExpPolySymbol):
         factors = len(spec.poly.terms)

@@ -22,7 +22,7 @@ import csv
 import functools
 import io
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import NoReturn, Sequence, Union
 
 import numpy as np
@@ -120,6 +120,31 @@ class HadamardTrunc(SymbolSpec):
         if not (0 <= self.truncation <= len(zeros)):
             raise ValueError("truncation must lie within the zero list")
 
+    @functools.cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factor table, built on first use: ``1 / z**2`` for each pair
+        (z, -z) among the zeros the product multiplies, whose two factors
+        make ``1 - x**2 / z**2``, and the zeros left unpaired, in their order
+        (both read-only).  A genus-1 product pairs nothing, and neither does
+        a zero whose ``1 / z**2`` is zero or not finite."""
+        used = np.asarray(self.zeros[: self.truncation], dtype=complex)
+        with np.errstate(all="ignore"):
+            inv_squares = 1 / (used * used)
+        pairable = np.isfinite(inv_squares) & (inv_squares != 0) & (self.genus == 0)
+        waiting: dict[complex, list[int]] = {}
+        paired = []
+        for i, z in enumerate(used.tolist()):
+            if not pairable[i]:
+                continue
+            if waiting.get(-z):
+                paired += [waiting[-z].pop(), i]
+            else:
+                waiting.setdefault(z, []).append(i)
+        table = inv_squares[paired[1::2]], np.delete(used, paired)
+        for column in table:
+            column.flags.writeable = False
+        return table
+
 
 def _polyval(coeffs: Sequence[complex], z):
     total = 0.0 * z if isinstance(z, np.ndarray) else 0j
@@ -142,7 +167,9 @@ def _sinc_pi(w: np.ndarray) -> np.ndarray:
 
 
 def _raise_out_of_range() -> NoReturn:
-    raise EvaluationRangeError("exp argument exceeds the overflow guard")
+    raise EvaluationRangeError(
+        "exp argument exceeds the overflow guard, or a product is not finite"
+    )
 
 
 def _guard(exponents: np.ndarray) -> None:
@@ -151,35 +178,22 @@ def _guard(exponents: np.ndarray) -> None:
         _raise_out_of_range()
 
 
-@functools.lru_cache(maxsize=64)
-def _product_factors(spec: HadamardTrunc) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of a truncated product, built once per spec: ``1 / z**2``
-    for each pair (z, -z) among the zeros it multiplies, whose two factors
-    make ``1 - x**2 / z**2``, and the zeros left unpaired, in their order
-    (both read-only).  A genus-1 product pairs nothing, and neither does a
-    zero whose ``1 / z**2`` is zero or not finite."""
-    used = np.asarray(spec.zeros[: spec.truncation], dtype=complex)
-    with np.errstate(all="ignore"):
-        inv_squares = 1 / (used * used)
-    pairable = np.isfinite(inv_squares) & (inv_squares != 0) & (spec.genus == 0)
-    waiting: dict[complex, list[int]] = {}
-    paired = []
-    for i, z in enumerate(used.tolist()):
-        if not pairable[i]:
-            continue
-        if waiting.get(-z):
-            paired += [waiting[-z].pop(), i]
-        else:
-            waiting.setdefault(z, []).append(i)
-    table = inv_squares[paired[1::2]], np.delete(used, paired)
-    for column in table:
-        column.flags.writeable = False
-    return table
+def _multiply_rows(factors: np.ndarray) -> np.ndarray:
+    """The product of the rows of the (rows, points) array ``factors``: at
+    every point one left fold over the rows, in row order.  Over two or
+    more points the leading-axis reduce is that fold.  Over one point the
+    reduce runs along a contiguous axis in another order, so a lone point
+    takes the fold itself, one allocating multiply per row, and gets the
+    bits a batch gives it."""
+    if factors.shape[1] == 1:
+        return functools.reduce(np.multiply, factors)
+    return np.multiply.reduce(factors, axis=0)
 
 
 def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
     """phi on the complex array ``zs``, each array of exp arguments shown to
-    ``guard`` first."""
+    ``guard`` first; a truncated product shows it NaN at every point where
+    phi is not finite, so a product that overflows is out of range too."""
 
     def exp(w):
         guard(w)
@@ -213,17 +227,20 @@ def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
         return exp(spec.a * zs + spec.b) * _polyval(spec.poly, zs)
     if isinstance(spec, HadamardTrunc):
         out = exp(spec.a * zs + spec.b)
-        inv_squares, lone = _product_factors(spec)
-        if inv_squares.size:
-            factors = np.multiply.outer(zs * zs, inv_squares)
-            np.subtract(1, factors, out=factors)
-            out = out * np.prod(factors, axis=-1)
-        if lone.size:
-            ratios = zs[..., None] / lone
-            factors = 1 - ratios
-            if spec.genus == 1:
-                factors = factors * exp(ratios)
-            out = out * np.prod(factors, axis=-1)
+        inv_squares, lone = spec._factors
+        with np.errstate(over="ignore", invalid="ignore"):
+            if inv_squares.size:
+                factors = np.multiply.outer(inv_squares, (zs * zs).reshape(-1))
+                np.subtract(1, factors, out=factors)
+                out = out * _multiply_rows(factors).reshape(zs.shape)
+            if lone.size:
+                ratios = zs[..., None] / lone
+                factors = 1 - ratios
+                if spec.genus == 1:
+                    factors = factors * exp(ratios)
+                out = out * np.prod(factors, axis=-1)
+        # NaN, which the guard rejects, wherever phi is not finite
+        guard(np.where(np.isfinite(out), 0.0, np.nan))
         return out
     raise TypeError(f"not a SymbolSpec: {spec!r}")
 
@@ -415,8 +432,11 @@ def to_json_value(value):
     if isinstance(value, ExpPoly):
         return [to_json_value((complex(c), complex(f))) for c, f in value.terms]
     if isinstance(value, SymbolSpec):
-        fields = {"terms": value.poly} if kind is ExpPolySymbol else vars(value)
-        return {"kind": _KINDS[kind], **to_json_value(fields)}
+        if kind is ExpPolySymbol:
+            data = {"terms": value.poly}
+        else:  # the fields alone, not the factor table a product caches
+            data = {f.name: getattr(value, f.name) for f in fields(value)}
+        return {"kind": _KINDS[kind], **to_json_value(data)}
     if is_dataclass(value):
         return to_json_value(vars(value))
     return value

@@ -29,7 +29,6 @@ from hyperalg.errors import EvaluationRangeError
 from hyperalg.classify import _DEFAULT_R_GRID
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
-    _product_factors,
     _sinc_pi,
     catalog_zeros,
     eval_symbol_masked,
@@ -264,12 +263,12 @@ class TestProductKernel:
         ],
     )
     def test_pairs_and_lone_zeros(self, name, inv_squares, lone):
-        got_inv_squares, got_lone = _product_factors(PAIRING_PANEL[name])
+        got_inv_squares, got_lone = PAIRING_PANEL[name]._factors
         assert got_inv_squares.tolist() == pytest.approx(inv_squares, rel=1e-15)
         assert got_lone.tolist() == lone
 
     def test_odd_truncation_leaves_one_zero(self):
-        inv_squares, lone = _product_factors(PAIRING_PANEL["odd"])
+        inv_squares, lone = PAIRING_PANEL["odd"]._factors
         assert inv_squares.size == 29
         assert lone.tolist() == [BENCHMARK_ZEROS["cos"][58]]
 
@@ -305,7 +304,7 @@ class TestProductKernel:
         ids=["genus1", "one-sided"],
     )
     def test_unpaired_zeros_keep_the_division_kernel(self, spec):
-        inv_squares, lone = _product_factors(spec)
+        inv_squares, lone = spec._factors
         assert inv_squares.size == 0 and lone.size == spec.truncation
         zs = KERNEL_POINTS["circles"]
         assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
@@ -316,14 +315,109 @@ class TestProductKernel:
     def test_zeros_whose_inverse_square_is_not_finite_or_zero_stay_unpaired(
         self, scale
     ):
-        spec = HadamardTrunc(0j, 0j, (scale, -scale), 0, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            inv_squares, lone = _product_factors.__wrapped__(spec)
+            spec = HadamardTrunc(0j, 0j, (scale, -scale), 0, 2)
+            inv_squares, lone = spec._factors
         assert inv_squares.size == 0 and lone.tolist() == [scale, -scale]
         zs = scale * np.multiply.outer([0.5, 2.0, 3.0], growth._RING)
         assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
             complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
+        ]
+
+
+def left_fold(spec, zs) -> np.ndarray:
+    """phi of a truncated product with its factor rows ``1 - x**2 / z**2``
+    multiplied as a Python-level left fold, in row order, at every point."""
+    zs = np.asarray(zs, dtype=complex)
+    inv_squares, lone = spec._factors
+    out = np.exp(spec.a * zs + spec.b)
+    squares = zs * zs
+    if inv_squares.size:
+        product = 1 - inv_squares[0] * squares
+        for inv_square in inv_squares[1:]:
+            product = product * (1 - inv_square * squares)
+        out = out * product
+    if lone.size:
+        out = out * np.prod(1 - zs[..., None] / lone, axis=-1)
+    return out
+
+
+#: Every paired genus-0 product of the tests: the pairing panel and the
+#: benchmark's zero lists at four truncations.
+FOLD_PANEL = {
+    **PAIRING_PANEL,
+    **{
+        f"{name}-{truncation}": HadamardTrunc(
+            0j, 0j, BENCHMARK_ZEROS[name], 0, truncation
+        )
+        for name in sorted(BENCHMARK_ZEROS)
+        for truncation in (50, 51, 126, 199)
+    },
+}
+
+#: Each input shape the kernel sees: single points (as ``eval_symbol``
+#: passes them), one circle and one progression row, and (blocks, 256)
+#: circles as ``growth._max_moduli`` passes them.
+FOLD_POINTS = {
+    "one-point": [z[None] for z in KERNEL_POINTS["circles"][:, ::16].ravel()],
+    "1-d": [KERNEL_POINTS["circles"][-1], KERNEL_POINTS["rows"][2, 5]],
+    "2-d": [KERNEL_POINTS["circles"], KERNEL_POINTS["circles"][7:8]],
+}
+
+
+class TestProductFoldOrder:
+    @pytest.mark.parametrize("points", sorted(FOLD_POINTS))
+    @pytest.mark.parametrize("name", sorted(FOLD_PANEL))
+    def test_rows_multiply_as_a_left_fold(self, name, points):
+        spec = FOLD_PANEL[name]
+        for zs in FOLD_POINTS[points]:
+            assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
+                complex_bits(v) for v in left_fold(spec, zs).ravel()
+            ]
+
+
+#: Zeros +-1e-3 k (k = 1..199): their product leaves the floating range
+#: before |z| = 1, while a genus-0 product's exp argument stays 0.
+TINY_ZEROS = tuple(s * 1e-3 * k for k in range(1, 200) for s in (1, -1))
+
+#: Each product path, with points where its product is not finite: the
+#: paired rows, unpaired zeros (one-sided list) and genus-1 factors (whose
+#: exp arguments at 0.5 stay inside the guard).
+OVERFLOW_PANEL = {
+    "paired": (HadamardTrunc(0j, 0j, TINY_ZEROS, 0, 398), [0.5, 1.0, 60.0]),
+    "one-sided": (HadamardTrunc(0j, 0j, TINY_ZEROS[::2], 0, 199), [60.0]),
+    "genus1": (HadamardTrunc(0j, 0j, TINY_ZEROS, 1, 398), [0.5]),
+}
+
+
+class TestProductOverflow:
+    """A truncated product that is not finite is out of range, with no
+    RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_PANEL))
+    def test_evaluation_raises(self, name):
+        spec, over = OVERFLOW_PANEL[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in over:
+                with pytest.raises(EvaluationRangeError):
+                    eval_symbol(spec, z)
+            with pytest.raises(EvaluationRangeError):
+                eval_symbol_array(spec, [1.5e-3, *over])
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOW_PANEL))
+    def test_masked_evaluation_marks_the_points(self, name):
+        spec, over = OVERFLOW_PANEL[name]
+        inside = [1.5e-3, 0.0125]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, in_range = eval_symbol_masked(spec, inside + over)
+            want = eval_symbol_array(spec, inside)
+        assert in_range.tolist() == [True] * len(inside) + [False] * len(over)
+        assert np.isnan(values[len(inside) :]).all()
+        assert [complex_bits(v) for v in values[: len(inside)]] == [
+            complex_bits(v) for v in want
         ]
 
 
@@ -387,6 +481,13 @@ class TestSerialization:
     )
     def test_round_trip(self, spec):
         assert symbol_from_dict(to_json_value(spec)) == spec
+
+    def test_evaluated_product_writes_its_fields_alone(self):
+        # the factor table cached on first evaluation is no field
+        spec = HadamardTrunc(1, 0, (1 + 0j, -1 + 0j, -2j), genus=0, truncation=3)
+        fresh = json.dumps(to_json_value(spec), sort_keys=True)
+        eval_symbol_array(spec, [0.5, 1.5j])
+        assert json.dumps(to_json_value(spec), sort_keys=True) == fresh
 
     @pytest.mark.parametrize(
         "spec, text",
