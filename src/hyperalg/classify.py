@@ -1,12 +1,16 @@
 """Symbol classification: does the operator carry a hypercyclic algebra?
 
-The decision tree runs cheap structural routes first (zero-free, polynomial
-times exponential, zero-set sums), then the numerical checkers (curvature
-plus arithmetic progressions; ray growth gap).  ``Unknown`` is the fallback,
-never a guess: each verdict carries the evidence that produced it and a
-``confidence`` tag — ``exact`` for structural routes, ``numerical`` for
-anything resting on sampled growth estimates or on a regression fit, such as
-the convergence of the zero-set sums.
+Each symbol kind gives its growth class from its structure (order, type, the
+degree of a polynomial, a closed polynomial-times-exponential form, its zero
+list), read once by :func:`_structure`; no regression decides a route.  The
+growth gate answers first: a nonconstant polynomial carries an algebra, and
+order 2 lies beyond the paper's scope.  Then the tree runs the structural
+routes (zero-free, polynomial times exponential, zero-set sums) and the
+numerical checkers (curvature plus arithmetic progressions; ray growth gap).
+``Unknown`` is the fallback, never a guess: each verdict carries the evidence
+that produced it and a ``confidence`` tag -- ``exact`` for the growth gate
+and the structural routes, ``numerical`` for anything resting on sampled
+values or on a regression fit, such as the convergence of the zero-set sums.
 """
 
 from __future__ import annotations
@@ -19,22 +23,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormalizationError
-from .growth import (
-    check_Tma_conditions,
-    estimate_order_type,
-    find_arith_progression,
-)
+from .growth import check_Tma_conditions, find_arith_progression
 from .symbols import (
     CATALOG_COS,
     CATALOG_EXP,
     CATALOG_EXP_POLY,
+    CATALOG_EXP_QUADRATIC,
+    CATALOG_SIN_PLUS_EXP,
     CATALOG_SINC_PI,
     CatalogSymbol,
     ExpPolySymbol,
     HadamardTrunc,
     PolyTimesExp,
     SymbolSpec,
-    catalog_zeros,
     derivs_at_zero,
     eval_symbol,
     to_json_value,
@@ -48,9 +49,6 @@ COEFF_MARGIN = 1e-9
 
 #: :func:`check_T2` looks for progressions of length m = 2..M_MAX.
 M_MAX = 6
-
-#: Radii of the growth window :func:`classify` reads |phi| on by default.
-_DEFAULT_R_GRID = tuple(np.geomspace(1.0, 60.0, 16).tolist())
 
 #: Radii at which :class:`ZeroSetSummary` counts the zeros inside.
 ZERO_COUNT_RADII = (5.0, 10.0, 50.0, 100.0)
@@ -137,44 +135,68 @@ class ZeroSetSummary:
         )
 
 
-def _structural_poly_exp(spec: SymbolSpec) -> PolyTimesExp | None:
-    """Closed polynomial-times-exponential form, when one is available."""
+@dataclass(frozen=True)
+class Structure:
+    """What a symbol's structure says of it.
+
+    ``order`` is 0 for a polynomial (of ``degree``; degree 0 is a constant),
+    1 for exponential type ``type`` and 2 for exp-quadratic.  ``poly_exp`` is
+    its closed ``p(z) e^{az}`` form, ``zeros`` its zero list (``()`` when it is
+    zero-free) and ``slope`` the linear exponent of its product form; each
+    None when the structure does not give it.
+    """
+
+    order: int
+    type: float
+    degree: int | None = None
+    poly_exp: PolyTimesExp | None = None
+    zeros: tuple[complex, ...] | None = None
+    slope: complex | None = None
+
+
+#: Type of the catalog entries of exponential type, at scale 1.
+_CATALOG_TYPE = {CATALOG_COS: 1.0, CATALOG_SIN_PLUS_EXP: 1.0, CATALOG_SINC_PI: math.pi}
+
+_CONSTANT = Structure(0, 0.0, degree=0, zeros=())
+
+
+def _poly_times_exp(poly, a: complex, form: PolyTimesExp | None) -> Structure:
+    """``p(z) e^{az}``, with the coefficients of p lowest first."""
+    degree = max((k for k, c in enumerate(poly) if c != 0), default=0)
+    zeros = tuple(sorted((complex(r) for r in np.roots(poly[::-1])), key=abs))
+    if a == 0:
+        return Structure(0, 0.0, degree, form, zeros, 0j)
+    return Structure(1, abs(a), None, form, zeros, a)
+
+
+def _structure(spec: SymbolSpec) -> Structure:
+    """The growth class, closed forms and zeros each symbol kind gives."""
     if isinstance(spec, PolyTimesExp):
-        return spec
+        return _poly_times_exp(spec.poly, spec.a, spec)
     if isinstance(spec, CatalogSymbol):
-        if spec.name == CATALOG_EXP:
-            return PolyTimesExp(poly=(1 + 0j,), a=spec.a * spec.scale)
-        if spec.name == CATALOG_EXP_POLY and spec.poly[0] == 1:
-            return PolyTimesExp(
-                poly=tuple(c * spec.scale**k for k, c in enumerate(spec.poly)),
-                a=spec.a * spec.scale,
-            )
-    return None
-
-
-def _structural_zeros(spec: SymbolSpec, pe: PolyTimesExp | None):
-    """The zeros phi has, as far as its structure tells (``()`` when it is
-    zero-free), or None when the structure gives no zero list."""
+        s = spec.scale
+        if spec.name in (CATALOG_EXP, CATALOG_EXP_POLY):
+            poly = spec.poly if spec.name == CATALOG_EXP_POLY else (1 + 0j,)
+            poly = tuple(c * s**k for k, c in enumerate(poly))
+            form = PolyTimesExp(poly, spec.a * s) if poly[0] == 1 else None
+            return _poly_times_exp(poly, spec.a * s, form)
+        if spec.name == CATALOG_EXP_QUADRATIC:
+            growth = Structure(2, abs(spec.a * s * s), zeros=())
+        else:  # cos and sinc-pi are even: no linear exponent in the product form
+            slope = None if spec.name == CATALOG_SIN_PLUS_EXP else 0j
+            growth = Structure(1, _CATALOG_TYPE[spec.name] * abs(s), slope=slope)
+        return growth if growth.type else _CONSTANT
+    if isinstance(spec, ExpPolySymbol):
+        type_ = max((abs(f) for f in spec.poly.frequencies()), default=0.0)
+        zeros = () if len(spec.poly.terms) == 1 else None
+        return Structure(1, type_, zeros=zeros) if type_ else _CONSTANT
     if isinstance(spec, HadamardTrunc):
-        return spec.zeros[: spec.truncation]  # the factors phi multiplies
-    if isinstance(spec, CatalogSymbol):
-        return catalog_zeros(spec, 400)
-    if (pe is not None and len(pe.poly) == 1) or (
-        isinstance(spec, ExpPolySymbol) and len(spec.poly.terms) == 1
-    ):
-        return ()
-    return None
-
-
-def _exponent_slope(spec: SymbolSpec, pe: PolyTimesExp | None) -> complex | None:
-    """The linear exponent of the Hadamard form, when structure provides it."""
-    if isinstance(spec, HadamardTrunc):
-        return spec.a
-    if pe is not None:
-        return pe.a
-    if isinstance(spec, CatalogSymbol) and spec.name in (CATALOG_COS, CATALOG_SINC_PI):
-        return 0j  # even functions: no linear exponent in the product form
-    return None
+        used = spec.zeros[: spec.truncation]  # the factors phi multiplies
+        type_ = abs(spec.a + (sum(1 / z for z in used) if spec.genus else 0))
+        if type_ <= COEFF_MARGIN:
+            return Structure(0, 0.0, len(used), zeros=used, slope=spec.a)
+        return Structure(1, type_, zeros=used, slope=spec.a)
+    raise TypeError(f"not a SymbolSpec: {spec!r}")
 
 
 def check_T2(spec: SymbolSpec) -> dict:
@@ -196,19 +218,14 @@ def check_T2(spec: SymbolSpec) -> dict:
     }
 
 
-def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
+def classify(spec: SymbolSpec, zeros=None) -> Verdict:
     """Runs the decision tree and returns the first verdict it can defend."""
-    evidence: dict = {}
-
-    growth = estimate_order_type(spec, _DEFAULT_R_GRID if r_grid is None else r_grid)
-    evidence["growth"] = growth.summary()
-    subexp = growth.degenerate or growth.order < 0.9 or (
-        abs(growth.order - 1.0) <= 0.2 and growth.type_ < 0.05
-    )
-    if subexp:
-        return Verdict(HAS_ALGEBRA, "subexponential", evidence, "numerical")
-    if growth.order > 1.25:
-        return Verdict(UNKNOWN, "growth-beyond-scope", evidence, "numerical")
+    structure = _structure(spec)
+    evidence: dict = {"growth": structure}
+    if structure.order == 0 and structure.degree > 0:
+        return Verdict(HAS_ALGEBRA, "subexponential", evidence, "exact")
+    if structure.order == 2:
+        return Verdict(UNKNOWN, "growth-beyond-scope", evidence, "exact")
 
     phi0 = eval_symbol(spec, 0)
     evidence["phi0"] = phi0
@@ -219,11 +236,10 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
         # below (only moduli and the curvature margin are consulted)
         evidence["rotation"] = phi0
 
-    pe = _structural_poly_exp(spec)
-    structural = _structural_zeros(spec, pe)
-    if structural == ():
+    if structure.zeros == ():
         return Verdict(NO_ALGEBRA, "zero-free", evidence, "exact")
 
+    pe = structure.poly_exp
     if pe is not None and pe.a != 0:
         a1 = pe.poly[1]
         a2 = pe.poly[2] if len(pe.poly) > 2 else 0j
@@ -233,14 +249,14 @@ def classify(spec: SymbolSpec, zeros=None, r_grid=None) -> Verdict:
             return Verdict(HAS_ALGEBRA, "poly-times-exp", evidence, "exact")
 
     # a caller's list is checked even when empty: from_zeros rejects that
-    listed = structural if zeros is None else zeros
+    listed = structure.zeros if zeros is None else zeros
     if listed is not None:
         summary = ZeroSetSummary.from_zeros(listed)
         evidence["zeros"] = to_json_value(summary)
         if abs(summary.s2) > ZERO_SUM_MARGIN:
             if summary.inv_modulus_converges is True:
                 return Verdict(HAS_ALGEBRA, "zeros-summable", evidence, "numerical")
-            slope = _exponent_slope(spec, pe)
+            slope = structure.slope
             if summary.inv_modulus_converges is False and slope not in (None, 0):
                 return Verdict(
                     HAS_ALGEBRA, "zeros-divergent-nonzero-slope", evidence, "numerical"

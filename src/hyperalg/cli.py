@@ -19,7 +19,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .classify import _DEFAULT_R_GRID, _zero_list, classify
+from .classify import _zero_list, classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
 from .exppoly import GRID_RADIUS, DiskGrid, _require_finite
@@ -47,6 +47,9 @@ from .witness import (
 )
 
 REPORT_SCHEMA = "hyperalg-report/1"
+
+#: Radii of the growth window ``analyze`` reads |phi| on by default.
+_DEFAULT_R_GRID = tuple(np.geomspace(1.0, 60.0, 16).tolist())
 
 COMMANDS = ("analyze", "classify", "witness", "witness-multi", "verify", "catalog")
 
@@ -214,10 +217,10 @@ def run(config: dict) -> dict:
     if command == "catalog":
         outcome = {"catalog": catalog_list()}
     elif command == "classify":
-        verdict = classify(spec, zeros=values.get("zeros"), r_grid=values.get("r_grid"))
+        verdict = classify(spec, zeros=values.get("zeros"))
         if verdict.confidence == "numerical":
             warnings.append(
-                "verdict rests on sampled growth estimates, not a proof"
+                "verdict rests on sampled values or a regression fit, not a proof"
             )
         outcome = {"verdict": verdict}
     elif command == "analyze":

@@ -481,35 +481,3 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
             truncation=_int_from_json(d["truncation"]),
         )
     raise ValueError(f"unknown symbol kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Known zero sets of the catalog entries (used by the classifier).
-# ---------------------------------------------------------------------------
-
-
-def catalog_zeros(spec: CatalogSymbol, count: int) -> tuple[complex, ...] | None:
-    """First ``count`` zeros (by modulus, with multiplicity) of a catalog
-    symbol: ``()`` when the symbol is zero-free, None when it has no
-    closed-form list."""
-    if spec.name == CATALOG_COS:
-        base = []
-        k = 0
-        while len(base) < count:
-            z = (k + 0.5) * math.pi
-            base.extend([z, -z])
-            k += 1
-        return tuple(z / spec.scale for z in base[:count])
-    if spec.name == CATALOG_SINC_PI:
-        base = []
-        k = 1
-        while len(base) < count:
-            base.extend([k, -k])
-            k += 1
-        return tuple(z / spec.scale for z in base[:count])
-    if spec.name == CATALOG_EXP or spec.name == CATALOG_EXP_QUADRATIC:
-        return ()
-    if spec.name == CATALOG_EXP_POLY:
-        roots = np.roots(list(reversed(spec.poly)))
-        return tuple(sorted((complex(r) / spec.scale for r in roots), key=abs))
-    return None

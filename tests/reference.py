@@ -1,6 +1,8 @@
 """Functions the package no longer exports, kept here as the references and
 subjects of the tests that use them."""
 
+import math
+
 import numpy as np
 
 from hyperalg import ExpPoly, dynamics, growth, mul_exppoly, scan_ray, symbols
@@ -37,6 +39,16 @@ def indicator(spec, theta: float, r_grid) -> float:
     """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
     top half of the window."""
     return growth._top_rate(scan_ray(spec, theta, r_grid))
+
+
+def catalog_zeros(name: str, count: int) -> tuple[float, ...]:
+    """The first ``count`` zeros of catalog cos, ±(k + 1/2)π, or of sinc-pi,
+    ±k, nearest first."""
+    zeros = []
+    for k in range(count):
+        z = (k + 0.5) * math.pi if name == "cos" else float(k + 1)
+        zeros += [z, -z]
+    return tuple(zeros[:count])
 
 
 def hadamard_trunc(spec, zs) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Decision-tree classification and its supporting evidence gatherers."""
 
+import dataclasses
 import importlib
 import json
 import math
@@ -15,10 +16,14 @@ from hyperalg import (
     ZeroSetSummary,
     check_T2,
     classify,
+    estimate_order_type,
     find_arith_progression,
+    growth,
+    symbols,
     to_json_value,
 )
 from hyperalg.classify import Verdict
+from hyperalg.cli import _DEFAULT_R_GRID
 from hyperalg.errors import NormalizationError
 
 # the package re-exports the function classify under the module's name
@@ -146,7 +151,8 @@ class TestClassifyCatalog:
         verdict = classify(spec)
         assert verdict.outcome == "HasAlgebra"
         assert verdict.route == "subexponential"
-        assert verdict.confidence == "numerical"
+        # a polynomial by its structure: no growth estimate is involved
+        assert verdict.confidence == "exact"
 
     def test_caller_supplied_zeros_feed_the_summable_route(self):
         zeros = [complex(n * n) for n in range(1, 200)]
@@ -184,8 +190,20 @@ class TestStructuralZeros:
             HadamardTrunc(a=1, b=0, zeros=SQUARES, genus=0, truncation=0),
             # -e^z, the rotation of CatalogSymbol("exp")
             CatalogSymbol("exp-poly", a=1, poly=(-1,)),
+            # the constant 1, so Phi(D) is the identity
+            CatalogSymbol("exp", a=0),
+            PolyTimesExp(poly=(1,), a=0),
+            ExpPolySymbol(ExpPoly.one()),
+            HadamardTrunc(a=0, b=0, zeros=(1,), genus=0, truncation=0),
         ],
-        ids=["truncation-0-product", "rotated-exp-poly"],
+        ids=[
+            "truncation-0-product",
+            "rotated-exp-poly",
+            "constant-exp",
+            "constant-poly-times-exp",
+            "constant-exppoly",
+            "constant-product",
+        ],
     )
     def test_zero_free_symbols(self, spec):
         verdict = classify(spec)
@@ -205,10 +223,6 @@ class TestStructuralZeros:
         with pytest.raises(ValueError, match="nonempty"):
             classify(CatalogSymbol("cos"), zeros=[])
 
-    def test_empty_r_grid_is_checked_not_replaced(self):
-        with pytest.raises(ValueError, match=">= 8 points"):
-            classify(CatalogSymbol("cos"), r_grid=[])
-
     @pytest.mark.parametrize(
         "spec",
         [
@@ -220,12 +234,99 @@ class TestStructuralZeros:
     )
     def test_structure_is_read_once(self, spec, monkeypatch):
         calls = []
-        read = classify_module._structural_poly_exp
+        read = classify_module._structure
 
         def counting(s):
             calls.append(s)
             return read(s)
 
-        monkeypatch.setattr(classify_module, "_structural_poly_exp", counting)
+        monkeypatch.setattr(classify_module, "_structure", counting)
         classify(spec)
         assert len(calls) == 1
+
+
+class TestGrowthFromStructure:
+    """The growth gate reads the structure of each symbol kind; no regression
+    and no evaluation decides it."""
+
+    ROUTES = {
+        "subexponential": (PolyTimesExp(poly=(1, -1, 0, 1), a=0), "HasAlgebra", "exact"),
+        "growth-beyond-scope": (CatalogSymbol("exp-quadratic"), "Unknown", "exact"),
+        "normalization": (CatalogSymbol("exp-poly", a=1, poly=(2,)), "Unknown", "exact"),
+        "zero-free": (CatalogSymbol("exp", a=1), "NoAlgebra", "exact"),
+        "poly-times-exp": (
+            CatalogSymbol("exp-poly", a=1, poly=(1, 1j)), "HasAlgebra", "exact"
+        ),
+        "zeros-summable": (
+            HadamardTrunc(a=1, b=0, zeros=TestStructuralZeros.SQUARES, genus=0, truncation=30),
+            "HasAlgebra",
+            "numerical",
+        ),
+        "zeros-divergent-nonzero-slope": (
+            HadamardTrunc(
+                a=1,
+                b=0,
+                zeros=tuple(complex(math.sqrt(n)) for n in range(1, 101)),
+                genus=1,
+                truncation=100,
+            ),
+            "HasAlgebra",
+            "numerical",
+        ),
+        "curvature-progression": (CatalogSymbol("cos"), "HasAlgebra", "numerical"),
+        "ray-growth-gap": (
+            PolyTimesExp(poly=(1, 0.5, 0.125, 0.01), a=-1), "HasAlgebra", "numerical"
+        ),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_each_route(self, route, monkeypatch):
+        def no_regression(*args):
+            raise AssertionError("classify ran the growth regression")
+
+        monkeypatch.setattr(growth, "_max_moduli", no_regression)
+        spec, outcome, confidence = self.ROUTES[route]
+        verdict = classify(spec)
+        assert (verdict.outcome, verdict.route, verdict.confidence) == (
+            outcome,
+            route,
+            confidence,
+        )
+
+    def test_product_without_exponent_is_not_evaluated(self, monkeypatch):
+        calls = []
+
+        def counting(spec, zs, guard):
+            calls.append(zs)
+            return evaluate(spec, zs, guard)
+
+        evaluate = symbols._evaluate
+        monkeypatch.setattr(symbols, "_evaluate", counting)
+        cos_zeros = tuple((k + 0.5) * math.pi * s for k in range(30) for s in (1, -1))
+        verdict = classify(HadamardTrunc(a=0, b=0, zeros=cos_zeros, genus=0, truncation=51))
+        assert (verdict.route, verdict.confidence) == ("subexponential", "exact")
+        assert verdict.evidence["growth"].degree == 51
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            CatalogSymbol("cos"),
+            CatalogSymbol("sinc-pi"),
+            CatalogSymbol("sin+exp(-z)"),
+            CatalogSymbol("exp", a=1),
+            CatalogSymbol("exp-poly", a=1, poly=(1, 1j)),
+            CatalogSymbol("exp-quadratic"),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_regression_agrees_with_structure(self, spec, scale):
+        spec = dataclasses.replace(spec, scale=scale)
+        structure = classify_module._structure(spec)
+        estimate = estimate_order_type(spec, _DEFAULT_R_GRID)
+        assert estimate.order == pytest.approx(structure.order, abs=0.2)
+        if structure.order == 1:
+            # relative 0.4: the top half of the window starts near r = 8.9, where
+            # the factor 1 + i z of exp-poly adds log|p(r)| / r, about 0.17
+            assert estimate.type_ == pytest.approx(structure.type, rel=0.4)

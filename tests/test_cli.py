@@ -244,13 +244,14 @@ class TestPipelines:
         assert main(["--config", path, "--out", str(tmp_path)]) == 1
 
     def test_product_past_the_floating_range_exits_1(self, tmp_path, capsys):
-        # zeros +-1e-3 k: the product overflows inside the growth window
+        # zeros +-1e-3 k: the product overflows inside the growth window that
+        # analyze samples (classify reads it as a polynomial, unevaluated)
         zeros = [[s * 1e-3 * k, 0.0] for k in range(1, 200) for s in (1, -1)]
         symbol = {
             "kind": "hadamard", "a": [0, 0], "zeros": zeros,
             "genus": 0, "truncation": 398,
         }
-        path = write_config(tmp_path, {"command": "classify", "symbol": symbol})
+        path = write_config(tmp_path, {"command": "analyze", "symbol": symbol})
         assert main(["--config", path, "--out", str(tmp_path)]) == 1
         assert "EvaluationRangeError" in capsys.readouterr().err
 

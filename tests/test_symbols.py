@@ -26,14 +26,14 @@ from hyperalg import (
 )
 from hyperalg import growth
 from hyperalg.errors import EvaluationRangeError
-from hyperalg.classify import _DEFAULT_R_GRID
+from hyperalg.classify import _structure
+from hyperalg.cli import _DEFAULT_R_GRID
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
     _sinc_pi,
-    catalog_zeros,
     eval_symbol_masked,
 )
-from reference import hadamard_trunc
+from reference import catalog_zeros, hadamard_trunc
 
 
 class TestEvaluation:
@@ -228,7 +228,7 @@ class TestHadamard:
 
 #: The benchmark's zero lists: the first 202 zeros of cos and of sinc-pi.
 BENCHMARK_ZEROS = {
-    name: catalog_zeros(CatalogSymbol(name), 202) for name in ("cos", "sinc-pi")
+    name: catalog_zeros(name, 202) for name in ("cos", "sinc-pi")
 }
 
 #: Genus-0 products that pair their zeros in each way the factor table can.
@@ -541,7 +541,7 @@ class TestSerialization:
 
 class TestCatalogZeros:
     def test_cos_zeros(self):
-        zeros = catalog_zeros(CatalogSymbol("cos"), 6)
+        zeros = catalog_zeros("cos", 6)
         assert set(zeros) == {
             math.pi / 2, -math.pi / 2, 3 * math.pi / 2,
             -3 * math.pi / 2, 5 * math.pi / 2, -5 * math.pi / 2,
@@ -550,12 +550,12 @@ class TestCatalogZeros:
             assert abs(eval_symbol(CatalogSymbol("cos"), z)) < 1e-12
 
     def test_sinc_zeros_are_nonzero_integers(self):
-        zeros = catalog_zeros(CatalogSymbol("sinc-pi"), 4)
+        zeros = catalog_zeros("sinc-pi", 4)
         assert set(zeros) == {1, -1, 2, -2}
 
     def test_zero_free_entries(self):
-        assert catalog_zeros(CatalogSymbol("exp", a=1), 4) == ()
-        assert catalog_zeros(CatalogSymbol("exp-quadratic"), 4) == ()
+        assert _structure(CatalogSymbol("exp", a=1)).zeros == ()
+        assert _structure(CatalogSymbol("exp-quadratic")).zeros == ()
 
 
 @dataclasses.dataclass(frozen=True)
