@@ -211,6 +211,8 @@ def run(config: dict) -> dict:
     if command != "catalog" and "symbol" not in values:
         raise ConfigError("this command requires a 'symbol' entry")
     spec = values.get("symbol")
+    if "r_grid" in values and command != "analyze":
+        warnings.append("r_grid is read only by analyze; ignored")
     grid = values.get("grid", DiskGrid())
     n_max = int(config.get("n_max", N_MAX_DEFAULT))
 

@@ -131,6 +131,15 @@ def _perm_table(K: int, length: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _window_index(K: int, length: int) -> np.ndarray:
+    """Read-only table of ``k + n`` for k <= K and n < length: row k indexes
+    the window ``f_k .. f_{k+length-1}``."""
+    index = np.add.outer(np.arange(K + 1), np.arange(length))
+    index.flags.writeable = False
+    return index
+
+
 def apply_symbol_taylor(
     phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
 ) -> TaylorPoly:
@@ -138,8 +147,9 @@ def apply_symbol_taylor(
     ``sum_n a_n * (k+n)! / k! * f_{k+n}``, truncated at K.
 
     All K+1 outputs come from one matrix-vector product: the table of
-    ``(k+n)! / k!`` (see :func:`_perm_table`) times the sliding windows
-    ``f_k .. f_{k+n}`` of the zero-padded input, applied to ``a``.  Terms
+    ``(k+n)! / k!`` (see :func:`_perm_table`) times the windows
+    ``f_k .. f_{k+n}`` of the zero-padded input, gathered through
+    :func:`_window_index`, applied to ``a``.  Terms
     whose factorial ratio passes 1e300 or whose index ``k + n`` lies past
     the end of ``f`` are left out.
 
@@ -159,7 +169,7 @@ def apply_symbol_taylor(
     padded = np.zeros(K + a.size, dtype=complex)
     head = f_taylor.coeffs[: padded.size]
     padded[: len(head)] = head
-    windows = np.lib.stride_tricks.sliding_window_view(padded, a.size)[: K + 1]
+    windows = padded[_window_index(K, a.size)]
     return _taylor((_perm_table(K, a.size) * windows) @ a, K)
 
 
@@ -180,26 +190,32 @@ class _DiagonalResidual:
     :func:`_power_image`'s, summed in :meth:`ExpPoly.evaluate_array`'s
     order, so the distance is :func:`sup_distance`'s bit for bit.  A
     frequency set at which phi overflows raises and is not kept.
+    :meth:`image` alone reads no target, so ``target`` may then be None.
     """
 
     def __init__(self, spec: SymbolSpec, target: ExpPoly | TaylorPoly, grid: DiskGrid):
         self.spec, self.target = spec, target
-        self._points = grid.points()
+        self.points = grid.points()
         self._phi: dict[tuple[complex, ...], list[complex]] = {}
         self._rows: dict[complex, np.ndarray] = {}
         self._target_values: np.ndarray | None = None
 
-    def __call__(self, f: ExpPoly, q: int) -> float:
+    def image(self, f: ExpPoly, q: int) -> np.ndarray:
+        """The q-th operator power of f on the grid."""
         freqs = f.frequencies()
         if freqs not in self._phi:
             self._phi[freqs] = eval_symbol_array(self.spec, freqs).tolist()
-        out = np.zeros(self._points.shape, dtype=complex)
+        out = np.zeros(self.points.shape, dtype=complex)
         for c, l in _power_image(f, self._phi[freqs], q).terms:
             if l not in self._rows:
-                self._rows[l] = _exp_row(l, self._points)
+                self._rows[l] = _exp_row(l, self.points)
             out += c * self._rows[l]
+        return out
+
+    def __call__(self, f: ExpPoly, q: int) -> float:
+        out = self.image(f, q)
         if self._target_values is None:
-            self._target_values = self.target.evaluate_array(self._points)
+            self._target_values = self.target.evaluate_array(self.points)
         return float(np.max(np.abs(out - self._target_values)))
 
 
@@ -253,9 +269,49 @@ def _abs_taylor(t: TaylorPoly) -> TaylorPoly:
     return _taylor(np.abs(t.coeffs).astype(complex), t.cap)
 
 
-def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
+class _Oracle:
+    """What the cross-checks of one report share, built once per
+    :func:`verify_witness` call and dropped with it.
+
+    Per contour radius it keeps phi's Taylor series, its squarings and each
+    reduced power with its modulus series (:meth:`power`).  It also keeps
+    the check grid, the disk of radius ``min(grid.radius, 0.5)``, with the
+    rows ``exp(l z)`` on it, through one :class:`_DiagonalResidual`.
+    """
+
+    def __init__(self, spec: SymbolSpec, grid: DiskGrid):
+        self.spec = spec
+        radius = min(grid.radius, 0.5)
+        self.radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
+        self.diagonal = _DiagonalResidual(
+            spec, None, DiskGrid(radius, grid.samples, grid.circles)
+        )
+        self._series: dict[float, tuple[TaylorPoly, list, dict]] = {}
+
+    def power(self, contour: float, n: int) -> tuple[TaylorPoly, TaylorPoly]:
+        """``phi**n`` from phi's series on the contour of radius ``contour``,
+        and its modulus series.  The first power at a radius squares; the
+        others are products of those squarings, bit for bit the fresh
+        binary power (:func:`taylor_pow_trunc`)."""
+        cap = CROSS_CHECK_K + TAYLOR_GUARD
+        if contour not in self._series:
+            self._series[contour] = (to_taylor(self.spec, cap, radius=contour), [], {})
+        phi_t, squares, powers = self._series[contour]
+        if n not in powers:
+            if len(squares) >= n.bit_length():
+                power = _power_from_squarings(squares, n, cap)
+            else:
+                power = taylor_pow_trunc(phi_t, n, cap, squares)
+            powers[n] = (power, _abs_taylor(power))
+        return powers[n]
+
+
+def _cross_check(
+    spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid, oracle: _Oracle | None = None
+) -> float:
     """Sup distance between the diagonal and coefficient-space images under a
-    reduced operator power.
+    reduced operator power, on the check grid of ``oracle`` (a new
+    :class:`_Oracle` of ``spec`` and ``grid`` when None).
 
     The reduced power starts at min(q, CROSS_CHECK_Q) and is halved, while
     it is above 1, as long as the coefficient-space sum is ill-conditioned:
@@ -263,31 +319,28 @@ def _cross_check(spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     result, the sum loses absolute accuracy to cancellation, which would
     fail the comparison for reasons unrelated to correctness of either
     path.  The condition estimate is the same sum with every factor
-    replaced by its modulus, evaluated on the check circle.  All reduced
-    powers come from the squarings of the first one."""
-    radius = min(grid.radius, 0.5)
+    replaced by its modulus, evaluated on the check circle."""
+    if oracle is None:
+        oracle = _Oracle(spec, grid)
     cap = CROSS_CHECK_K + TAYLOR_GUARD
     # contour radius above the largest frequency of f: the n-th coefficient's
     # roundoff floor gets multiplied by |freq|^n on the way back, so it must
     # decay at least as fast as |freq|^-n
     fmax = max((abs(freq) for _, freq in f.terms), default=0.0)
-    phi_t = to_taylor(spec, cap, radius=max(2.0, 1.25 * fmax))
+    contour = max(2.0, 1.25 * fmax)
     f_t = TaylorPoly.from_exppoly(f, cap)
     f_abs = _abs_taylor(f_t)
-    radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
     q_red = min(q, CROSS_CHECK_Q)
-    squares: list[TaylorPoly] = []
-    phi_pow = taylor_pow_trunc(phi_t, q_red, cap, squares)
     while True:
-        cond_poly = apply_symbol_taylor(_abs_taylor(phi_pow), f_abs, CROSS_CHECK_K)
-        cond = float(np.abs(cond_poly.coeffs) @ radius_powers)
+        phi_pow, phi_abs = oracle.power(contour, q_red)
+        cond_poly = apply_symbol_taylor(phi_abs, f_abs, CROSS_CHECK_K)
+        cond = float(np.abs(cond_poly.coeffs) @ oracle.radius_powers)
         if cond <= 1e4 or q_red <= 1:
             break
         q_red //= 2
-        phi_pow = _power_from_squarings(squares, q_red, cap)
-    oracle = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
-    small_grid = DiskGrid(radius, grid.samples, grid.circles)
-    return _DiagonalResidual(spec, oracle, small_grid)(f, q_red)
+    series = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
+    image = oracle.diagonal.image(f, q_red)
+    return float(np.max(np.abs(image - series.evaluate_array(oracle.diagonal.points))))
 
 
 def verify_witness(
@@ -316,6 +369,7 @@ def verify_witness(
         raise ValueError("the report has no monomial to check")
 
     passed = True
+    oracle = _Oracle(spec, grid)
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
     residual_by_q = {cq: 0.0 for cq in check_qs}
     for alpha, power in zip(alphas, _monomials(generators, alphas)):
@@ -325,7 +379,7 @@ def verify_witness(
             residual_by_q[cq] = max(residual_by_q[cq], residual(power, cq))
         if residual_by_q[q] > epsilon:
             passed = False
-        agreement = _cross_check(spec, power, q, grid)
+        agreement = _cross_check(spec, power, q, grid, oracle)
         if agreement > 1e-6:
             passed = False
     worst = [(cq, residual_by_q[cq]) for cq in check_qs]

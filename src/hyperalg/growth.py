@@ -21,6 +21,8 @@ from .symbols import (
     HadamardTrunc,
     SymbolSpec,
     _csv_text,
+    _deviation_bound,
+    _modulus_at_zero,
     _raise_out_of_range,
     eval_symbol_array,
     eval_symbol_masked,
@@ -45,6 +47,10 @@ PROGRESSION_DIRECTIONS = 360
 #: :func:`find_arith_progression` screens the first row of the next steps in
 #: one evaluation, in blocks that double up to this many steps.
 SCREEN_STEPS = 16
+
+#: Rounding error, relative to phi's majorant, that :func:`_dead_steps`
+#: allows one evaluation of phi: 64 u with u = 2**-52.
+EVAL_ROUNDING = 64 * 2.0**-52
 
 #: Samples of a discrete log|phi| profile on a segment.
 PROFILE_POINTS = 64
@@ -123,6 +129,13 @@ class ConvexRay:
 #: The ``SCAN_SAMPLES`` equispaced points of the unit circle (read-only).
 _RING = np.exp(1j * (2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES))
 _RING.flags.writeable = False
+
+#: The ``PROGRESSION_DIRECTIONS`` unit directions of
+#: :func:`find_arith_progression` (read-only).
+_DIRECTIONS = np.exp(
+    2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
+)
+_DIRECTIONS.flags.writeable = False
 
 
 def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
@@ -273,18 +286,41 @@ def _row_passes(spec: SymbolSpec, points: np.ndarray, margin: float) -> np.ndarr
     return passes if in_range.all() else passes & in_range.all(axis=1, keepdims=True)
 
 
+def _dead_steps(spec: SymbolSpec, steps: np.ndarray, margin: float) -> int:
+    """How many leading ``steps`` phi's majorant proves dead.
+
+    On |z| = t, |phi(z)| >= |phi(0)| - D(t), with D from
+    :func:`~hyperalg.symbols._deviation_bound`.  A step is dead when that
+    floor, less ``EVAL_ROUNDING`` M(t) for the rounding of an evaluation, is
+    at least 1 - margin/2 (1 - margin for a margin below 0), so evaluation
+    would find no passing point either.  M(t) = M(0) + D(t) majorizes |phi|;
+    |phi(0)| and M(0) come from :func:`~hyperalg.symbols._modulus_at_zero`.
+    D grows with t, so the dead steps are a prefix."""
+    phi0, m0 = _modulus_at_zero(spec)
+    threshold = 1 - min(margin, margin / 2)
+    # the floor condition, solved for D(t)
+    slack = (phi0 - EVAL_ROUNDING * m0 - threshold) / (1 + EVAL_ROUNDING)
+    if slack < 0:
+        return 0
+    dead = _deviation_bound(spec, steps) <= slack
+    first_live = int(dead.argmin())  # 0 also when every step is dead
+    return steps.size if dead[first_live] else first_live
+
+
 def _live_steps(spec: SymbolSpec, rays: np.ndarray, margin: float):
     """Yields ``(t, where row 1 passes)`` for every progression step t, in
     order, that some direction passes in row 1 (a live step).
 
-    Row 1 is evaluated in blocks of steps: one step at first, twice as many
-    after a block of dead steps, up to :func:`_screen_limit`, and one again
-    after a block with a live step.
+    The steps :func:`_dead_steps` proves dead are skipped unevaluated.
+    Row 1 of the others is evaluated in blocks of steps: one step at first,
+    twice as many after a block of dead steps, up to :func:`_screen_limit`,
+    and one again after a block with a live step.
     """
+    steps = PROGRESSION_STEPS  # read per call: tests replace the grid
     limit = _screen_limit(spec)
-    block, start = 1, 0
-    while start < PROGRESSION_STEPS.size:
-        ts = PROGRESSION_STEPS[start : start + block]
+    block, start = 1, _dead_steps(spec, steps, margin)
+    while start < steps.size:
+        ts = steps[start : start + block]
         start += ts.size
         passes = _row_passes(spec, np.multiply.outer(ts, rays), margin)
         live = np.nonzero(passes.any(axis=1))[0]
@@ -304,23 +340,21 @@ def find_arith_progression(
     directions at once) are tested for j = 1, 2, ... while some direction
     has passed every row so far; the step is left at the first empty row,
     or at the first row that overflows.  Row 1 comes from
-    :func:`_live_steps`, which screens runs of dead steps in one call.
+    :func:`_live_steps`, which skips the steps phi's majorant proves dead
+    and screens runs of other dead steps in one call.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    rays = np.exp(
-        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
-    )
     found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
-    for t, ok in _live_steps(spec, rays, margin):
+    for t, ok in _live_steps(spec, _DIRECTIONS, margin):
         for j in range(1, m + 1):
             if j > 1:
-                ok = ok & _row_passes(spec, ((j * t) * rays)[None], margin)[0]
+                ok = ok & _row_passes(spec, ((j * t) * _DIRECTIONS)[None], margin)[0]
             hits = np.nonzero(ok)[0]
             if not hits.size:
                 break
             if found[j] is None:
-                found[j] = complex(t * rays[hits[0]])
+                found[j] = complex(t * _DIRECTIONS[hits[0]])
         if found[m] is not None:
             break  # a hit of length m is a hit of every shorter length
     return found

@@ -245,6 +245,83 @@ def _evaluate(spec: SymbolSpec, zs: np.ndarray, guard) -> np.ndarray:
     raise TypeError(f"not a SymbolSpec: {spec!r}")
 
 
+def _exp_poly_deviation(slope: float, poly, r: np.ndarray) -> np.ndarray:
+    """The majorant of ``e^{a w} p(w) - p(0)`` at |w| = r, for |a| = slope:
+    ``e^{slope r} p~(r) - |p(0)|``, with p~ the polynomial of the moduli of
+    ``poly``, summed as ``expm1(slope r) p~(r) + (p~(r) - |p(0)|)`` so that
+    no two close numbers are subtracted."""
+    moduli = [abs(c) for c in poly] or [0.0]
+    tail = 0.0 * r  # p~(r) - |p(0)|, by Horner's rule
+    for c in reversed(moduli[1:]):
+        tail = (tail + c) * r
+    return np.expm1(slope * r) * (moduli[0] + tail) + tail
+
+
+def _modulus_at_zero(spec: SymbolSpec) -> tuple[float, float]:
+    """|phi(0)| from the structure, and M(0), the constant term of phi's
+    majorant series: sum |c| for an exponential sum, |phi(0)| for every
+    other kind."""
+    if isinstance(spec, CatalogSymbol):
+        if spec.name == CATALOG_EXP_POLY:
+            phi0 = abs(spec.poly[0]) if spec.poly else 0.0
+        else:
+            phi0 = 1.0
+        return phi0, phi0
+    if isinstance(spec, ExpPolySymbol):
+        coeffs = spec.poly.coefficients()
+        return abs(sum(coeffs)), sum(map(abs, coeffs))
+    if isinstance(spec, (PolyTimesExp, HadamardTrunc)):
+        phi0 = math.exp(spec.b.real)  # e^b times p(0) = 1, or an empty product
+        return phi0, phi0
+    raise TypeError(f"not a SymbolSpec: {spec!r}")
+
+
+def _deviation_bound(spec: SymbolSpec, t) -> np.ndarray:
+    """D(t) >= sup over |z| = t of |phi(z) - phi(0)|, at each radius of the
+    array ``t``: the majorant series sum |a_k| t^k of phi without its
+    constant term, in closed form for each kind.  It grows with t, and may
+    be inf where it overflows (and NaN at t = 0 for sinc-pi)."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(all="ignore"):
+        if isinstance(spec, CatalogSymbol):
+            r = abs(spec.scale) * t
+            if spec.name == CATALOG_COS:
+                return np.cosh(r) - 1
+            if spec.name == CATALOG_SIN_PLUS_EXP:
+                return np.sinh(r) + np.expm1(r)
+            if spec.name == CATALOG_SINC_PI:
+                x = np.pi * r
+                return np.sinh(x) / x - 1
+            if spec.name == CATALOG_EXP:
+                return np.expm1(abs(spec.a) * r)
+            if spec.name == CATALOG_EXP_POLY:
+                return _exp_poly_deviation(abs(spec.a), spec.poly, r)
+            if spec.name == CATALOG_EXP_QUADRATIC:
+                return np.expm1(abs(spec.a) * r * r)
+            raise AssertionError(spec.name)
+        if isinstance(spec, ExpPolySymbol):
+            out = np.zeros(t.shape)
+            for c, l in spec.poly.terms:
+                out += abs(c) * np.expm1(abs(l) * t)
+            return out
+        if isinstance(spec, PolyTimesExp):
+            return math.exp(spec.b.real) * _exp_poly_deviation(abs(spec.a), spec.poly, t)
+        if isinstance(spec, HadamardTrunc):
+            # e^{|a|t} prod(1 + t^2 |1/z^2|) prod(1 + t/|z|) [e^{t/|z|}] - 1,
+            # summed as logs
+            inv_squares, lone = spec._factors
+            inv_lone = 1 / np.abs(lone)
+            log_m = (
+                abs(spec.a) * t
+                + np.log1p(np.multiply.outer(t * t, np.abs(inv_squares))).sum(-1)
+                + np.log1p(np.multiply.outer(t, inv_lone)).sum(-1)
+            )
+            if spec.genus == 1:
+                log_m = log_m + t * inv_lone.sum()
+            return math.exp(spec.b.real) * np.expm1(log_m)
+    raise TypeError(f"not a SymbolSpec: {spec!r}")
+
+
 def eval_symbol_array(spec: SymbolSpec, zs) -> np.ndarray:
     """Vectorized evaluation; raises :class:`EvaluationRangeError` on overflow."""
     return _evaluate(spec, np.asarray(zs, dtype=complex), _guard)

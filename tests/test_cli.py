@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hyperalg
@@ -140,6 +141,18 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"symbol": symbol, **extra})
         assert main(["--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_r_grid_outside_analyze_is_reported_as_ignored(self):
+        plain = run({"command": "classify", "symbol": COS})
+        r_grid = [float(r) for r in np.geomspace(1.0, 60.0, 16)]
+        report = run({"command": "classify", "symbol": COS, "r_grid": r_grid})
+        assert report["outcome"] == plain["outcome"]
+        assert "r_grid" not in " ".join(plain["warnings"])
+        assert report["warnings"] == [
+            "r_grid is read only by analyze; ignored", *plain["warnings"]
+        ]
+        analyzed = run({"command": "analyze", "symbol": COS, "r_grid": r_grid})
+        assert "r_grid" not in " ".join(analyzed["warnings"])
 
     def test_schema_rejects_nonpositive_epsilon(self):
         import jsonschema

@@ -1,8 +1,11 @@
 """Diagonal operator action versus the coefficient-space oracle."""
 
 import cmath
+import json
 import math
 import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from hyperalg import (
     mul_exppoly,
     sup_distance,
     to_taylor,
+    verify_witness,
 )
 from hyperalg import dynamics
 from hyperalg.dynamics import (
@@ -34,6 +38,8 @@ from hyperalg.dynamics import (
 )
 from hyperalg.errors import EvaluationRangeError, OracleInputError
 from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
+from hyperalg.witness import WitnessReport
+import reference
 from reference import apply_symbol_power, pow_exppoly
 
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
@@ -231,6 +237,16 @@ class TestVectorizedKernels:
         assert out.cap == K and len(out.coeffs) == K + 1
         assert all(isinstance(c, complex) for c in out.coeffs)
         np.testing.assert_allclose(out.coeffs, ref.coeffs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "len_phi, extra, K", [(1, 0, 60), (81, 0, 60), (40, 25, 10), (95, 3, 0)]
+    )
+    def test_apply_is_bitwise_the_sliding_windows(self, len_phi, extra, K):
+        rng = np.random.default_rng(100 * len_phi + extra)
+        phi = random_taylor(rng, len_phi)
+        f = random_taylor(rng, K + TAYLOR_GUARD + 1 + extra)
+        out = apply_symbol_taylor(phi, f, K)
+        assert bits(out.coeffs) == bits(reference.apply_symbol_taylor(phi, f, K).coeffs)
 
     def test_apply_drops_the_same_terms_past_the_factorial_cutoff(self):
         # (k+n)!/k! passes 1e300 inside the first 300 orders for every k <= 60
@@ -440,6 +456,76 @@ class TestCrossCheckPowers:
         # 5 squarings for 32, then one product per power 32, 16, ..., 1
         # (a fresh binary power per halving takes 6 + 5 + ... + 1 = 21)
         assert counts == {"pow": 1, "mul": 11}
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def counting(monkeypatch, names) -> Counter:
+    """Counts the calls of each of ``names`` that ``dynamics`` makes."""
+    counts = Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(dynamics, name, count(name, getattr(dynamics, name)))
+    return counts
+
+
+class TestSharedOracle:
+    """One oracle state per verified report: every agreement is bit for bit
+    the one a fresh per-monomial cross-check gives."""
+
+    #: Fixture reports and their symbols: four monomials on the contour
+    #: radii 2.0, 2.0, 2.42 and 3.23, and three monomials all on 2.0.
+    FIXTURES = {
+        "single-m4-scale1.3": CatalogSymbol("exp-quadratic", scale=1.3),
+        "multi-20-11-01": CatalogSymbol("exp-quadratic"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_agreements_are_bitwise_the_per_monomial_check(self, name, monkeypatch):
+        spec = self.FIXTURES[name]
+        report = WitnessReport.from_dict(json.loads((DATA / f"{name}.json").read_text()))
+        grid = DiskGrid()
+        got = []
+        check = dynamics._cross_check
+
+        def recorded(*args):
+            got.append(check(*args))
+            return got[-1]
+
+        monkeypatch.setattr(dynamics, "_cross_check", recorded)
+        counts = counting(monkeypatch, ["to_taylor"])
+        verify_witness(spec, report, grid, 1e-5)
+        powers = dynamics._monomials(list(report.generators), report.monomials)
+        want = [reference.cross_check(spec, f, report.q, grid) for f in powers]
+        assert len(got) == len(report.monomials)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        # one contour series per distinct radius
+        assert counts["to_taylor"] == {"single-m4-scale1.3": 3, "multi-20-11-01": 1}[name]
+
+    def test_second_monomial_at_the_same_radius_reuses_the_series(self, monkeypatch):
+        spec = CatalogSymbol("exp-quadratic")
+        counts = counting(
+            monkeypatch, ["to_taylor", "taylor_pow_trunc", "taylor_mul_trunc"]
+        )
+        oracle = dynamics._Oracle(spec, GRID)
+        # the 1e6 coefficient halves the reduced power from 32 down to 1;
+        # both monomials have their frequencies within 1.6, so radius 2
+        f = ExpPoly.of([(1e6, 0.3)])
+        g = ExpPoly.of([(2.0, 0.5j), (1.0, -1.2), (0.5, 0.7 + 0.7j)])
+        first = dynamics._cross_check(spec, f, 2**20, GRID, oracle)
+        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 1, "taylor_mul_trunc": 11}
+        second = dynamics._cross_check(spec, g, 2**20, GRID, oracle)
+        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 1, "taylor_mul_trunc": 11}
+        assert first.hex() == reference.cross_check(spec, f, 2**20, GRID).hex()
+        assert second.hex() == reference.cross_check(spec, g, 2**20, GRID).hex()
 
 
 def reference_monomial(gens, alpha) -> ExpPoly:

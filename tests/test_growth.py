@@ -27,7 +27,12 @@ from hyperalg import (
 from hyperalg import growth
 from hyperalg.errors import EvaluationRangeError, HypothesisError
 from hyperalg.growth import MODULUS_MARGIN, PROGRESSION_DIRECTIONS
-from hyperalg.symbols import eval_symbol_array, eval_symbol_masked
+from hyperalg.symbols import (
+    _deviation_bound,
+    _modulus_at_zero,
+    eval_symbol_array,
+    eval_symbol_masked,
+)
 from reference import indicator, max_modulus
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
@@ -200,14 +205,15 @@ class TestProgressionSweep:
             find_arith_progression(CatalogSymbol("cos"), 0)
 
 
-def per_step_progression(spec, m, margin, evaluate):
-    """The search before screening, row by row: every row of every step is
-    one ``evaluate`` call, and row 1 of a dead step is its only call."""
+def per_step_progression(spec, m, margin, evaluate, first_step=0):
+    """The search before screening, row by row: every row of every step from
+    ``first_step`` on is one ``evaluate`` call, and row 1 of a dead step is
+    its only call."""
     rays = np.exp(
         2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
     )
     found = dict.fromkeys(range(1, m + 1))
-    for t in growth.PROGRESSION_STEPS:
+    for t in growth.PROGRESSION_STEPS[first_step:]:
         t = float(t)
         ok = np.ones(PROGRESSION_DIRECTIONS, dtype=bool)
         for j in range(1, m + 1):
@@ -255,9 +261,13 @@ class TestProgressionScreening:
     """Runs of dead steps are screened in one call where rows are cheap."""
 
     def test_costly_symbol_keeps_the_per_step_calls(self, monkeypatch):
+        # the majorant proves the first step dead; the rest keep one call each
+        assert growth._dead_steps(
+            HADAMARD_60, growth.PROGRESSION_STEPS, MODULUS_MARGIN
+        ) == 1
         want_calls = []
         want = per_step_progression(
-            HADAMARD_60, 4, MODULUS_MARGIN, recording(want_calls)
+            HADAMARD_60, 4, MODULUS_MARGIN, recording(want_calls), first_step=1
         )
         calls = record_masked(monkeypatch)
         assert find_arith_progression(HADAMARD_60, 4) == want
@@ -290,6 +300,102 @@ class TestProgressionScreening:
             tuple(row) for z in calls for row in z.reshape(-1, PROGRESSION_DIRECTIONS)
         ]
         assert len(rows) == len(set(rows))
+
+
+RAYS = np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS)
+
+#: Kinds and branches of the majorant that the progression panel leaves out.
+MAJORANT_EXTRAS = {
+    "exp": CatalogSymbol("exp", a=0.8j),
+    "exp-poly-p0-2": CatalogSymbol("exp-poly", a=1, poly=(2, 1j, 0.5)),
+    "poly-times-exp": PolyTimesExp((1, 0.5 - 0.2j, 0.3), a=0.6j, b=0.4j),
+    "hadamard-genus1": HadamardTrunc(0.3j, 0.1j, COS_ZEROS, 1, 7),
+}
+
+
+def passing_points(spec, steps, margin) -> int:
+    """How many points of row 1 of ``steps`` pass: in range, |phi| <= 1 - margin."""
+    vals, in_range = eval_symbol_masked(spec, np.multiply.outer(steps, RAYS))
+    return int(np.count_nonzero(in_range & (np.abs(vals) <= 1 - margin)))
+
+
+def assert_bound_covers(spec, ts):
+    """``_deviation_bound`` is at least |phi(z) - phi(0)| on the circles
+    ``ts``, and ``_modulus_at_zero`` gives |phi(0)| and M(0) >= |phi(0)|."""
+    phi0 = eval_symbol_array(spec, np.zeros(1))[0]
+    modulus, m0 = _modulus_at_zero(spec)
+    assert modulus == pytest.approx(abs(phi0), rel=1e-12, abs=1e-12 * m0)
+    assert m0 >= modulus
+    bound = _deviation_bound(spec, ts)
+    vals, in_range = eval_symbol_masked(spec, np.multiply.outer(ts, RAYS))
+    deviation = np.where(in_range, np.abs(vals - phi0), 0.0).max(axis=1)
+    assert np.all(deviation <= bound * (1 + 1e-9) + 1e-12)
+
+
+@st.composite
+def exponential_sums(draw):
+    def cx(lo, hi):
+        return draw(st.floats(lo, hi)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+
+    terms = [(cx(0.5, 3.0), 0j)] + [
+        (cx(0.05, 2.0), cx(0.1, 3.0)) for _ in range(draw(st.integers(1, 4)))
+    ]
+    return ExpPolySymbol(ExpPoly.of(terms))
+
+
+@st.composite
+def truncated_products(draw):
+    zeros = [
+        draw(st.floats(0.5, 20.0)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    zeros += [-z for z in zeros[: draw(st.integers(0, len(zeros)))]]
+    return HadamardTrunc(
+        a=draw(st.floats(0, 1.0)) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi))),
+        b=1j * draw(st.floats(-3.0, 3.0)),
+        zeros=tuple(zeros),
+        genus=draw(st.integers(0, 1)),
+        truncation=draw(st.integers(0, len(zeros))),
+    )
+
+
+class TestDeadZone:
+    """The progression steps phi's majorant proves dead pass nowhere."""
+
+    @pytest.mark.parametrize("margin", [0.5, 0.1, MODULUS_MARGIN])
+    @pytest.mark.parametrize("name", sorted(PROGRESSION_PANEL))
+    def test_skipped_steps_pass_nowhere(self, name, margin):
+        spec = PROGRESSION_PANEL[name]
+        steps = growth.PROGRESSION_STEPS
+        skipped = growth._dead_steps(spec, steps, margin)
+        assert passing_points(spec, steps[:skipped], margin) == 0
+
+    @pytest.mark.parametrize(
+        "name", ["cos", "exp-quadratic", "sinc-pi", "hadamard-even", "sin+exp"]
+    )
+    def test_wide_margin_skips_most_of_the_dead_prefix(self, name):
+        spec = PROGRESSION_PANEL[name]
+        steps = growth.PROGRESSION_STEPS
+        prefix = next(
+            i for i, t in enumerate(steps) if passing_points(spec, [t], 0.5)
+        )
+        assert growth._dead_steps(spec, steps, 0.5) >= 2 / 3 * prefix
+
+    @pytest.mark.parametrize("name", sorted({**PROGRESSION_PANEL, **MAJORANT_EXTRAS}))
+    def test_bound_covers_every_circle(self, name):
+        spec = {**PROGRESSION_PANEL, **MAJORANT_EXTRAS}[name]
+        assert_bound_covers(spec, growth.PROGRESSION_STEPS[::8])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=st.one_of(exponential_sums(), truncated_products()),
+        margin=st.sampled_from([0.5, 0.1, MODULUS_MARGIN]),
+    )
+    def test_random_sums_and_products(self, spec, margin):
+        steps = growth.PROGRESSION_STEPS
+        assert_bound_covers(spec, steps[::16])
+        skipped = growth._dead_steps(spec, steps, margin)
+        assert passing_points(spec, steps[:skipped], margin) == 0
 
 
 class TestDirectionScan:
