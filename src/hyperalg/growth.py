@@ -23,7 +23,6 @@ from .symbols import (
     _csv_text,
     _deviation_bound,
     _modulus_at_zero,
-    _raise_out_of_range,
     eval_symbol_array,
     eval_symbol_masked,
     taylor_coeffs_at,
@@ -228,10 +227,10 @@ def _last_below_one(ts: np.ndarray, mods: np.ndarray) -> float | None:
 
 def ray_below_one(spec: SymbolSpec, theta: float, t_max: float) -> float | None:
     """Largest sampled r with |phi| <= 1 - margin on all of (0, r]; None when
-    the first sample already fails."""
+    the first sample already fails.  A sample out of range fails."""
     ts = _ray_samples(t_max)
-    vals = np.abs(eval_symbol_array(spec, ts * cmath.exp(1j * theta)))
-    return _last_below_one(ts, vals)
+    vals, _ = eval_symbol_masked(spec, ts * cmath.exp(1j * theta))
+    return _last_below_one(ts, np.abs(vals))
 
 
 def first_ray_below_one(
@@ -240,23 +239,22 @@ def first_ray_below_one(
     """The first of ``thetas`` whose :func:`ray_below_one` radius is at
     least ``r_min``; None when no direction has one.
 
-    :func:`_screen_limit` rays are evaluated per call, each row judged by
-    :func:`ray_below_one`'s rule.  The scan raises at the first ray that
-    overflows, where a loop of :func:`ray_below_one` calls would.
+    One call screens the first sample of every ray; only the rays that pass
+    it are evaluated, in order, :func:`_screen_limit` rays per call, each
+    row judged by :func:`ray_below_one`'s rule.
     """
     ts = _ray_samples(t_max)
     thetas = [float(theta) for theta in thetas]
+    directions = np.asarray([cmath.exp(1j * theta) for theta in thetas])
+    live = np.nonzero(_row_passes(spec, ts[0] * directions, MODULUS_MARGIN))[0]
     limit = _screen_limit(spec)
-    for start in range(0, len(thetas), limit):
-        block = thetas[start : start + limit]
-        directions = np.asarray([cmath.exp(1j * theta) for theta in block])
-        vals, in_range = eval_symbol_masked(spec, ts * directions[:, None])
-        for theta, mods, ok in zip(block, np.abs(vals), in_range.all(axis=1)):
-            if not ok:
-                _raise_out_of_range()
+    for start in range(0, live.size, limit):
+        block = live[start : start + limit]
+        vals, _ = eval_symbol_masked(spec, ts * directions[block, None])
+        for i, mods in zip(block, np.abs(vals)):
             r = _last_below_one(ts, mods)
             if r is not None and r >= r_min:
-                return theta
+                return thetas[i]
     return None
 
 
@@ -279,11 +277,10 @@ def _screen_limit(spec: SymbolSpec) -> int:
 
 
 def _row_passes(spec: SymbolSpec, points: np.ndarray, margin: float) -> np.ndarray:
-    """Where |phi| <= 1 - margin on the rows of ``points``, from one
-    evaluation; a row that overflows passes nowhere."""
-    vals, in_range = eval_symbol_masked(spec, points)
-    passes = np.abs(vals) <= 1 - margin
-    return passes if in_range.all() else passes & in_range.all(axis=1, keepdims=True)
+    """Where |phi| <= 1 - margin at ``points``, from one evaluation; a point
+    out of range (NaN) passes nowhere, and fails nothing but itself."""
+    vals, _ = eval_symbol_masked(spec, points)
+    return np.abs(vals) <= 1 - margin
 
 
 def _dead_steps(spec: SymbolSpec, steps: np.ndarray, margin: float) -> int:
@@ -336,25 +333,26 @@ def find_arith_progression(
     by direction) such that |phi(j a)| <= 1 - margin for every j = 1..k;
     None for a length the grid never meets.
 
-    One sweep serves every length.  At each step the rows ``j a`` (all
-    directions at once) are tested for j = 1, 2, ... while some direction
-    has passed every row so far; the step is left at the first empty row,
-    or at the first row that overflows.  Row 1 comes from
-    :func:`_live_steps`, which skips the steps phi's majorant proves dead
-    and screens runs of other dead steps in one call.
+    One sweep serves every length.  Row 1 comes from :func:`_live_steps`,
+    which skips the steps phi's majorant proves dead and screens runs of
+    other dead steps in one call.  Rows 2..m of a live step are evaluated in
+    one call, only in the directions ``hits`` that pass row 1; a direction
+    keeps a length while it passes every row so far, and a point out of
+    range fails its own direction only.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
+    js = np.arange(2, m + 1, dtype=float)[:, None]
     for t, ok in _live_steps(spec, _DIRECTIONS, margin):
-        for j in range(1, m + 1):
-            if j > 1:
-                ok = ok & _row_passes(spec, ((j * t) * _DIRECTIONS)[None], margin)[0]
-            hits = np.nonzero(ok)[0]
-            if not hits.size:
-                break
+        hits = np.nonzero(ok)[0]
+        rows = _row_passes(spec, (js * t) * _DIRECTIONS[hits], margin)
+        alive = np.logical_and.accumulate(rows, axis=0)
+        for j, row in enumerate([ok[hits], *alive], 1):
+            if not row.any():
+                break  # no direction has this length at t
             if found[j] is None:
-                found[j] = complex(t * _DIRECTIONS[hits[0]])
+                found[j] = complex(t * _DIRECTIONS[hits[row.argmax()]])
         if found[m] is not None:
             break  # a hit of length m is a hit of every shorter length
     return found

@@ -259,8 +259,8 @@ def _exp_poly_deviation(slope: float, poly, r: np.ndarray) -> np.ndarray:
 
 def _modulus_at_zero(spec: SymbolSpec) -> tuple[float, float]:
     """|phi(0)| from the structure, and M(0), the constant term of phi's
-    majorant series: sum |c| for an exponential sum, |phi(0)| for every
-    other kind."""
+    majorant series: sum |c| for an exponential sum (never below the
+    rounded |phi(0)|), |phi(0)| for every other kind."""
     if isinstance(spec, CatalogSymbol):
         if spec.name == CATALOG_EXP_POLY:
             phi0 = abs(spec.poly[0]) if spec.poly else 0.0
@@ -269,7 +269,8 @@ def _modulus_at_zero(spec: SymbolSpec) -> tuple[float, float]:
         return phi0, phi0
     if isinstance(spec, ExpPolySymbol):
         coeffs = spec.poly.coefficients()
-        return abs(sum(coeffs)), sum(map(abs, coeffs))
+        phi0 = abs(sum(coeffs))
+        return phi0, max(phi0, sum(map(abs, coeffs)))
     if isinstance(spec, (PolyTimesExp, HadamardTrunc)):
         phi0 = math.exp(spec.b.real)  # e^b times p(0) = 1, or an empty product
         return phi0, phi0
@@ -388,14 +389,13 @@ def _dft_phases(n_max: int, samples: int) -> np.ndarray:
     return phases
 
 
-def _contour_coeffs(
-    spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
-) -> np.ndarray:
-    """Trapezoid-rule Taylor coefficients 0..n_max on the circle of ``radius``
-    around ``center``: the symbol's values on the ring times the cached DFT
-    matrix of :func:`_dft_phases`.  A dense product rather than an FFT, whose
-    different summation order would move the last bits of the results."""
-    vals = eval_symbol_array(spec, center + radius * np.exp(1j * _angles(samples)))
+def _contour_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
+    """Trapezoid-rule Taylor coefficients 0..n_max from ``vals``, phi at the
+    equispaced points of a circle of ``radius`` (:func:`_angles`), times the
+    cached DFT matrix of :func:`_dft_phases`.  A dense product rather than
+    an FFT, whose different summation order would move the last bits of the
+    results."""
+    samples = vals.size
     ks = np.arange(n_max + 1)
     return (_dft_phases(n_max, samples) @ vals) / samples / radius**ks
 
@@ -406,11 +406,17 @@ def _converged_coeffs(
     """Coefficients from ``2 * samples`` points, with their distance to the
     estimate from ``samples`` points as the error.
 
+    phi is evaluated once, on the ``2 * samples`` ring: the even angles of
+    that ring are the ``samples`` angles bit for bit, so its even values
+    give the coarse estimate.
+
     Raises :class:`DerivativeConvergenceError` when the two disagree beyond
     ``CONTOUR_TOL`` (relative to ``max(1, |coeff|)``).
     """
-    coarse = _contour_coeffs(spec, center, n_max, radius, samples)
-    fine = _contour_coeffs(spec, center, n_max, radius, 2 * samples)
+    ring = center + radius * np.exp(1j * _angles(2 * samples))
+    vals = eval_symbol_array(spec, ring)
+    coarse = _contour_coeffs(np.ascontiguousarray(vals[::2]), n_max, radius)
+    fine = _contour_coeffs(vals, n_max, radius)
     errors = np.abs(fine - coarse)
     scale = np.maximum(1.0, np.abs(fine))
     if np.any(errors > CONTOUR_TOL * scale):

@@ -118,3 +118,27 @@ def cross_check(spec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     oracle = apply_symbol_taylor(phi_pow, f_t, K)
     small_grid = DiskGrid(radius, grid.samples, grid.circles)
     return dynamics._DiagonalResidual(spec, oracle, small_grid)(f, q_red)
+
+
+def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: int):
+    """``symbols._converged_coeffs`` with its two rings evaluated apart: phi
+    on ``samples`` points for the coarse estimate, then on ``2 * samples``
+    points for the fine one."""
+
+    def contour_coeffs(n):
+        angles = 2 * np.pi * np.arange(n) / n
+        vals = symbols.eval_symbol_array(spec, center + radius * np.exp(1j * angles))
+        ks = np.arange(n_max + 1)
+        return (symbols._dft_phases(n_max, n) @ vals) / n / radius**ks
+
+    coarse = contour_coeffs(samples)
+    fine = contour_coeffs(2 * samples)
+    errors = np.abs(fine - coarse)
+    scale = np.maximum(1.0, np.abs(fine))
+    if np.any(errors > symbols.CONTOUR_TOL * scale):
+        raise symbols.DerivativeConvergenceError(
+            "contour derivative estimates did not converge",
+            values=fine,
+            errors=errors,
+        )
+    return fine, errors

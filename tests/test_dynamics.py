@@ -273,7 +273,7 @@ class TestVectorizedKernels:
         ks = np.arange(n_max + 1)
         dense = (np.exp(-1j * np.outer(ks, angles)) @ vals) / samples / radius**ks
         for _ in range(2):  # a cache miss, then a hit
-            got = _contour_coeffs(spec, center, n_max, radius, samples)
+            got = _contour_coeffs(vals, n_max, radius)
             assert np.array_equal(got, dense)
 
     def test_cached_phases_are_read_only(self):

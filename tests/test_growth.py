@@ -37,6 +37,8 @@ from reference import indicator, max_modulus
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
 
+RAYS = np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS)
+
 
 class TestOrderType:
     def test_exp_has_order_and_type_one(self):
@@ -126,30 +128,32 @@ class TestArithProgression:
 
 
 def reference_progression(spec, m, margin):
-    """The search one length at a time: every row j = 1..m of a step in one
-    evaluation, the step skipped when any of them overflows."""
-    rays = np.exp(
-        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
-    )
+    """The search one length at a time: every row j = 1..m of a step in
+    every direction in one evaluation, a direction dropped at each of its
+    points out of range."""
     js = np.arange(1, m + 1)
     for t in growth.PROGRESSION_STEPS:
-        points = np.multiply.outer(js * float(t), rays)
-        try:
-            mods = np.abs(eval_symbol_array(spec, points))
-        except EvaluationRangeError:
-            continue
-        hits = np.nonzero(np.all(mods <= 1 - margin, axis=0))[0]
+        points = np.multiply.outer(js * float(t), RAYS)
+        vals, in_range = eval_symbol_masked(spec, points)
+        passes = in_range & (np.abs(vals) <= 1 - margin)
+        hits = np.nonzero(passes.all(axis=0))[0]
         if hits.size:
-            return complex(float(t) * rays[hits[0]])
+            return complex(float(t) * RAYS[hits[0]])
     return None
 
 
 COS_ZEROS = tuple((k + 0.5) * math.pi * s for k in range(6) for s in (1, -1))
 
-#: Row 1 needs e^{3 - t cos(theta)} <= 1 - margin, so t >= 3; the tiny term
-#: makes every row j with 100 j t > 700 overflow, which at t >= 3 is j >= 3.
-#: Lengths 1 (and 2, for small margins) hit; 3..6 never do.
+#: Row 1 needs e^{3 - t cos(theta)} <= 1 - margin, so t cos(theta) >= 3; the
+#: tiny term overflows where 100 j t cos(theta) > 700, which is every point
+#: of row j >= 3 in a direction that passes row 1.  Lengths 1 (and 2, for
+#: small margins) hit; 3..6 never do.
 STEEP = ExpPolySymbol(ExpPoly.of([(math.exp(3.0), -1.0), (1e-300, 100.0)]))
+
+#: Passes where t cos(theta) >= 3 as STEEP does; the tiny term overflows
+#: where 300 j t |sin(theta)| > 700, so from t = 2.3 on row 1 overflows in
+#: the directions with |sin(theta)| > 0.75, but not in those that pass.
+SIDEWAYS = ExpPolySymbol(ExpPoly.of([(math.exp(3.0), -1.0), (1e-300, 300j)]))
 
 PROGRESSION_PANEL = {
     "cos": CatalogSymbol("cos"),
@@ -167,6 +171,7 @@ PROGRESSION_PANEL = {
     "exppoly-two-term": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
     "constant-above-one": ExpPolySymbol(ExpPoly.of([(2.0, 0.0)])),
     "steep-overflow": STEEP,
+    "sideways-overflow": SIDEWAYS,
 }
 
 
@@ -200,33 +205,87 @@ class TestProgressionSweep:
         with pytest.raises(EvaluationRangeError):
             eval_symbol_array(STEEP, 3 * found[2])
 
+    def test_overflow_in_other_directions_keeps_the_progression(self):
+        found = find_arith_progression(SIDEWAYS, 2, margin=0.1)
+        a = found[1]
+        assert found == {1: a, 2: a}
+        assert a.imag == 0 and a.real == pytest.approx(3.1552, abs=1e-4)
+        assert abs(eval_symbol(SIDEWAYS, a)) == pytest.approx(0.856, abs=1e-3)
+        assert abs(eval_symbol(SIDEWAYS, 2 * a)) == pytest.approx(0.0365, abs=1e-4)
+        # row 1 of the step overflows in other directions
+        _, in_range = eval_symbol_masked(SIDEWAYS, a * RAYS)
+        assert 0 < in_range.sum() < PROGRESSION_DIRECTIONS
+
     def test_rejects_empty_length(self):
         with pytest.raises(ValueError):
             find_arith_progression(CatalogSymbol("cos"), 0)
 
 
-def per_step_progression(spec, m, margin, evaluate, first_step=0):
-    """The search before screening, row by row: every row of every step from
-    ``first_step`` on is one ``evaluate`` call, and row 1 of a dead step is
-    its only call."""
-    rays = np.exp(
-        2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS
+@st.composite
+def short_exponential_sums(draw):
+    """Sums of 2 or 3 exponentials whose coefficients range from 1e-300 to
+    3 in modulus and frequencies from 0.1 to 300, so that some overflow
+    inside the step grid."""
+    terms = []
+    for _ in range(draw(st.integers(2, 3))):
+        c = 10 ** draw(st.floats(-300, 0.5)) * cmath.exp(1j * draw(st.floats(0, 7)))
+        freq = draw(st.floats(0.1, 300)) * cmath.exp(1j * draw(st.floats(0, 7)))
+        terms.append((c, freq))
+    return ExpPolySymbol(ExpPoly.of(terms))
+
+
+class TestOverflowRule:
+    """A point out of range fails its own direction or ray and nothing else:
+    the searches against brute force on random exponential sums."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=short_exponential_sums(),
+        margin=st.sampled_from([0.5, 0.1, MODULUS_MARGIN]),
     )
+    def test_progression_is_the_brute_force(self, spec, margin):
+        steps = growth.PROGRESSION_STEPS[::8]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(growth, "PROGRESSION_STEPS", steps)
+            want = {k: reference_progression(spec, k, margin) for k in range(1, 5)}
+            assert find_arith_progression(spec, 4, margin=margin) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=short_exponential_sums(),
+        t_max=st.floats(0.5, 10.0),
+        fraction=st.sampled_from([0.0, 0.5, 0.99]),
+    )
+    def test_direction_scan_is_the_ray_loop(self, spec, t_max, fraction):
+        thetas = [2 * math.pi * k / 360 for k in range(360)]
+        r_min = fraction * t_max
+        assert first_ray_below_one(spec, thetas, t_max, r_min) == (
+            TestDirectionScan.loop(spec, thetas, t_max, r_min)
+        )
+
+
+def per_step_progression(spec, m, margin, evaluate, first_step=0):
+    """The search before screening, step by step: row 1 of every step from
+    ``first_step`` on is one ``evaluate`` call in every direction, and rows
+    2..m of a live step are one more, in the directions that pass row 1.
+    ``evaluate`` returns values and an in-range mask."""
     found = dict.fromkeys(range(1, m + 1))
+    js = np.arange(2, m + 1, dtype=float)[:, None]
     for t in growth.PROGRESSION_STEPS[first_step:]:
         t = float(t)
-        ok = np.ones(PROGRESSION_DIRECTIONS, dtype=bool)
+        vals, in_range = evaluate(spec, t * RAYS)
+        hits = np.nonzero(in_range & (np.abs(vals) <= 1 - margin))[0]
+        if not hits.size:
+            continue
+        vals, in_range = evaluate(spec, (js * t) * RAYS[hits])
+        passes = in_range & (np.abs(vals) <= 1 - margin)
+        rows = np.vstack([np.ones(hits.size, dtype=bool), passes])
         for j in range(1, m + 1):
-            try:
-                mods = np.abs(evaluate(spec, (j * t) * rays))
-            except EvaluationRangeError:
-                break
-            ok &= mods <= 1 - margin
-            hits = np.nonzero(ok)[0]
-            if not hits.size:
+            alive = rows[:j].all(axis=0)
+            if not alive.any():
                 break
             if found[j] is None:
-                found[j] = complex(t * rays[hits[0]])
+                found[j] = complex(t * RAYS[hits[alive.argmax()]])
         if found[m] is not None:
             break
     return found
@@ -267,7 +326,11 @@ class TestProgressionScreening:
         ) == 1
         want_calls = []
         want = per_step_progression(
-            HADAMARD_60, 4, MODULUS_MARGIN, recording(want_calls), first_step=1
+            HADAMARD_60,
+            4,
+            MODULUS_MARGIN,
+            recording(want_calls, eval_symbol_masked),
+            first_step=1,
         )
         calls = record_masked(monkeypatch)
         assert find_arith_progression(HADAMARD_60, 4) == want
@@ -279,30 +342,30 @@ class TestProgressionScreening:
     def test_dead_steps_take_a_tenth_of_the_calls(self, m, monkeypatch):
         spec = CatalogSymbol("exp-quadratic")
         want_calls = []
-        want = per_step_progression(spec, m, 0.5, recording(want_calls))
+        want = per_step_progression(
+            spec, m, 0.5, recording(want_calls, eval_symbol_masked)
+        )
         calls = record_masked(monkeypatch)
         assert find_arith_progression(spec, m, margin=0.5) == want
         assert len(want_calls) > 300
         assert 0 < len(calls) <= len(want_calls) / 10
 
     def test_overflowing_screen_takes_one_call(self, monkeypatch):
-        # row 1 overflows beyond t = 7 (the 1e-300 e^{100 z} term) and no
-        # step ever passes row 3, so the sweep screens overflowing blocks
+        # row 1 overflows from t = 2.3 on and first passes at t = 3.16, so
+        # the sweep screens blocks of dead steps that overflow
         calls = record_masked(monkeypatch)
-        found = find_arith_progression(STEEP, 3, margin=0.1)
+        found = find_arith_progression(SIDEWAYS, 3, margin=0.1)
         assert found == {
-            k: reference_progression(STEEP, k, 0.1) for k in range(1, 4)
+            k: reference_progression(SIDEWAYS, k, 0.1) for k in range(1, 4)
         }
-        overflowing = [z for z in calls if np.max(np.abs(z.real)) > 7]
-        assert any(z.size > PROGRESSION_DIRECTIONS for z in overflowing)
-        # no row is evaluated twice
-        rows = [
-            tuple(row) for z in calls for row in z.reshape(-1, PROGRESSION_DIRECTIONS)
+        overflowing = [
+            z for z in calls if not eval_symbol_masked(SIDEWAYS, z)[1].all()
         ]
-        assert len(rows) == len(set(rows))
+        assert any(z.size > PROGRESSION_DIRECTIONS for z in overflowing)
+        # no point is evaluated twice
+        points = np.concatenate(calls)
+        assert np.unique(points).size == points.size
 
-
-RAYS = np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS)
 
 #: Kinds and branches of the majorant that the progression panel leaves out.
 MAJORANT_EXTRAS = {
@@ -386,6 +449,14 @@ class TestDeadZone:
         spec = {**PROGRESSION_PANEL, **MAJORANT_EXTRAS}[name]
         assert_bound_covers(spec, growth.PROGRESSION_STEPS[::8])
 
+    def test_majorant_constant_covers_the_rounded_modulus(self):
+        # |c + 2c| rounds one ulp above |c| + |2c|
+        c = 0.40548155975260897 + 0.2925486364702311j
+        spec = ExpPolySymbol(ExpPoly.of([(c, 0j), (2 * c, 1)]))
+        modulus, m0 = _modulus_at_zero(spec)
+        assert modulus == abs(3 * c) > abs(c) + abs(2 * c)
+        assert m0 >= modulus
+
     @settings(max_examples=40, deadline=None)
     @given(
         spec=st.one_of(exponential_sums(), truncated_products()),
@@ -427,30 +498,48 @@ class TestDirectionScan:
             spec, thetas, t_max, r_min
         )
 
-    def test_overflowing_block_raises_only_past_the_pick(self):
-        # cos stays below one on the first samples of the real axis and
-        # overflows up the imaginary axis, which a loop of ray_below_one
-        # calls never reaches once the real axis is picked
+    def test_overflowing_ray_fails_only_itself(self):
+        # cos stays below one on the samples of the real axis and exceeds
+        # one up the imaginary axis, where it overflows beyond t = 700
         spec = CatalogSymbol("cos")
         thetas = [0.0, math.pi / 2]
-        with pytest.raises(EvaluationRangeError):
-            ray_below_one(spec, math.pi / 2, 800.0)
+        assert ray_below_one(spec, math.pi / 2, 800.0) is None
+        assert ray_below_one(spec, 0.0, 800.0) == 800.0
         assert first_ray_below_one(spec, thetas, 800.0, 1.0) == 0.0
+        assert first_ray_below_one(spec, thetas[::-1], 800.0, 1.0) == 0.0
+
+    def test_sample_out_of_range_fails_the_ray(self):
+        # e^{-t} stays below one up to the guard at t = 700; the samples are
+        # 3.125 apart, and the next one, 703.125, is out of range
+        spec = CatalogSymbol("exp", a=-1)
+        assert ray_below_one(spec, 0.0, 800.0) == 700.0
         with pytest.raises(EvaluationRangeError):
-            first_ray_below_one(spec, thetas[::-1], 800.0, 1.0)
+            eval_symbol(spec, 703.125)
+        assert first_ray_below_one(spec, [0.0], 800.0, 700.0) == 0.0
+        assert first_ray_below_one(spec, [0.0], 800.0, 701.0) is None
 
     def test_overflowing_block_takes_one_call(self, monkeypatch):
+        # one screen call of the first samples, then the one ray that passes
         calls = record_masked(monkeypatch)
-        with pytest.raises(EvaluationRangeError):
-            first_ray_below_one(CatalogSymbol("cos"), [math.pi / 2, 0.0], 800.0, 1.0)
-        assert [z.size for z in calls] == [2 * growth.SCAN_SAMPLES]
+        found = first_ray_below_one(
+            CatalogSymbol("cos"), [math.pi / 2, 0.0], 800.0, 1.0
+        )
+        assert found == 0.0
+        assert [z.size for z in calls] == [2, growth.SCAN_SAMPLES]
+        assert np.array_equal(calls[1], growth._ray_samples(800.0) + 0j)
 
     def test_costly_symbol_scans_one_ray_per_call(self, monkeypatch):
         thetas = [2 * math.pi * k / 8 for k in range(8)]
         assert self.loop(HADAMARD_60, thetas, 2.0, 3.0) is None
+        first = eval_symbol_array(
+            HADAMARD_60, [2.0 / growth.SCAN_SAMPLES * cmath.exp(1j * t) for t in thetas]
+        )
+        survivors = int(np.sum(np.abs(first) <= 1 - MODULUS_MARGIN))
+        assert 0 < survivors < len(thetas)
         calls = record_masked(monkeypatch)
         assert first_ray_below_one(HADAMARD_60, thetas, 2.0, 3.0) is None
-        assert [z.size for z in calls] == [growth.SCAN_SAMPLES] * len(thetas)
+        rays = [growth.SCAN_SAMPLES] * survivors
+        assert [z.size for z in calls] == [len(thetas)] + rays
 
 
 def quadrant_reps():
@@ -562,6 +651,9 @@ class TestTmaConditions:
     def test_one_evaluation_per_ray(self, monkeypatch):
         calls = []
         monkeypatch.setattr(growth, "eval_symbol_array", recording(calls))
+        monkeypatch.setattr(
+            growth, "eval_symbol_masked", recording(calls, eval_symbol_masked)
+        )
         spec = PolyTimesExp(poly=(1, -1, 0, 1), a=0)
         assert check_Tma_conditions(spec, 0.0, 0.5, np.linspace(1, 40, 64))
         # the ray below one, then the growth window

@@ -24,16 +24,17 @@ from hyperalg import (
     to_json_value,
     to_taylor,
 )
-from hyperalg import growth
-from hyperalg.errors import EvaluationRangeError
+from hyperalg import growth, symbols
+from hyperalg.errors import DerivativeConvergenceError, EvaluationRangeError
 from hyperalg.classify import _structure
 from hyperalg.cli import _DEFAULT_R_GRID
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
+    _converged_coeffs,
     _sinc_pi,
     eval_symbol_masked,
 )
-from reference import catalog_zeros, hadamard_trunc
+from reference import catalog_zeros, converged_coeffs, hadamard_trunc
 
 
 class TestEvaluation:
@@ -466,6 +467,46 @@ class TestDerivatives:
         t = to_taylor(CatalogSymbol("exp", a=1), 20)
         for n, c in enumerate(t.coeffs):
             assert c == pytest.approx(1 / math.factorial(n), rel=1e-9, abs=1e-12)
+
+
+#: (center, n_max, samples) of ``taylor_coeffs_at`` at and off the origin,
+#: and of a ``to_taylor`` series of cap 80.
+CONTOUR_CASES = [(0j, 2, 64), (0.3 - 0.2j, 6, 64), (0j, 80, 324)]
+
+
+class TestContourSeries:
+    """One ring of ``2 * samples`` points serves both estimates of a series,
+    bit for bit the two rings evaluated apart."""
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0, 3.23])
+    @pytest.mark.parametrize("name", sorted(MASK_PANEL))
+    def test_one_ring_is_bitwise_the_two_rings(self, name, radius):
+        spec = MASK_PANEL[name]
+        for center, n_max, samples in CONTOUR_CASES:
+            args = (spec, center, n_max, radius, samples)
+            try:
+                want = converged_coeffs(*args)
+            except DerivativeConvergenceError as err:
+                with pytest.raises(DerivativeConvergenceError) as raised:
+                    _converged_coeffs(*args)
+                want = err.values, err.errors
+                got = raised.value.values, raised.value.errors
+            else:
+                got = _converged_coeffs(*args)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+    def test_one_evaluation_per_series(self, monkeypatch):
+        sizes = []
+
+        def recorded(spec, zs):
+            sizes.append(np.size(zs))
+            return eval_symbol_array(spec, zs)
+
+        monkeypatch.setattr(symbols, "eval_symbol_array", recorded)
+        to_taylor(CatalogSymbol("cos"), 80)
+        derivs_at_zero(CatalogSymbol("sinc-pi"), 2)
+        assert sizes == [2 * 324, 2 * 64]
 
 
 class TestSerialization:
