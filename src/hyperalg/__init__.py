@@ -14,7 +14,6 @@ from .classify import (
     classify,
 )
 from .dynamics import (
-    OrbitTrace,
     apply_symbol,
     apply_symbol_taylor,
     sup_distance,

@@ -36,6 +36,7 @@ from .symbols import (
     HadamardTrunc,
     PolyTimesExp,
     SymbolSpec,
+    _modulus_at_zero,
     derivs_at_zero,
     eval_symbol,
     to_json_value,
@@ -203,10 +204,10 @@ def check_T2(spec: SymbolSpec) -> dict:
     """Curvature-and-progressions evidence: the second-derivative margin
     |phi''(0) phi(0) - phi'(0)^2| and, per power m, a step ``a`` with
     |phi(j a)| < 1 for j = 1..m."""
-    phi0 = eval_symbol(spec, 0)
-    if abs(abs(phi0) - 1) > COEFF_MARGIN:
+    modulus, _ = _modulus_at_zero(spec)
+    if abs(modulus - 1) > COEFF_MARGIN:
         raise NormalizationError(
-            f"|phi(0)| = {abs(phi0):.12f}; must be 1 (up to rotation)"
+            f"|phi(0)| = {modulus:.12f}; must be 1 (up to rotation)"
         )
     derivs, _ = derivs_at_zero(spec, 2)
     margin = abs(derivs[2] * derivs[0] - derivs[1] ** 2)

@@ -280,8 +280,8 @@ def run(config: dict) -> dict:
         # the default tolerance of the report's kind, never the report's own number
         epsilon = values.get("epsilon", DEFAULT_EPSILON[report.kind])
         passed, trace = verify_witness(spec, report, grid, epsilon)
-        side_files["orbit-trace.csv"] = trace.to_csv()
-        outcome = {"verified": passed, "trace": trace.iterates}
+        side_files["orbit-trace.csv"] = _csv_text(["q", "residual"], trace)
+        outcome = {"verified": passed, "trace": trace}
         if not passed:
             warnings.append("verification FAILED: residuals or oracle disagree")
     else:  # pragma: no cover - schema forbids it

@@ -1,15 +1,15 @@
 """Applying a symbol's differential operator, exactly and through an oracle.
 
 On an exponential polynomial the operator acts diagonally: the term
-``c * exp(l z)`` maps to ``c * phi(l) * exp(l z)``.  The truncated-Taylor
-path applies ``sum a_n D^n`` to coefficient lists instead and knows nothing
-about that diagonal structure, which makes it a genuinely independent check.
+``c * exp(l z)`` maps to ``c * phi(l) * exp(l z)``; :class:`_Diagonal`
+takes its powers onto a grid.  The truncated-Taylor path applies ``sum a_n
+D^n`` to coefficient lists instead and knows nothing about that diagonal
+structure, which makes it a genuinely independent check.
 
 The coefficient-space kernels are whole-array numpy expressions with no
 Python loop over coefficients: a truncated product is one ``np.convolve``,
 and ``sum a_n D^n`` is one matrix-vector product against a cached table of
-factorial ratios ``(k+n)! / k!``.  The cross-check's modulus copies and its
-condition sum are array expressions too.
+factorial ratios ``(k+n)! / k!``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .exppoly import (
     _exp_row,
     mul_exppoly,
 )
-from .symbols import SymbolSpec, _csv_text, eval_symbol_array, to_taylor
+from .symbols import SymbolSpec, eval_symbol_array, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -41,33 +40,6 @@ def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
     """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
     vals = eval_symbol_array(spec, f.frequencies()).tolist()
     return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
-
-
-def _power_image(f: ExpPoly, vals: list[complex], q: int) -> ExpPoly:
-    """Diagonal action of the q-th operator power, given phi at the
-    frequencies of ``f``.
-
-    The eigenvalue power ``phi(l)**q`` is computed in polar form,
-    ``exp(q log|phi(l)|) * exp(i q arg phi(l))``, which stays accurate for q
-    up to 2**20 where repeated multiplication would drift.
-    """
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    out = []
-    for (c, l), val in zip(f.terms, vals):
-        if val == 0:
-            if q > 0:
-                continue
-            factor = 1 + 0j
-        else:
-            log_mag = q * math.log(abs(val))
-            if log_mag > EXP_GUARD:
-                raise EvaluationRangeError(
-                    f"|phi({l})|^{q} overflows double precision", z=l
-                )
-            factor = cmath.exp(complex(log_mag, q * math.atan2(val.imag, val.real)))
-        out.append((c * factor, l))
-    return ExpPoly.of(out)
 
 
 def _taylor(coeffs: np.ndarray, cap: int) -> TaylorPoly:
@@ -180,60 +152,65 @@ def sup_distance(
     return float(np.max(np.abs(f.evaluate_array(pts) - g.evaluate_array(pts))))
 
 
-class _DiagonalResidual:
-    """The sup distance on ``grid`` between the q-th operator power of f and
-    ``target``, for many ``(f, q)`` whose frequency sets repeat.
+class _Diagonal:
+    """The q-th operator power of exponential sums on one grid, for one
+    symbol, and its sup distance to a target there.
 
-    What does not change with q or with the coefficients of ``f`` is kept:
-    phi at each frequency tuple of ``f`` from one evaluation, the rows
-    ``exp(l z)`` on the grid, and the target on the grid.  The image is
-    :func:`_power_image`'s, summed in :meth:`ExpPoly.evaluate_array`'s
-    order, so the distance is :func:`sup_distance`'s bit for bit.  A
-    frequency set at which phi overflows raises and is not kept.
-    :meth:`image` alone reads no target, so ``target`` may then be None.
-    """
+    It keeps phi at each frequency tuple from one evaluation (a set at which
+    phi overflows raises and is not kept), the rows ``exp(l z)`` on the grid
+    and each target's values there.  ``phi(l)**q`` is taken in polar form,
+    which stays accurate for q up to 2**20 where repeated multiplication
+    would drift; terms are summed in :meth:`ExpPoly.evaluate_array`'s order,
+    so :meth:`distance` is :func:`sup_distance` of the power bit for bit.
+    A distance that is not finite raises EvaluationRangeError, and no
+    numpy warning."""
 
-    def __init__(self, spec: SymbolSpec, target: ExpPoly | TaylorPoly, grid: DiskGrid):
-        self.spec, self.target = spec, target
+    def __init__(self, spec: SymbolSpec, grid: DiskGrid):
+        self.spec = spec
         self.points = grid.points()
         self._phi: dict[tuple[complex, ...], list[complex]] = {}
         self._rows: dict[complex, np.ndarray] = {}
-        self._target_values: np.ndarray | None = None
+        self._targets: dict[ExpPoly | TaylorPoly, np.ndarray] = {}
 
     def image(self, f: ExpPoly, q: int) -> np.ndarray:
         """The q-th operator power of f on the grid."""
+        if q < 0:
+            raise ValueError("q must be non-negative")
         freqs = f.frequencies()
         if freqs not in self._phi:
             self._phi[freqs] = eval_symbol_array(self.spec, freqs).tolist()
+        terms = []
+        for (c, l), val in zip(f.terms, self._phi[freqs]):
+            if val == 0:
+                if q > 0:
+                    continue
+                factor = 1 + 0j
+            else:
+                log_mag = q * math.log(abs(val))
+                if log_mag > EXP_GUARD:
+                    raise EvaluationRangeError(
+                        f"|phi({l})|^{q} overflows double precision", z=l
+                    )
+                factor = cmath.exp(complex(log_mag, q * math.atan2(val.imag, val.real)))
+            terms.append((c * factor, l))
         out = np.zeros(self.points.shape, dtype=complex)
-        for c, l in _power_image(f, self._phi[freqs], q).terms:
-            if l not in self._rows:
-                self._rows[l] = _exp_row(l, self.points)
-            out += c * self._rows[l]
+        for c, l in terms:
+            if c != 0:  # a power that underflows to 0 drops its term
+                if l not in self._rows:
+                    self._rows[l] = _exp_row(l, self.points)
+                out += c * self._rows[l]
         return out
 
-    def __call__(self, f: ExpPoly, q: int) -> float:
-        out = self.image(f, q)
-        if self._target_values is None:
-            self._target_values = self.target.evaluate_array(self.points)
-        return float(np.max(np.abs(out - self._target_values)))
-
-
-@dataclass(frozen=True)
-class OrbitTrace:
-    """Residuals against a fixed target along increasing iterate counts."""
-
-    iterates: tuple[tuple[int, float], ...]
-    target_id: str
-    grid: DiskGrid
-
-    def __post_init__(self):
-        qs = [q for q, _ in self.iterates]
-        if qs != sorted(set(qs)):
-            raise ValueError("iterate counts must be strictly increasing")
-
-    def to_csv(self) -> str:
-        return _csv_text(["q", "residual"], self.iterates)
+    def distance(self, f: ExpPoly, q: int, target: ExpPoly | TaylorPoly) -> float:
+        """sup over the grid of ``|phi(D)**q f - target|``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.image(f, q)
+            if target not in self._targets:
+                self._targets[target] = target.evaluate_array(self.points)
+            dist = float(np.max(np.abs(out - self._targets[target])))
+        if not math.isfinite(dist):  # the image, the target or their difference
+            raise EvaluationRangeError(f"|phi(D)^{q} f - target| overflows on the grid")
+        return dist
 
 
 #: Iterate count used for the reduced-power oracle cross-check: beyond this,
@@ -273,45 +250,36 @@ class _Oracle:
     """What the cross-checks of one report share, built once per
     :func:`verify_witness` call and dropped with it.
 
-    Per contour radius it keeps phi's Taylor series, its squarings and each
-    reduced power with its modulus series (:meth:`power`).  It also keeps
-    the check grid, the disk of radius ``min(grid.radius, 0.5)``, with the
-    rows ``exp(l z)`` on it, through one :class:`_DiagonalResidual`.
+    Per contour radius it keeps phi's Taylor series, one list of its
+    squarings, and each reduced power with its modulus series
+    (:meth:`power`).  Its ``diagonal`` is the :class:`_Diagonal` evaluator
+    of the check grid, the disk of radius ``min(grid.radius, 0.5)``.
     """
 
     def __init__(self, spec: SymbolSpec, grid: DiskGrid):
         self.spec = spec
         radius = min(grid.radius, 0.5)
         self.radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
-        self.diagonal = _DiagonalResidual(
-            spec, None, DiskGrid(radius, grid.samples, grid.circles)
-        )
+        self.diagonal = _Diagonal(spec, DiskGrid(radius, grid.samples, grid.circles))
         self._series: dict[float, tuple[TaylorPoly, list, dict]] = {}
 
     def power(self, contour: float, n: int) -> tuple[TaylorPoly, TaylorPoly]:
         """``phi**n`` from phi's series on the contour of radius ``contour``,
-        and its modulus series.  The first power at a radius squares; the
-        others are products of those squarings, bit for bit the fresh
-        binary power (:func:`taylor_pow_trunc`)."""
+        and its modulus series, from that radius's one list of squarings
+        (:func:`taylor_pow_trunc`)."""
         cap = CROSS_CHECK_K + TAYLOR_GUARD
         if contour not in self._series:
             self._series[contour] = (to_taylor(self.spec, cap, radius=contour), [], {})
         phi_t, squares, powers = self._series[contour]
         if n not in powers:
-            if len(squares) >= n.bit_length():
-                power = _power_from_squarings(squares, n, cap)
-            else:
-                power = taylor_pow_trunc(phi_t, n, cap, squares)
+            power = taylor_pow_trunc(phi_t, n, cap, squares)
             powers[n] = (power, _abs_taylor(power))
         return powers[n]
 
 
-def _cross_check(
-    spec: SymbolSpec, f: ExpPoly, q: int, grid: DiskGrid, oracle: _Oracle | None = None
-) -> float:
+def _cross_check(oracle: _Oracle, f: ExpPoly, q: int) -> float:
     """Sup distance between the diagonal and coefficient-space images under a
-    reduced operator power, on the check grid of ``oracle`` (a new
-    :class:`_Oracle` of ``spec`` and ``grid`` when None).
+    reduced operator power, on the check grid of ``oracle``.
 
     The reduced power starts at min(q, CROSS_CHECK_Q) and is halved, while
     it is above 1, as long as the coefficient-space sum is ill-conditioned:
@@ -319,9 +287,8 @@ def _cross_check(
     result, the sum loses absolute accuracy to cancellation, which would
     fail the comparison for reasons unrelated to correctness of either
     path.  The condition estimate is the same sum with every factor
-    replaced by its modulus, evaluated on the check circle."""
-    if oracle is None:
-        oracle = _Oracle(spec, grid)
+    replaced by its modulus, evaluated on the check circle.  A series that
+    overflows gives an infinite or NaN distance, and no warning."""
     cap = CROSS_CHECK_K + TAYLOR_GUARD
     # contour radius above the largest frequency of f: the n-th coefficient's
     # roundoff floor gets multiplied by |freq|^n on the way back, so it must
@@ -331,21 +298,23 @@ def _cross_check(
     f_t = TaylorPoly.from_exppoly(f, cap)
     f_abs = _abs_taylor(f_t)
     q_red = min(q, CROSS_CHECK_Q)
-    while True:
-        phi_pow, phi_abs = oracle.power(contour, q_red)
-        cond_poly = apply_symbol_taylor(phi_abs, f_abs, CROSS_CHECK_K)
-        cond = float(np.abs(cond_poly.coeffs) @ oracle.radius_powers)
-        if cond <= 1e4 or q_red <= 1:
-            break
-        q_red //= 2
-    series = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
-    image = oracle.diagonal.image(f, q_red)
-    return float(np.max(np.abs(image - series.evaluate_array(oracle.diagonal.points))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            phi_pow, phi_abs = oracle.power(contour, q_red)
+            cond_poly = apply_symbol_taylor(phi_abs, f_abs, CROSS_CHECK_K)
+            cond = float(np.abs(cond_poly.coeffs) @ oracle.radius_powers)
+            if cond <= 1e4 or q_red <= 1:
+                break
+            q_red //= 2
+        series = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
+        image = oracle.diagonal.image(f, q_red)
+        values = series.evaluate_array(oracle.diagonal.points)
+        return float(np.max(np.abs(image - values)))
 
 
 def verify_witness(
     spec: SymbolSpec, report, grid: DiskGrid, epsilon: float
-) -> tuple[bool, OrbitTrace]:
+) -> tuple[bool, tuple[tuple[int, float], ...]]:
     """Re-derives every residual of a witness report from scratch.
 
     The full-power residuals are recomputed along the diagonal path and must
@@ -353,11 +322,14 @@ def verify_witness(
     space oracle must agree with the diagonal image within 1e-6 at the
     reduced power (full-power coefficient lists overflow doubles for the
     iterate counts real witnesses need; the reduced power still catches any
-    bookkeeping error in the diagonal path itself).
+    bookkeeping error in the diagonal path itself).  A NaN agreement fails.
+    Returns whether the report passed, and the worst residual over the
+    monomials at q/4, q/2 and q as ``(q, residual)`` pairs.
 
     ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
     generator, an empty list of monomials or an exponent tuple without one
-    non-negative entry per generator raises ValueError.
+    non-negative entry per generator raises ValueError; a monomial whose
+    coefficients or residual are not finite raises EvaluationRangeError.
     """
     generators: list[ExpPoly] = list(report.generators)
     q = int(report.q)
@@ -369,19 +341,14 @@ def verify_witness(
         raise ValueError("the report has no monomial to check")
 
     passed = True
-    oracle = _Oracle(spec, grid)
+    diagonal, oracle = _Diagonal(spec, grid), _Oracle(spec, grid)
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
-    residual_by_q = {cq: 0.0 for cq in check_qs}
+    worst = dict.fromkeys(check_qs, 0.0)
     for alpha, power in zip(alphas, _monomials(generators, alphas)):
         target = report.targets.get(alpha, ExpPoly.zero())
-        residual = _DiagonalResidual(spec, target, grid)
         for cq in check_qs:
-            residual_by_q[cq] = max(residual_by_q[cq], residual(power, cq))
-        if residual_by_q[q] > epsilon:
-            passed = False
-        agreement = _cross_check(spec, power, q, grid, oracle)
-        if agreement > 1e-6:
-            passed = False
-    worst = [(cq, residual_by_q[cq]) for cq in check_qs]
-    trace = OrbitTrace(tuple(worst), target_id="witness-targets", grid=grid)
-    return passed, trace
+            worst[cq] = max(worst[cq], diagonal.distance(power, cq, target))
+        agreement = _cross_check(oracle, power, q)
+        # <=, so that a NaN agreement fails
+        passed = passed and worst[q] <= epsilon and agreement <= 1e-6
+    return passed, tuple(worst.items())

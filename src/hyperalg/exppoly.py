@@ -128,10 +128,14 @@ class ExpPoly:
 
 
 def mul_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
-    """Product; frequencies add pairwise and equal sums merge."""
-    return ExpPoly.of(
-        [(cf * cg, ff + fg) for cf, ff in f.terms for cg, fg in g.terms]
-    )
+    """Product; frequencies add pairwise and equal sums merge.  A product
+    term that overflows raises EvaluationRangeError."""
+    try:
+        return ExpPoly.of(
+            [(cf * cg, ff + fg) for cf, ff in f.terms for cg, fg in g.terms]
+        )
+    except ValueError as exc:  # f and g are finite, so a product term overflowed
+        raise EvaluationRangeError(f"product overflows: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Growth diagnostics and geometric searches on symbols.
 
-Everything here is numerical evidence, not proof: the true order, type and
-indicator are limsups over r -> infinity, which no finite computation
-decides.  The stand-ins are documented per function (typically a maximum
-over the top half of the sampled window) and downstream verdicts built on
-them are tagged accordingly.
+The growth diagnostics are numerical evidence, not proof: the true order,
+type and indicator are limsups over r -> infinity, which no finite
+computation decides.  The stand-ins are documented per function (typically
+a maximum over the top half of the sampled window) and downstream verdicts
+built on them are tagged accordingly.  One thing here is a proof:
+:func:`_dead_steps` skips progression steps on a bound from phi's majorant
+series, never on a sample.
 """
 
 from __future__ import annotations
@@ -383,6 +385,17 @@ def convex_direction(a1: complex, a2: complex) -> float:
     return float(thetas[best])
 
 
+def _convex_log_profile(mods: np.ndarray) -> np.ndarray | None:
+    """log ``mods``, the moduli of phi at equispaced points of a segment,
+    when that profile is strictly increasing and strictly convex and no
+    modulus is below LOG_FLOOR; else None."""
+    if not np.min(mods) >= LOG_FLOOR:
+        return None
+    profile = np.log(mods)
+    d1 = np.diff(profile)
+    return profile if np.all(d1 > 0) and np.all(np.diff(d1) > 0) else None
+
+
 def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
     """A short segment out of ``w0`` on which log|phi| is strictly increasing
     and strictly convex (checked on a ``PROFILE_POINTS``-sample grid).
@@ -419,21 +432,17 @@ def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
         w1 = w0 + eta * cmath.exp(1j * theta)
         ts = np.linspace(lo, 1.0, PROFILE_POINTS)
         zs = w0 + np.multiply.outer(ts, w1 - w0)
-        mods = np.abs(eval_symbol_array(spec, zs))
-        if np.min(mods) >= LOG_FLOOR:
-            profile = np.log(mods)
-            d1 = np.diff(profile)
-            d2 = np.diff(d1)
-            if np.all(d1 > 0) and np.all(d2 > 0):
-                return ConvexRay(
-                    w0=w0,
-                    w1=complex(w1),
-                    theta=float(theta),
-                    eta=float(eta),
-                    domain=(lo, 1.0),
-                    t_grid=tuple(float(t) for t in ts),
-                    profile=tuple(float(v) for v in profile),
-                )
+        profile = _convex_log_profile(np.abs(eval_symbol_array(spec, zs)))
+        if profile is not None:
+            return ConvexRay(
+                w0=w0,
+                w1=complex(w1),
+                theta=float(theta),
+                eta=float(eta),
+                domain=(lo, 1.0),
+                t_grid=tuple(float(t) for t in ts),
+                profile=tuple(float(v) for v in profile),
+            )
         eta /= 2
         if two_sided and eta < delta / 2 ** (MAX_HALVINGS // 2):
             # a vanishing first derivative estimate can make the two-sided

@@ -48,6 +48,7 @@ from .exppoly import DiskGrid, ExpPoly
 from .growth import (
     MODULUS_MARGIN,
     PROFILE_POINTS,
+    _convex_log_profile,
     find_arith_progression,
     find_convex_ray,
     first_ray_below_one,
@@ -61,7 +62,7 @@ from .symbols import (
     exppoly_from_json,
     to_json_value,
 )
-from .dynamics import _DiagonalResidual, _monomials
+from .dynamics import _Diagonal, _monomials
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
@@ -412,10 +413,10 @@ def _double_until(
             f"N <= {n_max}", entries=violations,
         )
 
-    # phi at a monomial's frequencies does not depend on N: one plan each
+    # phi at a monomial's frequencies does not depend on N: one evaluator
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
-    plans = [_DiagonalResidual(spec, tgt, grid) for tgt in targets.values()]
+    diagonal = _Diagonal(spec, grid)
     counted_bounds = log_bound[counted]
     trace: list[tuple[int, float]] = []
     for col, N in enumerate(ns):
@@ -430,7 +431,8 @@ def _double_until(
         ]
         powers = _monomials(gens, alphas)
         residuals = {
-            name: plan(power, N) for name, plan, power in zip(names, plans, powers)
+            name: diagonal.distance(power, N, target)
+            for name, target, power in zip(names, targets.values(), powers)
         }
         trace.append((N, max(residuals.values())))
         bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
@@ -508,17 +510,6 @@ def _check_progression(spec: SymbolSpec, w: complex, m: int) -> float:
     return max(abs(v) for v in vals)
 
 
-def _segment_convex(spec: SymbolSpec, end: complex) -> bool:
-    """Discrete strict convexity and monotonicity of log|phi| on [0, end]."""
-    ts = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    mods = np.abs(eval_symbol_array(spec, ts * complex(end)))
-    if np.min(mods) <= 0:
-        return False
-    prof = np.log(mods)
-    d1 = np.diff(prof)
-    return bool(np.all(d1 > 0) and np.all(np.diff(d1) > 0))
-
-
 def derive_witness_params(spec: SymbolSpec, m: int) -> WitnessParams:
     """Chooses the geometry for :func:`construct_witness_T2`.
 
@@ -557,7 +548,8 @@ def derive_witness_params(spec: SymbolSpec, m: int) -> WitnessParams:
     scale = _halve_until_inside(
         spec, corners, 30, "could not validate the seed/correction frequency windows"
     )
-    if not _segment_convex(spec, w_star):
+    ts = np.linspace(0.0, 1.0, PROFILE_POINTS)
+    if _convex_log_profile(np.abs(eval_symbol_array(spec, ts * w_star))) is None:
         raise HypothesisError("log|phi| is not strictly convex increasing on [0, w*]")
     delta, w0 = abs(w) / 4 * scale, 0.75 * w_star * scale
     return WitnessParams(

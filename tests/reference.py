@@ -1,6 +1,7 @@
 """Functions the package no longer exports, kept here as the references and
 subjects of the tests that use them."""
 
+import cmath
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from hyperalg import (
     scan_ray,
     symbols,
 )
+from hyperalg.errors import EvaluationRangeError
 
 
 def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
@@ -29,12 +31,46 @@ def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
     return result
 
 
+def power_image(f: ExpPoly, vals: list[complex], q: int) -> ExpPoly:
+    """Diagonal action of the q-th operator power, given phi at the
+    frequencies of ``f``, as a canonical ``ExpPoly``: each eigenvalue power
+    in polar form, ``exp(q log|phi(l)|) * exp(i q arg phi(l))``."""
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    out = []
+    for (c, l), val in zip(f.terms, vals):
+        if val == 0:
+            if q > 0:
+                continue
+            factor = 1 + 0j
+        else:
+            log_mag = q * math.log(abs(val))
+            if log_mag > dynamics.EXP_GUARD:
+                raise EvaluationRangeError(
+                    f"|phi({l})|^{q} overflows double precision", z=l
+                )
+            factor = cmath.exp(complex(log_mag, q * math.atan2(val.imag, val.real)))
+        out.append((c * factor, l))
+    return ExpPoly.of(out)
+
+
 def apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
-    """Diagonal action of the q-th operator power, as the diagonal path
-    takes it: phi at every frequency of ``f`` in one evaluation, then the
-    polar-form powers of ``dynamics._power_image``."""
+    """Diagonal action of the q-th operator power: phi at every frequency of
+    ``f`` in one evaluation, then the polar-form powers of
+    :func:`power_image`."""
     vals = dynamics.eval_symbol_array(spec, f.frequencies()).tolist()
-    return dynamics._power_image(f, vals, q)
+    return power_image(f, vals, q)
+
+
+def diagonal_residual(spec, f: ExpPoly, q: int, target, grid: DiskGrid) -> float:
+    """The sup distance on ``grid`` between the q-th operator power of ``f``
+    and ``target`` for one monomial alone: the image of
+    :func:`apply_symbol_power`, summed row by row in term order."""
+    points = grid.points()
+    out = np.zeros(points.shape, dtype=complex)
+    for c, l in apply_symbol_power(spec, f, q).terms:
+        out += c * dynamics._exp_row(l, points)
+    return float(np.max(np.abs(out - target.evaluate_array(points))))
 
 
 def max_modulus(spec, r: float) -> float:
@@ -95,8 +131,8 @@ def apply_symbol_taylor(phi_taylor, f_taylor, K: int) -> TaylorPoly:
 def cross_check(spec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
     """The oracle agreement of one monomial from scratch: phi's contour
     series, its squarings and the reduced powers are built for this call
-    alone, and the diagonal image on the check grid is a new
-    ``_DiagonalResidual``."""
+    alone, and the diagonal image on the check grid is
+    :func:`diagonal_residual`'s."""
     K = dynamics.CROSS_CHECK_K
     radius = min(grid.radius, 0.5)
     cap = K + dynamics.TAYLOR_GUARD
@@ -117,7 +153,7 @@ def cross_check(spec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
         phi_pow = dynamics._power_from_squarings(squares, q_red, cap)
     oracle = apply_symbol_taylor(phi_pow, f_t, K)
     small_grid = DiskGrid(radius, grid.samples, grid.circles)
-    return dynamics._DiagonalResidual(spec, oracle, small_grid)(f, q_red)
+    return diagonal_residual(spec, f, q_red, oracle, small_grid)
 
 
 def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: int):

@@ -91,9 +91,23 @@ class TestCheckT2:
         assert calls == [6]
         assert sorted(result["progressions"]) == [2, 3, 4, 5, 6]
 
-    def test_unnormalized_symbol_rejected(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ExpPolySymbol(ExpPoly.of([(2.0, 1.0)])),
+            CatalogSymbol("exp-poly", a=1, poly=(0.5,)),
+        ],
+    )
+    def test_unnormalized_symbol_rejected(self, spec):
         with pytest.raises(NormalizationError):
-            check_T2(ExpPolySymbol(ExpPoly.of([(2.0, 1.0)])))
+            check_T2(spec)
+
+    def test_reads_the_modulus_at_zero_from_the_structure(self, monkeypatch):
+        def unused(spec, z):
+            raise AssertionError("check_T2 evaluated phi(0)")
+
+        monkeypatch.setattr(classify_module, "eval_symbol", unused)
+        assert check_T2(CatalogSymbol("cos"))["passed"]
 
     def test_returns_only_the_evidence_classify_records(self):
         result = check_T2(CatalogSymbol("cos"))

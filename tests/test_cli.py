@@ -1,6 +1,7 @@
 """Config validation, report writing and exit codes of the batch driver."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -435,6 +436,62 @@ class TestPipelines:
         want = "q,residual\n" + "".join(f"{q},{r!r}\n" for q, r in trace)
         assert (tmp_path / "witness-trace.csv").read_bytes() == want.encode()
         assert [q for q, _ in trace] == [2**k for k in range(3, 3 + len(trace))]
+
+    def test_verify_orbit_trace_csv_bytes(self, tmp_path):
+        # LF line ends, each residual as its repr, at q/4, q/2 and q
+        report_path = Path(__file__).parent / "data" / "single-m2.json"
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_path)},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        trace = read_report(tmp_path, "verify")["outcome"]["trace"]
+        q = json.loads(report_path.read_text())["q"]
+        assert [row[0] for row in trace] == [q // 4, q // 2, q]
+        want = "q,residual\n" + "".join(f"{q},{r!r}\n" for q, r in trace)
+        assert (tmp_path / "verify-orbit-trace.csv").read_bytes() == want.encode()
+
+    def test_verify_of_forged_report_exits_1(self, tmp_path, capsys):
+        # two huge terms on generator 1 whose images overflow to inf - inf
+        # on the grid: a NaN residual must not pass as a small one
+        w_path = write_config(
+            tmp_path,
+            {"command": "witness-multi", "symbol": COS, "exponents": [[1, 0], [0, 1]]},
+            "w.json",
+        )
+        assert main(["--config", w_path, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        report_file = tmp_path / "witness-multi-report.json"
+        payload = json.loads(report_file.read_text())
+        payload["outcome"]["witness"]["generators"][0] += [
+            [[1e300, 0.0], [3 * math.pi, 0.0]],
+            [[-1e300, 0.0], [3 * math.pi + 1e-3, 0.0]],
+        ]
+        report_file.write_text(json.dumps(payload))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": COS, "report_path": str(report_file)},
+        )
+        assert main(["--config", v_path, "--out", str(tmp_path / "v")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EvaluationRangeError: ") and err.count("\n") == 1
+        assert not (tmp_path / "v" / "verify-report.json").exists()
+
+    def test_verify_of_overflowing_product_exits_1(self, tmp_path, capsys):
+        # f**2 of a generator with a coefficient of 1e200 overflows
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "single-m2.json").read_text())
+        payload["generators"][0][0][0] = [1e200, 0.0]
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(payload))
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EvaluationRangeError: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_zero_multi_target_exits_1(self, tmp_path, capsys):
         path = write_config(

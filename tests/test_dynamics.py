@@ -18,7 +18,6 @@ from hyperalg import (
     ExpPoly,
     ExpPolySymbol,
     HadamardTrunc,
-    OrbitTrace,
     TaylorPoly,
     apply_symbol,
     apply_symbol_taylor,
@@ -31,13 +30,14 @@ from hyperalg import (
 from hyperalg import dynamics
 from hyperalg.dynamics import (
     TAYLOR_GUARD,
-    _DiagonalResidual,
+    _Diagonal,
     _power_from_squarings,
     taylor_mul_trunc,
     taylor_pow_trunc,
 )
 from hyperalg.errors import EvaluationRangeError, OracleInputError
 from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
+from hyperalg.cli import run
 from hyperalg.witness import WitnessReport
 import reference
 from reference import apply_symbol_power, pow_exppoly
@@ -452,10 +452,12 @@ class TestCrossCheckPowers:
         for key, name in (("pow", "taylor_pow_trunc"), ("mul", "taylor_mul_trunc")):
             monkeypatch.setattr(dynamics, name, count(key, getattr(dynamics, name)))
         f = ExpPoly.of([(1e6, 0.3)])
-        dynamics._cross_check(CatalogSymbol("exp-quadratic"), f, 2**20, GRID)
-        # 5 squarings for 32, then one product per power 32, 16, ..., 1
-        # (a fresh binary power per halving takes 6 + 5 + ... + 1 = 21)
-        assert counts == {"pow": 1, "mul": 11}
+        oracle = dynamics._Oracle(CatalogSymbol("exp-quadratic"), GRID)
+        dynamics._cross_check(oracle, f, 2**20)
+        # one power call per reduced power 32, 16, ..., 1; 5 squarings for
+        # 32, then one product per power (a fresh binary power per halving
+        # takes 6 + 5 + ... + 1 = 21)
+        assert counts == {"pow": 6, "mul": 11}
 
 
 DATA = Path(__file__).parent / "data"
@@ -520,12 +522,70 @@ class TestSharedOracle:
         # both monomials have their frequencies within 1.6, so radius 2
         f = ExpPoly.of([(1e6, 0.3)])
         g = ExpPoly.of([(2.0, 0.5j), (1.0, -1.2), (0.5, 0.7 + 0.7j)])
-        first = dynamics._cross_check(spec, f, 2**20, GRID, oracle)
-        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 1, "taylor_mul_trunc": 11}
-        second = dynamics._cross_check(spec, g, 2**20, GRID, oracle)
-        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 1, "taylor_mul_trunc": 11}
+        first = dynamics._cross_check(oracle, f, 2**20)
+        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 6, "taylor_mul_trunc": 11}
+        second = dynamics._cross_check(oracle, g, 2**20)
+        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 6, "taylor_mul_trunc": 11}
         assert first.hex() == reference.cross_check(spec, f, 2**20, GRID).hex()
         assert second.hex() == reference.cross_check(spec, g, 2**20, GRID).hex()
+
+
+#: The terms that forge a cos witness-multi report: finite each, their
+#: images under phi(D)^q overflow to inf - inf on the grid.
+FORGED_TERMS = [
+    [[1e300, 0.0], [3 * math.pi, 0.0]],
+    [[-1e300, 0.0], [3 * math.pi + 1e-3, 0.0]],
+]
+
+
+def fixture_report(name: str) -> WitnessReport:
+    return WitnessReport.from_dict(json.loads((DATA / f"{name}.json").read_text()))
+
+
+class TestVerifySoundness:
+    """A report whose images are not finite, or whose agreement is NaN, does
+    not verify."""
+
+    def test_overflowing_image_raises(self):
+        cos = {"kind": "catalog", "name": "cos"}
+        config = {"command": "witness-multi", "symbol": cos, "exponents": [[1, 0], [0, 1]]}
+        payload = run(config)["outcome"]["witness"]
+        grid = DiskGrid.from_dict(payload["params"]["grid"])
+        report = WitnessReport.from_dict(payload)
+        assert verify_witness(CatalogSymbol("cos"), report, grid, 1e-5)[0]
+        payload["generators"][0] += FORGED_TERMS
+        forged = WitnessReport.from_dict(payload)
+        with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
+            verify_witness(CatalogSymbol("cos"), forged, grid, 1e-5)
+
+    def test_nan_agreement_fails(self, monkeypatch):
+        spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
+        assert verify_witness(spec, report, DiskGrid(), 1e-5)[0]
+        monkeypatch.setattr(dynamics, "_cross_check", lambda *args: math.nan)
+        assert not verify_witness(spec, report, DiskGrid(), 1e-5)[0]
+
+    def test_overflowing_series_fails_without_a_warning(self):
+        # the coefficient-space sums of a 1e300 coefficient overflow, while
+        # the diagonal image on the check grid stays finite
+        oracle = dynamics._Oracle(CatalogSymbol("exp-quadratic"), DiskGrid())
+        agreement = dynamics._cross_check(oracle, ExpPoly.of([(1e300, 0.3)]), 32)
+        assert not agreement <= 1e-6
+
+    def test_trace_is_the_worst_residual_per_iterate_count(self):
+        spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
+        grid = DiskGrid()
+        passed, trace = verify_witness(spec, report, grid, 1e-5)
+        powers = dynamics._monomials(list(report.generators), report.monomials)
+        targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in report.monomials]
+        want = [
+            (q, max(
+                reference.diagonal_residual(spec, f, q, target, grid)
+                for f, target in zip(powers, targets)
+            ))
+            for q in (report.q // 4, report.q // 2, report.q)
+        ]
+        assert passed
+        assert [(q, r.hex()) for q, r in trace] == [(q, r.hex()) for q, r in want]
 
 
 def reference_monomial(gens, alpha) -> ExpPoly:
@@ -617,25 +677,9 @@ class TestSupDistance:
         assert d_fh <= d_fg + d_gh + 1e-9
 
 
-class TestOrbitTrace:
-    def test_requires_increasing_iterates(self):
-        with pytest.raises(ValueError):
-            OrbitTrace(((8, 1.0), (8, 0.5)), "t", GRID)
-
-    def test_csv_round_trip(self):
-        trace = OrbitTrace(((8, 0.5), (16, 0.125)), "t", GRID)
-        lines = trace.to_csv().strip().splitlines()
-        assert lines[0] == "q,residual"
-        assert lines[1].startswith("8,")
-        assert float(lines[2].split(",")[1]) == 0.125
-
-    def test_csv_bytes(self):
-        trace = OrbitTrace(((8, 0.5), (16, 0.1)), "t", GRID)
-        assert trace.to_csv().encode() == b"q,residual\n8,0.5\n16,0.1\n"
-
-
 class TestDiagonalResidual:
-    """One plan per monomial: bit for bit the unbatched residual."""
+    """One evaluator per (symbol, grid), shared by every monomial, target and
+    iterate count: bit for bit the per-monomial residual."""
 
     GRID = DiskGrid(3.0)
 
@@ -653,11 +697,11 @@ class TestDiagonalResidual:
     def test_matches_sup_distance_of_the_power(self, name):
         spec = TestBatchedDiagonalAction.SPECS[name]
         rng = np.random.default_rng(len(name))
+        diagonal = _Diagonal(spec, self.GRID)
         for size in (1, 4, 12):
             target = self.random_exppoly(rng, 2)
-            residual = _DiagonalResidual(spec, target, self.GRID)
             f = self.random_exppoly(rng, size) + ExpPoly.of([(2.0, 0.0)])
-            # the same frequencies with new coefficients reuse the plan
+            # the same frequencies with new coefficients reuse phi
             g = ExpPoly(tuple((2 * c + 1j, l) for c, l in f.terms))
             for h in (f, g):
                 for q in (0, 1, 7, 2**10, 2**20):
@@ -667,9 +711,12 @@ class TestDiagonalResidual:
                         with pytest.raises(
                             EvaluationRangeError, match=re.escape(str(exc))
                         ):
-                            residual(h, q)
+                            diagonal.distance(h, q, target)
                         continue
-                    assert residual(h, q).hex() == want.hex()
+                    got = diagonal.distance(h, q, target)
+                    assert got.hex() == want.hex()
+                    parent = reference.diagonal_residual(spec, h, q, target, self.GRID)
+                    assert got.hex() == parent.hex()
 
     def test_taylor_target_matches_sup_distance(self):
         # the cross-check measures the diagonal image against the oracle's
@@ -679,16 +726,16 @@ class TestDiagonalResidual:
         f = self.random_exppoly(rng, 5)
         oracle = TaylorPoly.from_exppoly(self.random_exppoly(rng, 3), 40)
         grid = DiskGrid(0.5)
-        residual = _DiagonalResidual(spec, oracle, grid)
+        diagonal = _Diagonal(spec, grid)
         for q in (1, 8, 32):
             want = sup_distance(apply_symbol_power(spec, f, q), oracle, grid)
-            assert residual(f, q).hex() == want.hex()
+            assert diagonal.distance(f, q, oracle).hex() == want.hex()
 
     @pytest.mark.parametrize("q", [0, 3])
     def test_zero_eigenvalue(self, q):
         f = ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)])
         target = ExpPoly.of([(1.0, 0.0)])
-        got = _DiagonalResidual(VANISHING, target, self.GRID)(f, q)
+        got = _Diagonal(VANISHING, self.GRID).distance(f, q, target)
         want = self.unbatched(VANISHING, f, q, target, self.GRID)
         assert got.hex() == want.hex()
 
@@ -710,26 +757,69 @@ class TestDiagonalResidual:
         f, target = ExpPoly.of(terms), ExpPoly.of(target)
         with pytest.raises(EvaluationRangeError) as want:
             self.unbatched(spec, f, q, target, self.GRID)
-        residual = _DiagonalResidual(spec, target, self.GRID)
+        diagonal = _Diagonal(spec, self.GRID)
         for _ in range(2):  # a failed call leaves nothing behind
             with pytest.raises(EvaluationRangeError) as got:
-                residual(f, q)
+                diagonal.distance(f, q, target)
             assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_frequency_set(self, monkeypatch):
         calls = counting_evaluations(monkeypatch)
         spec = CatalogSymbol("exp-quadratic")
         f = ExpPoly.of([(1.0, 0.1 * k + 0.2j) for k in range(9)])
-        residual = _DiagonalResidual(spec, ExpPoly.zero(), self.GRID)
+        diagonal = _Diagonal(spec, self.GRID)
         for q in (8, 16, 32, 64):
-            residual(ExpPoly(tuple((q * c, l) for c, l in f.terms)), q)
+            g = ExpPoly(tuple((q * c, l) for c, l in f.terms))
+            diagonal.distance(g, q, ExpPoly.zero())
         assert calls == [9]
-        residual(ExpPoly.of(f.terms[:4]), 8)
+        diagonal.distance(ExpPoly.of(f.terms[:4]), 8, ExpPoly.one())
         assert calls == [9, 4]
         # also when phi overflows at one of the frequencies; a set that
         # raises is not kept, so each call evaluates it anew
-        residual = _DiagonalResidual(CatalogSymbol("cos"), ExpPoly.zero(), self.GRID)
+        diagonal = _Diagonal(CatalogSymbol("cos"), self.GRID)
+        f = ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)])
         for q in (1, 2):
             with pytest.raises(EvaluationRangeError):
-                residual(ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)]), q)
+                diagonal.distance(f, q, ExpPoly.zero())
         assert calls == [9, 4, 2, 2]
+
+    def test_targets_are_evaluated_once(self, monkeypatch):
+        evaluated = []
+        spec = CatalogSymbol("cos")
+        targets = [ExpPoly.of([(1.0, 0.5)]), ExpPoly.of([(2.0, -0.5j)])]
+        diagonal = _Diagonal(spec, self.GRID)
+        evaluate = ExpPoly.evaluate_array
+
+        def recorded(self, zs):
+            evaluated.append(self)
+            return evaluate(self, zs)
+
+        monkeypatch.setattr(ExpPoly, "evaluate_array", recorded)
+        f = ExpPoly.of([(1.0, 0.25), (0.5, 1j)])
+        for q in (1, 2, 4):
+            for target in targets:
+                want = reference.diagonal_residual(spec, f, q, target, self.GRID)
+                evaluated.clear()
+                assert diagonal.distance(f, q, target).hex() == want.hex()
+                assert evaluated == ([target] if q == 1 else [])
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            # each term is finite on the grid; their sum overflows to inf - inf
+            [(1e300, 3 * math.pi), (-1e300, 3 * math.pi + 1e-3)],
+            # c phi(l)^q itself overflows (|cos(2i)|^2 > 10)
+            [(1e308, 2j)],
+        ],
+    )
+    def test_image_not_finite_raises(self, terms):
+        # without a numpy warning, which the test configuration makes an error
+        diagonal = _Diagonal(CatalogSymbol("cos"), self.GRID)
+        with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
+            diagonal.distance(ExpPoly.of(terms), 2, ExpPoly.zero())
+
+    def test_target_not_finite_raises(self):
+        diagonal = _Diagonal(CatalogSymbol("cos"), self.GRID)
+        target = ExpPoly.of([(1e300, 3 * math.pi), (-1e300, 3 * math.pi + 1e-3)])
+        with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
+            diagonal.distance(ExpPoly.one(), 1, target)

@@ -583,6 +583,22 @@ class TestConvexDirection:
 
 
 class TestConvexRay:
+    @pytest.mark.parametrize(
+        "mods, convex",
+        [
+            (np.exp(np.linspace(0, 1, 8) ** 2 + 0.1), True),
+            (np.exp(np.linspace(0, 1, 8)), False),  # straight, not strictly convex
+            (np.exp(-np.linspace(0, 1, 8) ** 2), False),  # decreasing
+            (np.exp(np.linspace(0, 1, 8) ** 2) * 1e-301, False),  # below LOG_FLOOR
+            (np.array([1.0, np.nan, 3.0, 9.0]), False),
+        ],
+    )
+    def test_one_profile_test(self, mods, convex):
+        profile = growth._convex_log_profile(mods)
+        assert (profile is not None) == convex
+        if convex:
+            assert np.array_equal(profile, np.log(mods))
+
     def test_cos_goes_up_the_imaginary_axis(self):
         ray = find_convex_ray(CatalogSymbol("cos"), 0, 0.5)
         # log|cos| grows fastest along +/- i; the profile is log cosh
