@@ -27,7 +27,7 @@ from .growth import _radius_grid, estimate_order_type, scan_ray
 from .symbols import (
     CatalogSymbol,
     _csv_text,
-    complex_from_json,
+    complexes_from_json,
     derivs_at_zero,
     exppoly_from_json,
     symbol_from_dict,
@@ -163,13 +163,14 @@ def _load_config(args) -> dict:
 def _read_values(config) -> dict:
     """Each structured config value as the object the pipelines take.  The
     schema admits some values no pipeline can take (a zero exponent tuple, a
-    NaN coefficient, a zero at the origin): reading one raises KeyError,
-    TypeError or ValueError, and that is a config error."""
+    NaN coefficient, a zero at the origin, an integer too large for a
+    double): reading one raises KeyError, OverflowError, TypeError or
+    ValueError, and that is a config error."""
     readers = {
         "symbol": symbol_from_dict,
         "epsilon": lambda eps: _require_finite(eps, "epsilon").real,
         "grid": DiskGrid.from_dict,
-        "zeros": lambda raw: _zero_list([complex_from_json(z) for z in raw]),
+        "zeros": lambda raw: _zero_list(complexes_from_json(raw)),
         "r_grid": _radius_grid,
         "seed_terms": exppoly_from_json,
         "target_terms": exppoly_from_json,
@@ -181,7 +182,7 @@ def _read_values(config) -> dict:
         if key in config:
             try:
                 values[key] = read(config[key])
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigError(f"bad {key} entry: {exc}") from exc
     return values
 
@@ -196,7 +197,7 @@ def _load_report(path: str) -> WitnessReport:
     try:
         payload = raw.get("outcome", {}).get("witness", raw.get("witness", raw))
         return WitnessReport.from_dict(payload)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed witness report: {exc!r}") from exc
 
 

@@ -38,6 +38,16 @@ def _require_finite(value: complex, what: str) -> complex:
     return value
 
 
+def _require_all_finite(values, what: str) -> tuple[complex, ...]:
+    """``values`` as a tuple of complex numbers, checked in one pass; when
+    one is not finite, :func:`_require_finite` names it."""
+    out = tuple(map(complex, values))
+    if not all(map(cmath.isfinite, out)):
+        for value in out:
+            _require_finite(value, what)
+    return out
+
+
 def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
     """``exp(freq * zs)`` on an array of points, guarded like :func:`_guarded_exp`."""
     w = freq * zs

@@ -18,6 +18,7 @@ bit-exact round trip), and admit contour-integral derivatives at any point.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import io
@@ -28,7 +29,13 @@ from typing import NoReturn, Sequence, Union
 import numpy as np
 
 from .errors import DerivativeConvergenceError, EvaluationRangeError
-from .exppoly import EXP_GUARD, ExpPoly, TaylorPoly, _require_finite
+from .exppoly import (
+    EXP_GUARD,
+    ExpPoly,
+    TaylorPoly,
+    _require_all_finite,
+    _require_finite,
+)
 
 CATALOG_COS = "cos"
 CATALOG_SIN_PLUS_EXP = "sin+exp(-z)"
@@ -65,9 +72,7 @@ class CatalogSymbol(SymbolSpec):
             raise ValueError(f"unknown catalog symbol {self.name!r}")
         object.__setattr__(self, "a", _require_finite(self.a, "parameter a"))
         object.__setattr__(self, "scale", _require_finite(self.scale, "scale"))
-        object.__setattr__(
-            self, "poly", tuple(_require_finite(c, "poly coeff") for c in self.poly)
-        )
+        object.__setattr__(self, "poly", _require_all_finite(self.poly, "poly coeff"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ class PolyTimesExp(SymbolSpec):
     b: complex = 0j
 
     def __post_init__(self):
-        poly = tuple(_require_finite(c, "poly coeff") for c in self.poly)
+        poly = _require_all_finite(self.poly, "poly coeff")
         if not poly or poly[0] != 1:
             raise ValueError("polynomial part must have constant term 1")
         object.__setattr__(self, "poly", poly)
@@ -108,8 +113,8 @@ class HadamardTrunc(SymbolSpec):
     def __post_init__(self):
         if self.genus not in (0, 1):
             raise ValueError("genus must be 0 or 1")
-        zeros = tuple(_require_finite(z, "zero") for z in self.zeros)
-        if any(z == 0 for z in zeros):
+        zeros = _require_all_finite(self.zeros, "zero")
+        if not all(zeros):  # a complex number is false only at 0
             raise ValueError("zeros must be nonzero")
         object.__setattr__(self, "zeros", zeros)
         b = _require_finite(self.b, "exponent constant")
@@ -474,12 +479,28 @@ _KINDS = {
 }
 
 
+def complexes_from_json(raw) -> list[complex]:
+    """The ``[re, im]`` pairs of ``raw`` as complex numbers.  A pair is
+    exactly two finite numbers that fit a double; anything else raises
+    ValueError or TypeError (``complex`` takes no string with a second
+    argument)."""
+    try:
+        values = [complex(re, im) for re, im in raw]
+    except OverflowError as exc:  # an integer too large for a double
+        raise ValueError(str(exc)) from None
+    if not all(map(cmath.isfinite, values)):
+        raise ValueError("complex values must be finite")
+    return values
+
+
 def complex_from_json(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
+    return complexes_from_json((pair,))[0]
 
 
 def exppoly_from_json(raw) -> ExpPoly:
-    return ExpPoly.of([(complex_from_json(c), complex_from_json(f)) for c, f in raw])
+    """An :class:`ExpPoly` from its ``[coeff, freq]`` terms, each a pair."""
+    flat = complexes_from_json([x for c, f in raw for x in (c, f)])
+    return ExpPoly.of(zip(flat[::2], flat[1::2]))
 
 
 def _int_from_json(value) -> int:
@@ -508,8 +529,10 @@ def to_json_value(value):
         return [value.real, value.imag]
     if isinstance(value, dict):
         return {_json_key(k): to_json_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_json_value(v) for v in value]
+    if isinstance(value, (list, tuple)):  # a complex entry inline, as above
+        return [
+            [v.real, v.imag] if type(v) is complex else to_json_value(v) for v in value
+        ]
     if isinstance(value, np.generic):
         return to_json_value(value.item())
     if isinstance(value, ExpPoly):
@@ -544,14 +567,14 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
         return CatalogSymbol(
             name=d["name"],
             a=complex_from_json(opt("a", [1.0, 0.0])),
-            poly=tuple(complex_from_json(c) for c in opt("poly", [[1.0, 0.0]])),
+            poly=complexes_from_json(opt("poly", [[1.0, 0.0]])),
             scale=complex_from_json(opt("scale", [1.0, 0.0])),
         )
     if kind == "exppoly":
         return ExpPolySymbol(exppoly_from_json(d["terms"]))
     if kind == "poly-times-exp":
         return PolyTimesExp(
-            poly=tuple(complex_from_json(c) for c in d["poly"]),
+            poly=complexes_from_json(d["poly"]),
             a=complex_from_json(d["a"]),
             b=complex_from_json(opt("b", [0.0, 0.0])),
         )
@@ -559,7 +582,7 @@ def symbol_from_dict(d: dict) -> SymbolSpec:
         return HadamardTrunc(
             a=complex_from_json(d["a"]),
             b=complex_from_json(opt("b", [0.0, 0.0])),
-            zeros=tuple(complex_from_json(z) for z in d["zeros"]),
+            zeros=complexes_from_json(d["zeros"]),
             genus=_int_from_json(d["genus"]),
             truncation=_int_from_json(d["truncation"]),
         )

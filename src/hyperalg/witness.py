@@ -56,7 +56,7 @@ from .growth import (
 from .symbols import (
     SymbolSpec,
     _int_from_json,
-    complex_from_json,
+    complexes_from_json,
     eval_symbol,
     eval_symbol_array,
     exppoly_from_json,
@@ -278,7 +278,7 @@ class WitnessReport:
             residuals={str(k): float(v) for k, v in d["residuals"].items()},
             theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),
             params=dict(d["params"]),
-            coefficients=tuple(complex_from_json(c) for c in d["coefficients"]),
+            coefficients=tuple(complexes_from_json(d["coefficients"])),
             trace=tuple((_int_from_json(n), float(r)) for n, r in d["trace"]),
             bound_sum=float(d["bound_sum"]),
             targets={

@@ -2,6 +2,7 @@
 subjects of the tests that use them."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -178,3 +179,33 @@ def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: 
             errors=errors,
         )
     return fine, errors
+
+
+def to_json_value(value):
+    """``symbols.to_json_value`` as it was before a complex entry of a list
+    or tuple was written inline: one recursive call per value."""
+    kind = type(value)
+    if value is None or kind is str or kind is int or kind is float or kind is bool:
+        return value
+    if kind is complex:
+        return [value.real, value.imag]
+    if isinstance(value, dict):
+        return {
+            ",".join(map(str, k)) if isinstance(k, tuple) else str(k): to_json_value(v)
+            for k, v in value.items()
+        }
+    if isinstance(value, (list, tuple)):
+        return [to_json_value(v) for v in value]
+    if isinstance(value, np.generic):
+        return to_json_value(value.item())
+    if isinstance(value, ExpPoly):
+        return [to_json_value((complex(c), complex(f))) for c, f in value.terms]
+    if isinstance(value, symbols.SymbolSpec):
+        if kind is symbols.ExpPolySymbol:
+            data = {"terms": value.poly}
+        else:
+            data = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {"kind": symbols._KINDS[kind], **to_json_value(data)}
+    if dataclasses.is_dataclass(value):
+        return to_json_value(vars(value))
+    return value

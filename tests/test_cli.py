@@ -16,6 +16,7 @@ from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
 COS = {"kind": "catalog", "name": "cos"}
+HADAMARD = {"kind": "hadamard", "a": [0, 0], "genus": 0, "truncation": 1}
 
 #: A well-formed single-generator witness payload (one generator e^{z/2},
 #: q = 8); cases override one field to make it unusable.
@@ -124,6 +125,12 @@ class TestConfigHandling:
             {"command": "analyze", "r_grid": [0.0, 1, 2, 3, 4, 5, 6, 7]},
             {"command": "witness", "epsilon": float("nan")},
             {"command": "witness", "grid": {"radius": float("inf")}},
+            {"command": "classify", "symbol": {**HADAMARD, "zeros": [[10**400, 0]]}},
+            {"command": "classify", "symbol": {**COS, "scale": [1, -(10**400)]}},
+            {"command": "witness", "epsilon": 10**400},
+            {"command": "classify", "symbol": {**HADAMARD, "zeros": [[1.0]]}},
+            {"command": "classify", "symbol": {**COS, "scale": [2.0, 0.0, 5.0]}},
+            {"command": "classify", "symbol": {**HADAMARD, "zeros": [["1.5", 0]]}},
         ],
         ids=[
             "zero-exponent-tuple",
@@ -135,6 +142,12 @@ class TestConfigHandling:
             "nonpositive-radius",
             "nan-epsilon",
             "infinite-grid-radius",
+            "huge-hadamard-zero",
+            "huge-catalog-scale",
+            "huge-epsilon",
+            "one-entry-zero",
+            "three-entry-scale",
+            "string-in-zero",
         ],
     )
     def test_malformed_value_is_a_config_error(self, tmp_path, capsys, extra):
@@ -142,6 +155,21 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"symbol": symbol, **extra})
         assert main(["--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("pair", [[1.0], [1.0, 0.0, 5.0]], ids=["short", "long"])
+    def test_malformed_pair_in_a_report_is_a_config_error(self, tmp_path, capsys, pair):
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "single-m2.json").read_text())
+        payload["generators"][0][0][0] = pair
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(payload))
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed witness report")
 
     def test_r_grid_outside_analyze_is_reported_as_ignored(self):
         plain = run({"command": "classify", "symbol": COS})

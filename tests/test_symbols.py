@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +27,20 @@ from hyperalg import (
 )
 from hyperalg import growth, symbols
 from hyperalg.errors import DerivativeConvergenceError, EvaluationRangeError
-from hyperalg.classify import _structure
-from hyperalg.cli import _DEFAULT_R_GRID
+from hyperalg.classify import _structure, classify
+from hyperalg.cli import _DEFAULT_R_GRID, catalog_list
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
     _converged_coeffs,
     _sinc_pi,
+    complexes_from_json,
     eval_symbol_masked,
 )
+from hyperalg.witness import WitnessReport
 from reference import catalog_zeros, converged_coeffs, hadamard_trunc
+from reference import to_json_value as reference_to_json_value
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestEvaluation:
@@ -578,6 +584,100 @@ class TestSerialization:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             symbol_from_dict({"kind": "mystery"})
+
+
+#: JSON numbers that fit a double: finite floats (-0.0 and subnormals among
+#: them), integers and booleans.
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**1000), max_value=2**1000),
+    st.booleans(),
+)
+_PAIRS = st.lists(_NUMBERS, min_size=2, max_size=2)
+_NOT_NUMBERS = st.one_of(
+    st.none(),
+    st.text(max_size=4),
+    st.lists(_NUMBERS, max_size=2),
+    st.dictionaries(st.text(max_size=2), _NUMBERS, max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(min_value=2**1024).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+_BAD_PAIRS = st.one_of(
+    st.lists(_NUMBERS, max_size=4).filter(lambda pair: len(pair) != 2),
+    st.tuples(_NOT_NUMBERS, _NUMBERS).map(list),
+    st.tuples(_NUMBERS, _NOT_NUMBERS).map(list),
+    st.one_of(st.none(), _NUMBERS, st.text(max_size=4)),  # no pair at all
+)
+
+
+class TestComplexesFromJson:
+    @given(st.lists(_PAIRS, max_size=8))
+    def test_numbers_read_bit_for_bit(self, raw):
+        got = complexes_from_json(raw)
+        want = [complex(float(re), float(im)) for re, im in raw]
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+            (z.real.hex(), z.imag.hex()) for z in want
+        ]
+
+    @given(st.lists(_PAIRS, max_size=3), _BAD_PAIRS, st.lists(_PAIRS, max_size=3))
+    def test_malformed_pair_raises_value_or_type_error(self, before, bad, after):
+        with pytest.raises((TypeError, ValueError)):
+            complexes_from_json([*before, bad, *after])
+
+    def test_numeric_string_is_no_number(self):
+        with pytest.raises(TypeError):
+            complexes_from_json([["1.5", 0.0]])
+
+
+def _same_json(value) -> bool:
+    """Whether the writer and its reference give ``value`` the same JSON text."""
+    return json.dumps(to_json_value(value), sort_keys=True, indent=2) == json.dumps(
+        reference_to_json_value(value), sort_keys=True, indent=2
+    )
+
+
+class TestWriterMatchesReference:
+    """The writer puts a complex entry of a list or tuple inline; the JSON
+    text is that of the recursive writer it replaced."""
+
+    @pytest.mark.parametrize("name", ["cos", "sinc-pi"])
+    def test_classify_reports_of_products(self, name):
+        zeros = catalog_zeros(name, 200)
+        for truncation in range(50, 201):
+            spec = HadamardTrunc(0, 0, zeros, genus=0, truncation=truncation)
+            assert _same_json({"symbol": spec, "verdict": classify(spec)})
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "single-m2.json",
+            "single-m3.json",
+            "single-m4-scale1.3.json",
+            "multi-100-010-001.json",
+            "multi-20-11-01.json",
+        ],
+    )
+    def test_witness_fixtures(self, fixture):
+        report = WitnessReport.from_dict(json.loads((DATA / fixture).read_text()))
+        assert _same_json(report)
+        assert json.dumps(to_json_value(report), sort_keys=True, indent=2) + "\n" == (
+            DATA / fixture
+        ).read_text()
+
+    def test_catalog(self):
+        entries = [
+            {"symbol": symbol_from_dict(e["symbol"]), "expected": e["expected"]}
+            for e in catalog_list()
+        ]
+        assert _same_json(entries)
+        assert to_json_value(entries) == catalog_list()
+
+    def test_numpy_complex_in_a_tuple(self):
+        value = (np.complex128(1.5 - 0.0j), 2j, (np.complex128(-0.0 + 1j),))
+        assert _same_json(value)
+        got = to_json_value(value)
+        assert got == [[1.5, -0.0], [0.0, 2.0], [[-0.0, 1.0]]]
+        assert {type(x) for x in [*got[0], *got[1], *got[2][0]]} == {float}
 
 
 class TestCatalogZeros:
