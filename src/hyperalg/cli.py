@@ -284,7 +284,10 @@ def run(config: dict) -> dict:
         side_files["orbit-trace.csv"] = _csv_text(["q", "residual"], trace)
         outcome = {"verified": passed, "trace": trace}
         if not passed:
-            warnings.append("verification FAILED: residuals or oracle disagree")
+            warnings.append(
+                "verification FAILED: a residual exceeds epsilon, or the series"
+                " check (a) or the power check (b) disagrees"
+            )
     else:  # pragma: no cover - schema forbids it
         raise ConfigError(f"unknown command {command!r}")
     if command in ("witness", "witness-multi"):

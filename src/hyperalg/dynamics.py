@@ -1,15 +1,15 @@
-"""Applying a symbol's differential operator, exactly and through an oracle.
+"""Applying a symbol's differential operator, and checking a witness report.
 
 On an exponential polynomial the operator acts diagonally: the term
 ``c * exp(l z)`` maps to ``c * phi(l) * exp(l z)``; :class:`_Diagonal`
-takes its powers onto a grid.  The truncated-Taylor path applies ``sum a_n
-D^n`` to coefficient lists instead and knows nothing about that diagonal
-structure, which makes it a genuinely independent check.
+takes its powers onto a grid.  :func:`verify_witness` ties that evaluator
+to the operator ``sum a_n D^n`` with two checks: phi's Taylor series
+against phi at the report's frequencies, and each power against a
+term-by-term sum that shares no code with :class:`_Diagonal`.
 
-The coefficient-space kernels are whole-array numpy expressions with no
-Python loop over coefficients: a truncated product is one ``np.convolve``,
-and ``sum a_n D^n`` is one matrix-vector product against a cached table of
-factorial ratios ``(k+n)! / k!``.
+The coefficient-space action :func:`apply_symbol_taylor` is one
+matrix-vector product against a cached table of factorial ratios
+``(k+n)! / k!``.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import math
 import numpy as np
 
 from .errors import EvaluationRangeError, OracleInputError
-from .exppoly import (
-    EXP_GUARD,
-    DiskGrid,
-    ExpPoly,
-    TaylorPoly,
-    _exp_row,
-    mul_exppoly,
-)
+from .exppoly import EXP_GUARD, DiskGrid, ExpPoly, TaylorPoly, _exp_row, mul_exppoly
 from .symbols import SymbolSpec, eval_symbol_array, to_taylor
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
@@ -40,53 +33,6 @@ def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
     """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
     vals = eval_symbol_array(spec, f.frequencies()).tolist()
     return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
-
-
-def _taylor(coeffs: np.ndarray, cap: int) -> TaylorPoly:
-    return TaylorPoly(tuple(coeffs.tolist()), cap)
-
-
-def taylor_mul_trunc(a: TaylorPoly, b: TaylorPoly, cap: int) -> TaylorPoly:
-    """Product truncated at ``cap``: ``np.convolve`` of the first ``cap + 1``
-    coefficients of each factor, zero-padded to ``cap + 1`` coefficients
-    when the factors are shorter (an empty factor gives all zeros)."""
-    out = np.zeros(cap + 1, dtype=complex)
-    if a.coeffs and b.coeffs:  # np.convolve rejects empty inputs
-        full = np.convolve(a.coeffs[: cap + 1], b.coeffs[: cap + 1])[: cap + 1]
-        out[: full.size] = full
-    return _taylor(out, cap)
-
-
-def taylor_pow_trunc(
-    a: TaylorPoly, n: int, cap: int, squares: list[TaylorPoly] | None = None
-) -> TaylorPoly:
-    """Truncated power by binary exponentiation (truncation is stable: the
-    first ``cap + 1`` output coefficients never depend on discarded ones).
-
-    ``squares``, when given, holds the squarings ``a, a**2, a**4, ...`` of
-    this ``a`` at this ``cap`` across calls: the ones it has are reused and
-    the missing ones appended, so :func:`_power_from_squarings` can form
-    any smaller power later without squaring again.
-    """
-    if n < 0:
-        raise ValueError("exponent must be non-negative")
-    if squares is None:
-        squares = []
-    if n and not squares:
-        squares.append(TaylorPoly(a.coeffs[: cap + 1], cap))
-    while len(squares) < n.bit_length():
-        squares.append(taylor_mul_trunc(squares[-1], squares[-1], cap))
-    return _power_from_squarings(squares, n, cap)
-
-
-def _power_from_squarings(squares: list[TaylorPoly], n: int, cap: int) -> TaylorPoly:
-    """``a**n`` from the squarings ``squares[i] = a**(2**i)``: their product
-    over the set bits i of n, lowest bit first, starting from 1."""
-    result = TaylorPoly.of([1 + 0j], cap)
-    for i in range(n.bit_length()):
-        if n >> i & 1:
-            result = taylor_mul_trunc(result, squares[i], cap)
-    return result
 
 
 @functools.lru_cache(maxsize=8)
@@ -142,7 +88,7 @@ def apply_symbol_taylor(
     head = f_taylor.coeffs[: padded.size]
     padded[: len(head)] = head
     windows = padded[_window_index(K, a.size)]
-    return _taylor((_perm_table(K, a.size) * windows) @ a, K)
+    return TaylorPoly(tuple(((_perm_table(K, a.size) * windows) @ a).tolist()), K)
 
 
 def sup_distance(
@@ -213,15 +159,6 @@ class _Diagonal:
         return dist
 
 
-#: Iterate count used for the reduced-power oracle cross-check: beyond this,
-#: the coefficient-space image of phi^q is not representable in doubles for
-#: general targets, while the diagonal path remains exact.
-CROSS_CHECK_Q = 32
-
-#: Taylor truncation for cross-checks.
-CROSS_CHECK_K = 60
-
-
 def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
     """The monomial ``prod_i f_i**alpha_i`` of each alpha, from its first
     nonzero factor.  Each generator's powers come from one table, with
@@ -241,88 +178,77 @@ def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
     return out
 
 
-def _abs_taylor(t: TaylorPoly) -> TaylorPoly:
-    """The same series with every coefficient replaced by its modulus."""
-    return _taylor(np.abs(t.coeffs).astype(complex), t.cap)
+#: Unit roundoff u of a double.
+UNIT_ROUNDOFF = 2.0**-53
+
+#: Degree of phi's Taylor series in check (a) of :func:`verify_witness`.
+SERIES_DEGREE = 150
+
+#: Tolerance of check (a), in units of ``u * sum |a_n| R**n``.
+SERIES_CHECK_C = 1024.0
+
+#: Tolerance of check (b), in units of ``u * sum |c phi(l)**q| max|exp(l z)|``.
+POWER_CHECK_C = 4096.0
 
 
-class _Oracle:
-    """What the cross-checks of one report share, built once per
-    :func:`verify_witness` call and dropped with it.
-
-    Per contour radius it keeps phi's Taylor series, one list of its
-    squarings, and each reduced power with its modulus series
-    (:meth:`power`).  Its ``diagonal`` is the :class:`_Diagonal` evaluator
-    of the check grid, the disk of radius ``min(grid.radius, 0.5)``.
-    """
-
-    def __init__(self, spec: SymbolSpec, grid: DiskGrid):
-        self.spec = spec
-        radius = min(grid.radius, 0.5)
-        self.radius_powers = radius ** np.arange(CROSS_CHECK_K + 1)
-        self.diagonal = _Diagonal(spec, DiskGrid(radius, grid.samples, grid.circles))
-        self._series: dict[float, tuple[TaylorPoly, list, dict]] = {}
-
-    def power(self, contour: float, n: int) -> tuple[TaylorPoly, TaylorPoly]:
-        """``phi**n`` from phi's series on the contour of radius ``contour``,
-        and its modulus series, from that radius's one list of squarings
-        (:func:`taylor_pow_trunc`)."""
-        cap = CROSS_CHECK_K + TAYLOR_GUARD
-        if contour not in self._series:
-            self._series[contour] = (to_taylor(self.spec, cap, radius=contour), [], {})
-        phi_t, squares, powers = self._series[contour]
-        if n not in powers:
-            power = taylor_pow_trunc(phi_t, n, cap, squares)
-            powers[n] = (power, _abs_taylor(power))
-        return powers[n]
-
-
-def _cross_check(oracle: _Oracle, f: ExpPoly, q: int) -> float:
-    """Sup distance between the diagonal and coefficient-space images under a
-    reduced operator power, on the check grid of ``oracle``.
-
-    The reduced power starts at min(q, CROSS_CHECK_Q) and is halved, while
-    it is above 1, as long as the coefficient-space sum is ill-conditioned:
-    when the terms ``a_n (k+n)!/k! f_{k+n}`` are huge compared with the
-    result, the sum loses absolute accuracy to cancellation, which would
-    fail the comparison for reasons unrelated to correctness of either
-    path.  The condition estimate is the same sum with every factor
-    replaced by its modulus, evaluated on the check circle.  A series that
-    overflows gives an infinite or NaN distance, and no warning."""
-    cap = CROSS_CHECK_K + TAYLOR_GUARD
-    # contour radius above the largest frequency of f: the n-th coefficient's
-    # roundoff floor gets multiplied by |freq|^n on the way back, so it must
-    # decay at least as fast as |freq|^-n
-    fmax = max((abs(freq) for _, freq in f.terms), default=0.0)
-    contour = max(2.0, 1.25 * fmax)
-    f_t = TaylorPoly.from_exppoly(f, cap)
-    f_abs = _abs_taylor(f_t)
-    q_red = min(q, CROSS_CHECK_Q)
+def _series_check(spec: SymbolSpec, powers: list[ExpPoly]) -> tuple[bool, dict]:
+    """Check (a) of :func:`verify_witness`, and phi at each frequency."""
+    freqs = list(dict.fromkeys(l for f in powers for l in f.frequencies()))
+    phi = eval_symbol_array(spec, freqs)
+    radius = max(2.0, 1.25 * max(map(abs, freqs), default=0.0))
+    series = to_taylor(spec, SERIES_DEGREE, radius=radius)
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            phi_pow, phi_abs = oracle.power(contour, q_red)
-            cond_poly = apply_symbol_taylor(phi_abs, f_abs, CROSS_CHECK_K)
-            cond = float(np.abs(cond_poly.coeffs) @ oracle.radius_powers)
-            if cond <= 1e4 or q_red <= 1:
-                break
-            q_red //= 2
-        series = apply_symbol_taylor(phi_pow, f_t, CROSS_CHECK_K)
-        image = oracle.diagonal.image(f, q_red)
-        values = series.evaluate_array(oracle.diagonal.points)
-        return float(np.max(np.abs(image - values)))
+        size = np.polynomial.polynomial.polyval(radius, np.abs(series.coeffs))
+        error = np.max(np.abs(series.evaluate_array(freqs) - phi), initial=0.0)
+        agrees = bool(error <= SERIES_CHECK_C * UNIT_ROUNDOFF * size < math.inf)
+    return agrees, dict(zip(freqs, phi.tolist()))
+
+
+def _power_check(diagonal: _Diagonal, f: ExpPoly, phi: dict, q: int) -> bool:
+    """Check (b) of :func:`verify_witness`, for one monomial and one q."""
+    coefs = np.array([c * phi[l] ** q for c, l in f.terms], dtype=complex)
+    floor = np.finfo(float).tiny * np.abs(f.coefficients())
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.exp(np.multiply.outer(f.frequencies(), diagonal.points))
+        size = np.maximum(np.abs(coefs), floor) @ np.max(np.abs(rows), axis=1)
+        error = np.max(np.abs(diagonal.image(f, q) - coefs @ rows))
+        return bool(error <= POWER_CHECK_C * UNIT_ROUNDOFF * size < math.inf)
 
 
 def verify_witness(
     spec: SymbolSpec, report, grid: DiskGrid, epsilon: float
 ) -> tuple[bool, tuple[tuple[int, float], ...]]:
-    """Re-derives every residual of a witness report from scratch.
+    """Re-derives every residual of a witness report from scratch, and checks
+    the diagonal evaluator they come from.
 
-    The full-power residuals are recomputed along the diagonal path and must
-    all come in at or below ``epsilon``.  Independently, the coefficient-
-    space oracle must agree with the diagonal image within 1e-6 at the
-    reduced power (full-power coefficient lists overflow doubles for the
-    iterate counts real witnesses need; the reduced power still catches any
-    bookkeeping error in the diagonal path itself).  A NaN agreement fails.
+    The residuals ``sup |phi(D)**q f**alpha - target|`` on the grid are
+    recomputed by :class:`_Diagonal` at q/4, q/2 and q; the one at q must
+    come in at or below ``epsilon`` for every monomial.  Then two checks
+    must pass, where u is the unit roundoff and a NaN or an overflow fails:
+
+    (a) Once per report: phi's Taylor series of degree SERIES_DEGREE from the
+        circle of radius ``R = max(2, 1.25 max|l|)`` must match phi at every
+        frequency l of the monomials within ``SERIES_CHECK_C u sum |a_n|
+        R**n``.  ``sum a_n l**n`` is the q = 1 image of ``exp(l z)`` under
+        ``sum a_n D^n``, whose k-th Taylor coefficient is ``sum_n a_n
+        (k+n)!/k! l**(k+n)/(k+n)! = l**k/k! sum_n a_n l**n``, so (a) ties
+        the phi the diagonal reads to the operator.  At ``|l| <= 0.8 R``
+        Cauchy's estimate puts the terms past degree 150 below ``105 u
+        max|phi|``, the trapezoid rule's coefficients carry about ``u
+        max|phi|`` each (Bornemann, Found. Comput. Math. 11, 2011), and
+        ``max|phi| <= sum |a_n| R**n``: with the Horner sum, a few hundred
+        u at worst, and 2 u on the benchmark's witness reports.
+    (b) Per monomial, at q = 1 and at each checked q: the diagonal image
+        must match ``sum c phi(l)**q exp(l z)``, taken term by term in
+        Python complex ``**`` and ``np.exp``, within ``POWER_CHECK_C u sum
+        |c phi(l)**q| max|exp(l z)|`` (a term below the smallest normal
+        double counts as that size).  The sides differ in the order of the
+        final sum, a few u per term, and in ``|phi|**q``, ``exp(q
+        log|phi|)`` on one side: ``(|q log|phi|| + 2) u`` of a term, with
+        ``|q log|phi|| <= 745`` unless it overflows or underflows.  The
+        full q alone misses errors in terms that have decayed by then; q = 1
+        sees every term.  The benchmark's witness reports stay within 63 u.
+
     Returns whether the report passed, and the worst residual over the
     monomials at q/4, q/2 and q as ``(q, residual)`` pairs.
 
@@ -340,15 +266,18 @@ def verify_witness(
     if not alphas:
         raise ValueError("the report has no monomial to check")
 
-    passed = True
-    diagonal, oracle = _Diagonal(spec, grid), _Oracle(spec, grid)
+    powers = _monomials(generators, alphas)
+    diagonal = _Diagonal(spec, grid)
     check_qs = sorted({max(1, q // 4), max(1, q // 2), q})
     worst = dict.fromkeys(check_qs, 0.0)
-    for alpha, power in zip(alphas, _monomials(generators, alphas)):
+    for alpha, power in zip(alphas, powers):
         target = report.targets.get(alpha, ExpPoly.zero())
         for cq in check_qs:
             worst[cq] = max(worst[cq], diagonal.distance(power, cq, target))
-        agreement = _cross_check(oracle, power, q)
-        # <=, so that a NaN agreement fails
-        passed = passed and worst[q] <= epsilon and agreement <= 1e-6
+    passed = worst[q] <= epsilon
+    if passed:
+        passed, phi = _series_check(spec, powers)
+        passed = passed and all(
+            _power_check(diagonal, f, phi, n) for f in powers for n in {1, *check_qs}
+        )
     return passed, tuple(worst.items())

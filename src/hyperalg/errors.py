@@ -59,7 +59,7 @@ class IterationLimitError(HyperalgError):
 
 
 class OracleInputError(HyperalgError):
-    """A truncated-series oracle input is shorter than the required guard band."""
+    """A truncated-series input is shorter than the required guard band."""
 
 
 class ConfigError(HyperalgError):

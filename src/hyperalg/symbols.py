@@ -388,8 +388,12 @@ def _angles(samples: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _dft_phases(n_max: int, samples: int) -> np.ndarray:
     """Read-only dense DFT matrix ``exp(-1j k theta_j)`` for k <= n_max over
-    ``samples`` equispaced angles; built once per shape and reused."""
-    phases = np.exp(-1j * np.outer(np.arange(n_max + 1), _angles(samples)))
+    ``samples`` equispaced angles; built once per shape and reused, in place
+    in one complex array."""
+    phases = np.empty((n_max + 1, samples), dtype=complex)
+    np.multiply.outer(np.arange(n_max + 1), _angles(samples), out=phases)
+    phases *= -1j
+    np.exp(phases, out=phases)
     phases.flags.writeable = False
     return phases
 
@@ -508,6 +512,14 @@ def _int_from_json(value) -> int:
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def _float_from_json(value) -> float:
+    """``value`` as a float when it is a JSON number; a string or a bool
+    raises TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _json_key(key) -> str:

@@ -55,6 +55,7 @@ from .growth import (
 )
 from .symbols import (
     SymbolSpec,
+    _float_from_json,
     _int_from_json,
     complexes_from_json,
     eval_symbol,
@@ -207,10 +208,10 @@ class ThetaEntry:
     def from_dict(d: dict) -> "ThetaEntry":
         return ThetaEntry(
             *(_tuples(d[key]) for key in ("u", "v", "ell", "alpha")),
-            theta=float(d["theta"]),
+            theta=_float_from_json(d["theta"]),
             case=_int_from_json(d["case"]),
-            magnitude=float(d["magnitude"]),
-            bound=float(d["bound"]),
+            magnitude=_float_from_json(d["magnitude"]),
+            bound=_float_from_json(d["bound"]),
         )
 
 
@@ -255,9 +256,11 @@ class WitnessReport:
         Checks the shape only, raising KeyError, TypeError, ValueError or
         AttributeError on a malformed payload; a ``kind`` other than
         "single" or "multi", a ``q``, ``m`` or exponent that is not a JSON
-        integer, a negative ``q``, an ``m`` below 1, an empty exponent list,
-        a zero generator, a monomial without one non-negative exponent per
-        generator and a target of no monomial are malformed too.
+        integer, a residual, bound sum, weight or theta-table number that is
+        not a JSON number (a numeric string included), a negative ``q``, an
+        ``m`` below 1, an empty exponent list, a zero generator, a monomial
+        without one non-negative exponent per generator and a target of no
+        monomial are malformed too.
         Whether the numbers make a witness is for
         :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
@@ -275,18 +278,20 @@ class WitnessReport:
             generators=generators,
             q=q,
             m=m,
-            residuals={str(k): float(v) for k, v in d["residuals"].items()},
+            residuals={str(k): _float_from_json(v) for k, v in d["residuals"].items()},
             theta_table=tuple(ThetaEntry.from_dict(e) for e in d["theta_table"]),
             params=dict(d["params"]),
             coefficients=tuple(complexes_from_json(d["coefficients"])),
-            trace=tuple((_int_from_json(n), float(r)) for n, r in d["trace"]),
-            bound_sum=float(d["bound_sum"]),
+            trace=tuple(
+                (_int_from_json(n), _float_from_json(r)) for n, r in d["trace"]
+            ),
+            bound_sum=_float_from_json(d["bound_sum"]),
             targets={
                 tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
                 for k, v in d["targets"].items()
             },
             exponents=exponents,
-            weights=_tuples(d["weights"], float),
+            weights=_tuples(d["weights"], _float_from_json),
             beta=_tuples(d["beta"]),
         )
         monomials = report.monomials

@@ -126,35 +126,8 @@ def apply_symbol_taylor(phi_taylor, f_taylor, K: int) -> TaylorPoly:
     head = f_taylor.coeffs[: padded.size]
     padded[: len(head)] = head
     windows = np.lib.stride_tricks.sliding_window_view(padded, a.size)[: K + 1]
-    return dynamics._taylor((dynamics._perm_table(K, a.size) * windows) @ a, K)
-
-
-def cross_check(spec, f: ExpPoly, q: int, grid: DiskGrid) -> float:
-    """The oracle agreement of one monomial from scratch: phi's contour
-    series, its squarings and the reduced powers are built for this call
-    alone, and the diagonal image on the check grid is
-    :func:`diagonal_residual`'s."""
-    K = dynamics.CROSS_CHECK_K
-    radius = min(grid.radius, 0.5)
-    cap = K + dynamics.TAYLOR_GUARD
-    fmax = max((abs(freq) for _, freq in f.terms), default=0.0)
-    phi_t = symbols.to_taylor(spec, cap, radius=max(2.0, 1.25 * fmax))
-    f_t = TaylorPoly.from_exppoly(f, cap)
-    f_abs = dynamics._abs_taylor(f_t)
-    radius_powers = radius ** np.arange(K + 1)
-    q_red = min(q, dynamics.CROSS_CHECK_Q)
-    squares = []
-    phi_pow = dynamics.taylor_pow_trunc(phi_t, q_red, cap, squares)
-    while True:
-        cond_poly = apply_symbol_taylor(dynamics._abs_taylor(phi_pow), f_abs, K)
-        cond = float(np.abs(cond_poly.coeffs) @ radius_powers)
-        if cond <= 1e4 or q_red <= 1:
-            break
-        q_red //= 2
-        phi_pow = dynamics._power_from_squarings(squares, q_red, cap)
-    oracle = apply_symbol_taylor(phi_pow, f_t, K)
-    small_grid = DiskGrid(radius, grid.samples, grid.circles)
-    return diagonal_residual(spec, f, q_red, oracle, small_grid)
+    out = (dynamics._perm_table(K, a.size) * windows) @ a
+    return TaylorPoly(tuple(out.tolist()), K)
 
 
 def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: int):

@@ -171,6 +171,39 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: malformed witness report")
 
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("single-m2", ["bound_sum"]),
+            ("single-m2", ["residuals", "1"]),
+            ("single-m2", ["trace", 0, 1]),
+            ("single-m2", ["theta_table", 0, "theta"]),
+            ("multi-20-11-01", ["theta_table", 0, "magnitude"]),
+            ("multi-20-11-01", ["theta_table", 0, "bound"]),
+            ("multi-20-11-01", ["weights", 1]),
+        ],
+        ids=["bound-sum", "residual", "trace", "theta", "magnitude", "bound", "weight"],
+    )
+    def test_numeric_string_in_a_report_is_a_config_error(
+        self, tmp_path, capsys, name, path
+    ):
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / f"{name}.json").read_text())
+        holder = payload
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = "1e-7"
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(payload))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+        )
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed witness report")
+        assert "expected a number" in err
+
     def test_r_grid_outside_analyze_is_reported_as_ignored(self):
         plain = run({"command": "classify", "symbol": COS})
         r_grid = [float(r) for r in np.geomspace(1.0, 60.0, 16)]
@@ -389,9 +422,8 @@ class TestPipelines:
         assert read_report(tmp_path, "verify")["outcome"]["verified"] is True
 
     def test_verify_of_zero_q_report_exits_1(self, tmp_path):
-        # generator coefficients reach 8e4, so the oracle's condition sum
-        # stays above 1e4 at every reduced power; with q = 0 the reduced
-        # power cannot halve, and verify must still return
+        # with q = 0 every monomial is checked against its target as it
+        # stands; verify must return, and reject the report
         path = write_config(
             tmp_path,
             {"command": "witness-multi", "symbol": QUAD, "exponents": [[2, 1], [0, 1]]},

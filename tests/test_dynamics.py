@@ -1,10 +1,12 @@
-"""Diagonal operator action versus the coefficient-space oracle."""
+"""The diagonal operator action, the coefficient-space action, and the
+checks of verify_witness."""
 
 import cmath
+import inspect
 import json
 import math
 import re
-from collections import Counter
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +29,8 @@ from hyperalg import (
     to_taylor,
     verify_witness,
 )
-from hyperalg import dynamics
-from hyperalg.dynamics import (
-    TAYLOR_GUARD,
-    _Diagonal,
-    _power_from_squarings,
-    taylor_mul_trunc,
-    taylor_pow_trunc,
-)
+from hyperalg import dynamics, symbols
+from hyperalg.dynamics import TAYLOR_GUARD, _Diagonal
 from hyperalg.errors import EvaluationRangeError, OracleInputError
 from hyperalg.symbols import _contour_coeffs, _dft_phases, eval_symbol_array
 from hyperalg.cli import run
@@ -110,28 +106,6 @@ class TestDiagonalAction:
         assert image.frequencies() == (1 + 0j,)
 
 
-class TestTruncatedArithmetic:
-    def test_mul_matches_numpy_polymul(self):
-        a = TaylorPoly.of([1, 2, 3], cap=8)
-        b = TaylorPoly.of([4, 0, 1], cap=8)
-        out = taylor_mul_trunc(a, b, 8)
-        expected = np.polymul([3, 2, 1], [1, 0, 4])[::-1]
-        for k, c in enumerate(expected):
-            assert out.coeffs[k] == pytest.approx(complex(c))
-
-    def test_truncation_is_stable_under_cap(self):
-        a = TaylorPoly.of([1.0, 1.0], cap=12)
-        full = taylor_pow_trunc(a, 6, 12)
-        short = taylor_pow_trunc(a, 6, 4)
-        assert full.coeffs[:5] == short.coeffs[:5]
-
-    def test_pow_reproduces_binomials(self):
-        a = TaylorPoly.of([1.0, 1.0], cap=6)
-        out = taylor_pow_trunc(a, 5, 6)
-        for k in range(6):
-            assert out.coeffs[k] == pytest.approx(math.comb(5, k))
-
-
 class TestCoefficientOracle:
     def test_identity_symbol_with_unit_series(self):
         phi = TaylorPoly.of([1.0])  # multiplication by 1
@@ -167,19 +141,6 @@ class TestCoefficientOracle:
         )
 
 
-def reference_mul_trunc(a: TaylorPoly, b: TaylorPoly, cap: int) -> TaylorPoly:
-    """Scalar reference for ``taylor_mul_trunc``: a double loop over pairs."""
-    coeffs = [0j] * (cap + 1)
-    for i, ca in enumerate(a.coeffs):
-        if i > cap:
-            break
-        for j, cb in enumerate(b.coeffs):
-            if i + j > cap:
-                break
-            coeffs[i + j] += ca * cb
-    return TaylorPoly(tuple(coeffs), cap)
-
-
 def reference_apply_symbol_taylor(
     phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
 ) -> TaylorPoly:
@@ -210,20 +171,6 @@ def random_taylor(rng, length, cap=None):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestVectorizedKernels:
     """The numpy kernels against scalar reference loops."""
-
-    @pytest.mark.parametrize(
-        "len_a, len_b", [(0, 5), (5, 0), (0, 0), (3, 4), (1, 12), (12, 7), (30, 40)]
-    )
-    def test_mul_matches_scalar_reference(self, len_a, len_b):
-        rng = np.random.default_rng(1000 * len_a + len_b)
-        cap = 10  # shorter than, equal to and longer than cap + 1 inputs
-        a = random_taylor(rng, len_a, cap=max(len_a - 1, cap))
-        b = random_taylor(rng, len_b, cap=max(len_b - 1, cap))
-        out = taylor_mul_trunc(a, b, cap)
-        ref = reference_mul_trunc(a, b, cap)
-        assert out.cap == ref.cap and len(out.coeffs) == cap + 1
-        assert all(isinstance(c, complex) for c in out.coeffs)
-        np.testing.assert_allclose(out.coeffs, ref.coeffs, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "len_phi, extra, K", [(1, 0, 60), (7, 0, 60), (81, 0, 60), (40, 25, 10), (95, 3, 0)]
@@ -303,19 +250,6 @@ def reference_apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
             factor = cmath.exp(complex(log_mag, q * cmath.phase(val)))
         out.append((c * factor, l))
     return ExpPoly.of(out)
-
-
-def reference_pow_trunc(a: TaylorPoly, n: int, cap: int) -> TaylorPoly:
-    """Reference binary power: square and multiply in one loop."""
-    result = TaylorPoly.of([1 + 0j], cap)
-    base = TaylorPoly(a.coeffs[: cap + 1], cap)
-    while n:
-        if n & 1:
-            result = taylor_mul_trunc(result, base, cap)
-        n >>= 1
-        if n:
-            base = taylor_mul_trunc(base, base, cap)
-    return result
 
 
 def bits(values) -> list[str]:
@@ -424,110 +358,7 @@ class TestBatchedDiagonalAction:
         assert calls == [9, 9, 2, 2]
 
 
-class TestCrossCheckPowers:
-    """The halvings of the reduced power share one set of squarings."""
-
-    def test_powers_are_bitwise_the_fresh_binary_power(self):
-        phi_t = to_taylor(CatalogSymbol("exp-quadratic", scale=1.2), 80)
-        squares = []
-        for n in (32, 16, 8, 4, 2, 1, 0, 37, 5, 64):
-            want = bits(reference_pow_trunc(phi_t, n, 80).coeffs)
-            assert bits(taylor_pow_trunc(phi_t, n, 80).coeffs) == want
-            assert bits(taylor_pow_trunc(phi_t, n, 80, squares).coeffs) == want
-            assert bits(_power_from_squarings(squares, n, 80).coeffs) == want
-        assert len(squares) == 7  # a, a^2, ..., a^64
-
-    def test_halvings_reuse_the_squarings(self, monkeypatch):
-        # a coefficient of 1e6 keeps the condition sum above 1e4 at every
-        # reduced power, so q_red halves from 32 down to 1
-        counts = {"pow": 0, "mul": 0}
-
-        def count(key, fn):
-            def counted(*args):
-                counts[key] += 1
-                return fn(*args)
-
-            return counted
-
-        for key, name in (("pow", "taylor_pow_trunc"), ("mul", "taylor_mul_trunc")):
-            monkeypatch.setattr(dynamics, name, count(key, getattr(dynamics, name)))
-        f = ExpPoly.of([(1e6, 0.3)])
-        oracle = dynamics._Oracle(CatalogSymbol("exp-quadratic"), GRID)
-        dynamics._cross_check(oracle, f, 2**20)
-        # one power call per reduced power 32, 16, ..., 1; 5 squarings for
-        # 32, then one product per power (a fresh binary power per halving
-        # takes 6 + 5 + ... + 1 = 21)
-        assert counts == {"pow": 6, "mul": 11}
-
-
 DATA = Path(__file__).parent / "data"
-
-
-def counting(monkeypatch, names) -> Counter:
-    """Counts the calls of each of ``names`` that ``dynamics`` makes."""
-    counts = Counter()
-
-    def count(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    for name in names:
-        monkeypatch.setattr(dynamics, name, count(name, getattr(dynamics, name)))
-    return counts
-
-
-class TestSharedOracle:
-    """One oracle state per verified report: every agreement is bit for bit
-    the one a fresh per-monomial cross-check gives."""
-
-    #: Fixture reports and their symbols: four monomials on the contour
-    #: radii 2.0, 2.0, 2.42 and 3.23, and three monomials all on 2.0.
-    FIXTURES = {
-        "single-m4-scale1.3": CatalogSymbol("exp-quadratic", scale=1.3),
-        "multi-20-11-01": CatalogSymbol("exp-quadratic"),
-    }
-
-    @pytest.mark.parametrize("name", sorted(FIXTURES))
-    def test_agreements_are_bitwise_the_per_monomial_check(self, name, monkeypatch):
-        spec = self.FIXTURES[name]
-        report = WitnessReport.from_dict(json.loads((DATA / f"{name}.json").read_text()))
-        grid = DiskGrid()
-        got = []
-        check = dynamics._cross_check
-
-        def recorded(*args):
-            got.append(check(*args))
-            return got[-1]
-
-        monkeypatch.setattr(dynamics, "_cross_check", recorded)
-        counts = counting(monkeypatch, ["to_taylor"])
-        verify_witness(spec, report, grid, 1e-5)
-        powers = dynamics._monomials(list(report.generators), report.monomials)
-        want = [reference.cross_check(spec, f, report.q, grid) for f in powers]
-        assert len(got) == len(report.monomials)
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-        # one contour series per distinct radius
-        assert counts["to_taylor"] == {"single-m4-scale1.3": 3, "multi-20-11-01": 1}[name]
-
-    def test_second_monomial_at_the_same_radius_reuses_the_series(self, monkeypatch):
-        spec = CatalogSymbol("exp-quadratic")
-        counts = counting(
-            monkeypatch, ["to_taylor", "taylor_pow_trunc", "taylor_mul_trunc"]
-        )
-        oracle = dynamics._Oracle(spec, GRID)
-        # the 1e6 coefficient halves the reduced power from 32 down to 1;
-        # both monomials have their frequencies within 1.6, so radius 2
-        f = ExpPoly.of([(1e6, 0.3)])
-        g = ExpPoly.of([(2.0, 0.5j), (1.0, -1.2), (0.5, 0.7 + 0.7j)])
-        first = dynamics._cross_check(oracle, f, 2**20)
-        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 6, "taylor_mul_trunc": 11}
-        second = dynamics._cross_check(oracle, g, 2**20)
-        assert counts == {"to_taylor": 1, "taylor_pow_trunc": 6, "taylor_mul_trunc": 11}
-        assert first.hex() == reference.cross_check(spec, f, 2**20, GRID).hex()
-        assert second.hex() == reference.cross_check(spec, g, 2**20, GRID).hex()
 
 
 #: The terms that forge a cos witness-multi report: finite each, their
@@ -561,15 +392,40 @@ class TestVerifySoundness:
     def test_nan_agreement_fails(self, monkeypatch):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
         assert verify_witness(spec, report, DiskGrid(), 1e-5)[0]
-        monkeypatch.setattr(dynamics, "_cross_check", lambda *args: math.nan)
-        assert not verify_witness(spec, report, DiskGrid(), 1e-5)[0]
+        failed = failed_checks(monkeypatch)
+        # check (a): a NaN coefficient in phi's series
+        series = to_taylor(spec, dynamics.SERIES_DEGREE)
+        with monkeypatch.context() as patch:
+            nan_series = TaylorPoly((math.nan,) + series.coeffs[1:], series.cap)
+            patch.setattr(dynamics, "to_taylor", lambda *args, **kwargs: nan_series)
+            assert not verify_witness(spec, report, DiskGrid(), 1e-5)[0]
+        assert failed == {"series"}
+        # check (b): a NaN image at q = 1, which no residual reads
+        failed.clear()
+        image = _Diagonal.image
 
-    def test_overflowing_series_fails_without_a_warning(self):
-        # the coefficient-space sums of a 1e300 coefficient overflow, while
-        # the diagonal image on the check grid stays finite
-        oracle = dynamics._Oracle(CatalogSymbol("exp-quadratic"), DiskGrid())
-        agreement = dynamics._cross_check(oracle, ExpPoly.of([(1e300, 0.3)]), 32)
-        assert not agreement <= 1e-6
+        def nan_at_one(self, f, q):
+            return image(self, f, q) * (math.nan if q == 1 else 1)
+
+        monkeypatch.setattr(_Diagonal, "image", nan_at_one)
+        assert not verify_witness(spec, report, DiskGrid(), 1e-5)[0]
+        assert failed == {"power"}
+
+    def test_overflowing_series_fails_without_a_warning(self, monkeypatch):
+        spec = CatalogSymbol("exp-quadratic")
+        f = ExpPoly.of([(1e308, 0.5j)])  # |phi(0.5i)| = e^-0.25
+        phi = {0.5j: eval_symbol(spec, 0.5j)}
+        # check (b): c phi exp(l z) overflows on the grid at q = 1, while the
+        # image at q = 8 stays finite
+        diagonal = _Diagonal(spec, DiskGrid())
+        assert diagonal.distance(f, 8, ExpPoly.zero()) < math.inf
+        assert dynamics._power_check(diagonal, f, phi, 8)
+        assert not dynamics._power_check(diagonal, f, phi, 1)
+        # check (a): sum |a_n| R^n of phi's series overflows
+        assert dynamics._series_check(spec, [f])[0]
+        huge = TaylorPoly((1.0,) + (0j,) * 99 + (1e300,), 100)
+        monkeypatch.setattr(dynamics, "to_taylor", lambda *args, **kwargs: huge)
+        assert not dynamics._series_check(spec, [f])[0]
 
     def test_trace_is_the_worst_residual_per_iterate_count(self):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
@@ -586,6 +442,104 @@ class TestVerifySoundness:
         ]
         assert passed
         assert [(q, r.hex()) for q, r in trace] == [(q, r.hex()) for q, r in want]
+
+
+def failed_checks(monkeypatch) -> set:
+    """The names of the checks of ``verify_witness`` that return False:
+    "series" for check (a), "power" for check (b)."""
+    failed = set()
+
+    def recorded(name, check):
+        def wrapper(*args):
+            result = check(*args)
+            if not (result[0] if name == "series" else result):
+                failed.add(name)
+            return result
+
+        return wrapper
+
+    for name, attr in (("series", "_series_check"), ("power", "_power_check")):
+        monkeypatch.setattr(dynamics, attr, recorded(name, getattr(dynamics, attr)))
+    return failed
+
+
+def mutated(fn, edits):
+    """``fn`` recompiled from its source with each ``(old, new)`` of
+    ``edits`` applied; each ``old`` must occur exactly once."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, dict(vars(dynamics)), namespace)
+    return namespace[fn.__name__]
+
+
+#: Source mutations of ``_Diagonal.image``, each caught by check (b).
+IMAGE_MUTANTS = {
+    "power-q+1": [
+        ("log_mag = q * math.log", "log_mag = (q + 1) * math.log"),
+        ("log_mag, q * math.atan2", "log_mag, (q + 1) * math.atan2"),
+    ],
+    "negated-phase": [("log_mag, q * math.atan2", "log_mag, -q * math.atan2")],
+    "last-term-dropped": [("zip(f.terms, self._phi", "zip(f.terms[:-1], self._phi")],
+    "conjugated-row": [
+        ("_exp_row(l, self.points)", "_exp_row(l.conjugate(), self.points)")
+    ],
+    # phi of the first frequency tuple this evaluator saw, for every monomial
+    "phi-of-wrong-tuple": [("self._phi[freqs])", "next(iter(self._phi.values())))")],
+}
+
+#: The fixture reports the mutants must fail, with their symbols.
+MUTANT_FIXTURES = {
+    "single-m2": CatalogSymbol("exp-quadratic"),
+    "single-m4-scale1.3": CatalogSymbol("exp-quadratic", scale=1.3),
+    "multi-20-11-01": CatalogSymbol("exp-quadratic"),
+}
+
+
+class TestVerifyChecks:
+    """Checks (a) and (b) of ``verify_witness`` reject every mutant of the
+    diagonal path.  The residual test is switched off (epsilon = inf), so
+    only the two checks can reject, and each mutant names the one that
+    does."""
+
+    @pytest.mark.parametrize("name", sorted(MUTANT_FIXTURES))
+    def test_unmutated_reports_pass_both_checks(self, name, monkeypatch):
+        failed = failed_checks(monkeypatch)
+        spec, report = MUTANT_FIXTURES[name], fixture_report(name)
+        assert verify_witness(spec, report, DiskGrid(), math.inf)[0]
+        assert failed == set()
+
+    @pytest.mark.parametrize("name", sorted(MUTANT_FIXTURES))
+    @pytest.mark.parametrize("mutant", sorted(IMAGE_MUTANTS))
+    def test_image_mutant_fails_the_power_check(self, mutant, name, monkeypatch):
+        mutant_image = mutated(_Diagonal.image, IMAGE_MUTANTS[mutant])
+        monkeypatch.setattr(_Diagonal, "image", mutant_image)
+        failed = failed_checks(monkeypatch)
+        spec, report = MUTANT_FIXTURES[name], fixture_report(name)
+        assert not verify_witness(spec, report, DiskGrid(), math.inf)[0]
+        assert failed == {"power"}
+
+    @pytest.mark.parametrize("name", sorted(MUTANT_FIXTURES))
+    def test_non_analytic_phi_fails_the_series_check(self, name, monkeypatch):
+        # conj(phi(z)) everywhere, phi's contour series included: the series
+        # of a non-analytic function does not sum to its values
+        def conjugated(spec, zs):
+            return np.conj(eval_symbol_array(spec, zs))
+
+        monkeypatch.setattr(symbols, "eval_symbol_array", conjugated)
+        monkeypatch.setattr(dynamics, "eval_symbol_array", conjugated)
+        failed = failed_checks(monkeypatch)
+        spec, report = MUTANT_FIXTURES[name], fixture_report(name)
+        assert not verify_witness(spec, report, DiskGrid(), math.inf)[0]
+        assert failed == {"series"}
+
+    def test_exp_quadratic_m4_report_verifies(self):
+        # f^4 reaches |l| = 2.6, where phi's series needs more than 60 terms
+        report = fixture_report("single-m4-scale1.3")
+        spec = CatalogSymbol("exp-quadratic", scale=1.3)
+        assert verify_witness(spec, report, DiskGrid(), 1e-5)[0] is True
 
 
 def reference_monomial(gens, alpha) -> ExpPoly:
@@ -719,8 +673,8 @@ class TestDiagonalResidual:
                     assert got.hex() == parent.hex()
 
     def test_taylor_target_matches_sup_distance(self):
-        # the cross-check measures the diagonal image against the oracle's
-        # truncated Taylor series
+        # a target is anything with evaluate_array, a truncated Taylor
+        # series too
         spec = CatalogSymbol("exp-quadratic")
         rng = np.random.default_rng(7)
         f = self.random_exppoly(rng, 5)
