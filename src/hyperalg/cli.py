@@ -15,7 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -129,6 +128,8 @@ def catalog_list() -> list[dict]:
 
 
 def _load_config(args) -> dict:
+    import jsonschema  # here, its only user: it is slow to import
+
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())

@@ -138,6 +138,13 @@ _DIRECTIONS = np.exp(
 )
 _DIRECTIONS.flags.writeable = False
 
+#: The angles of :func:`convex_direction`'s scan, with ``e^{i theta}`` and
+#: ``e^{2 i theta}`` at each (read-only).
+_SCAN_THETAS = 2 * np.pi * np.arange(4096) / 4096
+_SCAN_PHASES = np.exp(1j * _SCAN_THETAS), np.exp(2j * _SCAN_THETAS)
+for _table in (_SCAN_THETAS, *_SCAN_PHASES):
+    _table.flags.writeable = False
+
 
 def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
     """Yields the max of |phi| over the ``_RING`` points of the circle of
@@ -373,16 +380,15 @@ def convex_direction(a1: complex, a2: complex) -> float:
         raise ValueError("a2 must be nonzero")
     if a1 == 0:
         return -math.atan2(a2.imag, a2.real) / 2
-    thetas = 2 * np.pi * np.arange(4096) / 4096
-    m1 = np.real(a1 * np.exp(1j * thetas)) / abs(a1)
-    m2 = np.real(a2 * np.exp(2j * thetas)) / abs(a2)
+    m1 = np.real(a1 * _SCAN_PHASES[0]) / abs(a1)
+    m2 = np.real(a2 * _SCAN_PHASES[1]) / abs(a2)
     scores = np.minimum(m1, m2)
     best = int(np.argmax(scores))
     if scores[best] <= 0:
         raise SearchFailureError(
             "no direction satisfied both half-plane constraints"
         )
-    return float(thetas[best])
+    return float(_SCAN_THETAS[best])
 
 
 def _convex_log_profile(mods: np.ndarray) -> np.ndarray | None:

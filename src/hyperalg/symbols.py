@@ -386,6 +386,15 @@ def _angles(samples: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
+def _unit_ring(samples: int) -> np.ndarray:
+    """Read-only ``exp(1j theta_j)`` at the ``samples`` angles of
+    :func:`_angles`, built once per sample count."""
+    ring = np.exp(1j * _angles(samples))
+    ring.flags.writeable = False
+    return ring
+
+
+@functools.lru_cache(maxsize=16)
 def _dft_phases(n_max: int, samples: int) -> np.ndarray:
     """Read-only dense DFT matrix ``exp(-1j k theta_j)`` for k <= n_max over
     ``samples`` equispaced angles; built once per shape and reused, in place
@@ -422,7 +431,7 @@ def _converged_coeffs(
     Raises :class:`DerivativeConvergenceError` when the two disagree beyond
     ``CONTOUR_TOL`` (relative to ``max(1, |coeff|)``).
     """
-    ring = center + radius * np.exp(1j * _angles(2 * samples))
+    ring = center + radius * _unit_ring(2 * samples)
     vals = eval_symbol_array(spec, ring)
     coarse = _contour_coeffs(np.ascontiguousarray(vals[::2]), n_max, radius)
     fine = _contour_coeffs(vals, n_max, radius)
@@ -467,7 +476,7 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     """
     samples = max(CONTOUR_SAMPLES, 4 * (cap + 1))
     coeffs, _ = _converged_coeffs(spec, 0j, cap, radius, samples)
-    return TaylorPoly(tuple(complex(c) for c in coeffs), cap)
+    return TaylorPoly(tuple(coeffs.tolist()), cap)
 
 
 # ---------------------------------------------------------------------------

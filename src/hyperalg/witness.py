@@ -20,7 +20,7 @@ construction lists the terms of its expansion once, as keys.  The engine,
 every iterate count N of the doubling grid, in one table; the table admits
 the terms, gives the bound sum at each N and fills the report's Theta table.
 Then N doubles, and at each N the engine solves the survivor coefficients
-and measures every monomial's residual.
+and measures every monomial's residual, all in one diagonal kernel call.
 
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
@@ -418,7 +418,8 @@ def _double_until(
             f"N <= {n_max}", entries=violations,
         )
 
-    # phi at a monomial's frequencies does not depend on N: one evaluator
+    # phi at a monomial's frequencies does not depend on N: one evaluator,
+    # which takes every monomial at each N in one call
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
     diagonal = _Diagonal(spec, grid)
@@ -435,10 +436,8 @@ def _double_until(
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
         powers = _monomials(gens, alphas)
-        residuals = {
-            name: diagonal.distance(power, N, target)
-            for name, target, power in zip(names, targets.values(), powers)
-        }
+        _, dists = diagonal.distances(powers, N, list(targets.values()))
+        residuals = dict(zip(names, dists))
         trace.append((N, max(residuals.values())))
         bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
         for x in counted_bounds[:, col].tolist():

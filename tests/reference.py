@@ -63,15 +63,22 @@ def apply_symbol_power(spec, f: ExpPoly, q: int) -> ExpPoly:
     return power_image(f, vals, q)
 
 
-def diagonal_residual(spec, f: ExpPoly, q: int, target, grid: DiskGrid) -> float:
-    """The sup distance on ``grid`` between the q-th operator power of ``f``
-    and ``target`` for one monomial alone: the image of
-    :func:`apply_symbol_power`, summed row by row in term order."""
+def diagonal_image(spec, f: ExpPoly, q: int, grid: DiskGrid) -> np.ndarray:
+    """The q-th operator power of ``f`` on ``grid`` for one monomial alone:
+    the image of :func:`apply_symbol_power`, summed row by row in term
+    order."""
     points = grid.points()
     out = np.zeros(points.shape, dtype=complex)
     for c, l in apply_symbol_power(spec, f, q).terms:
         out += c * dynamics._exp_row(l, points)
-    return float(np.max(np.abs(out - target.evaluate_array(points))))
+    return out
+
+
+def diagonal_residual(spec, f: ExpPoly, q: int, target, grid: DiskGrid) -> float:
+    """The sup distance on ``grid`` between :func:`diagonal_image` and
+    ``target``."""
+    out = diagonal_image(spec, f, q, grid)
+    return float(np.max(np.abs(out - target.evaluate_array(grid.points()))))
 
 
 def max_modulus(spec, r: float) -> float:
@@ -85,6 +92,27 @@ def indicator(spec, theta: float, r_grid) -> float:
     """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
     top half of the window."""
     return growth._top_rate(scan_ray(spec, theta, r_grid))
+
+
+def convex_direction(a1: complex, a2: complex) -> float:
+    """``growth.convex_direction`` as it was before its scan's phase tables
+    were built once at import: the angles and both phase rows afresh on
+    every call."""
+    a1, a2 = complex(a1), complex(a2)
+    if a2 == 0:
+        raise ValueError("a2 must be nonzero")
+    if a1 == 0:
+        return -math.atan2(a2.imag, a2.real) / 2
+    thetas = 2 * np.pi * np.arange(4096) / 4096
+    m1 = np.real(a1 * np.exp(1j * thetas)) / abs(a1)
+    m2 = np.real(a2 * np.exp(2j * thetas)) / abs(a2)
+    scores = np.minimum(m1, m2)
+    best = int(np.argmax(scores))
+    if scores[best] <= 0:
+        raise growth.SearchFailureError(
+            "no direction satisfied both half-plane constraints"
+        )
+    return float(thetas[best])
 
 
 def catalog_zeros(name: str, count: int) -> tuple[float, ...]:

@@ -48,6 +48,15 @@ def read_report(tmp_path, command):
     return json.loads((tmp_path / f"{command}-report.json").read_text())
 
 
+def subprocess_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    ``hyperalg``."""
+    src = str(Path(hyperalg.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )}
+
+
 class TestCatalog:
     def test_lists_six_entries_with_expected_verdicts(self):
         entries = catalog_list()
@@ -215,6 +224,23 @@ class TestConfigHandling:
         ]
         analyzed = run({"command": "analyze", "symbol": COS, "r_grid": r_grid})
         assert "r_grid" not in " ".join(analyzed["warnings"])
+
+    def test_jsonschema_is_imported_only_to_validate_a_config(self, tmp_path):
+        # in a fresh interpreter: importing the CLI leaves jsonschema out, and
+        # main still rejects a config that breaks the schema
+        path = write_config(tmp_path, {"command": "classify", "bogus": 1})
+        code = (
+            "import sys\n"
+            "import hyperalg.cli\n"
+            "assert 'jsonschema' not in sys.modules\n"
+            f"sys.exit(hyperalg.cli.main(['--config', {path!r}]))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: config rejected")
 
     def test_schema_rejects_nonpositive_epsilon(self):
         import jsonschema
@@ -439,15 +465,11 @@ class TestPipelines:
             {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
             "v.json",
         )
-        src = str(Path(hyperalg.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        )}
         try:
             done = subprocess.run(
                 [sys.executable, "-m", "hyperalg.cli", "--config", v_path,
                  "--out", str(tmp_path)],
-                env=env, capture_output=True, text=True, timeout=60,
+                env=subprocess_env(), capture_output=True, text=True, timeout=60,
             )
         except subprocess.TimeoutExpired:
             pytest.fail("verify of a q = 0 report did not return within 60 s")

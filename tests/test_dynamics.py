@@ -419,8 +419,9 @@ class TestVerifySoundness:
         # image at q = 8 stays finite
         diagonal = _Diagonal(spec, DiskGrid())
         assert diagonal.distance(f, 8, ExpPoly.zero()) < math.inf
-        assert dynamics._power_check(diagonal, f, phi, 8)
-        assert not dynamics._power_check(diagonal, f, phi, 1)
+        for q, passes in ((8, True), (1, False)):
+            image = diagonal.image([f], q)
+            assert dynamics._power_check(f, phi, [q], image, diagonal.points) is passes
         # check (a): sum |a_n| R^n of phi's series overflows
         assert dynamics._series_check(spec, [f])[0]
         huge = TaylorPoly((1.0,) + (0j,) * 99 + (1e300,), 100)
@@ -478,16 +479,18 @@ def mutated(fn, edits):
 #: Source mutations of ``_Diagonal.image``, each caught by check (b).
 IMAGE_MUTANTS = {
     "power-q+1": [
-        ("log_mag = q * math.log", "log_mag = (q + 1) * math.log"),
-        ("log_mag, q * math.atan2", "log_mag, (q + 1) * math.atan2"),
+        ("log_mag = q * polar[0]", "log_mag = (q + 1) * polar[0]"),
+        ("log_mag, q * polar[1]", "log_mag, (q + 1) * polar[1]"),
     ],
-    "negated-phase": [("log_mag, q * math.atan2", "log_mag, -q * math.atan2")],
-    "last-term-dropped": [("zip(f.terms, self._phi", "zip(f.terms[:-1], self._phi")],
+    "negated-phase": [("log_mag, q * polar[1]", "log_mag, -q * polar[1]")],
+    "last-term-dropped": [("zip(f.terms, self._polar", "zip(f.terms[:-1], self._polar")],
     "conjugated-row": [
-        ("_exp_row(l, self.points)", "_exp_row(l.conjugate(), self.points)")
+        ("np.multiply.outer(table, self", "np.multiply.outer(table.conj(), self")
     ],
     # phi of the first frequency tuple this evaluator saw, for every monomial
-    "phi-of-wrong-tuple": [("self._phi[freqs])", "next(iter(self._phi.values())))")],
+    "phi-of-wrong-tuple": [
+        ("self._polar[freqs])", "next(iter(self._polar.values())))")
+    ],
 }
 
 #: The fixture reports the mutants must fail, with their symbols.
@@ -777,3 +780,88 @@ class TestDiagonalResidual:
         target = ExpPoly.of([(1e300, 3 * math.pi), (-1e300, 3 * math.pi + 1e-3)])
         with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
             diagonal.distance(ExpPoly.one(), 1, target)
+
+
+class TestBatchedKernel:
+    """Several sums through one kernel call: each row, and each distance,
+    bit for bit the one-monomial reference."""
+
+    GRID = DiskGrid(3.0)
+
+    @staticmethod
+    def assert_matches_reference(spec, fs, q, targets, grid):
+        diagonal = _Diagonal(spec, grid)
+        for f in fs:  # the first sum that fails decides the error
+            try:
+                reference.diagonal_image(spec, f, q, grid)
+            except EvaluationRangeError as exc:
+                with pytest.raises(EvaluationRangeError, match=re.escape(str(exc))):
+                    diagonal.distances(fs, q, targets)
+                return
+        images, dists = diagonal.distances(fs, q, targets)
+        assert images.shape == (len(fs), grid.points().size)
+        for f, target, image, dist in zip(fs, targets, images, dists):
+            want = reference.diagonal_image(spec, f, q, grid)
+            assert image.tobytes() == want.tobytes()
+            assert dist.hex() == reference.diagonal_residual(spec, f, q, target, grid).hex()
+
+    @pytest.mark.parametrize("q", [0, 1, 7, 2**10, 2**20])
+    @pytest.mark.parametrize("name", sorted(TestBatchedDiagonalAction.SPECS))
+    def test_unequal_term_counts(self, name, q):
+        spec = TestBatchedDiagonalAction.SPECS[name]
+        rng = np.random.default_rng(len(name) + q)
+        # short sums beside long ones, and the zero sum, pad with zeros
+        fs = [
+            TestDiagonalResidual.random_exppoly(rng, size, scale=0.5)
+            for size in (3, 1, 12, 5)
+        ] + [ExpPoly.zero()]
+        targets = [TestDiagonalResidual.random_exppoly(rng, 2) for _ in fs]
+        self.assert_matches_reference(spec, fs, q, targets, self.GRID)
+
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_zero_eigenvalue(self, q):
+        # phi(0) = 0: the term at frequency 0 is kept at q = 0 and dropped
+        # after, in whichever sum it stands
+        fs = [
+            ExpPoly.of([(1.0, 1.0), (0.5j, -0.25)]),
+            ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)]),
+            ExpPoly.of([(2.0 - 1j, 0.0)]),
+        ]
+        targets = [ExpPoly.of([(1.0, 0.0)])] * len(fs)
+        self.assert_matches_reference(VANISHING, fs, q, targets, self.GRID)
+
+    def test_underflowed_power_needs_no_row(self):
+        # |cos(300)|^1024 underflows to 0, and exp(300 z) overflows on the
+        # grid: the row is read only at a q where the power is nonzero
+        spec = CatalogSymbol("cos")
+        fs = [
+            ExpPoly.of([(1.0, 0.5), (2.0, 1j)]),
+            ExpPoly.of([(1.0, 300.0), (1.0, 0.5)]),
+        ]
+        targets = [ExpPoly.of([(1.0, 0.5)])] * len(fs)
+        self.assert_matches_reference(spec, fs, 2**10, targets, self.GRID)
+        with pytest.raises(EvaluationRangeError) as want:
+            reference.diagonal_residual(spec, fs[1], 1, targets[1], self.GRID)
+        diagonal = _Diagonal(spec, self.GRID)
+        for q in (2**10, 1, 2**10):  # the same stack serves every q
+            if q == 1:
+                with pytest.raises(EvaluationRangeError) as got:
+                    diagonal.distances(fs, q, targets)
+                assert str(got.value) == str(want.value)
+            else:
+                assert diagonal.distances(fs, q, targets)[1][1] < math.inf
+
+    def test_errors_of_the_first_failing_sum(self):
+        # phi overflows in the second sum, a power in the third: the kernel
+        # takes the sums in order
+        spec = CatalogSymbol("cos")
+        fine = ExpPoly.of([(1.0, 0.5)])
+        fs = [fine, ExpPoly.of([EVAL_OVERFLOW]), ExpPoly.of([POWER_OVERFLOW])]
+        diagonal = _Diagonal(spec, self.GRID)
+        for first, second in ((1, 2), (2, 1)):
+            with pytest.raises(EvaluationRangeError) as want:
+                reference.diagonal_image(spec, fs[first], 2**20, self.GRID)
+            with pytest.raises(EvaluationRangeError) as got:
+                diagonal.image([fs[0], fs[first], fs[second]], 2**20)
+            assert str(got.value) == str(want.value)
+        assert "^1048576" in str(got.value)

@@ -25,7 +25,7 @@ from hyperalg import (
     scan_ray,
 )
 from hyperalg import growth
-from hyperalg.errors import EvaluationRangeError, HypothesisError
+from hyperalg.errors import EvaluationRangeError, HypothesisError, SearchFailureError
 from hyperalg.growth import MODULUS_MARGIN, PROGRESSION_DIRECTIONS
 from hyperalg.symbols import (
     _deviation_bound,
@@ -33,6 +33,7 @@ from hyperalg.symbols import (
     eval_symbol_array,
     eval_symbol_masked,
 )
+import reference
 from reference import indicator, max_modulus
 
 R_GRID = list(np.geomspace(1.0, 60.0, 16))
@@ -580,6 +581,25 @@ class TestConvexDirection:
     def test_zero_second_coefficient_rejected(self):
         with pytest.raises(ValueError):
             convex_direction(1, 0)
+
+    @given(
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(
+            min_magnitude=1e-6, max_magnitude=1e3,
+            allow_nan=False, allow_infinity=False,
+        ),
+    )
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_per_call_scan_bit_for_bit(self, a1, a2):
+        # the phase tables built once at import against the scan that built
+        # them on every call; a scan that finds no angle fails in both
+        def outcome(scan):
+            try:
+                return scan(a1, a2).hex()
+            except SearchFailureError as exc:
+                return str(exc)
+
+        assert outcome(convex_direction) == outcome(reference.convex_direction)
 
 
 class TestConvexRay:

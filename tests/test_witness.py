@@ -595,6 +595,50 @@ class TestOnePlanPerMonomial:
         assert len(plan_calls) == len(A.exponents) + 1
 
 
+class TestOneKernelCallPerIterateCount:
+    """The diagonal kernel takes every monomial at once: one call per N of
+    the doubling loop, and per verify one call per checked q plus one at
+    q = 1."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        image = dynamics._Diagonal.image
+
+        def counting(self, fs, q):
+            calls.append((len(fs), q))
+            return image(self, fs, q)
+
+        monkeypatch.setattr(dynamics._Diagonal, "image", counting)
+        return calls
+
+    @staticmethod
+    def check_qs(q):
+        return sorted({max(1, q // 4), max(1, q // 2), q})
+
+    def test_single_generator(self, params, kernel_calls):
+        seed, target = default_targets_T2(params)
+        report = construct_witness_T2(QUAD, 2, seed, target, params=params)
+        sums = len(report.monomials)  # f and f^2
+        assert kernel_calls == [(sums, N) for N, _ in report.trace]
+        kernel_calls.clear()
+        assert verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)[0]
+        assert report.q >= 8  # so that q = 1 is not a checked q
+        assert kernel_calls == [(sums, n) for n in self.check_qs(report.q) + [1]]
+
+    def test_multi_generator(self, kernel_calls):
+        A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
+        multi_params = derive_multi_params(QUAD, A)
+        B, seeds = default_multi_targets(multi_params, A.n_generators)
+        report = construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
+        sums = len(A.exponents)
+        assert kernel_calls == [(sums, N) for N, _ in report.trace]
+        kernel_calls.clear()
+        assert verify_witness(QUAD, report, DiskGrid(3.0), 1e-5)[0]
+        assert report.q >= 8
+        assert kernel_calls == [(sums, n) for n in self.check_qs(report.q) + [1]]
+
+
 class TestDeterminism:
     def test_single_generator_reports_are_byte_identical(self):
         outputs = []
