@@ -281,10 +281,16 @@ def run(config: dict) -> dict:
         report = _load_report(config["report_path"])
         # the default tolerance of the report's kind, never the report's own number
         epsilon = values.get("epsilon", DEFAULT_EPSILON[report.kind])
-        passed, trace = verify_witness(spec, report, grid, epsilon)
+        passed, trace, skipped = verify_witness(spec, report, grid, epsilon)
         side_files["orbit-trace.csv"] = _csv_text(["q", "residual"], trace)
         outcome = {"verified": passed, "trace": trace}
-        if not passed:
+        if skipped:
+            outcome["skipped"] = skipped
+            warnings.append(
+                "verification FAILED: the series check (a) was skipped: "
+                + skipped["series"]
+            )
+        elif not passed:
             warnings.append(
                 "verification FAILED: a residual exceeds epsilon, or the series"
                 " check (a) or the power check (b) disagrees"

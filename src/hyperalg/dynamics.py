@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
 
-from .errors import EvaluationRangeError, OracleInputError
+from .errors import DerivativeConvergenceError, EvaluationRangeError, OracleInputError
 from .exppoly import EXP_GUARD, DiskGrid, ExpPoly, TaylorPoly, _exp_row, mul_exppoly
 from .symbols import SymbolSpec, eval_symbol_array, to_taylor
 
@@ -101,7 +102,8 @@ def sup_distance(
 
 class _Diagonal:
     """The q-th operator power of exponential sums on one grid, for one
-    symbol, and their sup distances to targets there.
+    symbol, and their sup distances to targets there, for many pairs of
+    sums and iterate counts in one call.
 
     It keeps ``log|phi|`` and ``arg phi`` at each frequency tuple from one
     evaluation (a set at which phi overflows raises and is not kept), one
@@ -110,8 +112,8 @@ class _Diagonal:
     there per tuple of targets.
     ``phi(l)**q`` is taken in polar form, which stays accurate for q up to
     2**20 where repeated multiplication would drift; each sum's terms are
-    added in :meth:`ExpPoly.evaluate_array`'s order, so :meth:`distance` is
-    :func:`sup_distance` of the power bit for bit.  A distance that is not
+    added in :meth:`ExpPoly.evaluate_array`'s order, so each distance of
+    :meth:`images` is :func:`sup_distance` of the power bit for bit.  A distance that is not
     finite raises EvaluationRangeError, and no numpy warning."""
 
     def __init__(self, spec: SymbolSpec, grid: DiskGrid):
@@ -121,9 +123,9 @@ class _Diagonal:
         self._stacks: dict[tuple, tuple[np.ndarray, list[list[int]]]] = {}
         self._targets: dict[tuple[ExpPoly | TaylorPoly, ...], np.ndarray] = {}
 
-    def image(self, fs: list[ExpPoly], q: int) -> np.ndarray:
-        """The q-th operator power of each sum of ``fs`` on the grid, one
-        row per sum.
+    def _coefficients(self, fs: list[ExpPoly], q: int) -> tuple[tuple, np.ndarray]:
+        """The stack key of ``fs`` and the coefficients ``c phi(l)**q`` of
+        its sums, one column per sum (a shorter sum padded with zeros).
 
         Sum by sum, it raises when phi overflows at the sum's frequencies,
         then when a power overflows, then when a row overflows that the sum
@@ -166,37 +168,66 @@ class _Diagonal:
             for t in overflows[s]:
                 if coefs[t, s] != 0:
                     _exp_row(freqs[t], self.points)  # raises
-        out = np.zeros(stack.shape[1:], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # the coefficient first: numpy's complex multiply is not
-            # symmetric in the last bit
-            for terms in coefs[:, :, None] * stack:
-                out += terms
-        return out
+        return key, coefs
 
-    def distances(
-        self, fs: list[ExpPoly], q: int, targets: list[ExpPoly | TaylorPoly]
-    ) -> tuple[np.ndarray, list[float]]:
-        """The images of :meth:`image`, and sup over the grid of
-        ``|phi(D)**q f - target|`` for each sum f and its target."""
-        images = self.image(fs, q)
+    def images(
+        self,
+        pairs: list[tuple[list[ExpPoly], int]],
+        targets: list[ExpPoly | TaylorPoly] | None = None,
+    ) -> tuple[np.ndarray, list[list[float]] | None]:
+        """The q-th operator power of each sum of ``fs`` on the grid, for
+        every pair ``(fs, q)``, indexed by pair, sum and grid point; with
+        ``targets``, one per sum, also the sup distances to them, one row
+        per pair.  Every pair holds as many sums.
+
+        Pair by pair, it raises the errors of :meth:`_coefficients`; with
+        ``targets``, only after the distances of every earlier pair are
+        checked, as one call per pair would.  Pairs in a row whose sums
+        share their frequencies share one stack of rows, and the
+        temporaries of the sum hold one term of every pair and sum at each
+        grid point."""
+        blocks, failure = [], None  # (stack key, coefficients) per pair
+        for fs, q in pairs:
+            try:
+                blocks.append(self._coefficients(fs, q))
+            except (EvaluationRangeError, ValueError) as exc:
+                if targets is None or not blocks:
+                    raise
+                failure = exc
+                break
+        out = np.zeros((len(blocks), len(pairs[0][0]), self.points.size), dtype=complex)
+        start = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, run in itertools.groupby(blocks, key=lambda block: block[0]):
+                coefs = np.array([c for _, c in run])  # pair, term, sum
+                part = out[start : start + len(coefs)]
+                for t, rows in enumerate(self._stacks[key][0]):
+                    # the coefficient first: numpy's complex multiply is not
+                    # symmetric in the last bit
+                    part += coefs[:, t, :, None] * rows
+                start += len(coefs)
+        if targets is None:
+            return out, None
         key = tuple(targets)
         with np.errstate(over="ignore", invalid="ignore"):
             if key not in self._targets:
                 self._targets[key] = np.array(
                     [target.evaluate_array(self.points) for target in targets]
                 )
-            dists = np.max(np.abs(images - self._targets[key]), axis=1).tolist()
-        for dist in dists:
-            if not math.isfinite(dist):  # the image, the target or their difference
-                raise EvaluationRangeError(
-                    f"|phi(D)^{q} f - target| overflows on the grid"
-                )
-        return images, dists
+            dists = np.max(np.abs(out - self._targets[key]), axis=2).tolist()
+        for (_, q), row in zip(pairs, dists):
+            for dist in row:
+                if not math.isfinite(dist):  # the image, the target or their difference
+                    raise EvaluationRangeError(
+                        f"|phi(D)^{q} f - target| overflows on the grid"
+                    )
+        if failure is not None:
+            raise failure
+        return out, dists
 
-    def distance(self, f: ExpPoly, q: int, target: ExpPoly | TaylorPoly) -> float:
-        """sup over the grid of ``|phi(D)**q f - target|``."""
-        return self.distances([f], q, [target])[1][0]
+    def image(self, fs: list[ExpPoly], q: int) -> np.ndarray:
+        """:meth:`images` of the one pair ``(fs, q)``: one row per sum."""
+        return self.images([(fs, q)])[0][0]
 
 
 def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
@@ -231,18 +262,28 @@ SERIES_CHECK_C = 1024.0
 POWER_CHECK_C = 4096.0
 
 
-def _series_check(spec: SymbolSpec, powers: list[ExpPoly]) -> tuple[bool, dict]:
-    """Check (a) of :func:`verify_witness`, and phi at each frequency."""
+def _series_check(
+    spec: SymbolSpec, powers: list[ExpPoly]
+) -> tuple[bool, dict, str | None]:
+    """Check (a) of :func:`verify_witness`, phi at each frequency, and why
+    the check was skipped (None when it ran): phi's contour coefficients
+    that do not converge on the circle leave nothing to check."""
     freqs = list(dict.fromkeys(l for f in powers for l in f.frequencies()))
     phi = eval_symbol_array(spec, freqs)
     radius = max(2.0, 1.25 * max(map(abs, freqs), default=0.0))
-    coeffs = np.array(to_taylor(spec, SERIES_DEGREE, radius=radius).coeffs)
+    try:
+        coeffs = np.array(to_taylor(spec, SERIES_DEGREE, radius=radius).coeffs)
+    except DerivativeConvergenceError as exc:
+        return False, {}, (
+            f"phi's Taylor series of degree {SERIES_DEGREE} on the circle of "
+            f"radius {radius:.6g} is not known: {exc}"
+        )
     with np.errstate(over="ignore", invalid="ignore"):
         size = np.abs(coeffs) @ np.vander([radius], coeffs.size, increasing=True)[0]
         series = np.vander(np.array(freqs, dtype=complex), coeffs.size, increasing=True)
         error = np.max(np.abs(series @ coeffs - phi), initial=0.0)
         agrees = bool(error <= SERIES_CHECK_C * UNIT_ROUNDOFF * size < math.inf)
-    return agrees, dict(zip(freqs, phi.tolist()))
+    return agrees, dict(zip(freqs, phi.tolist())), None
 
 
 def _power_check(
@@ -263,14 +304,15 @@ def _power_check(
 
 def verify_witness(
     spec: SymbolSpec, report, grid: DiskGrid, epsilon: float
-) -> tuple[bool, tuple[tuple[int, float], ...]]:
+) -> tuple[bool, tuple[tuple[int, float], ...], dict[str, str]]:
     """Re-derives every residual of a witness report from scratch, and checks
     the diagonal evaluator they come from.
 
     The residuals ``sup |phi(D)**q f**alpha - target|`` on the grid are
     recomputed by :class:`_Diagonal` at q/4, q/2 and q, in one kernel call
-    for every monomial at each; the one at q must come in at or below
-    ``epsilon`` for every monomial.  Then two checks must pass, where u is
+    for every monomial at all three; the one at q must come in at or below
+    ``epsilon`` for every monomial.  Check (b) makes one more call, at
+    q = 1, when 1 is not one of them.  Then two checks must pass, where u is
     the unit roundoff and a NaN or an overflow fails:
 
     (a) Once per report: phi's Taylor series of degree SERIES_DEGREE from the
@@ -295,7 +337,10 @@ def verify_witness(
         worst, within SERIES_CHECK_C, and 4.3 u on the benchmark's witness
         reports of seeds 1-3 built on exp-quadratic, cos and sinc-pi.
         ``R**150`` must be a finite double (``R < 113``); past that the
-        sums overflow and (a) fails.
+        sums overflow and (a) fails.  When phi's contour coefficients do
+        not converge on the circle (a DerivativeConvergenceError, as for
+        exp-quadratic's default m = 6 report, at R = 6.35), there is no
+        series to check: (a) is skipped and the report fails.
     (b) Per monomial, at q = 1 and at each checked q: the diagonal image,
         the one its residual reads, must match ``sum c phi(l)**q exp(l
         z)``, taken term by term in Python complex ``**`` and ``np.exp``,
@@ -307,8 +352,9 @@ def verify_witness(
         full q alone misses errors in terms that have decayed by then; q = 1
         sees every term.  The benchmark's witness reports stay within 63 u.
 
-    Returns whether the report passed, and the worst residual over the
-    monomials at q/4, q/2 and q as ``(q, residual)`` pairs.
+    Returns whether the report passed, the worst residual over the
+    monomials at q/4, q/2 and q as ``(q, residual)`` pairs, and the reason
+    for each check that was skipped, by name ("series" for (a)).
 
     ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
     generator, an empty list of monomials or an exponent tuple without one
@@ -327,19 +373,20 @@ def verify_witness(
     powers = _monomials(generators, alphas)
     targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in alphas]
     diagonal = _Diagonal(spec, grid)
-    images, worst = {}, {}
-    for n in sorted({max(1, q // 4), max(1, q // 2), q}):
-        images[n], residuals = diagonal.distances(powers, n, targets)
-        worst[n] = max(residuals)
-    passed = worst[q] <= epsilon
+    qs = sorted({max(1, q // 4), max(1, q // 2), q})
+    images, residuals = diagonal.images([(powers, n) for n in qs], targets)
+    trace = tuple((n, max(row)) for n, row in zip(qs, residuals))
+    passed, skipped = dict(trace)[q] <= epsilon, {}
     if passed:
-        passed, phi = _series_check(spec, powers)
+        passed, phi, reason = _series_check(spec, powers)
+        if reason is not None:
+            skipped["series"] = reason
     if passed:
-        if 1 not in images:
-            images[1] = diagonal.image(powers, 1)
-        qs, stacked = list(images), np.array(list(images.values()))
+        if 1 not in qs:
+            qs = qs + [1]
+            images = np.concatenate([images, diagonal.image(powers, 1)[None]])
         passed = all(
-            _power_check(f, phi, qs, stacked[:, s], diagonal.points)
+            _power_check(f, phi, qs, images[:, s], diagonal.points)
             for s, f in enumerate(powers)
         )
-    return passed, tuple(worst.items())
+    return passed, trace, skipped

@@ -249,21 +249,23 @@ def first_ray_below_one(
     least ``r_min``; None when no direction has one.
 
     One call screens the first sample of every ray; only the rays that pass
-    it are evaluated, in order, :func:`_screen_limit` rays per call, each
-    row judged by :func:`ray_below_one`'s rule.
+    it are evaluated, in order, in blocks of 1, 2, 4, ... rays per call up
+    to :func:`_screen_limit`, each row judged by :func:`ray_below_one`'s
+    rule.  An early passing ray costs one small call.
     """
     ts = _ray_samples(t_max)
     thetas = [float(theta) for theta in thetas]
     directions = np.asarray([cmath.exp(1j * theta) for theta in thetas])
     live = np.nonzero(_row_passes(spec, ts[0] * directions, MODULUS_MARGIN))[0]
-    limit = _screen_limit(spec)
-    for start in range(0, live.size, limit):
-        block = live[start : start + limit]
+    limit, start, size = _screen_limit(spec), 0, 1
+    while start < live.size:
+        block = live[start : start + size]
         vals, _ = eval_symbol_masked(spec, ts * directions[block, None])
         for i, mods in zip(block, np.abs(vals)):
             r = _last_below_one(ts, mods)
             if r is not None and r >= r_min:
                 return thetas[i]
+        start, size = start + size, min(2 * size, limit)
     return None
 
 

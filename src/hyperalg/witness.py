@@ -19,8 +19,13 @@ construction lists the terms of its expansion once, as keys.  The engine,
 :func:`_double_until`, evaluates one log-magnitude formula for every term at
 every iterate count N of the doubling grid, in one table; the table admits
 the terms, gives the bound sum at each N and fills the report's Theta table.
-Then N doubles, and at each N the engine solves the survivor coefficients
-and measures every monomial's residual, all in one diagonal kernel call.
+Then N doubles.  The loop cannot stop at an N whose bound sum is above
+epsilon, so the table fixes the first N where it could, N*, before the loop
+starts: the engine solves the survivor coefficients and builds the
+generators and monomials of every N up to N*, then measures every
+monomial's residual at all of them in one diagonal kernel call.  Only when
+a residual at N* is still above epsilon does it go on, one N and one call
+at a time.
 
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
@@ -38,6 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    EvaluationRangeError,
     HypothesisError,
     IterationLimitError,
     SearchFailureError,
@@ -339,6 +345,16 @@ def _double_until(
     doubles from 8 until each monomial is within epsilon of its target and so
     is the bound sum of the counted terms.
 
+    The bound sum at every N of the doubling grid comes from the term table,
+    which is built before the loop, so the first N whose bound sum is within
+    epsilon, N*, is known before any N is measured: no N below it can end
+    the loop.  Every N from 8 to N* is therefore measured in one kernel
+    call, over every iterate count and monomial, and each N past N* (when a
+    residual at N* is still above epsilon) in one call of its own; a build
+    that stops at N* makes one kernel call.  The trace, the report and each
+    error, with the N that raises it, are those of measuring one N at a
+    time.
+
     Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
     Raises ThetaMarginError first when the bound of a counted term stays
     above epsilon at every N <= ``n_max``, and IterationLimitError, with the
@@ -418,31 +434,57 @@ def _double_until(
             f"N <= {n_max}", entries=violations,
         )
 
-    # phi at a monomial's frequencies does not depend on N: one evaluator,
-    # which takes every monomial at each N in one call
+    # phi at a monomial's frequencies does not depend on N: one evaluator
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
     diagonal = _Diagonal(spec, grid)
     counted_bounds = log_bound[counted]
-    trace: list[tuple[int, float]] = []
-    for col, N in enumerate(ns):
-        try:
-            c = [solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)]
-        except OverflowError:
-            raise IterationLimitError(
-                f"survivor coefficients overflow at N = {N}", trace=trace
-            ) from None
-        gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
-            s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
-        ]
-        powers = _monomials(gens, alphas)
-        _, dists = diagonal.distances(powers, N, list(targets.values()))
-        residuals = dict(zip(names, dists))
-        trace.append((N, max(residuals.values())))
-        bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
+
+    def bound_sum(col):
+        total = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
         for x in counted_bounds[:, col].tolist():
-            bound_sum += math.exp(x)
-        if trace[-1][1] <= epsilon and bound_sum <= epsilon:
+            total += math.exp(x)
+        return total
+
+    # the loop stops only at an N whose bound sum is at most epsilon, so it
+    # measures every N up to the first such N* in one kernel call, and each
+    # N past N* in one call of its own
+    first = next(
+        (col for col in range(len(ns)) if bound_sum(col) <= epsilon), len(ns) - 1
+    )
+    batches = [range(first + 1)] + [[col] for col in range(first + 1, len(ns))]
+    trace: list[tuple[int, float]] = []
+    for cols in filter(None, batches):
+        built, failure = [], None  # (N, c, generators, monomials) per N
+        for N in [ns[col] for col in cols]:
+            # an N's error is raised once the N before it are measured
+            try:
+                c = [
+                    solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)
+                ]
+            except OverflowError:
+                failure = IterationLimitError(
+                    f"survivor coefficients overflow at N = {N}", trace=trace
+                )
+                break
+            try:
+                gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
+                    s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
+                ]
+                built.append((N, c, gens, _monomials(gens, alphas)))
+            except (EvaluationRangeError, ValueError) as exc:
+                failure = exc
+                break
+        if built:
+            pairs = [(powers, N) for N, _, _, powers in built]
+            _, dists = diagonal.images(pairs, list(targets.values()))
+            trace += [(N, max(row)) for (N, *_), row in zip(built, dists)]
+        if failure is not None:
+            raise failure
+        N, c, gens, _ = built[-1]
+        residuals = dict(zip(names, dists[-1]))
+        col = cols[-1]
+        if trace[-1][1] <= epsilon and bound_sum(col) <= epsilon:
             break
     else:
         raise IterationLimitError(
@@ -468,7 +510,7 @@ def _double_until(
     fields = dict(
         generators=tuple(generators), q=N, residuals=residuals,
         theta_table=theta_table, coefficients=tuple(c), trace=tuple(trace),
-        bound_sum=bound_sum,
+        bound_sum=bound_sum(col),
     )
     return fields, survivor_values
 

@@ -476,6 +476,29 @@ class TestPipelines:
         assert done.returncode == 1, done.stderr
         assert read_report(tmp_path, "verify")["outcome"]["verified"] is False
 
+    def test_verify_of_default_m6_report_skips_the_series_check(self, tmp_path, capsys):
+        # phi's contour coefficients do not converge on the circle of the
+        # m = 6 report's frequencies: verify answers false, and says why,
+        # instead of exiting on a DerivativeConvergenceError with no report
+        path = write_config(tmp_path, {"command": "witness", "symbol": QUAD, "m": 6}, "w.json")
+        assert main(["--config", path, "--out", str(tmp_path)]) == 0
+        report_file = tmp_path / "witness-report.json"
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+            "v.json",
+        )
+        capsys.readouterr()
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "verify")
+        assert report["outcome"]["verified"] is False
+        [reason] = report["outcome"]["skipped"].values()
+        assert "radius 6.34825" in reason and "did not converge" in reason
+        [warning] = report["warnings"]
+        assert "series check (a) was skipped" in warning and reason in warning
+        err = capsys.readouterr().err
+        assert "series check (a) was skipped" in err and "Traceback" not in err
+
     def test_non_integer_report_fields_exit_2(self, tmp_path, capsys):
         # a default {(1,0),(0,1)} witness with fractional exponents and q
         w_path = write_config(

@@ -41,6 +41,18 @@ from reference import apply_symbol_power, pow_exppoly
 GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
 
+def distances(diagonal, fs, q, targets):
+    """The images and sup distances of ``diagonal`` at the one pair
+    ``(fs, q)``: one row per sum, one distance per sum and its target."""
+    images, dists = diagonal.images([(fs, q)], targets)
+    return images[0], dists[0]
+
+
+def distance(diagonal, f, q, target):
+    """sup over the grid of ``|phi(D)**q f - target|``, by ``diagonal``."""
+    return distances(diagonal, [f], q, [target])[1][0]
+
+
 def exppolys(max_terms=4):
     term = st.tuples(
         st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
@@ -418,7 +430,7 @@ class TestVerifySoundness:
         # check (b): c phi exp(l z) overflows on the grid at q = 1, while the
         # image at q = 8 stays finite
         diagonal = _Diagonal(spec, DiskGrid())
-        assert diagonal.distance(f, 8, ExpPoly.zero()) < math.inf
+        assert distance(diagonal, f, 8, ExpPoly.zero()) < math.inf
         for q, passes in ((8, True), (1, False)):
             image = diagonal.image([f], q)
             assert dynamics._power_check(f, phi, [q], image, diagonal.points) is passes
@@ -431,7 +443,7 @@ class TestVerifySoundness:
     def test_trace_is_the_worst_residual_per_iterate_count(self):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
         grid = DiskGrid()
-        passed, trace = verify_witness(spec, report, grid, 1e-5)
+        passed, trace, _ = verify_witness(spec, report, grid, 1e-5)
         powers = dynamics._monomials(list(report.generators), report.monomials)
         targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in report.monomials]
         want = [
@@ -476,7 +488,8 @@ def mutated(fn, edits):
     return namespace[fn.__name__]
 
 
-#: Source mutations of ``_Diagonal.image``, each caught by check (b).
+#: Source mutations of ``_Diagonal._coefficients``, the per-pair half of the
+#: batched kernel ``_Diagonal.images``, each caught by check (b).
 IMAGE_MUTANTS = {
     "power-q+1": [
         ("log_mag = q * polar[0]", "log_mag = (q + 1) * polar[0]"),
@@ -517,8 +530,8 @@ class TestVerifyChecks:
     @pytest.mark.parametrize("name", sorted(MUTANT_FIXTURES))
     @pytest.mark.parametrize("mutant", sorted(IMAGE_MUTANTS))
     def test_image_mutant_fails_the_power_check(self, mutant, name, monkeypatch):
-        mutant_image = mutated(_Diagonal.image, IMAGE_MUTANTS[mutant])
-        monkeypatch.setattr(_Diagonal, "image", mutant_image)
+        mutant = mutated(_Diagonal._coefficients, IMAGE_MUTANTS[mutant])
+        monkeypatch.setattr(_Diagonal, "_coefficients", mutant)
         failed = failed_checks(monkeypatch)
         spec, report = MUTANT_FIXTURES[name], fixture_report(name)
         assert not verify_witness(spec, report, DiskGrid(), math.inf)[0]
@@ -668,9 +681,9 @@ class TestDiagonalResidual:
                         with pytest.raises(
                             EvaluationRangeError, match=re.escape(str(exc))
                         ):
-                            diagonal.distance(h, q, target)
+                            distance(diagonal, h, q, target)
                         continue
-                    got = diagonal.distance(h, q, target)
+                    got = distance(diagonal, h, q, target)
                     assert got.hex() == want.hex()
                     parent = reference.diagonal_residual(spec, h, q, target, self.GRID)
                     assert got.hex() == parent.hex()
@@ -686,13 +699,13 @@ class TestDiagonalResidual:
         diagonal = _Diagonal(spec, grid)
         for q in (1, 8, 32):
             want = sup_distance(apply_symbol_power(spec, f, q), oracle, grid)
-            assert diagonal.distance(f, q, oracle).hex() == want.hex()
+            assert distance(diagonal, f, q, oracle).hex() == want.hex()
 
     @pytest.mark.parametrize("q", [0, 3])
     def test_zero_eigenvalue(self, q):
         f = ExpPoly.of([(1.0, 1.0), (1.0, 0.0), (0.5j, -0.25)])
         target = ExpPoly.of([(1.0, 0.0)])
-        got = _Diagonal(VANISHING, self.GRID).distance(f, q, target)
+        got = distance(_Diagonal(VANISHING, self.GRID), f, q, target)
         want = self.unbatched(VANISHING, f, q, target, self.GRID)
         assert got.hex() == want.hex()
 
@@ -717,7 +730,7 @@ class TestDiagonalResidual:
         diagonal = _Diagonal(spec, self.GRID)
         for _ in range(2):  # a failed call leaves nothing behind
             with pytest.raises(EvaluationRangeError) as got:
-                diagonal.distance(f, q, target)
+                distance(diagonal, f, q, target)
             assert str(got.value) == str(want.value)
 
     def test_one_evaluation_per_frequency_set(self, monkeypatch):
@@ -727,9 +740,9 @@ class TestDiagonalResidual:
         diagonal = _Diagonal(spec, self.GRID)
         for q in (8, 16, 32, 64):
             g = ExpPoly(tuple((q * c, l) for c, l in f.terms))
-            diagonal.distance(g, q, ExpPoly.zero())
+            distance(diagonal, g, q, ExpPoly.zero())
         assert calls == [9]
-        diagonal.distance(ExpPoly.of(f.terms[:4]), 8, ExpPoly.one())
+        distance(diagonal, ExpPoly.of(f.terms[:4]), 8, ExpPoly.one())
         assert calls == [9, 4]
         # also when phi overflows at one of the frequencies; a set that
         # raises is not kept, so each call evaluates it anew
@@ -737,7 +750,7 @@ class TestDiagonalResidual:
         f = ExpPoly.of([EVAL_OVERFLOW, (1.0, 0.5)])
         for q in (1, 2):
             with pytest.raises(EvaluationRangeError):
-                diagonal.distance(f, q, ExpPoly.zero())
+                distance(diagonal, f, q, ExpPoly.zero())
         assert calls == [9, 4, 2, 2]
 
     def test_targets_are_evaluated_once(self, monkeypatch):
@@ -757,7 +770,7 @@ class TestDiagonalResidual:
             for target in targets:
                 want = reference.diagonal_residual(spec, f, q, target, self.GRID)
                 evaluated.clear()
-                assert diagonal.distance(f, q, target).hex() == want.hex()
+                assert distance(diagonal, f, q, target).hex() == want.hex()
                 assert evaluated == ([target] if q == 1 else [])
 
     @pytest.mark.parametrize(
@@ -773,13 +786,13 @@ class TestDiagonalResidual:
         # without a numpy warning, which the test configuration makes an error
         diagonal = _Diagonal(CatalogSymbol("cos"), self.GRID)
         with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
-            diagonal.distance(ExpPoly.of(terms), 2, ExpPoly.zero())
+            distance(diagonal, ExpPoly.of(terms), 2, ExpPoly.zero())
 
     def test_target_not_finite_raises(self):
         diagonal = _Diagonal(CatalogSymbol("cos"), self.GRID)
         target = ExpPoly.of([(1e300, 3 * math.pi), (-1e300, 3 * math.pi + 1e-3)])
         with pytest.raises(EvaluationRangeError, match="overflows on the grid"):
-            diagonal.distance(ExpPoly.one(), 1, target)
+            distance(diagonal, ExpPoly.one(), 1, target)
 
 
 class TestBatchedKernel:
@@ -796,9 +809,9 @@ class TestBatchedKernel:
                 reference.diagonal_image(spec, f, q, grid)
             except EvaluationRangeError as exc:
                 with pytest.raises(EvaluationRangeError, match=re.escape(str(exc))):
-                    diagonal.distances(fs, q, targets)
+                    distances(diagonal, fs, q, targets)
                 return
-        images, dists = diagonal.distances(fs, q, targets)
+        images, dists = distances(diagonal, fs, q, targets)
         assert images.shape == (len(fs), grid.points().size)
         for f, target, image, dist in zip(fs, targets, images, dists):
             want = reference.diagonal_image(spec, f, q, grid)
@@ -846,10 +859,53 @@ class TestBatchedKernel:
         for q in (2**10, 1, 2**10):  # the same stack serves every q
             if q == 1:
                 with pytest.raises(EvaluationRangeError) as got:
-                    diagonal.distances(fs, q, targets)
+                    distances(diagonal, fs, q, targets)
                 assert str(got.value) == str(want.value)
             else:
-                assert diagonal.distances(fs, q, targets)[1][1] < math.inf
+                assert distances(diagonal, fs, q, targets)[1][1] < math.inf
+
+    def assert_pairs_match_one_call_each(self, spec, pairs, targets):
+        """Pairs of sums and iterate counts through one call, against one
+        call per pair: the images and distances bit for bit, or the first
+        error."""
+        diagonal, want = _Diagonal(spec, self.GRID), []
+        try:
+            for fs, q in pairs:
+                want.append(distances(diagonal, fs, q, targets))
+        except EvaluationRangeError as exc:
+            with pytest.raises(EvaluationRangeError, match=re.escape(str(exc))):
+                _Diagonal(spec, self.GRID).images(pairs, targets)
+            return
+        images, dists = _Diagonal(spec, self.GRID).images(pairs, targets)
+        assert images.tobytes() == np.array([image for image, _ in want]).tobytes()
+        assert [list(map(float.hex, row)) for row in dists] == [
+            list(map(float.hex, row)) for _, row in want
+        ]
+
+    @pytest.mark.parametrize("name", sorted(TestBatchedDiagonalAction.SPECS))
+    def test_pairs_match_one_call_each(self, name):
+        spec = TestBatchedDiagonalAction.SPECS[name]
+        rng = np.random.default_rng(len(name))
+        fs = [TestDiagonalResidual.random_exppoly(rng, size, scale=0.5) for size in (3, 1, 6)]
+        gs = [TestDiagonalResidual.random_exppoly(rng, size, scale=0.5) for size in (2, 4, 1)]
+        targets = [TestDiagonalResidual.random_exppoly(rng, 2) for _ in fs]
+        # runs of pairs that share their frequencies, and runs that do not
+        pairs = [(fs, 1), (fs, 7), (gs, 7), (fs, 2**10), (fs, 0), (gs, 2**20), (gs, 3)]
+        self.assert_pairs_match_one_call_each(spec, pairs, targets)
+
+    def test_an_earlier_pairs_distance_raises_first(self):
+        # the image of 1e308 e^{z/2} at q = 1 overflows on the grid; at
+        # q = 2**20 the power of the next pair overflows
+        spec, target = CatalogSymbol("cos"), [ExpPoly.zero()]
+        huge, power = [ExpPoly.of([(1e308, 0.5)])], [ExpPoly.of([POWER_OVERFLOW])]
+        pairs = [(huge, 1), (power, 2**20)]
+        self.assert_pairs_match_one_call_each(spec, pairs, target)
+        with pytest.raises(EvaluationRangeError, match=r"\^1 f - target"):
+            _Diagonal(spec, self.GRID).images(pairs, target)
+        # with no targets, and with the power first, the power raises
+        for pairs, targets in ((pairs, None), (pairs[::-1], target)):
+            with pytest.raises(EvaluationRangeError, match=r"\|\^1048576 overflows"):
+                _Diagonal(spec, self.GRID).images(pairs, targets)
 
     def test_errors_of_the_first_failing_sum(self):
         # phi overflows in the second sum, a power in the third: the kernel

@@ -499,6 +499,31 @@ class TestDirectionScan:
             spec, thetas, t_max, r_min
         )
 
+    @pytest.mark.parametrize(
+        "spec, t_max",
+        [
+            (CatalogSymbol("exp-quadratic"), 0.9),
+            (CatalogSymbol("exp-quadratic", scale=1.3), 2.0),
+            (CatalogSymbol("cos"), 1.0),
+            (CatalogSymbol("cos"), 800.0),
+            (CatalogSymbol("sinc-pi"), 3.0),
+            (CatalogSymbol("exp-poly", a=1, poly=(1, 1)), 1.5),
+            (ExpPolySymbol(ExpPoly.of([(2.0, 0.0)])), 1.0),
+            (HADAMARD_60, 2.0),
+        ],
+    )
+    @pytest.mark.parametrize("fraction", [0.0, 0.5, 0.99, 1.01])
+    def test_matches_the_fixed_block_scan(self, spec, t_max, fraction):
+        # the doubling blocks against the scan that took _screen_limit rays
+        # per evaluation; reversed, the first passing ray comes late
+        thetas = [2 * math.pi * k / 360 for k in range(360)]
+        r_min = fraction * t_max
+        want = reference.first_ray_below_one(spec, thetas, t_max, r_min)
+        assert first_ray_below_one(spec, thetas, t_max, r_min) == want
+        assert first_ray_below_one(spec, thetas[::-1], t_max, r_min) == (
+            reference.first_ray_below_one(spec, thetas[::-1], t_max, r_min)
+        )
+
     def test_overflowing_ray_fails_only_itself(self):
         # cos stays below one on the samples of the real axis and exceeds
         # one up the imaginary axis, where it overflows beyond t = 700

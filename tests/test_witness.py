@@ -4,6 +4,7 @@ single- and multi-generator pipelines on fast configurations."""
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,11 +34,13 @@ from hyperalg import (
 from hyperalg import dynamics, symbols, witness
 from hyperalg.symbols import eval_symbol_array
 from hyperalg.errors import (
+    HyperalgError,
     HypothesisError,
     IterationLimitError,
     TargetPlacementError,
     ThetaMarginError,
 )
+import reference
 from reference import apply_symbol_power, pow_exppoly
 
 QUAD = CatalogSymbol("exp-quadratic")
@@ -290,7 +293,7 @@ class TestSingleGenerator:
     def test_report_survives_verification(self, params):
         seed, target = default_targets_T2(params)
         report = construct_witness_T2(QUAD, 2, seed, target, params=params)
-        passed, _ = verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)
+        passed, *_ = verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)
         assert passed
 
     def test_tampered_report_fails_verification(self, params):
@@ -299,7 +302,7 @@ class TestSingleGenerator:
         import dataclasses
 
         tampered = dataclasses.replace(report, q=report.q // 2)
-        passed, _ = verify_witness(QUAD, tampered, DiskGrid(3.0), 1e-6)
+        passed, *_ = verify_witness(QUAD, tampered, DiskGrid(3.0), 1e-6)
         assert not passed
 
     @pytest.mark.parametrize("fields", [{"m": 0}, {"m": -1}, {"exponents": ()}])
@@ -423,7 +426,7 @@ class TestMultiGenerator:
 
     def test_verification(self, multi_report):
         rep, _ = multi_report
-        passed, _ = verify_witness(QUAD, rep, DiskGrid(radius=3.0), 1e-5)
+        passed, *_ = verify_witness(QUAD, rep, DiskGrid(radius=3.0), 1e-5)
         assert passed
 
     def test_report_round_trips(self, multi_report):
@@ -480,7 +483,7 @@ class TestMultiGenerator:
         B, seeds = default_multi_targets(params, n_gen)
         rep = construct_witness_multi(spec, A, B, seeds, params=params)
         assert max(rep.residuals.values()) <= 1e-5 and rep.bound_sum <= 1e-5
-        passed, _ = verify_witness(spec, rep, DiskGrid(), 1e-5)
+        passed, *_ = verify_witness(spec, rep, DiskGrid(), 1e-5)
         assert passed
 
     def test_coefficient_overflow_is_an_iteration_limit(self):
@@ -595,48 +598,171 @@ class TestOnePlanPerMonomial:
         assert len(plan_calls) == len(A.exponents) + 1
 
 
-class TestOneKernelCallPerIterateCount:
-    """The diagonal kernel takes every monomial at once: one call per N of
-    the doubling loop, and per verify one call per checked q plus one at
-    q = 1."""
+class TestOneKernelCall:
+    """The diagonal kernel takes every monomial at every iterate count up to
+    the first N whose bound sum is within epsilon, N*, at once: one call per
+    build that stops at N*, and per verify one call for the checked q plus
+    one at q = 1."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
-        image = dynamics._Diagonal.image
+        images = dynamics._Diagonal.images
 
-        def counting(self, fs, q):
-            calls.append((len(fs), q))
-            return image(self, fs, q)
+        def counting(self, pairs, targets=None):
+            calls.append([(len(fs), q) for fs, q in pairs])
+            return images(self, pairs, targets)
 
-        monkeypatch.setattr(dynamics._Diagonal, "image", counting)
+        monkeypatch.setattr(dynamics._Diagonal, "images", counting)
         return calls
 
     @staticmethod
     def check_qs(q):
         return sorted({max(1, q // 4), max(1, q // 2), q})
 
+    def check(self, report, sums, epsilon, kernel_calls):
+        assert kernel_calls == [[(sums, N) for N, _ in report.trace]]
+        kernel_calls.clear()
+        assert verify_witness(QUAD, report, DiskGrid(3.0), epsilon)[0]
+        assert report.q >= 8  # so that q = 1 is not a checked q
+        checked = [(sums, n) for n in self.check_qs(report.q)]
+        assert kernel_calls == [checked, [(sums, 1)]]
+
     def test_single_generator(self, params, kernel_calls):
         seed, target = default_targets_T2(params)
         report = construct_witness_T2(QUAD, 2, seed, target, params=params)
-        sums = len(report.monomials)  # f and f^2
-        assert kernel_calls == [(sums, N) for N, _ in report.trace]
-        kernel_calls.clear()
-        assert verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)[0]
-        assert report.q >= 8  # so that q = 1 is not a checked q
-        assert kernel_calls == [(sums, n) for n in self.check_qs(report.q) + [1]]
+        self.check(report, len(report.monomials), 1e-6, kernel_calls)  # f and f^2
 
     def test_multi_generator(self, kernel_calls):
         A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
         multi_params = derive_multi_params(QUAD, A)
         B, seeds = default_multi_targets(multi_params, A.n_generators)
         report = construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
-        sums = len(A.exponents)
-        assert kernel_calls == [(sums, N) for N, _ in report.trace]
-        kernel_calls.clear()
-        assert verify_witness(QUAD, report, DiskGrid(3.0), 1e-5)[0]
-        assert report.q >= 8
-        assert kernel_calls == [(sums, n) for n in self.check_qs(report.q) + [1]]
+        self.check(report, len(A.exponents), 1e-5, kernel_calls)
+
+    def test_past_n_star_one_call_per_n(self, params, kernel_calls):
+        # three targets: the bound sum first falls within epsilon at
+        # N* = 2**18, where a residual is still above it, so N = 2**19 and
+        # 2**20 follow one call each before the cap
+        seed, target = default_targets_T2(params, p=3)
+        with pytest.raises(IterationLimitError):
+            construct_witness_T2(QUAD, 2, seed, target, params=params)
+        assert [[q for _, q in call] for call in kernel_calls] == [
+            [2**j for j in range(3, 19)], [2**19], [2**20]
+        ]
+
+
+def outcome(build):
+    """What a build gives: its report as JSON, or its error's type and
+    message with the trace it carries, residuals in hex."""
+    try:
+        return build().to_json()
+    except HyperalgError as exc:
+        trace = getattr(exc, "trace", None)
+        if trace is not None:
+            trace = [(q, r.hex()) for q, r in trace]
+        return type(exc).__name__, str(exc), trace
+
+
+def faulty_solve_coeff(faults):
+    """``solve_coeff`` with each iterate count of ``faults`` spoiled: its
+    coefficients times the number there, or the exception class raised."""
+    solve = witness.solve_coeff
+
+    def spoiled(b, m, phi_val, N):
+        fault = faults.get(N)
+        if isinstance(fault, type):
+            raise fault("spoiled")
+        return solve(b, m, phi_val, N) * (1 if fault is None else fault)
+
+    return spoiled
+
+
+#: The exponent sets of the benchmark's witness workload.
+MULTI_SETS = (
+    ((2, 0), (1, 1), (0, 1)),
+    ((1, 0), (0, 1)),
+    ((2, 0), (0, 2), (1, 1)),
+    ((1, 1), (1, 0)),
+    ((2,), (1,)),
+    ((3,), (1,)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((2, 1), (0, 1)),
+)
+
+
+class TestBatchedDoubling:
+    """The doubling that measures every N up to N* in one kernel call gives
+    what the sequential driver of ``reference.double_until`` gives, bit for
+    bit: the report, or the error with its message and trace."""
+
+    @staticmethod
+    def check(monkeypatch, build, faults=None):
+        if faults is not None:
+            monkeypatch.setattr(witness, "solve_coeff", faulty_solve_coeff(faults))
+        got = outcome(build)
+        monkeypatch.setattr(witness, "_double_until", reference.double_until)
+        assert got == outcome(build)
+        return got
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "spec", [QUAD, CatalogSymbol("exp-quadratic", scale=1.3), CatalogSymbol("cos")]
+    )
+    def test_single_generator(self, spec, m, monkeypatch):
+        params = derive_witness_params(spec, m)
+        seed, target = default_targets_T2(params)
+        build = lambda: construct_witness_T2(spec, m, seed, target, params=params)  # noqa: E731
+        assert isinstance(self.check(monkeypatch, build), str)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("exponents", MULTI_SETS)
+    def test_multi_generator(self, exponents, p, monkeypatch):
+        A = ExponentSet.of(exponents)
+        params = derive_multi_params(QUAD, A)
+        B, seeds = default_multi_targets(params, A.n_generators, p=p)
+        build = lambda: construct_witness_multi(QUAD, A, B, seeds, params=params)  # noqa: E731
+        self.check(monkeypatch, build)
+
+    def test_three_targets_reach_the_iterate_cap(self, params, monkeypatch):
+        # N* = 2**18 does not finish, and the N past it are measured one
+        # call each
+        seed, target = default_targets_T2(params, p=3)
+        build = lambda: construct_witness_T2(QUAD, 2, seed, target, params=params)  # noqa: E731
+        name, message, trace = self.check(monkeypatch, build)
+        assert (name, len(trace)) == ("IterationLimitError", 18)
+        assert message == "residual target 1e-06 not met by N = 1048576"
+
+    def test_coefficient_overflow(self, monkeypatch):
+        # n**K_beta overflows at n = 2**18, inside the first batch
+        A = ExponentSet.of([(3, 3, 3)])
+        params = derive_multi_params(QUAD, A)
+        B, seeds = default_multi_targets(params, A.n_generators)
+        build = lambda: construct_witness_multi(QUAD, A, B, seeds, params=params)  # noqa: E731
+        name, message, trace = self.check(monkeypatch, build)
+        assert (name, len(trace)) == ("IterationLimitError", 15)
+        assert message == "survivor coefficients overflow at N = 262144"
+
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            # c times 1e200 at N = 64: f^2's coefficients overflow
+            ({64: 1e200}, "product overflows"),
+            # c times 1.5e154: the products stay finite, the image does not
+            ({64: 1.5e154}, r"\|phi\(D\)\^64 f - target\| overflows on the grid"),
+            ({64: OverflowError}, "survivor coefficients overflow at N = 64"),
+            # the first spoiled N raises, whatever the later ones would
+            ({32: 1.5e154, 64: 1e200}, r"\^32 f - target"),
+            ({32: 1e200, 64: 1.5e154}, "product overflows"),
+            ({64: 1.5e154, 128: 1e200, 256: OverflowError}, r"\^64 f - target"),
+            ({64: 1e200, 128: OverflowError}, "product overflows"),
+        ],
+    )
+    def test_error_inside_the_batch(self, params, faults, error, monkeypatch):
+        seed, target = default_targets_T2(params)
+        build = lambda: construct_witness_T2(QUAD, 2, seed, target, params=params)  # noqa: E731
+        got = self.check(monkeypatch, build, faults)
+        assert re.search(error, got[1])
 
 
 class TestDeterminism:
