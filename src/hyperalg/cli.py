@@ -50,6 +50,13 @@ REPORT_SCHEMA = "hyperalg-report/1"
 #: Radii of the growth window ``analyze`` reads |phi| on by default.
 _DEFAULT_R_GRID = tuple(np.geomspace(1.0, 60.0, 16).tolist())
 
+#: How a verify warning names each check in ``verify_witness``'s
+#: ``skipped``: the q check fails before any other runs.
+_SKIPPED_CHECKS = {
+    "q": "the q check (q >= 1) failed",
+    "series": "the series check (a) was skipped",
+}
+
 COMMANDS = ("analyze", "classify", "witness", "witness-multi", "verify", "catalog")
 
 _COMPLEX = {
@@ -286,9 +293,9 @@ def run(config: dict) -> dict:
         outcome = {"verified": passed, "trace": trace}
         if skipped:
             outcome["skipped"] = skipped
-            warnings.append(
-                "verification FAILED: the series check (a) was skipped: "
-                + skipped["series"]
+            warnings.extend(
+                f"verification FAILED: {_SKIPPED_CHECKS[name]}: {reason}"
+                for name, reason in skipped.items()
             )
         elif not passed:
             warnings.append(

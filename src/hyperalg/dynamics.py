@@ -330,12 +330,15 @@ def verify_witness(
         ``|l|**n``, and the dot product's products and 150 sums add at most
         ``(sqrt(5) + 150) u sum |a_n| |l|**n``; with ``|l| < R`` the two
         stay below ``490 u sum |a_n| R**n``.  At ``|l| <= 0.8 R`` Cauchy's
-        estimate puts the terms past degree 150 below ``105 u max|phi|``,
-        the trapezoid rule's coefficients carry about ``u max|phi| / R**n``
-        each, ``5 u max|phi|`` in the sum (Bornemann, Found. Comput. Math.
-        11, 2011), and ``max|phi| <= sum |a_n| R**n``: about 600 u at
-        worst, within SERIES_CHECK_C, and 4.3 u on the benchmark's witness
-        reports of seeds 1-3 built on exp-quadratic, cos and sinc-pi.
+        estimate puts the terms past degree 150 below ``105 u max|phi|``.
+        The coefficients are the trapezoid rule's on 1208 points of the
+        circle, taken by an FFT; each carries about ``u max|phi| / R**n``
+        (Bornemann, Found. Comput. Math. 11, 2011; measured at most 3 u
+        against the exact series of cos and exp-quadratic at R = 2 and
+        3.23), ``5 u max|phi|`` in the sum, and
+        ``max|phi| <= sum |a_n| R**n``: about 600 u at worst, within
+        SERIES_CHECK_C, and 2.7 u on the benchmark's witness reports of
+        seeds 1-3 built on exp-quadratic, cos and sinc-pi.
         ``R**150`` must be a finite double (``R < 113``); past that the
         sums overflow and (a) fails.  When phi's contour coefficients do
         not converge on the circle (a DerivativeConvergenceError, as for
@@ -354,7 +357,10 @@ def verify_witness(
 
     Returns whether the report passed, the worst residual over the
     monomials at q/4, q/2 and q as ``(q, residual)`` pairs, and the reason
-    for each check that was skipped, by name ("series" for (a)).
+    for each check that was skipped, by name ("series" for (a)).  A report
+    whose q is below 1 fails before any image is taken (``phi(D)**0`` is
+    the identity, so any generator would pass with its own monomials as
+    targets), with an empty trace and the reason under "q".
 
     ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
     generator, an empty list of monomials or an exponent tuple without one
@@ -371,6 +377,8 @@ def verify_witness(
         raise ValueError("the report has no monomial to check")
 
     powers = _monomials(generators, alphas)
+    if q < 1:
+        return False, (), {"q": f"q = {q} is below 1, so no check ran"}
     targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in alphas]
     diagonal = _Diagonal(spec, grid)
     qs = sorted({max(1, q // 4), max(1, q // 2), q})

@@ -410,31 +410,41 @@ def _dft_phases(n_max: int, samples: int) -> np.ndarray:
 def _contour_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
     """Trapezoid-rule Taylor coefficients 0..n_max from ``vals``, phi at the
     equispaced points of a circle of ``radius`` (:func:`_angles`), times the
-    cached DFT matrix of :func:`_dft_phases`.  A dense product rather than
-    an FFT, whose different summation order would move the last bits of the
-    results."""
+    cached DFT matrix of :func:`_dft_phases`.
+
+    It serves :func:`taylor_coeffs_at` (and :func:`derivs_at_zero`), whose
+    values reports carry: classify's second-derivative margin, and the
+    convex ray's ``w_star``, ``w_plus`` and Gamma window.  A dense product
+    rather than an FFT, whose different summation order would move the last
+    bits of those values; its matrices are small at these degrees.
+    """
     samples = vals.size
     ks = np.arange(n_max + 1)
     return (_dft_phases(n_max, samples) @ vals) / samples / radius**ks
 
 
-def _converged_coeffs(
-    spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients from ``2 * samples`` points, with their distance to the
-    estimate from ``samples`` points as the error.
+def _fft_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
+    """The coefficients of :func:`_contour_coeffs` from ``np.fft.fft`` of
+    ``vals``, with no matrix.
 
-    phi is evaluated once, on the ``2 * samples`` ring: the even angles of
-    that ring are the ``samples`` angles bit for bit, so its even values
-    give the coarse estimate.
+    It serves :func:`to_taylor`, whose one caller in the package is verify's
+    check (a).  That series reaches no report: the check only compares its
+    error with a roundoff bound.  At its degree 150 a dense matrix would be
+    151 rows by 1208 points, read back from memory on every call.  The
+    FFT's summation order moves the last bits; each coefficient stays
+    within about ``u max|phi| / radius**n`` (Bornemann, Found. Comput.
+    Math. 11, 2011).
+    """
+    ks = np.arange(n_max + 1)
+    return np.fft.fft(vals)[: n_max + 1] / vals.size / radius**ks
+
+
+def _converged(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fine`` with its distance to ``coarse`` as the error.
 
     Raises :class:`DerivativeConvergenceError` when the two disagree beyond
     ``CONTOUR_TOL`` (relative to ``max(1, |coeff|)``).
     """
-    ring = center + radius * _unit_ring(2 * samples)
-    vals = eval_symbol_array(spec, ring)
-    coarse = _contour_coeffs(np.ascontiguousarray(vals[::2]), n_max, radius)
-    fine = _contour_coeffs(vals, n_max, radius)
     errors = np.abs(fine - coarse)
     scale = np.maximum(1.0, np.abs(fine))
     if np.any(errors > CONTOUR_TOL * scale):
@@ -444,6 +454,21 @@ def _converged_coeffs(
             errors=errors,
         )
     return fine, errors
+
+
+def _converged_coeffs(
+    spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients from ``2 * samples`` points, with their distance to the
+    estimate from ``samples`` points as the error (:func:`_converged`).
+
+    phi is evaluated once, on the ``2 * samples`` ring: the even angles of
+    that ring are the ``samples`` angles bit for bit, so its even values
+    give the coarse estimate.
+    """
+    vals = eval_symbol_array(spec, center + radius * _unit_ring(2 * samples))
+    coarse = _contour_coeffs(np.ascontiguousarray(vals[::2]), n_max, radius)
+    return _converged(_contour_coeffs(vals, n_max, radius), coarse)
 
 
 def taylor_coeffs_at(
@@ -473,9 +498,17 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     The default contour radius is 2 rather than the small circle used for
     low-order derivatives: high-order coefficients on a sub-unit circle lose
     one bit of accuracy per order to roundoff amplification ``radius**-n``.
+
+    As :func:`_converged_coeffs` at the origin, on ``max(CONTOUR_SAMPLES,
+    4 (cap + 1))`` points and their doubled ring, with the same
+    convergence test, but both estimates come from :func:`_fft_coeffs`,
+    for the reason given there.
     """
     samples = max(CONTOUR_SAMPLES, 4 * (cap + 1))
-    coeffs, _ = _converged_coeffs(spec, 0j, cap, radius, samples)
+    vals = eval_symbol_array(spec, radius * _unit_ring(2 * samples))
+    coeffs, _ = _converged(
+        _fft_coeffs(vals, cap, radius), _fft_coeffs(vals[::2], cap, radius)
+    )
     return TaylorPoly(tuple(coeffs.tolist()), cap)
 
 

@@ -183,6 +183,15 @@ def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: 
     return fine, errors
 
 
+def to_taylor(spec, cap: int, radius: float = 2.0) -> TaylorPoly:
+    """``symbols.to_taylor`` as it was before its estimates came from an
+    FFT: both from the dense DFT matrices of ``symbols._dft_phases``, which
+    at cap 150 are 151 x 604 and 151 x 1208."""
+    samples = max(symbols.CONTOUR_SAMPLES, 4 * (cap + 1))
+    coeffs, _ = converged_coeffs(spec, 0j, cap, radius, samples)
+    return TaylorPoly(tuple(coeffs.tolist()), cap)
+
+
 def to_json_value(value):
     """``symbols.to_json_value`` as it was before a complex entry of a list
     or tuple was written inline: one recursive call per value."""

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hyperalg
+from hyperalg import mul_exppoly, symbols
 from hyperalg.cli import CONFIG_SCHEMA, REPORT_SCHEMA, catalog_list, main, run
 from hyperalg.errors import ConfigError
 
@@ -475,6 +476,33 @@ class TestPipelines:
             pytest.fail("verify of a q = 0 report did not return within 60 s")
         assert done.returncode == 1, done.stderr
         assert read_report(tmp_path, "verify")["outcome"]["verified"] is False
+
+    @pytest.mark.parametrize("symbol", [QUAD, COS])
+    def test_verify_of_zero_q_self_target_report_fails_the_q_check(
+        self, tmp_path, capsys, symbol
+    ):
+        # phi(D)**0 is the identity: the test report's generator f with q = 0
+        # and targets f and f^2 has residual 0, and must still be rejected
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "single-m2.json").read_text())
+        f = symbols.exppoly_from_json(payload["generators"][0])
+        payload["q"] = 0
+        payload["targets"] = {"1": f, "2": mul_exppoly(f, f)}
+        report_file = tmp_path / "q0-report.json"
+        report_file.write_text(json.dumps(symbols.to_json_value(payload)))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": symbol, "report_path": str(report_file)},
+            "v.json",
+        )
+        capsys.readouterr()
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "verify")
+        assert report["outcome"]["verified"] is False
+        assert list(report["outcome"]["skipped"]) == ["q"]
+        [warning] = report["warnings"]
+        assert "the q check (q >= 1) failed" in warning
+        assert "q check" in capsys.readouterr().err
 
     def test_verify_of_default_m6_report_skips_the_series_check(self, tmp_path, capsys):
         # phi's contour coefficients do not converge on the circle of the

@@ -2,6 +2,7 @@
 checks of verify_witness."""
 
 import cmath
+import dataclasses
 import inspect
 import json
 import math
@@ -440,6 +441,23 @@ class TestVerifySoundness:
         monkeypatch.setattr(dynamics, "to_taylor", lambda *args, **kwargs: huge)
         assert not dynamics._series_check(spec, [f])[0]
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_q_below_one_fails_before_any_image(self, q, monkeypatch):
+        # phi(D)**0 is the identity: with its own monomials as targets, any
+        # generator has residual 0 at q = 0
+        spec, report = CatalogSymbol("exp-quadratic"), fixture_report("single-m2")
+        f = report.generators[0]
+        targets = {(1,): f, (2,): mul_exppoly(f, f)}
+        report = dataclasses.replace(report, q=q, targets=targets)
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the diagonal kernel was called")
+
+        monkeypatch.setattr(_Diagonal, "images", no_kernel)
+        passed, trace, skipped = verify_witness(spec, report, DiskGrid(), 1e-6)
+        assert (passed, trace, list(skipped)) == (False, (), ["q"])
+        assert f"q = {q} is below 1" in skipped["q"]
+
     def test_trace_is_the_worst_residual_per_iterate_count(self):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
         grid = DiskGrid()
@@ -550,6 +568,28 @@ class TestVerifyChecks:
         spec, report = MUTANT_FIXTURES[name], fixture_report(name)
         assert not verify_witness(spec, report, DiskGrid(), math.inf)[0]
         assert failed == {"series"}
+
+    def test_series_check_holds_no_dft_matrix(self):
+        # check (a)'s degree-150 series comes from an FFT, not from
+        # 151 x 604 and 151 x 1208 cached DFT matrices
+        _dft_phases.cache_clear()
+        for name, spec in MUTANT_FIXTURES.items():
+            assert verify_witness(spec, fixture_report(name), DiskGrid(), 1e-5)[0]
+        assert _dft_phases.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name", sorted(MUTANT_FIXTURES))
+    def test_series_check_error_is_roundoff(self, name):
+        # check (a) allows SERIES_CHECK_C = 1024 u sum |a_n| R**n; the FFT
+        # series stays within 64
+        spec, report = MUTANT_FIXTURES[name], fixture_report(name)
+        powers = dynamics._monomials(list(report.generators), report.monomials)
+        freqs = list(dict.fromkeys(l for f in powers for l in f.frequencies()))
+        radius = max(2.0, 1.25 * max(map(abs, freqs)))
+        coeffs = np.array(to_taylor(spec, dynamics.SERIES_DEGREE, radius).coeffs)
+        size = np.abs(coeffs) @ radius ** np.arange(coeffs.size)
+        series = np.vander(np.array(freqs), coeffs.size, increasing=True) @ coeffs
+        error = np.max(np.abs(series - eval_symbol_array(spec, freqs)))
+        assert error <= 64 * dynamics.UNIT_ROUNDOFF * size
 
     def test_exp_quadratic_m4_report_verifies(self):
         # f^4 reaches |l| = 2.6, where phi's series needs more than 60 terms

@@ -39,6 +39,7 @@ from hyperalg.symbols import (
 from hyperalg.witness import WitnessReport
 from reference import catalog_zeros, converged_coeffs, hadamard_trunc
 from reference import to_json_value as reference_to_json_value
+from reference import to_taylor as reference_to_taylor
 
 DATA = Path(__file__).parent / "data"
 
@@ -476,7 +477,8 @@ class TestDerivatives:
 
 
 #: (center, n_max, samples) of ``taylor_coeffs_at`` at and off the origin,
-#: and of a ``to_taylor`` series of cap 80.
+#: and a dense series of cap 80 on ``to_taylor``'s sample count for that
+#: cap (``to_taylor`` itself takes its series by FFT: TestFFTSeries).
 CONTOUR_CASES = [(0j, 2, 64), (0.3 - 0.2j, 6, 64), (0j, 80, 324)]
 
 
@@ -513,6 +515,40 @@ class TestContourSeries:
         to_taylor(CatalogSymbol("cos"), 80)
         derivs_at_zero(CatalogSymbol("sinc-pi"), 2)
         assert sizes == [2 * 324, 2 * 64]
+
+
+class TestFFTSeries:
+    """``to_taylor`` by FFT against the dense DFT products it replaced
+    (``reference.to_taylor``): the same series up to the last bits, the
+    same convergence verdict."""
+
+    @pytest.mark.parametrize("radius", [2.0, 3.23])
+    @pytest.mark.parametrize("cap", [80, 150])
+    @pytest.mark.parametrize("name", sorted(MASK_PANEL))
+    def test_matches_the_dense_series(self, name, cap, radius):
+        # relative to the series' size on the circle, the scale of every
+        # coefficient's roundoff (a high coefficient alone is mostly noise)
+        spec = MASK_PANEL[name]
+        got = np.array(to_taylor(spec, cap, radius).coeffs)
+        want = np.array(reference_to_taylor(spec, cap, radius).coeffs)
+        powers = radius ** np.arange(cap + 1)
+        size = np.abs(want) @ powers
+        assert np.max(np.abs(got - want) * powers) <= 1e-12 * size
+
+    @pytest.mark.parametrize(
+        "spec, cap, radius",
+        [
+            (CatalogSymbol("exp-quadratic"), 150, 6.35),  # the default m = 6 report's
+            (CatalogSymbol("exp", a=1), 150, 60.0),
+            (CatalogSymbol("cos"), 20, 30.0),
+        ],
+    )
+    def test_raises_where_the_dense_series_raises(self, spec, cap, radius):
+        with pytest.raises(DerivativeConvergenceError) as dense:
+            reference_to_taylor(spec, cap, radius)
+        with pytest.raises(DerivativeConvergenceError) as fft:
+            to_taylor(spec, cap, radius)
+        assert str(fft.value) == str(dense.value)
 
 
 class TestSerialization:
