@@ -35,11 +35,9 @@ from .errors import (
 from .exppoly import DiskGrid, ExpPoly, TaylorPoly, mul_exppoly
 from .growth import (
     ConvexRay,
-    GrowthEstimate,
     RayScan,
     check_Tma_conditions,
     convex_direction,
-    estimate_order_type,
     find_arith_progression,
     find_convex_ray,
     first_ray_below_one,

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import _zero_list, classify
+from .classify import _structure, _zero_list, classify
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
 from .exppoly import GRID_RADIUS, DiskGrid, _require_finite
-from .growth import _radius_grid, estimate_order_type, scan_ray
+from .growth import scan_ray
 from .symbols import (
     CatalogSymbol,
     _csv_text,
@@ -47,13 +47,12 @@ from .witness import (
 
 REPORT_SCHEMA = "hyperalg-report/1"
 
-#: Radii of the growth window ``analyze`` reads |phi| on by default.
-_DEFAULT_R_GRID = tuple(np.geomspace(1.0, 60.0, 16).tolist())
-
 #: How a verify warning names each check in ``verify_witness``'s
-#: ``skipped``: the q check fails before any other runs.
+#: ``skipped``: the q check and then the target check fail before any other
+#: runs.
 _SKIPPED_CHECKS = {
     "q": "the q check (q >= 1) failed",
+    "target": "the target check (some target is nonzero) failed",
     "series": "the series check (a) was skipped",
 }
 
@@ -110,7 +109,6 @@ CONFIG_SCHEMA = {
             "minItems": 1,
         },
         "zeros": {"type": "array", "items": _COMPLEX},
-        "r_grid": {"type": "array", "items": {"type": "number"}},
         "report_path": {"type": "string"},
         "out": {"type": "string"},
     },
@@ -179,7 +177,6 @@ def _read_values(config) -> dict:
         "epsilon": lambda eps: _require_finite(eps, "epsilon").real,
         "grid": DiskGrid.from_dict,
         "zeros": lambda raw: _zero_list(complexes_from_json(raw)),
-        "r_grid": _radius_grid,
         "seed_terms": exppoly_from_json,
         "target_terms": exppoly_from_json,
         "seeds_terms": lambda raw: [exppoly_from_json(t) for t in raw],
@@ -220,8 +217,6 @@ def run(config: dict) -> dict:
     if command != "catalog" and "symbol" not in values:
         raise ConfigError("this command requires a 'symbol' entry")
     spec = values.get("symbol")
-    if "r_grid" in values and command != "analyze":
-        warnings.append("r_grid is read only by analyze; ignored")
     grid = values.get("grid", DiskGrid())
     n_max = int(config.get("n_max", N_MAX_DEFAULT))
 
@@ -235,15 +230,13 @@ def run(config: dict) -> dict:
             )
         outcome = {"verdict": verdict}
     elif command == "analyze":
-        growth = estimate_order_type(spec, values.get("r_grid", _DEFAULT_R_GRID))
         derivs, errs = derivs_at_zero(spec, 6)
         for k in range(8):
             theta = 2 * math.pi * k / 8
             scan = scan_ray(spec, theta, np.linspace(0.25, 8.0, 64))
             side_files[f"ray-{k}.csv"] = scan.to_csv()
-        side_files["growth.csv"] = growth.to_csv()
         outcome = {
-            "growth": growth.summary(),
+            "growth": _structure(spec),
             "derivatives_at_zero": derivs,
             "derivative_errors": errs,
         }

@@ -360,7 +360,10 @@ def verify_witness(
     for each check that was skipped, by name ("series" for (a)).  A report
     whose q is below 1 fails before any image is taken (``phi(D)**0`` is
     the identity, so any generator would pass with its own monomials as
-    targets), with an empty trace and the reason under "q".
+    targets), with an empty trace and the reason under "q".  So does a
+    report whose every target is zero (a monomial missing from ``targets``
+    has target 0): any generator whose images decay would pass it.  Its
+    reason is under "target".
 
     ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
     generator, an empty list of monomials or an exponent tuple without one
@@ -380,6 +383,8 @@ def verify_witness(
     if q < 1:
         return False, (), {"q": f"q = {q} is below 1, so no check ran"}
     targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in alphas]
+    if all(t.is_zero for t in targets):
+        return False, (), {"target": "every target is zero, so no check ran"}
     diagonal = _Diagonal(spec, grid)
     qs = sorted({max(1, q // 4), max(1, q // 2), q})
     images, residuals = diagonal.images([(powers, n) for n in qs], targets)

@@ -1,12 +1,14 @@
-"""Growth diagnostics and geometric searches on symbols.
+"""Sampled growth along rays and geometric searches on symbols.
 
-The growth diagnostics are numerical evidence, not proof: the true order,
-type and indicator are limsups over r -> infinity, which no finite
-computation decides.  The stand-ins are documented per function (typically
-a maximum over the top half of the sampled window) and downstream verdicts
-built on them are tagged accordingly.  One thing here is a proof:
-:func:`_dead_steps` skips progression steps on a bound from phi's majorant
-series, never on a sample.
+A symbol's order and type come from its structure
+(:func:`hyperalg.classify._structure`), not from samples.  What is sampled
+here serves the classifier's numerical routes and the witness parameters:
+moduli along a ray (:func:`scan_ray`) and the directional rate read off the
+top half of a scan, sublevel sets |phi| < 1 on rays and on arithmetic
+progressions, and short segments on which log|phi| is convex.  A sampled
+answer is evidence, not proof, and the verdicts built on it say so.  One
+thing here is a proof: :func:`_dead_steps` skips progression steps on a
+bound from phi's majorant series, never on a sample.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationRangeError, HypothesisError, SearchFailureError
+from .errors import HypothesisError, SearchFailureError
 from .symbols import (
     ExpPolySymbol,
     HadamardTrunc,
@@ -36,7 +38,7 @@ MODULUS_MARGIN = 1e-6
 #: Samples with |phi| below this are skipped when taking logs on a ray.
 LOG_FLOOR = 1e-300
 
-#: Points per circle of the growth window and per ray in :func:`ray_below_one`.
+#: Points per ray in :func:`ray_below_one` and :func:`first_ray_below_one`.
 SCAN_SAMPLES = 256
 
 #: :func:`find_arith_progression` tries these step lengths, smallest first,
@@ -82,38 +84,6 @@ class RayScan:
 
 
 @dataclass(frozen=True)
-class GrowthEstimate:
-    """Least-squares order estimate with a type estimate when the order is
-    compatible with exponential growth.
-
-    ``order`` is the slope of log log M(r) against log r over the top half
-    of the window; ``type_`` is max log M(r) / r over the same half, only
-    meaningful when ``order`` is within 0.2 of 1.  ``degenerate`` flags
-    windows where M(r) never exceeded 1.
-    """
-
-    order: float
-    type_: float
-    r_window: tuple[float, float]
-    quality: float
-    degenerate: bool
-    samples: tuple[tuple[float, float], ...]  # (r, log M(r)) pairs
-
-    def summary(self) -> dict:
-        """The estimate without its samples, as reports show it."""
-        return {
-            "order": self.order,
-            "type": self.type_,
-            "quality": self.quality,
-            "degenerate": self.degenerate,
-            "r_window": self.r_window,
-        }
-
-    def to_csv(self) -> str:
-        return _csv_text(["r", "log_max_modulus"], self.samples)
-
-
-@dataclass(frozen=True)
 class ConvexRay:
     """A segment from ``w0`` toward ``w1`` on which ``log |phi|`` is strictly
     increasing with strictly positive second differences."""
@@ -126,10 +96,6 @@ class ConvexRay:
     t_grid: tuple[float, ...]
     profile: tuple[float, ...]
 
-
-#: The ``SCAN_SAMPLES`` equispaced points of the unit circle (read-only).
-_RING = np.exp(1j * (2 * np.pi * np.arange(SCAN_SAMPLES) / SCAN_SAMPLES))
-_RING.flags.writeable = False
 
 #: The ``PROGRESSION_DIRECTIONS`` unit directions of
 #: :func:`find_arith_progression` (read-only).
@@ -144,63 +110,6 @@ _SCAN_THETAS = 2 * np.pi * np.arange(4096) / 4096
 _SCAN_PHASES = np.exp(1j * _SCAN_THETAS), np.exp(2j * _SCAN_THETAS)
 for _table in (_SCAN_THETAS, *_SCAN_PHASES):
     _table.flags.writeable = False
-
-
-def _max_moduli(spec: SymbolSpec, r_grid: list[float]):
-    """Yields the max of |phi| over the ``_RING`` points of the circle of
-    each radius of ``r_grid`` in order, stopping before the first radius
-    where evaluation overflows; one call per block of :func:`_screen_limit`
-    circles."""
-    limit = _screen_limit(spec)
-    for start in range(0, len(r_grid), limit):
-        block = np.multiply.outer(r_grid[start : start + limit], _RING)
-        vals, in_range = eval_symbol_masked(spec, block)
-        ok = np.logical_and.accumulate(in_range.all(axis=1))
-        yield from np.max(np.abs(vals[: ok.sum()]), axis=1).tolist()
-        if not ok.all():
-            return
-
-
-def _radius_grid(r_grid) -> list[float]:
-    """``r_grid`` as floats, when it holds >= 8 strictly increasing positive
-    radii; raises ValueError otherwise."""
-    r_grid = [float(r) for r in r_grid]
-    if len(r_grid) < 8 or r_grid != sorted(set(r_grid)):
-        raise ValueError("r_grid must be strictly increasing with >= 8 points")
-    if r_grid[0] <= 0:
-        raise ValueError("radius must be positive")
-    return r_grid
-
-
-def estimate_order_type(spec: SymbolSpec, r_grid) -> GrowthEstimate:
-    r_grid = _radius_grid(r_grid)
-    # the window is truncated where evaluation overflows
-    pairs = [
-        (r, math.log(max(m, LOG_FLOOR)))
-        for r, m in zip(r_grid, _max_moduli(spec, r_grid))
-    ]
-    if len(pairs) < 4:
-        raise EvaluationRangeError(
-            "symbol overflows on almost the entire requested window"
-        )
-    top = pairs[len(pairs) // 2 :]
-    usable = [(r, lm) for r, lm in top if lm > 0]
-    window = (pairs[0][0], pairs[-1][0])
-    if not usable:
-        return GrowthEstimate(0.0, 0.0, window, 0.0, True, tuple(pairs))
-    xs = np.log([r for r, _ in usable])
-    ys = np.log([lm for _, lm in usable])
-    if len(usable) >= 2 and xs[-1] > xs[0]:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    else:
-        slope, resid = 0.0, math.inf
-    order = max(float(slope), 0.0)
-    type_ = 0.0
-    if abs(order - 1.0) <= 0.2:
-        type_ = max(lm / r for r, lm in top)
-        type_ = max(type_, 0.0)
-    return GrowthEstimate(order, type_, window, resid, False, tuple(pairs))
 
 
 def scan_ray(spec: SymbolSpec, theta: float, t_grid) -> RayScan:
@@ -270,13 +179,12 @@ def first_ray_below_one(
 
 
 def _screen_limit(spec: SymbolSpec) -> int:
-    """Most rows per evaluation call, for the progression screens, the
-    circles of :func:`_max_moduli` and the rays of
-    :func:`first_ray_below_one`: ``SCREEN_STEPS`` over the factors one
-    point costs, for a truncated product its exponential and the rows of
-    its factor table (one per pair of zeros z, -z, one per other zero).  A
-    product with many zeros, whose single row already costs far more than a
-    call, keeps one row per call."""
+    """Most rows per evaluation call, for the progression screens and the
+    rays of :func:`first_ray_below_one`: ``SCREEN_STEPS`` over the factors
+    one point costs, for a truncated product its exponential and the rows
+    of its factor table (one per pair of zeros z, -z, one per other zero).
+    A product with many zeros, whose single row already costs far more than
+    a call, keeps one row per call."""
     if isinstance(spec, HadamardTrunc):
         inv_squares, lone = spec._factors
         factors = inv_squares.size + lone.size + 1

@@ -82,13 +82,6 @@ def diagonal_residual(spec, f: ExpPoly, q: int, target, grid: DiskGrid) -> float
     return float(np.max(np.abs(out - target.evaluate_array(grid.points()))))
 
 
-def max_modulus(spec, r: float) -> float:
-    """Max of |phi| over equispaced points on the circle |z| = r."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return float(np.max(np.abs(growth.eval_symbol_array(spec, r * growth._RING))))
-
-
 def indicator(spec, theta: float, r_grid) -> float:
     """Directional growth rate: max of log|phi(t e^{i theta})| / t over the
     top half of the window."""

@@ -16,14 +16,12 @@ from hyperalg import (
     ZeroSetSummary,
     check_T2,
     classify,
-    estimate_order_type,
     find_arith_progression,
-    growth,
     symbols,
     to_json_value,
 )
 from hyperalg.classify import Verdict
-from hyperalg.cli import _DEFAULT_R_GRID
+from hyperalg.cli import run
 from hyperalg.errors import NormalizationError
 
 # the package re-exports the function classify under the module's name
@@ -291,11 +289,7 @@ class TestGrowthFromStructure:
     }
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_each_route(self, route, monkeypatch):
-        def no_regression(*args):
-            raise AssertionError("classify ran the growth regression")
-
-        monkeypatch.setattr(growth, "_max_moduli", no_regression)
+    def test_each_route(self, route):
         spec, outcome, confidence = self.ROUTES[route]
         verdict = classify(spec)
         assert (verdict.outcome, verdict.route, verdict.confidence) == (
@@ -303,6 +297,7 @@ class TestGrowthFromStructure:
             route,
             confidence,
         )
+        assert verdict.evidence["growth"] == classify_module._structure(spec)
 
     def test_product_without_exponent_is_not_evaluated(self, monkeypatch):
         calls = []
@@ -319,6 +314,16 @@ class TestGrowthFromStructure:
         assert verdict.evidence["growth"].degree == 51
         assert calls == []
 
+    #: Order and type of each catalog entry below at scale 1.
+    CATALOG_GROWTH = {
+        "cos": (1, 1.0),
+        "sinc-pi": (1, math.pi),
+        "sin+exp(-z)": (1, 1.0),
+        "exp": (1, 1.0),
+        "exp-poly": (1, 1.0),
+        "exp-quadratic": (2, 1.0),
+    }
+
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize(
         "spec",
@@ -332,12 +337,12 @@ class TestGrowthFromStructure:
         ],
         ids=lambda spec: spec.name,
     )
-    def test_regression_agrees_with_structure(self, spec, scale):
+    def test_analyze_reports_the_structure(self, spec, scale):
+        # the record classify writes as evidence.growth, with the catalog's
+        # exact order and type: type t at scale 1 is t |s|**order at scale s
+        order, type_ = self.CATALOG_GROWTH[spec.name]
         spec = dataclasses.replace(spec, scale=scale)
-        structure = classify_module._structure(spec)
-        estimate = estimate_order_type(spec, _DEFAULT_R_GRID)
-        assert estimate.order == pytest.approx(structure.order, abs=0.2)
-        if structure.order == 1:
-            # relative 0.4: the top half of the window starts near r = 8.9, where
-            # the factor 1 + i z of exp-poly adds log|p(r)| / r, about 0.17
-            assert estimate.type_ == pytest.approx(structure.type, rel=0.4)
+        report = run({"command": "analyze", "symbol": to_json_value(spec)})
+        reported = report["outcome"]["growth"]
+        assert reported == to_json_value(classify_module._structure(spec))
+        assert (reported["order"], reported["type"]) == (order, type_ * scale**order)

@@ -17,6 +17,7 @@ from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
 COS = {"kind": "catalog", "name": "cos"}
+SINC = {"kind": "catalog", "name": "sinc-pi"}
 HADAMARD = {"kind": "hadamard", "a": [0, 0], "genus": 0, "truncation": 1}
 
 #: A well-formed single-generator witness payload (one generator e^{z/2},
@@ -131,6 +132,7 @@ class TestConfigHandling:
             },
             {"command": "classify", "zeros": []},
             {"command": "classify", "zeros": [[0.0, 0.0]]},
+            # r_grid is no config key: the schema rejects it
             {"command": "classify", "r_grid": [1.0, 2.0, 3.0]},
             {"command": "analyze", "r_grid": [0.0, 1, 2, 3, 4, 5, 6, 7]},
             {"command": "witness", "epsilon": float("nan")},
@@ -214,17 +216,17 @@ class TestConfigHandling:
         assert err.startswith("config error: malformed witness report")
         assert "expected a number" in err
 
-    def test_r_grid_outside_analyze_is_reported_as_ignored(self):
-        plain = run({"command": "classify", "symbol": COS})
+    @pytest.mark.parametrize("command", ["classify", "analyze"])
+    def test_r_grid_is_a_config_error(self, tmp_path, capsys, command):
+        # no command reads radii of a growth window: the key is unknown
         r_grid = [float(r) for r in np.geomspace(1.0, 60.0, 16)]
-        report = run({"command": "classify", "symbol": COS, "r_grid": r_grid})
-        assert report["outcome"] == plain["outcome"]
-        assert "r_grid" not in " ".join(plain["warnings"])
-        assert report["warnings"] == [
-            "r_grid is read only by analyze; ignored", *plain["warnings"]
-        ]
-        analyzed = run({"command": "analyze", "symbol": COS, "r_grid": r_grid})
-        assert "r_grid" not in " ".join(analyzed["warnings"])
+        path = write_config(
+            tmp_path, {"command": command, "symbol": COS, "r_grid": r_grid}
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config rejected") and "'r_grid'" in err
+        assert not (tmp_path / f"{command}-report.json").exists()
 
     def test_jsonschema_is_imported_only_to_validate_a_config(self, tmp_path):
         # in a fresh interpreter: importing the CLI leaves jsonschema out, and
@@ -266,10 +268,13 @@ class TestPipelines:
             {"command": "analyze", "symbol": {"kind": "catalog", "name": "cos"}},
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "analyze-growth.csv").exists()
-        assert (tmp_path / "analyze-ray-0.csv").exists()
+        assert not (tmp_path / "analyze-growth.csv").exists()
+        assert sorted(p.name for p in tmp_path.glob("analyze-*.csv")) == [
+            f"analyze-ray-{k}.csv" for k in range(8)
+        ]
         report = read_report(tmp_path, "analyze")
-        assert report["outcome"]["growth"]["order"] == pytest.approx(1.0, abs=0.05)
+        growth = report["outcome"]["growth"]
+        assert (growth["order"], growth["type"]) == (1, 1.0)
 
     def test_ray_csv_holds_plain_floats(self, tmp_path):
         path = write_config(
@@ -346,8 +351,9 @@ class TestPipelines:
         assert main(["--config", path, "--out", str(tmp_path)]) == 1
 
     def test_product_past_the_floating_range_exits_1(self, tmp_path, capsys):
-        # zeros +-1e-3 k: the product overflows inside the growth window that
-        # analyze samples (classify reads it as a polynomial, unevaluated)
+        # zeros +-1e-3 k: the product overflows on the circle of analyze's
+        # derivatives at 0 and on its rays (classify reads it as a
+        # polynomial, unevaluated)
         zeros = [[s * 1e-3 * k, 0.0] for k in range(1, 200) for s in (1, -1)]
         symbol = {
             "kind": "hadamard", "a": [0, 0], "zeros": zeros,
@@ -503,6 +509,42 @@ class TestPipelines:
         [warning] = report["warnings"]
         assert "the q check (q >= 1) failed" in warning
         assert "q check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, generators, symbol",
+        [
+            ("single-m2", [[(1 + 0j, 0.5j)]], QUAD),
+            ("multi-20-11-01", [[(1 + 0j, 0.3 + 0j)], [(2 + 0j, 0.3 + 0j)]], COS),
+            ("multi-20-11-01", [[(1 + 0j, 0.5 + 0j)], [(2 + 0j, 0.5 + 0j)]], SINC),
+        ],
+        ids=["exp-quadratic", "cos", "sinc-pi"],
+    )
+    def test_verify_of_no_target_report_fails_the_target_check(
+        self, tmp_path, capsys, name, generators, symbol
+    ):
+        # with every target zero, generators whose images decay (|phi| < 1
+        # at each of their frequencies) have residuals that go to 0
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / f"{name}.json").read_text())
+        payload["generators"] = generators
+        payload["targets"] = {}
+        report_file = tmp_path / "no-target-report.json"
+        report_file.write_text(json.dumps(symbols.to_json_value(payload)))
+        v_path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": symbol, "report_path": str(report_file)},
+            "v.json",
+        )
+        capsys.readouterr()
+        assert main(["--config", v_path, "--out", str(tmp_path)]) == 1
+        report = read_report(tmp_path, "verify")
+        assert report["outcome"]["verified"] is False
+        assert report["outcome"]["trace"] == []
+        assert list(report["outcome"]["skipped"]) == ["target"]
+        [warning] = report["warnings"]
+        assert "the target check (some target is nonzero) failed" in warning
+        err = capsys.readouterr().err
+        assert "target check" in err and "Traceback" not in err
 
     def test_verify_of_default_m6_report_skips_the_series_check(self, tmp_path, capsys):
         # phi's contour coefficients do not converge on the circle of the

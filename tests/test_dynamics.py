@@ -458,6 +458,22 @@ class TestVerifySoundness:
         assert (passed, trace, list(skipped)) == (False, (), ["q"])
         assert f"q = {q} is below 1" in skipped["q"]
 
+    @pytest.mark.parametrize("q", [0, 8])
+    def test_zero_targets_fail_before_any_image(self, q, monkeypatch):
+        # a report with every target zero fails before any image is taken;
+        # a report with q < 1 as well fails the q check, which comes first
+        spec, report = CatalogSymbol("exp-quadratic"), fixture_report("single-m2")
+        zero = {(1,): ExpPoly.zero(), (2,): ExpPoly.zero()}
+        report = dataclasses.replace(report, q=q, targets=zero)
+
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the diagonal kernel was called")
+
+        monkeypatch.setattr(_Diagonal, "images", no_kernel)
+        passed, trace, skipped = verify_witness(spec, report, DiskGrid(), 1e-6)
+        failed = "q" if q < 1 else "target"
+        assert (passed, trace, list(skipped)) == (False, (), [failed])
+
     def test_trace_is_the_worst_residual_per_iterate_count(self):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
         grid = DiskGrid()

@@ -1,4 +1,4 @@
-"""Growth estimates, ray scans and the geometric searches built on them."""
+"""Ray scans and the geometric searches built on them."""
 
 import cmath
 import math
@@ -16,7 +16,6 @@ from hyperalg import (
     PolyTimesExp,
     check_Tma_conditions,
     convex_direction,
-    estimate_order_type,
     eval_symbol,
     find_arith_progression,
     find_convex_ray,
@@ -34,58 +33,16 @@ from hyperalg.symbols import (
     eval_symbol_masked,
 )
 import reference
-from reference import indicator, max_modulus
-
-R_GRID = list(np.geomspace(1.0, 60.0, 16))
+from reference import indicator
 
 RAYS = np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS)
 
 
-class TestOrderType:
-    def test_exp_has_order_and_type_one(self):
-        est = estimate_order_type(CatalogSymbol("exp", a=1), R_GRID)
-        assert est.order == pytest.approx(1.0, abs=0.05)
-        assert est.type_ == pytest.approx(1.0, abs=0.05)
-        assert not est.degenerate
-
-    def test_cos_has_order_one(self):
-        est = estimate_order_type(CatalogSymbol("cos"), R_GRID)
-        assert est.order == pytest.approx(1.0, abs=0.05)
-        assert est.type_ == pytest.approx(1.0, abs=0.05)
-
-    def test_quadratic_exponential_has_order_two(self):
-        # the window self-truncates where evaluation overflows
-        est = estimate_order_type(CatalogSymbol("exp-quadratic"), R_GRID)
-        assert est.order == pytest.approx(2.0, abs=0.1)
-
-    def test_constant_symbol_is_degenerate(self):
-        est = estimate_order_type(ExpPolySymbol(ExpPoly.of([(0.5, 0.0)])), R_GRID)
-        assert est.degenerate
-        assert est.order == 0.0
-
-    def test_max_modulus_of_exp_on_circle(self):
-        assert max_modulus(CatalogSymbol("exp", a=1), 2.0) == pytest.approx(
-            math.exp(2.0), rel=1e-3
-        )
-
-    def test_csv_has_one_row_per_sample(self):
-        est = estimate_order_type(CatalogSymbol("cos"), R_GRID)
-        lines = est.to_csv().strip().splitlines()
-        assert lines[0] == "r,log_max_modulus"
-        assert len(lines) == 1 + len(est.samples)
-
+class TestRays:
     def test_csv_bytes(self):
-        est = growth.GrowthEstimate(
-            1.0, 1.0, (1.0, 2.0), 0.0, False, ((1.0, 0.5), (2.0, 1.75))
-        )
-        assert est.to_csv().encode() == (
-            b"r,log_max_modulus\n1.0,0.5\n2.0,1.75\n"
-        )
         scan = growth.RayScan(0.5, (0.25, 1.0), (0.75, 2.5))
         assert scan.to_csv().encode() == b"t,modulus\n0.25,0.75\n1.0,2.5\n"
 
-
-class TestRays:
     def test_scan_matches_direct_evaluation(self):
         spec = CatalogSymbol("cos")
         scan = scan_ray(spec, math.pi / 2, [0.5, 1.0, 2.0])
@@ -554,6 +511,18 @@ class TestDirectionScan:
         assert [z.size for z in calls] == [2, growth.SCAN_SAMPLES]
         assert np.array_equal(calls[1], growth._ray_samples(800.0) + 0j)
 
+    def test_product_blocks_count_its_factor_rows(self, monkeypatch):
+        # two pairs (z, -z) and one lone zero: three rows and the exponential,
+        # so the live rays go 1, 2 and then 4 per call
+        spec = HadamardTrunc(0.1, 0j, (1.5, 2j, -1.5, 3 + 1j, -2j), 0, 5)
+        assert growth._screen_limit(spec) == 4
+        thetas = [2 * math.pi * k / 64 for k in range(64)]
+        calls = record_masked(monkeypatch)
+        assert first_ray_below_one(spec, thetas, 1.0, 2.0) is None
+        assert calls[0].size == len(thetas)
+        blocks = [z.size // growth.SCAN_SAMPLES for z in calls[1:]]
+        assert blocks == [1, 2] + [4] * 7 + [1]
+
     def test_costly_symbol_scans_one_ray_per_call(self, monkeypatch):
         thetas = [2 * math.pi * k / 8 for k in range(8)]
         assert self.loop(HADAMARD_60, thetas, 2.0, 3.0) is None
@@ -719,105 +688,3 @@ class TestTmaConditions:
         assert check_Tma_conditions(spec, 0.0, 0.5, np.linspace(1, 40, 64))
         # the ray below one, then the growth window
         assert [z.size for z in calls] == [growth.SCAN_SAMPLES, 64]
-
-
-def reference_estimate_order_type(spec, r_grid):
-    """Scalar reference for ``estimate_order_type``: one :func:`max_modulus`
-    call per radius, stopping at the first radius that overflows."""
-    pairs = []
-    for r in r_grid:
-        try:
-            m = max_modulus(spec, float(r))
-        except EvaluationRangeError:
-            break
-        pairs.append((float(r), math.log(max(m, growth.LOG_FLOOR))))
-    top = pairs[len(pairs) // 2 :]
-    usable = [(r, lm) for r, lm in top if lm > 0]
-    if not usable:
-        return pairs, 0.0, 0.0, 0.0
-    xs = np.log([r for r, _ in usable])
-    ys = np.log([lm for _, lm in usable])
-    if len(usable) >= 2 and xs[-1] > xs[0]:
-        slope, intercept = np.polyfit(xs, ys, 1)
-        resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
-    else:
-        slope, resid = 0.0, math.inf
-    order = max(float(slope), 0.0)
-    type_ = 0.0
-    if abs(order - 1.0) <= 0.2:
-        type_ = max(max(lm / r for r, lm in top), 0.0)
-    return pairs, order, type_, resid
-
-
-def hex_bits(values) -> list[str]:
-    return [float(x).hex() for x in values]
-
-
-class TestBatchedOrderEstimate:
-    """The circles of a growth window are evaluated in blocks, bit for bit
-    the per-radius loop."""
-
-    SPECS = {
-        **{
-            f"{name}-scale{scale}": CatalogSymbol(name, scale=scale)
-            for name in ("cos", "sin+exp(-z)", "sinc-pi", "exp", "exp-poly")
-            for scale in (0.5, 1.0, 1.5, 2.0)
-        },
-        "exppoly-two-term": ExpPolySymbol(ExpPoly.of([(0.6, 0.8j), (0.4, -0.8j)])),
-        "poly-times-exp": PolyTimesExp(poly=(1, 0.5, 0.25j), a=0.3 + 0.2j),
-        "hadamard-60": HADAMARD_60,
-        "exp-quadratic": CatalogSymbol("exp-quadratic"),
-        "exp-steep": CatalogSymbol("exp", a=20),
-    }
-
-    #: One evaluation per block of circles; one per circle for the product.
-    CALLS = {"exppoly-two-term": 2, "hadamard-60": len(R_GRID)}
-
-    @pytest.mark.parametrize("name", sorted(SPECS))
-    def test_matches_the_per_radius_loop(self, name, monkeypatch):
-        spec = self.SPECS[name]
-        pairs, order, type_, quality = reference_estimate_order_type(spec, R_GRID)
-        calls = record_masked(monkeypatch)
-        est = estimate_order_type(spec, R_GRID)
-        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
-        assert hex_bits([est.order, est.type_, est.quality]) == hex_bits(
-            [order, type_, quality]
-        )
-        if len(pairs) == len(R_GRID):
-            assert len(calls) == self.CALLS.get(name, 1)
-
-    @pytest.mark.parametrize("name", ["exp-quadratic", "exp-steep"])
-    def test_overflow_truncates_at_the_same_radius(self, name, monkeypatch):
-        spec = self.SPECS[name]
-        pairs, *_ = reference_estimate_order_type(spec, R_GRID)
-        assert 4 <= len(pairs) < len(R_GRID)
-        calls = record_masked(monkeypatch)
-        est = estimate_order_type(spec, R_GRID)
-        assert est.r_window == (R_GRID[0], pairs[-1][0])
-        # the overflowing block is the only call
-        assert [z.size for z in calls] == [len(R_GRID) * growth.SCAN_SAMPLES]
-
-    def test_blocks_cover_a_longer_window(self, monkeypatch):
-        # 20 radii in blocks of 16 and 4 circles
-        spec = CatalogSymbol("cos", scale=0.7)
-        r_grid = list(np.geomspace(0.5, 80.0, 20))
-        pairs, *_ = reference_estimate_order_type(spec, r_grid)
-        calls = record_masked(monkeypatch)
-        est = estimate_order_type(spec, r_grid)
-        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
-        assert [z.size // growth.SCAN_SAMPLES for z in calls] == [16, 4]
-
-    def test_product_blocks_count_its_factor_rows(self, monkeypatch):
-        # two pairs (z, -z) and one lone zero: three rows and the exponential,
-        # so four circles per call, bit for bit the per-radius loop
-        spec = HadamardTrunc(0.1, 0j, (1.5, 2j, -1.5, 3 + 1j, -2j), 0, 5)
-        assert growth._screen_limit(spec) == 4
-        pairs, *_ = reference_estimate_order_type(spec, R_GRID)
-        calls = record_masked(monkeypatch)
-        est = estimate_order_type(spec, R_GRID)
-        assert [hex_bits(p) for p in est.samples] == [hex_bits(p) for p in pairs]
-        assert [z.size // growth.SCAN_SAMPLES for z in calls] == [4, 4, 4, 4]
-
-    def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            estimate_order_type(CatalogSymbol("cos"), [0.0] + R_GRID)

@@ -25,10 +25,10 @@ from hyperalg import (
     to_json_value,
     to_taylor,
 )
-from hyperalg import growth, symbols
+from hyperalg import symbols
 from hyperalg.errors import DerivativeConvergenceError, EvaluationRangeError
 from hyperalg.classify import _structure, classify
-from hyperalg.cli import _DEFAULT_R_GRID, catalog_list
+from hyperalg.cli import catalog_list
 from hyperalg.growth import PROGRESSION_DIRECTIONS, PROGRESSION_STEPS
 from hyperalg.symbols import (
     _converged_coeffs,
@@ -248,10 +248,13 @@ PAIRING_PANEL = {
     "non-adjacent": HadamardTrunc(0j, 0j, (1, 2j, 3, -1, 4, -2j, -3), 0, 7),
 }
 
-#: The circles of the default growth window, and the progression rows
-#: ``j * t * ray`` (j = 1..6) of every 32nd step.
+#: 256 equispaced points of the unit circle.
+RING = np.exp(1j * (2 * np.pi * np.arange(256) / 256))
+
+#: 256 points on each of 16 circles of radii 1 to 60 in geometric steps,
+#: and the progression rows ``j * t * ray`` (j = 1..6) of every 32nd step.
 KERNEL_POINTS = {
-    "circles": np.multiply.outer(_DEFAULT_R_GRID, growth._RING),
+    "circles": np.multiply.outer(np.geomspace(1.0, 60.0, 16), RING),
     "rows": np.multiply.outer(
         np.multiply.outer(np.arange(1, 7), PROGRESSION_STEPS[31::32]),
         np.exp(2j * np.pi * np.arange(PROGRESSION_DIRECTIONS) / PROGRESSION_DIRECTIONS),
@@ -328,7 +331,7 @@ class TestProductKernel:
             spec = HadamardTrunc(0j, 0j, (scale, -scale), 0, 2)
             inv_squares, lone = spec._factors
         assert inv_squares.size == 0 and lone.tolist() == [scale, -scale]
-        zs = scale * np.multiply.outer([0.5, 2.0, 3.0], growth._RING)
+        zs = scale * np.multiply.outer([0.5, 2.0, 3.0], RING)
         assert [complex_bits(v) for v in eval_symbol_array(spec, zs).ravel()] == [
             complex_bits(v) for v in hadamard_trunc(spec, zs).ravel()
         ]
@@ -365,8 +368,8 @@ FOLD_PANEL = {
 }
 
 #: Each input shape the kernel sees: single points (as ``eval_symbol``
-#: passes them), one circle and one progression row, and (blocks, 256)
-#: circles as ``growth._max_moduli`` passes them.
+#: passes them), one circle and one progression row, and a block of
+#: circles, (circles, 256), as a 2-d point set.
 FOLD_POINTS = {
     "one-point": [z[None] for z in KERNEL_POINTS["circles"][:, ::16].ravel()],
     "1-d": [KERNEL_POINTS["circles"][-1], KERNEL_POINTS["rows"][2, 5]],
