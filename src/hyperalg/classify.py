@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,7 +144,10 @@ class Structure:
     1 for exponential type ``type`` and 2 for exp-quadratic.  ``poly_exp`` is
     its closed ``p(z) e^{az}`` form, ``zeros`` its zero list (``()`` when it is
     zero-free) and ``slope`` the linear exponent of its product form; each
-    None when the structure does not give it.
+    None when the structure does not give it.  A report writes it through
+    :func:`growth_record`, whose record of a truncated product that
+    multiplies a zero has ``zeros`` None: those zeros are
+    ``symbol.zeros[:truncation]``, which the symbol's own record holds.
     """
 
     order: int
@@ -200,6 +203,15 @@ def _structure(spec: SymbolSpec) -> Structure:
     raise TypeError(f"not a SymbolSpec: {spec!r}")
 
 
+def growth_record(spec: SymbolSpec, structure: Structure) -> Structure:
+    """The growth record a report writes for ``spec``, whose structure is
+    ``structure``: the structure, with ``zeros`` None for a truncated product
+    that multiplies a zero, since the symbol's record already lists them."""
+    if isinstance(spec, HadamardTrunc) and spec.truncation:
+        return replace(structure, zeros=None)
+    return structure
+
+
 def check_T2(spec: SymbolSpec) -> dict:
     """Curvature-and-progressions evidence: the second-derivative margin
     |phi''(0) phi(0) - phi'(0)^2| and, per power m, a step ``a`` with
@@ -222,7 +234,7 @@ def check_T2(spec: SymbolSpec) -> dict:
 def classify(spec: SymbolSpec, zeros=None) -> Verdict:
     """Runs the decision tree and returns the first verdict it can defend."""
     structure = _structure(spec)
-    evidence: dict = {"growth": structure}
+    evidence: dict = {"growth": growth_record(spec, structure)}
     if structure.order == 0 and structure.degree > 0:
         return Verdict(HAS_ALGEBRA, "subexponential", evidence, "exact")
     if structure.order == 2:

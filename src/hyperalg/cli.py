@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import _structure, _zero_list, classify
+from .classify import _structure, _zero_list, classify, growth_record
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
 from .exppoly import GRID_RADIUS, DiskGrid, _require_finite
@@ -217,7 +217,7 @@ def run(config: dict) -> dict:
     if command != "catalog" and "symbol" not in values:
         raise ConfigError("this command requires a 'symbol' entry")
     spec = values.get("symbol")
-    grid = values.get("grid", DiskGrid())
+    grid = values.get("grid")  # None: the witness builds take DiskGrid()
     n_max = int(config.get("n_max", N_MAX_DEFAULT))
 
     if command == "catalog":
@@ -236,7 +236,7 @@ def run(config: dict) -> dict:
             scan = scan_ray(spec, theta, np.linspace(0.25, 8.0, 64))
             side_files[f"ray-{k}.csv"] = scan.to_csv()
         outcome = {
-            "growth": _structure(spec),
+            "growth": growth_record(spec, _structure(spec)),
             "derivatives_at_zero": derivs,
             "derivative_errors": errs,
         }
@@ -281,7 +281,9 @@ def run(config: dict) -> dict:
         report = _load_report(config["report_path"])
         # the default tolerance of the report's kind, never the report's own number
         epsilon = values.get("epsilon", DEFAULT_EPSILON[report.kind])
-        passed, trace, skipped = verify_witness(spec, report, grid, epsilon)
+        passed, trace, skipped = verify_witness(
+            spec, report, grid or DiskGrid(), epsilon
+        )
         side_files["orbit-trace.csv"] = _csv_text(["q", "residual"], trace)
         outcome = {"verified": passed, "trace": trace}
         if skipped:

@@ -28,6 +28,18 @@ from hyperalg.errors import NormalizationError
 classify_module = importlib.import_module("hyperalg.classify")
 
 
+def _paths_to(value, target, path=()):
+    """The path of each entry of the JSON data ``value`` equal to ``target``."""
+    if value == target:
+        yield path
+    elif isinstance(value, dict):
+        for key, entry in value.items():
+            yield from _paths_to(entry, target, (*path, key))
+    elif isinstance(value, list):
+        for i, entry in enumerate(value):
+            yield from _paths_to(entry, target, (*path, i))
+
+
 class TestZeroSetSummary:
     def test_partial_sums_over_squares(self):
         zeros = [complex(n * n) for n in range(1, 50)]
@@ -297,7 +309,54 @@ class TestGrowthFromStructure:
             route,
             confidence,
         )
-        assert verdict.evidence["growth"] == classify_module._structure(spec)
+        structure = classify_module._structure(spec)
+        if isinstance(spec, HadamardTrunc):
+            # the record leaves out the zeros the symbol lists; the zero-set
+            # summary still reads them
+            record = classify_module.growth_record(spec, structure)
+            assert verdict.evidence["growth"] == record
+            assert record == dataclasses.replace(structure, zeros=None)
+            used = spec.zeros[: spec.truncation]
+            summary = to_json_value(ZeroSetSummary.from_zeros(used))
+            assert verdict.evidence["zeros"] == summary
+        else:
+            assert verdict.evidence["growth"] == structure
+
+    def test_product_of_no_zero_writes_an_empty_list(self):
+        spec = HadamardTrunc(
+            a=1, b=0, zeros=TestStructuralZeros.SQUARES, genus=0, truncation=0
+        )
+        verdict = classify(spec)
+        assert (verdict.route, verdict.confidence) == ("zero-free", "exact")
+        assert to_json_value(verdict)["evidence"]["growth"]["zeros"] == []
+
+    #: The CI smoke's product over +-1..+-26 truncated at 51 zeros, and a
+    #: product of type 1 over 60 zeros of cos.
+    PRODUCTS = {
+        "pm26-truncation51": HadamardTrunc(
+            0j, 0j, tuple(s * k for k in range(1, 27) for s in (1, -1)), 0, 51
+        ),
+        "cos60-a-i": HadamardTrunc(
+            1j, 0j, tuple((k + 0.5) * math.pi * s for k in range(30) for s in (1, -1)),
+            0, 60,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_report_lists_product_zeros_once(self, name):
+        spec = self.PRODUCTS[name]
+        symbol = to_json_value(spec)
+        reports = {
+            command: run({"command": command, "symbol": symbol})
+            for command in ("classify", "analyze")
+        }
+        growth = reports["classify"]["outcome"]["verdict"]["evidence"]["growth"]
+        assert growth["zeros"] is None
+        assert reports["analyze"]["outcome"]["growth"] == growth
+        for report in reports.values():
+            for i, z in enumerate(spec.zeros):
+                paths = list(_paths_to(report, [z.real, z.imag]))
+                assert paths == [("config", "symbol", "zeros", i)]
 
     def test_product_without_exponent_is_not_evaluated(self, monkeypatch):
         calls = []
