@@ -331,11 +331,12 @@ def verify_witness(
         ``(sqrt(5) + 150) u sum |a_n| |l|**n``; with ``|l| < R`` the two
         stay below ``490 u sum |a_n| R**n``.  At ``|l| <= 0.8 R`` Cauchy's
         estimate puts the terms past degree 150 below ``105 u max|phi|``.
-        The coefficients are the trapezoid rule's on 1208 points of the
-        circle, taken by an FFT; each carries about ``u max|phi| / R**n``
-        (Bornemann, Found. Comput. Math. 11, 2011; measured at most 3 u
-        against the exact series of cos and exp-quadratic at R = 2 and
-        3.23), ``5 u max|phi|`` in the sum, and
+        The coefficients are the trapezoid rule's on 1280 points of the
+        circle, taken by one FFT (:func:`~hyperalg.symbols.to_taylor`);
+        each carries about ``u max|phi| / R**n`` (Bornemann, Found. Comput.
+        Math. 11, 2011; measured at most 3.1 u against the exact series of
+        cos and exp-quadratic at R = 2 and 3.23), ``5 u max|phi|`` in the
+        sum, and
         ``max|phi| <= sum |a_n| R**n``: about 600 u at worst, within
         SERIES_CHECK_C, and 2.7 u on the benchmark's witness reports of
         seeds 1-3 built on exp-quadratic, cos and sinc-pi.

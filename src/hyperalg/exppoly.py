@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence, Union
@@ -81,11 +82,16 @@ class ExpPoly:
 
     @staticmethod
     def of(terms: Iterable[tuple[ComplexLike, ComplexLike]]) -> "ExpPoly":
-        """Canonicalize: merge near-equal frequencies, drop zero coefficients."""
-        cleaned = [
-            (_require_finite(c, "coefficient"), _require_finite(f, "frequency"))
-            for c, f in terms
-        ]
+        """Canonicalize: merge near-equal frequencies, drop zero coefficients.
+
+        Every value is checked in one pass; when one is not finite,
+        :func:`_require_finite` names the first, coefficient before frequency.
+        """
+        cleaned = [(complex(c), complex(f)) for c, f in terms]
+        if not all(map(cmath.isfinite, itertools.chain.from_iterable(cleaned))):
+            for c, f in cleaned:
+                _require_finite(c, "coefficient")
+                _require_finite(f, "frequency")
         cleaned.sort(key=lambda t: (t[1].real, t[1].imag))
         merged: list[tuple[complex, complex]] = []
         for c, f in cleaned:
@@ -207,21 +213,12 @@ class DiskGrid:
         if self.circles < 2:
             raise ValueError("need at least 2 circles")
 
-    @functools.cached_property
-    def _points(self) -> np.ndarray:
-        angles = 2 * np.pi * np.arange(self.samples) / self.samples
-        ring = np.exp(1j * angles)
-        radii = self.radius * np.arange(1, self.circles + 1) / self.circles
-        pts = np.concatenate([r * ring for r in radii])
-        pts.flags.writeable = False
-        return pts
-
     def points(self) -> np.ndarray:
-        """The grid's points, computed once per grid (read-only)."""
-        return self._points
+        """The grid's points (read-only), shared by every grid of the same
+        shape."""
+        return _grid_points(self.radius, self.samples, self.circles)
 
     def to_dict(self) -> dict:
-        """The fields, without the cached points."""
         return asdict(self)
 
     @staticmethod
@@ -231,3 +228,14 @@ class DiskGrid:
             samples=int(d.get("samples", 64)),
             circles=int(d.get("circles", 4)),
         )
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_points(radius: float, samples: int, circles: int) -> np.ndarray:
+    """The points of :class:`DiskGrid`, built once per shape (read-only)."""
+    angles = 2 * np.pi * np.arange(samples) / samples
+    ring = np.exp(1j * angles)
+    radii = radius * np.arange(1, circles + 1) / circles
+    pts = np.concatenate([r * ring for r in radii])
+    pts.flags.writeable = False
+    return pts

@@ -163,8 +163,8 @@ def first_ray_below_one(
     rule.  An early passing ray costs one small call.
     """
     ts = _ray_samples(t_max)
-    thetas = [float(theta) for theta in thetas]
-    directions = np.asarray([cmath.exp(1j * theta) for theta in thetas])
+    thetas = np.asarray(thetas, dtype=float)
+    directions = np.exp(1j * thetas)
     live = np.nonzero(_row_passes(spec, ts[0] * directions, MODULUS_MARGIN))[0]
     limit, start, size = _screen_limit(spec), 0, 1
     while start < live.size:
@@ -173,7 +173,7 @@ def first_ray_below_one(
         for i, mods in zip(block, np.abs(vals)):
             r = _last_below_one(ts, mods)
             if r is not None and r >= r_min:
-                return thetas[i]
+                return float(thetas[i])
         start, size = start + size, min(2 * size, limit)
     return None
 
@@ -356,8 +356,8 @@ def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
                 theta=float(theta),
                 eta=float(eta),
                 domain=(lo, 1.0),
-                t_grid=tuple(float(t) for t in ts),
-                profile=tuple(float(v) for v in profile),
+                t_grid=tuple(ts.tolist()),
+                profile=tuple(profile.tolist()),
             )
         eta /= 2
         if two_sided and eta < delta / 2 ** (MAX_HALVINGS // 2):

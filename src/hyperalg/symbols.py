@@ -423,22 +423,6 @@ def _contour_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
     return (_dft_phases(n_max, samples) @ vals) / samples / radius**ks
 
 
-def _fft_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
-    """The coefficients of :func:`_contour_coeffs` from ``np.fft.fft`` of
-    ``vals``, with no matrix.
-
-    It serves :func:`to_taylor`, whose one caller in the package is verify's
-    check (a).  That series reaches no report: the check only compares its
-    error with a roundoff bound.  At its degree 150 a dense matrix would be
-    151 rows by 1208 points, read back from memory on every call.  The
-    FFT's summation order moves the last bits; each coefficient stays
-    within about ``u max|phi| / radius**n`` (Bornemann, Found. Comput.
-    Math. 11, 2011).
-    """
-    ks = np.arange(n_max + 1)
-    return np.fft.fft(vals)[: n_max + 1] / vals.size / radius**ks
-
-
 def _converged(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``fine`` with its distance to ``coarse`` as the error.
 
@@ -492,6 +476,13 @@ def derivs_at_zero(
     )
 
 
+def _fft_size(n: int) -> int:
+    """The smallest ``2**j``, ``3 * 2**j`` or ``5 * 2**j`` that is at least
+    ``n``: a ring numpy's FFT takes in radix-2 passes and at most one
+    radix-3 or radix-5 pass."""
+    return min(k << (-(-n // k) - 1).bit_length() for k in (1, 3, 5))
+
+
 def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     """Truncated Taylor expansion at 0.
 
@@ -499,16 +490,28 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     low-order derivatives: high-order coefficients on a sub-unit circle lose
     one bit of accuracy per order to roundoff amplification ``radius**-n``.
 
-    As :func:`_converged_coeffs` at the origin, on ``max(CONTOUR_SAMPLES,
-    4 (cap + 1))`` points and their doubled ring, with the same
-    convergence test, but both estimates come from :func:`_fft_coeffs`,
-    for the reason given there.
+    As :func:`_converged_coeffs` at the origin, on ``samples =
+    _fft_size(max(CONTOUR_SAMPLES, 4 (cap + 1)))`` points and their doubled
+    ring (1280 points at verify's degree 150), with the same convergence
+    test, but both estimates come from one ``np.fft.fft`` of the doubled
+    ring's N values, with no matrix.  The fine estimate is its first
+    coefficients ``F_k / N``.  The coarse one is ``(F_k + F_{k+N/2}) / N``,
+    the transform of the even samples (the ``samples`` ring) folded out of
+    the same spectrum: the odd samples cancel in the sum.
+
+    Its one caller in the package is verify's check (a).  That series
+    reaches no report: the check only compares its error with a roundoff
+    bound.  At degree 150 a dense matrix would be 151 rows by 1280 points,
+    read back from memory on every call.  The FFT's summation order moves
+    the last bits; each coefficient stays within about ``u max|phi| /
+    radius**n`` (Bornemann, Found. Comput. Math. 11, 2011).
     """
-    samples = max(CONTOUR_SAMPLES, 4 * (cap + 1))
+    samples = _fft_size(max(CONTOUR_SAMPLES, 4 * (cap + 1)))
     vals = eval_symbol_array(spec, radius * _unit_ring(2 * samples))
-    coeffs, _ = _converged(
-        _fft_coeffs(vals, cap, radius), _fft_coeffs(vals[::2], cap, radius)
-    )
+    spectrum = np.fft.fft(vals)
+    head, folded = spectrum[: cap + 1], spectrum[samples : samples + cap + 1]
+    scale = vals.size * radius ** np.arange(cap + 1)
+    coeffs, _ = _converged(head / scale, (head + folded) / scale)
     return TaylorPoly(tuple(coeffs.tolist()), cap)
 
 

@@ -80,6 +80,11 @@ GAMMA_DEGREE_CAP = 64
 #: Length bound of the convex ray that places the multi-generator windows.
 MULTI_RAY_DELTA = 2.0
 
+#: The directions tried in order for the decay window of an even symbol's
+#: multi-generator witness: 360 angles one degree apart (read-only).
+DECAY_RAY_ANGLES = 2 * np.pi * np.arange(360) / 360
+DECAY_RAY_ANGLES.flags.writeable = False
+
 #: Default residual tolerance of a build, and of verifying its report, by kind.
 DEFAULT_EPSILON = {"single": 1e-6, "multi": 1e-5}
 
@@ -193,9 +198,12 @@ def _contraction(phi_val: complex, v, phi_surv, m: int):
 
 
 def _tuples(x, convert=_int_from_json):
-    """JSON lists back to (nested) tuples of converted scalars; None stays."""
+    """JSON lists back to (nested) tuples of converted scalars; None stays.
+    A flat list of JSON ints, the common case, is checked in one pass."""
     if x is None:
         return None
+    if convert is _int_from_json and set(map(type, x)) == {int}:
+        return tuple(x)
     return tuple(_tuples(y, convert) if isinstance(y, list) else convert(y) for y in x)
 
 
@@ -821,7 +829,7 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
         scale = abs(w_plus)
         theta = first_ray_below_one(
             spec,
-            [2 * math.pi * k / 360 for k in range(360)],
+            DECAY_RAY_ANGLES,
             t_max=2 * a * d_A * scale * 1.05,
             r_min=2 * a * d_A * scale,
         )

@@ -27,6 +27,7 @@ from hyperalg import (
     eval_symbol,
     mul_exppoly,
     sup_distance,
+    to_json_value,
     to_taylor,
     verify_witness,
 )
@@ -518,7 +519,7 @@ def mutated(fn, edits):
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     namespace = {}
-    exec(source, dict(vars(dynamics)), namespace)
+    exec(source, dict(fn.__globals__), namespace)
     return namespace[fn.__name__]
 
 
@@ -606,6 +607,23 @@ class TestVerifyChecks:
         series = np.vander(np.array(freqs), coeffs.size, increasing=True) @ coeffs
         error = np.max(np.abs(series - eval_symbol_array(spec, freqs)))
         assert error <= 64 * dynamics.UNIT_ROUNDOFF * size
+
+    @staticmethod
+    def series_skipped(spec, report) -> bool:
+        return "series" in verify_witness(spec, report, DiskGrid(), math.inf)[2]
+
+    def test_coarse_estimate_mutant_is_caught(self, monkeypatch):
+        # exp-quadratic's default m = 6 report: phi's series does not
+        # converge on its circle, so check (a) is skipped.  A to_taylor whose
+        # coarse estimate is the fine one can never fail the convergence
+        # test, and the report stops naming check (a) as skipped.
+        spec = CatalogSymbol("exp-quadratic")
+        built = run({"command": "witness", "symbol": to_json_value(spec), "m": 6})
+        report = WitnessReport.from_dict(built["outcome"]["witness"])
+        assert self.series_skipped(spec, report)
+        mutant = mutated(symbols.to_taylor, [("(head + folded) / scale", "head / scale")])
+        monkeypatch.setattr(dynamics, "to_taylor", mutant)
+        assert not self.series_skipped(spec, report)
 
     def test_exp_quadratic_m4_report_verifies(self):
         # f^4 reaches |l| = 2.6, where phi's series needs more than 60 terms

@@ -47,6 +47,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ExpPoly.of([(float("nan"), 0.0)])
 
+    def test_first_non_finite_value_is_named(self):
+        # every value is checked in one pass; the error still names the
+        # first, coefficient before frequency
+        nan = float("nan")
+        with pytest.raises(ValueError, match=r"^frequency must be finite, got \(nan\+0j\)$"):
+            ExpPoly.of([(1, nan), (nan, 1)])
+        with pytest.raises(ValueError, match="^coefficient must be finite"):
+            ExpPoly.of([(1, 2), (complex(1, math.inf), nan)])
+
     def test_overflowing_argument_raises_range_error(self):
         f = ExpPoly.of([(1.0, 10.0)])
         with pytest.raises(EvaluationRangeError):
@@ -155,6 +164,17 @@ class TestDiskGrid:
         ring = np.exp(1j * 2 * np.pi * np.arange(16) / 16)
         expected = np.concatenate([r * ring for r in 2.0 * np.arange(1, 4) / 3])
         assert np.array_equal(pts, expected)
+
+    def test_grids_of_one_shape_share_their_points(self):
+        # every command makes its own DiskGrid(); the points are built once
+        pts = DiskGrid(3.0).points()
+        assert pts is DiskGrid().points()
+        assert not pts.flags.writeable
+        angles = 2 * np.pi * np.arange(64) / 64
+        ring = np.exp(1j * angles)
+        radii = 3.0 * np.arange(1, 5) / 4
+        assert pts.tobytes() == np.concatenate([r * ring for r in radii]).tobytes()
+        assert DiskGrid(3.0, samples=32).points() is not pts
 
     def test_dict_round_trip(self):
         grid = DiskGrid(radius=2.5, samples=48, circles=5)

@@ -32,6 +32,7 @@ from hyperalg.symbols import (
     eval_symbol_array,
     eval_symbol_masked,
 )
+from hyperalg.witness import DECAY_RAY_ANGLES
 import reference
 from reference import indicator
 
@@ -480,6 +481,21 @@ class TestDirectionScan:
         assert first_ray_below_one(spec, thetas[::-1], t_max, r_min) == (
             reference.first_ray_below_one(spec, thetas[::-1], t_max, r_min)
         )
+
+    @pytest.mark.parametrize("spec", [CatalogSymbol("cos"), CatalogSymbol("sinc-pi")])
+    def test_decay_ray_directions_are_bit_for_bit(self, spec, monkeypatch):
+        # the multi witness's 360 angles, as one read-only array: every
+        # direction is cmath.exp(1j theta), and the angle found a Python float
+        thetas = [2 * math.pi * k / 360 for k in range(360)]
+        assert DECAY_RAY_ANGLES.tolist() == thetas
+        assert not DECAY_RAY_ANGLES.flags.writeable
+        calls = record_masked(monkeypatch)
+        found = first_ray_below_one(spec, DECAY_RAY_ANGLES, 1.0, 0.5)
+        first = growth._ray_samples(1.0)[0]
+        want = first * np.array([cmath.exp(1j * theta) for theta in thetas])
+        assert calls[0].tobytes() == want.tobytes()
+        assert type(found) is float
+        assert found == self.loop(spec, thetas, 1.0, 0.5)
 
     def test_overflowing_ray_fails_only_itself(self):
         # cos stays below one on the samples of the real axis and exceeds

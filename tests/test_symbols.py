@@ -517,7 +517,8 @@ class TestContourSeries:
         monkeypatch.setattr(symbols, "eval_symbol_array", recorded)
         to_taylor(CatalogSymbol("cos"), 80)
         derivs_at_zero(CatalogSymbol("sinc-pi"), 2)
-        assert sizes == [2 * 324, 2 * 64]
+        # 4 * 81 = 324 samples rounded up to 3 * 2**7 for the FFT
+        assert sizes == [2 * 384, 2 * 64]
 
 
 class TestFFTSeries:
@@ -537,6 +538,37 @@ class TestFFTSeries:
         powers = radius ** np.arange(cap + 1)
         size = np.abs(want) @ powers
         assert np.max(np.abs(got - want) * powers) <= 1e-12 * size
+
+    @pytest.mark.parametrize("radius", [2.0, 3.23])
+    @pytest.mark.parametrize("cap", [80, 150])
+    @pytest.mark.parametrize("name", sorted(MASK_PANEL))
+    def test_folded_coarse_estimate_is_the_even_transform(
+        self, name, cap, radius, monkeypatch
+    ):
+        # (F_k + F_{k+N/2}) / N from the one spectrum is the transform of
+        # the even samples, and the convergence verdict is the dense series'
+        spec, estimates = MASK_PANEL[name], []
+        converged = symbols._converged
+
+        def recorded(fine, coarse):
+            estimates.append(coarse)
+            return converged(fine, coarse)
+
+        monkeypatch.setattr(symbols, "_converged", recorded)
+        try:
+            reference_to_taylor(spec, cap, radius)
+        except DerivativeConvergenceError:
+            with pytest.raises(DerivativeConvergenceError):
+                to_taylor(spec, cap, radius)
+        else:
+            to_taylor(spec, cap, radius)
+        n = 2 * symbols._fft_size(4 * (cap + 1))
+        vals = eval_symbol_array(spec, radius * symbols._unit_ring(n))
+        even = np.fft.fft(vals[::2])[: cap + 1] / (n // 2)
+        powers = radius ** np.arange(cap + 1)
+        [coarse] = estimates
+        error = np.max(np.abs(coarse * powers - even))
+        assert error <= 4 * np.finfo(float).eps * np.max(np.abs(vals))
 
     @pytest.mark.parametrize(
         "spec, cap, radius",
