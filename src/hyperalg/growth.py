@@ -7,8 +7,9 @@ moduli along a ray (:func:`scan_ray`) and the directional rate read off the
 top half of a scan, sublevel sets |phi| < 1 on rays and on arithmetic
 progressions, and short segments on which log|phi| is convex.  A sampled
 answer is evidence, not proof, and the verdicts built on it say so.  One
-thing here is a proof: :func:`_dead_steps` skips progression steps on a
-bound from phi's majorant series, never on a sample.
+thing here is a proof: :func:`_dead_steps` skips the progression steps on
+which |phi(0)|, less phi's majorant series without its constant term and a
+rounding allowance per factor, still exceeds 1 - margin, never on a sample.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ PROGRESSION_DIRECTIONS = 360
 SCREEN_STEPS = 16
 
 #: Rounding error, relative to phi's majorant, that :func:`_dead_steps`
-#: allows one evaluation of phi: 64 u with u = 2**-52.
+#: allows each factor one evaluation of phi combines
+#: (:func:`_factor_count`): 64 u with u = 2**-52.
 EVAL_ROUNDING = 64 * 2.0**-52
 
 #: Samples of a discrete log|phi| profile on a segment.
@@ -178,21 +180,25 @@ def first_ray_below_one(
     return None
 
 
-def _screen_limit(spec: SymbolSpec) -> int:
-    """Most rows per evaluation call, for the progression screens and the
-    rays of :func:`first_ray_below_one`: ``SCREEN_STEPS`` over the factors
-    one point costs, for a truncated product its exponential and the rows
-    of its factor table (one per pair of zeros z, -z, one per other zero).
-    A product with many zeros, whose single row already costs far more than
-    a call, keeps one row per call."""
+def _factor_count(spec: SymbolSpec) -> int:
+    """The factors one evaluation of phi combines at a point: for a
+    truncated product its exponential and the rows of its factor table (one
+    per pair of zeros z, -z, one per other zero), for an exponential sum its
+    terms, for every other kind 1."""
     if isinstance(spec, HadamardTrunc):
         inv_squares, lone = spec._factors
-        factors = inv_squares.size + lone.size + 1
-    elif isinstance(spec, ExpPolySymbol):
-        factors = len(spec.poly.terms)
-    else:
-        factors = 1
-    return max(1, SCREEN_STEPS // max(factors, 1))
+        return inv_squares.size + lone.size + 1
+    if isinstance(spec, ExpPolySymbol):
+        return max(len(spec.poly.terms), 1)
+    return 1
+
+
+def _screen_limit(spec: SymbolSpec) -> int:
+    """Most rows per evaluation call, for the progression screens and the
+    rays of :func:`first_ray_below_one`: ``SCREEN_STEPS`` over
+    :func:`_factor_count`.  A product with many zeros, whose single row
+    already costs far more than a call, keeps one row per call."""
+    return max(1, SCREEN_STEPS // _factor_count(spec))
 
 
 def _row_passes(spec: SymbolSpec, points: np.ndarray, margin: float) -> np.ndarray:
@@ -206,19 +212,21 @@ def _dead_steps(spec: SymbolSpec, steps: np.ndarray, margin: float) -> int:
     """How many leading ``steps`` phi's majorant proves dead.
 
     On |z| = t, |phi(z)| >= |phi(0)| - D(t), with D from
-    :func:`~hyperalg.symbols._deviation_bound`.  A step is dead when that
-    floor, less ``EVAL_ROUNDING`` M(t) for the rounding of an evaluation, is
-    at least 1 - margin/2 (1 - margin for a margin below 0), so evaluation
-    would find no passing point either.  M(t) = M(0) + D(t) majorizes |phi|;
+    :func:`~hyperalg.symbols._deviation_bound`, and an evaluation of phi is
+    off by at most ``allowance`` M(t), where M(t) = M(0) + D(t) majorizes
+    |phi| and the allowance is ``EVAL_ROUNDING`` times the
+    :func:`_factor_count` of phi.  A step is dead when
+    |phi(0)| - D(t) - allowance M(t) > 1 - margin, so evaluation would find
+    no passing point either; the rule holds for a margin of either sign.
     |phi(0)| and M(0) come from :func:`~hyperalg.symbols._modulus_at_zero`.
     D grows with t, so the dead steps are a prefix."""
     phi0, m0 = _modulus_at_zero(spec)
-    threshold = 1 - min(margin, margin / 2)
-    # the floor condition, solved for D(t)
-    slack = (phi0 - EVAL_ROUNDING * m0 - threshold) / (1 + EVAL_ROUNDING)
-    if slack < 0:
+    allowance = EVAL_ROUNDING * _factor_count(spec)
+    # the rule, solved for D(t)
+    slack = (phi0 - allowance * m0 - (1 - margin)) / (1 + allowance)
+    if slack <= 0:
         return 0
-    dead = _deviation_bound(spec, steps) <= slack
+    dead = _deviation_bound(spec, steps) < slack
     first_live = int(dead.argmin())  # 0 also when every step is dead
     return steps.size if dead[first_live] else first_live
 
@@ -254,24 +262,36 @@ def find_arith_progression(
 
     One sweep serves every length.  Row 1 comes from :func:`_live_steps`,
     which skips the steps phi's majorant proves dead and screens runs of
-    other dead steps in one call.  Rows 2..m of a live step are evaluated in
-    one call, only in the directions ``hits`` that pass row 1; a direction
-    keeps a length while it passes every row so far, and a point out of
-    range fails its own direction only.
+    other dead steps in one call.  Rows 2..m of a live step are evaluated
+    in the directions that pass row 1, in order, in blocks of 1, 2, 4, ...
+    directions per call, and no block follows one that holds a direction
+    passing all m rows: for every k, the first direction that passes rows
+    1..k lies at or before it.  The block size does not restart at the next
+    live step, so a run of live steps that no direction passes to the end
+    soon takes one call of rows 2..m per step.  A direction keeps a length
+    while it passes every row so far, and a point out of range fails its
+    own direction only.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
     js = np.arange(2, m + 1, dtype=float)[:, None]
+    size = 1  # directions in the next block of rows 2..m
     for t, ok in _live_steps(spec, _DIRECTIONS, margin):
         hits = np.nonzero(ok)[0]
-        rows = _row_passes(spec, (js * t) * _DIRECTIONS[hits], margin)
-        alive = np.logical_and.accumulate(rows, axis=0)
-        for j, row in enumerate([ok[hits], *alive], 1):
-            if not row.any():
-                break  # no direction has this length at t
-            if found[j] is None:
-                found[j] = complex(t * _DIRECTIONS[hits[row.argmax()]])
+        if found[1] is None:
+            found[1] = complex(t * _DIRECTIONS[hits[0]])
+        start = 0
+        while found[m] is None and start < hits.size:
+            block = hits[start : start + size]
+            rows = _row_passes(spec, (js * t) * _DIRECTIONS[block], margin)
+            alive = np.logical_and.accumulate(rows, axis=0)
+            for j, row in enumerate(alive, 2):
+                if not row.any():
+                    break  # no direction of the block has this length at t
+                if found[j] is None:
+                    found[j] = complex(t * _DIRECTIONS[block[row.argmax()]])
+            start, size = start + size, min(2 * size, PROGRESSION_DIRECTIONS)
         if found[m] is not None:
             break  # a hit of length m is a hit of every shorter length
     return found

@@ -294,7 +294,9 @@ def _deviation_bound(spec: SymbolSpec, t) -> np.ndarray:
             if spec.name == CATALOG_COS:
                 return np.cosh(r) - 1
             if spec.name == CATALOG_SIN_PLUS_EXP:
-                return np.sinh(r) + np.expm1(r)
+                # phi = 1 + z^2/2 - z^3/3 + ...: the odd terms of sin z and
+                # e^{-z} cancel but for -2 z^k/k! at k = 3, 7, 11, ...
+                return (np.cosh(r) - 1) + (np.sinh(r) - np.sin(r))
             if spec.name == CATALOG_SINC_PI:
                 x = np.pi * r
                 return np.sinh(x) / x - 1

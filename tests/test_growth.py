@@ -276,26 +276,47 @@ HADAMARD_60 = HadamardTrunc(
 
 
 class TestProgressionScreening:
-    """Runs of dead steps are screened in one call where rows are cheap."""
+    """Runs of dead steps are screened in one call where rows are cheap, and
+    rows 2..m stop at the first block of directions that holds a direction
+    passing them all."""
 
     def test_costly_symbol_keeps_the_per_step_calls(self, monkeypatch):
-        # the majorant proves the first step dead; the rest keep one call each
-        assert growth._dead_steps(
-            HADAMARD_60, growth.PROGRESSION_STEPS, MODULUS_MARGIN
-        ) == 1
+        # the majorant proves every step before the first live one dead
+        steps = growth.PROGRESSION_STEPS
+        first = growth._dead_steps(HADAMARD_60, steps, MODULUS_MARGIN)
+        assert first == 20
+        t = float(steps[first])
+        vals, in_range = eval_symbol_masked(HADAMARD_60, t * RAYS)
+        hit = np.nonzero(in_range & (np.abs(vals) <= 1 - MODULUS_MARGIN))[0][0]
         want_calls = []
         want = per_step_progression(
             HADAMARD_60,
             4,
             MODULUS_MARGIN,
             recording(want_calls, eval_symbol_masked),
-            first_step=1,
+            first_step=first,
         )
         calls = record_masked(monkeypatch)
         assert find_arith_progression(HADAMARD_60, 4) == want
-        assert len(calls) == len(want_calls) > 20
-        for got, ref in zip(calls, want_calls):
-            assert np.array_equal(got, ref)
+        assert want[4] == complex(t * RAYS[hit])
+        # row 1 of the first live step, then rows 2..4 of its first passing
+        # direction, which passes them all
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], want_calls[0])
+        assert np.array_equal(calls[1], (np.arange(2, 5) * t) * RAYS[hit])
+
+    def test_costly_symbol_screens_one_step_per_call(self, monkeypatch):
+        # at margin 0.5 a few dead steps lie past the majorant's proof; each
+        # takes a call of its own
+        steps = growth.PROGRESSION_STEPS
+        dead = growth._dead_steps(HADAMARD_60, steps, 0.5)
+        calls = record_masked(monkeypatch)
+        t, _ = next(growth._live_steps(HADAMARD_60, RAYS, 0.5))
+        live = int(np.nonzero(steps == t)[0][0])
+        assert live - dead >= 2
+        assert len(calls) == live - dead + 1
+        for got, step in zip(calls, steps[dead:]):
+            assert np.array_equal(got, step * RAYS)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_dead_steps_take_a_tenth_of_the_calls(self, m, monkeypatch):
@@ -325,6 +346,34 @@ class TestProgressionScreening:
         points = np.concatenate(calls)
         assert np.unique(points).size == points.size
 
+    @pytest.mark.parametrize(
+        "name", ["cos", "sin+exp", "sinc-pi", "exppoly-two-term"]
+    )
+    def test_first_live_step_takes_two_calls(self, name, monkeypatch):
+        # row 1 of the first live step, then rows 2..6 of one direction
+        spec = PROGRESSION_PANEL[name]
+        want = {k: reference_progression(spec, k, MODULUS_MARGIN) for k in range(1, 7)}
+        calls = record_masked(monkeypatch)
+        assert find_arith_progression(spec, 6) == want
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize(
+        "name, margin",
+        [("steep-overflow", MODULUS_MARGIN), ("steep-overflow", 0.1),
+         ("sin+exp-scale60", MODULUS_MARGIN), ("exp-poly-scale40", -0.1)],
+    )
+    def test_later_direction_blocks_keep_the_answer(self, name, margin, monkeypatch):
+        # the first direction that passes row 1 fails a later row, so the
+        # rows of further blocks of directions decide
+        spec = PROGRESSION_PANEL[name]
+        want = {k: reference_progression(spec, k, margin) for k in range(1, 7)}
+        calls = record_masked(monkeypatch)
+        assert find_arith_progression(spec, 6, margin=margin) == want
+        assert len(calls) > 2
+        # no point is evaluated twice
+        points = np.concatenate(calls)
+        assert np.unique(points).size == points.size
+
 
 #: Kinds and branches of the majorant that the progression panel leaves out.
 MAJORANT_EXTRAS = {
@@ -332,7 +381,17 @@ MAJORANT_EXTRAS = {
     "exp-poly-p0-2": CatalogSymbol("exp-poly", a=1, poly=(2, 1j, 0.5)),
     "poly-times-exp": PolyTimesExp((1, 0.5 - 0.2j, 0.3), a=0.6j, b=0.4j),
     "hadamard-genus1": HadamardTrunc(0.3j, 0.1j, COS_ZEROS, 1, 7),
+    "sin+exp-scale0.5": CatalogSymbol("sin+exp(-z)", scale=0.5),
+    "sin+exp-scale1.3": CatalogSymbol("sin+exp(-z)", scale=1.3),
+    "sin+exp-scale2": CatalogSymbol("sin+exp(-z)", scale=2),
+    "sin+exp-scale0.6+0.8j": CatalogSymbol("sin+exp(-z)", scale=0.6 + 0.8j),
 }
+
+
+def long_zero_list(name: str) -> tuple[float, ...]:
+    """202 zeros of cos (+-(k + 1/2) pi) or sinc-pi (+-k), smallest first."""
+    firsts = [(k + 0.5) * math.pi if name == "cos" else k + 1.0 for k in range(101)]
+    return tuple(z for k in firsts for z in (k, -k))
 
 
 def passing_points(spec, steps, margin) -> int:
@@ -402,6 +461,26 @@ class TestDeadZone:
             i for i, t in enumerate(steps) if passing_points(spec, [t], 0.5)
         )
         assert growth._dead_steps(spec, steps, 0.5) >= 2 / 3 * prefix
+
+    @pytest.mark.parametrize(
+        "name, first_live",
+        [("cos", 20), ("sin+exp", 20), ("sinc-pi-scale0.5", 25), ("hadamard-even", 21)],
+    )
+    def test_classify_margin_skips_the_whole_dead_prefix(self, name, first_live):
+        spec = PROGRESSION_PANEL[name]
+        steps = growth.PROGRESSION_STEPS
+        assert growth._dead_steps(spec, steps, MODULUS_MARGIN) == first_live
+        assert passing_points(spec, steps[first_live : first_live + 1], MODULUS_MARGIN)
+
+    @pytest.mark.parametrize("margin", [MODULUS_MARGIN, 1e-3, 0.1])
+    @pytest.mark.parametrize("truncation", [50, 51, 120, 200])
+    @pytest.mark.parametrize("name", ["cos", "sinc-pi"])
+    def test_long_products_skip_no_passing_step(self, name, truncation, margin):
+        # the rounding allowance grows with the factor rows of the product
+        spec = HadamardTrunc(0j, 0j, long_zero_list(name), 0, truncation)
+        steps = growth.PROGRESSION_STEPS
+        skipped = growth._dead_steps(spec, steps, margin)
+        assert passing_points(spec, steps[:skipped], margin) == 0
 
     @pytest.mark.parametrize("name", sorted({**PROGRESSION_PANEL, **MAJORANT_EXTRAS}))
     def test_bound_covers_every_circle(self, name):
