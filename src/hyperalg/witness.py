@@ -21,11 +21,14 @@ every iterate count N of the doubling grid, in one table; the table admits
 the terms, gives the bound sum at each N and fills the report's Theta table.
 Then N doubles.  The loop cannot stop at an N whose bound sum is above
 epsilon, so the table fixes the first N where it could, N*, before the loop
-starts: the engine solves the survivor coefficients and builds the
-generators and monomials of every N up to N*, then measures every
-monomial's residual at all of them in one diagonal kernel call.  Only when
-a residual at N* is still above epsilon does it go on, one N and one call
-at a time.
+starts: the engine solves the survivor coefficients of every N up to N* and
+measures every monomial's residual at all of them in one batch.  Only when
+a residual at N* is still above epsilon does it go on, one N and one batch
+at a time.  The residuals come from the same table of terms: each term's
+row exp(lambda z) on the grid is taken once per build, and at each N a
+monomial's image is the sum of its terms, each the term's coefficient at N
+times phi(lambda)**N, on their rows.  No N gets generators or monomials of
+its own; the generators are built once, at the final N.
 
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
@@ -69,7 +72,7 @@ from .symbols import (
     exppoly_from_json,
     to_json_value,
 )
-from .dynamics import _Diagonal, _monomials
+from .dynamics import _TermImages
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
@@ -348,20 +351,35 @@ def _double_until(
     caller's exponents, everything else is in slot order.
 
     ``keys`` lists every monomial's expansion tuples ``(u, v, ell, alpha,
-    case, counted)`` from :func:`_expansion_keys`: u[i][j] factors of seed
-    term j of generator i, v[j] of survivor j and ell[i-1] of N**-k[i].  N
-    doubles from 8 until each monomial is within epsilon of its target and so
-    is the bound sum of the counted terms.
+    case, counted)`` from :func:`_expansion_keys`, grouped by monomial:
+    u[i][j] factors of seed term j of generator i, v[j] of survivor j and
+    ell[i-1] of N**-k[i].  N doubles from 8 until each monomial is within
+    epsilon of its target and so is the bound sum of the counted terms.
 
     The bound sum at every N of the doubling grid comes from the term table,
     which is built before the loop, so the first N whose bound sum is within
     epsilon, N*, is known before any N is measured: no N below it can end
-    the loop.  Every N from 8 to N* is therefore measured in one kernel
-    call, over every iterate count and monomial, and each N past N* (when a
-    residual at N* is still above epsilon) in one call of its own; a build
-    that stops at N* makes one kernel call.  The trace, the report and each
-    error, with the N that raises it, are those of measuring one N at a
-    time.
+    the loop.  Every N from 8 to N* is therefore measured in one batch, and
+    each N past N* (when a residual at N* is still above epsilon) in one of
+    its own.
+
+    The measurement reads the term table too; no N gets generators or
+    monomials of its own.  Each key's row ``exp(lambda z)`` on the grid is
+    taken once per build (a row past the overflow guard is kept as exp(0)
+    and raises once its term is nonzero), and phi once at the key
+    frequencies.  At each N a key's term is its coefficient ``weight * prod
+    c_j(N)**v_j * N**-(k . ell)``, rounded to a double from its log-modulus
+    and phase, times ``phi(lambda)**N`` in polar form; a monomial's image is
+    the sum of its keys' terms times their rows.  The generators are built
+    once, at the final N.  The trace, the report and each error, with the N
+    that raises it, are those of measuring one N at a time with generators,
+    monomials and the diagonal evaluator of :mod:`~hyperalg.dynamics`, in
+    the order that takes them: the survivor coefficients, then any term
+    coefficient that is not a finite double ("product overflows"), then
+    monomial by monomial ``|phi(lambda)|**N`` past the guard and a nonzero
+    term on a row past it, then a distance that is not finite.  The
+    residuals agree with that measurement to rounding: the sums take the
+    same terms ungrouped where the monomials merge them.
 
     Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
     Raises ThetaMarginError first when the bound of a counted term stays
@@ -386,22 +404,26 @@ def _double_until(
         ) + sum(vj * g for vj, g in zip(v, gammas))
         for u, v, *_ in keys
     ]
-    # per key: its contraction ratio, and the parts of its log-magnitude
-    # that do not depend on N
-    thetas, logs = [], []
+    # per key: its contraction ratio, the parts of its log-magnitude that do
+    # not depend on N, the phase of its weight and phi in polar form
+    thetas, logs, weights, polar = [], [], [], []
     for (u, v, ell, *_), phi_val in zip(keys, eval_symbol_array(spec, freqs).tolist()):
         log_phi, theta = _contraction(phi_val, v, phi_surv, m)
         count = math.prod(  # of each generator's power, seeds aside
             multinomial_gamma(row, w, ())
             for row, w in zip(u, (v, *((e,) for e in ell)))
         )
-        log_weight = math.log(abs(count))
+        log_weight, arg_weight = math.log(abs(count)), 0.0
         for row, s in zip(u, seeds):
             for uij, (a, _) in zip(row, s.terms):
                 if uij:
                     log_weight += uij * math.log(abs(a))
+                    arg_weight += uij * cmath.phase(a)
+        ell_weight = sum(ki * e for ki, e in zip(k[1:], ell))
         thetas.append(theta)
-        logs.append((log_weight, log_phi, sum(ki * e for ki, e in zip(k[1:], ell))))
+        logs.append((log_weight, log_phi, ell_weight))
+        weights.append((count, log_weight, arg_weight, ell_weight))
+        polar.append((math.log(abs(phi_val)) if phi_val else -math.inf, cmath.phase(phi_val)))
 
     # the one term magnitude, a row per term and a column per N of the
     # doubling grid, for admission, the bound sum and the Theta table:
@@ -442,10 +464,11 @@ def _double_until(
             f"N <= {n_max}", entries=violations,
         )
 
-    # phi at a monomial's frequencies does not depend on N: one evaluator
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
-    diagonal = _Diagonal(spec, grid)
+    terms = _TermImages(
+        grid, keys, freqs, weights, polar, seeds, k, alphas, targets.values()
+    )
     counted_bounds = log_bound[counted]
 
     def bound_sum(col):
@@ -455,41 +478,30 @@ def _double_until(
         return total
 
     # the loop stops only at an N whose bound sum is at most epsilon, so it
-    # measures every N up to the first such N* in one kernel call, and each
-    # N past N* in one call of its own
+    # measures every N up to the first such N* in one batch, and each N past
+    # N* in one of its own
     first = next(
         (col for col in range(len(ns)) if bound_sum(col) <= epsilon), len(ns) - 1
     )
     batches = [range(first + 1)] + [[col] for col in range(first + 1, len(ns))]
     trace: list[tuple[int, float]] = []
     for cols in filter(None, batches):
-        built, failure = [], None  # (N, c, generators, monomials) per N
+        batch, failure = [], None  # (N, c) per N
         for N in [ns[col] for col in cols]:
             # an N's error is raised once the N before it are measured
             try:
-                c = [
+                batch.append((N, [
                     solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)
-                ]
+                ]))
             except OverflowError:
-                failure = IterationLimitError(
-                    f"survivor coefficients overflow at N = {N}", trace=trace
-                )
+                failure = f"survivor coefficients overflow at N = {N}"
                 break
-            try:
-                gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
-                    s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
-                ]
-                built.append((N, c, gens, _monomials(gens, alphas)))
-            except (EvaluationRangeError, ValueError) as exc:
-                failure = exc
-                break
-        if built:
-            pairs = [(powers, N) for N, _, _, powers in built]
-            _, dists = diagonal.images(pairs, list(targets.values()))
-            trace += [(N, max(row)) for (N, *_), row in zip(built, dists)]
+        if batch:
+            dists = terms.distances(batch)
+            trace += [(N, max(row)) for (N, _), row in zip(batch, dists)]
         if failure is not None:
-            raise failure
-        N, c, gens, _ = built[-1]
+            raise IterationLimitError(failure, trace=trace)
+        N, c = batch[-1]
         residuals = dict(zip(names, dists[-1]))
         col = cols[-1]
         if trace[-1][1] <= epsilon and bound_sum(col) <= epsilon:
@@ -499,6 +511,9 @@ def _double_until(
             f"residual target {epsilon} not met by N = {n_max}", trace=trace
         )
 
+    gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
+        s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
+    ]
     generators = [gens[perm.index(i)] for i in range(len(gens))]
     theta_table = tuple(
         ThetaEntry(

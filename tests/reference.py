@@ -323,7 +323,7 @@ def double_until(
     # which takes every monomial at each N in one call
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
-    diagonal = witness._Diagonal(spec, grid)
+    diagonal = dynamics._Diagonal(spec, grid)
     counted_bounds = log_bound[counted]
     trace: list[tuple[int, float]] = []
     for col, N in enumerate(ns):
@@ -336,8 +336,8 @@ def double_until(
         gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
-        powers = witness._monomials(gens, alphas)
-        _, (dists,) = diagonal.images([(powers, N)], list(targets.values()))
+        powers = dynamics._monomials(gens, alphas)
+        _, (dists,) = diagonal.images(powers, [N], list(targets.values()))
         residuals = dict(zip(names, dists))
         trace.append((N, max(residuals.values())))
         bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise

@@ -44,9 +44,10 @@ GRID = DiskGrid(radius=1.0, samples=32, circles=3)
 
 
 def distances(diagonal, fs, q, targets):
-    """The images and sup distances of ``diagonal`` at the one pair
-    ``(fs, q)``: one row per sum, one distance per sum and its target."""
-    images, dists = diagonal.images([(fs, q)], targets)
+    """The images and sup distances of ``diagonal`` of the sums ``fs`` at
+    the one iterate count q: one row per sum, one distance per sum and its
+    target."""
+    images, dists = diagonal.images(fs, [q], targets)
     return images[0], dists[0]
 
 
@@ -938,19 +939,19 @@ class TestBatchedKernel:
             else:
                 assert distances(diagonal, fs, q, targets)[1][1] < math.inf
 
-    def assert_pairs_match_one_call_each(self, spec, pairs, targets):
-        """Pairs of sums and iterate counts through one call, against one
-        call per pair: the images and distances bit for bit, or the first
-        error."""
+    def assert_qs_match_one_call_each(self, spec, fs, qs, targets):
+        """Sums at several iterate counts through one call, against one
+        call per iterate count: the images and distances bit for bit, or
+        the first error."""
         diagonal, want = _Diagonal(spec, self.GRID), []
         try:
-            for fs, q in pairs:
+            for q in qs:
                 want.append(distances(diagonal, fs, q, targets))
         except EvaluationRangeError as exc:
             with pytest.raises(EvaluationRangeError, match=re.escape(str(exc))):
-                _Diagonal(spec, self.GRID).images(pairs, targets)
+                _Diagonal(spec, self.GRID).images(fs, qs, targets)
             return
-        images, dists = _Diagonal(spec, self.GRID).images(pairs, targets)
+        images, dists = _Diagonal(spec, self.GRID).images(fs, qs, targets)
         assert images.tobytes() == np.array([image for image, _ in want]).tobytes()
         assert [list(map(float.hex, row)) for row in dists] == [
             list(map(float.hex, row)) for _, row in want
@@ -963,23 +964,23 @@ class TestBatchedKernel:
         fs = [TestDiagonalResidual.random_exppoly(rng, size, scale=0.5) for size in (3, 1, 6)]
         gs = [TestDiagonalResidual.random_exppoly(rng, size, scale=0.5) for size in (2, 4, 1)]
         targets = [TestDiagonalResidual.random_exppoly(rng, 2) for _ in fs]
-        # runs of pairs that share their frequencies, and runs that do not
-        pairs = [(fs, 1), (fs, 7), (gs, 7), (fs, 2**10), (fs, 0), (gs, 2**20), (gs, 3)]
-        self.assert_pairs_match_one_call_each(spec, pairs, targets)
+        # iterate counts in and out of order, 0 and the cap among them
+        self.assert_qs_match_one_call_each(spec, fs, [1, 7, 2**10, 0], targets)
+        self.assert_qs_match_one_call_each(spec, gs, [7, 2**20, 3], targets)
 
     def test_an_earlier_pairs_distance_raises_first(self):
         # the image of 1e308 e^{z/2} at q = 1 overflows on the grid; at
-        # q = 2**20 the power of the next pair overflows
+        # q = 2**20 the power of the other term overflows
         spec, target = CatalogSymbol("cos"), [ExpPoly.zero()]
-        huge, power = [ExpPoly.of([(1e308, 0.5)])], [ExpPoly.of([POWER_OVERFLOW])]
-        pairs = [(huge, 1), (power, 2**20)]
-        self.assert_pairs_match_one_call_each(spec, pairs, target)
+        fs = [ExpPoly.of([(1e308, 0.5), POWER_OVERFLOW])]
+        qs = [1, 2**20]
+        self.assert_qs_match_one_call_each(spec, fs, qs, target)
         with pytest.raises(EvaluationRangeError, match=r"\^1 f - target"):
-            _Diagonal(spec, self.GRID).images(pairs, target)
+            _Diagonal(spec, self.GRID).images(fs, qs, target)
         # with no targets, and with the power first, the power raises
-        for pairs, targets in ((pairs, None), (pairs[::-1], target)):
+        for qs, targets in ((qs, None), (qs[::-1], target)):
             with pytest.raises(EvaluationRangeError, match=r"\|\^1048576 overflows"):
-                _Diagonal(spec, self.GRID).images(pairs, targets)
+                _Diagonal(spec, self.GRID).images(fs, qs, targets)
 
     def test_errors_of_the_first_failing_sum(self):
         # phi overflows in the second sum, a power in the third: the kernel

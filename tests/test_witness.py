@@ -246,7 +246,7 @@ def no_doubling(monkeypatch):
     def refuse(*args):
         raise AssertionError("the doubling started")
 
-    monkeypatch.setattr(witness, "_monomials", refuse)
+    monkeypatch.setattr(witness, "solve_coeff", refuse)
 
 
 def lattice(n_gen, d):
@@ -562,106 +562,163 @@ class TestBatchedEvaluation:
 
 
 class TestOnePlanPerMonomial:
-    """phi at a monomial's frequencies is evaluated once per build and, for
-    the residuals, once per verify, not once per iterate count; the verify's
-    series check evaluates it once more, at all frequencies at once."""
+    """A build evaluates phi once at the survivor frequencies and once at
+    the key frequencies, and never through the diagonal evaluator; a verify
+    evaluates it once per monomial for the residuals, not once per iterate
+    count, and its series check once more, at all frequencies at once."""
 
     @pytest.fixture
     def plan_calls(self, monkeypatch):
-        calls = []
+        calls = {dynamics: [], witness: []}
+        for module in calls:
 
-        def counting(spec, zs):
-            calls.append(np.size(zs))
-            return eval_symbol_array(spec, zs)
+            def counting(spec, zs, module=module):
+                calls[module].append(np.size(zs))
+                return eval_symbol_array(spec, zs)
 
-        monkeypatch.setattr(dynamics, "eval_symbol_array", counting)
+            monkeypatch.setattr(module, "eval_symbol_array", counting)
         return calls
+
+    @staticmethod
+    def check_build(report, p, plan_calls):
+        assert len(report.trace) > 2
+        assert plan_calls[dynamics] == []
+        assert plan_calls[witness] == [p, len(report.theta_table)]
 
     def test_single_generator(self, params, plan_calls):
         seed, target = default_targets_T2(params)
         report = construct_witness_T2(QUAD, 2, seed, target, params=params)
-        assert len(report.trace) > 2
-        assert len(plan_calls) == 2  # f and f^2
-        plan_calls.clear()
+        self.check_build(report, 1, plan_calls)
         verify_witness(QUAD, report, DiskGrid(3.0), 1e-6)
-        assert len(plan_calls) == 2 + 1
+        assert len(plan_calls[dynamics]) == 2 + 1  # f and f^2, then the series
 
     def test_multi_generator(self, plan_calls):
         A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
         multi_params = derive_multi_params(QUAD, A)
         B, seeds = default_multi_targets(multi_params, A.n_generators)
+        plan_calls[witness].clear()
         report = construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
-        assert len(report.trace) > 2
-        assert len(plan_calls) == len(A.exponents)
-        plan_calls.clear()
+        self.check_build(report, 1, plan_calls)
         verify_witness(QUAD, report, DiskGrid(3.0), 1e-5)
-        assert len(plan_calls) == len(A.exponents) + 1
+        assert len(plan_calls[dynamics]) == len(A.exponents) + 1
 
 
 class TestOneKernelCall:
-    """The diagonal kernel takes every monomial at every iterate count up to
-    the first N whose bound sum is within epsilon, N*, at once: one call per
-    build that stops at N*, and per verify one call for the checked q plus
-    one at q = 1."""
+    """A build measures from its expansion terms: it makes no diagonal
+    evaluator and no monomial, and measures every iterate count up to the
+    first N whose bound sum is within epsilon, N*, in one batch.  A verify
+    makes one kernel call for the checked q plus one at q = 1."""
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls = []
         images = dynamics._Diagonal.images
+        init = dynamics._Diagonal.__init__
+        monomials = dynamics._monomials
 
-        def counting(self, pairs, targets=None):
-            calls.append([(len(fs), q) for fs, q in pairs])
-            return images(self, pairs, targets)
+        def counting(self, fs, qs, targets=None):
+            calls.append([(len(fs), q) for q in qs])
+            return images(self, fs, qs, targets)
+
+        def making(self, *args):
+            calls.append("_Diagonal")
+            init(self, *args)
+
+        def multiplying(*args):
+            calls.append("_monomials")
+            return monomials(*args)
 
         monkeypatch.setattr(dynamics._Diagonal, "images", counting)
+        monkeypatch.setattr(dynamics._Diagonal, "__init__", making)
+        monkeypatch.setattr(dynamics, "_monomials", multiplying)
+        return calls
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        calls = []
+        distances = dynamics._TermImages.distances
+
+        def counting(self, batch):
+            calls.append([N for N, _ in batch])
+            return distances(self, batch)
+
+        monkeypatch.setattr(dynamics._TermImages, "distances", counting)
         return calls
 
     @staticmethod
     def check_qs(q):
         return sorted({max(1, q // 4), max(1, q // 2), q})
 
-    def check(self, report, sums, epsilon, kernel_calls):
-        assert kernel_calls == [[(sums, N) for N, _ in report.trace]]
-        kernel_calls.clear()
+    def check(self, report, sums, epsilon, kernel_calls, batches):
+        assert kernel_calls == []
+        assert batches == [[N for N, _ in report.trace]]
         assert verify_witness(QUAD, report, DiskGrid(3.0), epsilon)[0]
         assert report.q >= 8  # so that q = 1 is not a checked q
         checked = [(sums, n) for n in self.check_qs(report.q)]
-        assert kernel_calls == [checked, [(sums, 1)]]
+        assert kernel_calls == ["_monomials", "_Diagonal", checked, [(sums, 1)]]
 
-    def test_single_generator(self, params, kernel_calls):
+    def test_single_generator(self, params, kernel_calls, batches):
         seed, target = default_targets_T2(params)
         report = construct_witness_T2(QUAD, 2, seed, target, params=params)
-        self.check(report, len(report.monomials), 1e-6, kernel_calls)  # f and f^2
+        self.check(report, len(report.monomials), 1e-6, kernel_calls, batches)
 
-    def test_multi_generator(self, kernel_calls):
+    def test_multi_generator(self, kernel_calls, batches):
         A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
         multi_params = derive_multi_params(QUAD, A)
         B, seeds = default_multi_targets(multi_params, A.n_generators)
         report = construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
-        self.check(report, len(A.exponents), 1e-5, kernel_calls)
+        self.check(report, len(A.exponents), 1e-5, kernel_calls, batches)
 
-    def test_past_n_star_one_call_per_n(self, params, kernel_calls):
+    def test_past_n_star_one_call_per_n(self, params, kernel_calls, batches):
         # three targets: the bound sum first falls within epsilon at
         # N* = 2**18, where a residual is still above it, so N = 2**19 and
-        # 2**20 follow one call each before the cap
+        # 2**20 follow one batch each before the cap
         seed, target = default_targets_T2(params, p=3)
         with pytest.raises(IterationLimitError):
             construct_witness_T2(QUAD, 2, seed, target, params=params)
-        assert [[q for _, q in call] for call in kernel_calls] == [
-            [2**j for j in range(3, 19)], [2**19], [2**20]
-        ]
+        assert kernel_calls == []
+        assert batches == [[2**j for j in range(3, 19)], [2**19], [2**20]]
+
+
+#: How far a residual of a build may move from the reference driver's:
+#: the two sum the same terms, grouped differently.
+RESIDUAL_TOL = 1e-11
 
 
 def outcome(build):
-    """What a build gives: its report as JSON, or its error's type and
-    message with the trace it carries, residuals in hex."""
+    """What a build gives: its report as a JSON dict, or its error's type and
+    message with the trace it carries."""
     try:
-        return build().to_json()
+        return json.loads(build().to_json())
     except HyperalgError as exc:
-        trace = getattr(exc, "trace", None)
-        if trace is not None:
-            trace = [(q, r.hex()) for q, r in trace]
-        return type(exc).__name__, str(exc), trace
+        return type(exc).__name__, str(exc), getattr(exc, "trace", None)
+
+
+def assert_same_outcome(got, want):
+    """``got`` is ``want`` exactly, except the residuals of ``residuals``,
+    ``trace`` and an error's trace, which agree within ``RESIDUAL_TOL *
+    max(1, |r|)``."""
+
+    def close(a, b):
+        return abs(a - b) <= RESIDUAL_TOL * max(1.0, abs(b))
+
+    def same_trace(a, b):
+        if a is None or b is None:
+            return a is b
+        return [n for n, _ in a] == [n for n, _ in b] and all(
+            close(x, y) for (_, x), (_, y) in zip(a, b)
+        )
+
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert got[:2] == want[:2]
+        assert same_trace(got[2], want[2])
+        return
+    rest = {key: value for key, value in got.items() if key not in ("residuals", "trace")}
+    assert rest == {key: want[key] for key in rest} and got.keys() == want.keys()
+    assert got["residuals"].keys() == want["residuals"].keys()
+    assert all(close(got["residuals"][k], r) for k, r in want["residuals"].items())
+    assert same_trace(got["trace"], want["trace"])
 
 
 def faulty_solve_coeff(faults):
@@ -691,19 +748,26 @@ MULTI_SETS = (
 )
 
 
-class TestBatchedDoubling:
-    """The doubling that measures every N up to N* in one kernel call gives
-    what the sequential driver of ``reference.double_until`` gives, bit for
-    bit: the report, or the error with its message and trace."""
+def check_against_reference(monkeypatch, build, faults=None):
+    """The outcome of ``build``, after checking it against the sequential
+    driver of ``reference.double_until`` with :func:`assert_same_outcome`."""
+    if faults is not None:
+        monkeypatch.setattr(witness, "solve_coeff", faulty_solve_coeff(faults))
+    got = outcome(build)
+    with monkeypatch.context() as patch:
+        patch.setattr(witness, "_double_until", reference.double_until)
+        assert_same_outcome(got, outcome(build))
+    return got
 
-    @staticmethod
-    def check(monkeypatch, build, faults=None):
-        if faults is not None:
-            monkeypatch.setattr(witness, "solve_coeff", faulty_solve_coeff(faults))
-        got = outcome(build)
-        monkeypatch.setattr(witness, "_double_until", reference.double_until)
-        assert got == outcome(build)
-        return got
+
+class TestBatchedDoubling:
+    """The doubling that measures every N up to N* in one batch, from the
+    expansion terms, gives what the sequential driver of
+    ``reference.double_until`` gives, which builds each N's monomials and
+    measures them with the diagonal evaluator: the report, or the error
+    with its message and trace, the residuals to rounding."""
+
+    check = staticmethod(check_against_reference)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize(
@@ -713,7 +777,7 @@ class TestBatchedDoubling:
         params = derive_witness_params(spec, m)
         seed, target = default_targets_T2(params)
         build = lambda: construct_witness_T2(spec, m, seed, target, params=params)  # noqa: E731
-        assert isinstance(self.check(monkeypatch, build), str)
+        assert isinstance(self.check(monkeypatch, build), dict)
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("exponents", MULTI_SETS)
@@ -726,7 +790,7 @@ class TestBatchedDoubling:
 
     def test_three_targets_reach_the_iterate_cap(self, params, monkeypatch):
         # N* = 2**18 does not finish, and the N past it are measured one
-        # call each
+        # batch each
         seed, target = default_targets_T2(params, p=3)
         build = lambda: construct_witness_T2(QUAD, 2, seed, target, params=params)  # noqa: E731
         name, message, trace = self.check(monkeypatch, build)
@@ -742,6 +806,19 @@ class TestBatchedDoubling:
         name, message, trace = self.check(monkeypatch, build)
         assert (name, len(trace)) == ("IterationLimitError", 15)
         assert message == "survivor coefficients overflow at N = 262144"
+
+    def test_row_past_the_overflow_guard(self, params, monkeypatch):
+        # on a disk of radius 800, exp(lambda z) of f^2's terms at 2w
+        # overflows on the grid while their coefficients are nonzero
+        seed, target = default_targets_T2(params)
+        grid = DiskGrid(800.0)
+        build = lambda: construct_witness_T2(  # noqa: E731
+            QUAD, 2, seed, target, grid=grid, params=params
+        )
+        got = self.check(monkeypatch, build)
+        assert got == (
+            "EvaluationRangeError", "exp argument exceeds the overflow guard on the grid", None
+        )
 
     @pytest.mark.parametrize(
         "faults, error",
@@ -763,6 +840,49 @@ class TestBatchedDoubling:
         build = lambda: construct_witness_T2(QUAD, 2, seed, target, params=params)  # noqa: E731
         got = self.check(monkeypatch, build, faults)
         assert re.search(error, got[1])
+
+
+def panel_builds():
+    """The reference panel: default single-generator targets with p = 1-3
+    terms and m = 2-4 on exp-quadratic, cos and sinc-pi; the set
+    {(3,3,3)}, whose survivor coefficients overflow; and {(2,1),(0,1)}
+    with p = 1-2, all on exp-quadratic."""
+    for name in ("exp-quadratic", "cos", "sinc-pi"):
+        for m in (2, 3, 4):
+            for p in (1, 2, 3):
+                yield pytest.param(CatalogSymbol(name), m, p, id=f"{name}-m{m}-p{p}")
+    for exponents, ps in (([(3, 3, 3)], (1,)), ([(2, 1), (0, 1)], (1, 2))):
+        for p in ps:
+            label = "-".join("".join(map(str, a)) for a in exponents)
+            yield pytest.param(QUAD, ExponentSet.of(exponents), p, id=f"multi-{label}-p{p}")
+
+
+class TestReferencePanel:
+    """Over the panel, a build ends as the reference driver's does: the same
+    outcome type and message, raising at the same N after as many measured
+    iterate counts, or a report that verifies."""
+
+    @pytest.mark.parametrize("spec, shape, p", panel_builds())
+    def test_build_matches_the_reference(self, spec, shape, p, monkeypatch):
+        if isinstance(shape, ExponentSet):
+            params = derive_multi_params(spec, shape)
+            B, seeds = default_multi_targets(params, shape.n_generators, p=p)
+
+            def build():
+                return construct_witness_multi(spec, shape, B, seeds, params=params)
+
+        else:
+            params = derive_witness_params(spec, shape)
+            seed, target = default_targets_T2(params, p=p)
+
+            def build():
+                return construct_witness_T2(spec, shape, seed, target, params=params)
+
+        got = check_against_reference(monkeypatch, build)
+        if isinstance(got, dict):
+            report = WitnessReport.from_dict(got)
+            grid = DiskGrid.from_dict(report.params["grid"])
+            assert verify_witness(spec, report, grid, report.params["epsilon"])[0]
 
 
 class TestDeterminism:
