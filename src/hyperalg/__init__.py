@@ -13,12 +13,7 @@ from .classify import (
     check_T2,
     classify,
 )
-from .dynamics import (
-    apply_symbol,
-    apply_symbol_taylor,
-    sup_distance,
-    verify_witness,
-)
+from .dynamics import verify_witness
 from .errors import (
     ConfigError,
     DerivativeConvergenceError,
@@ -27,12 +22,11 @@ from .errors import (
     HypothesisError,
     IterationLimitError,
     NormalizationError,
-    OracleInputError,
     SearchFailureError,
     TargetPlacementError,
     ThetaMarginError,
 )
-from .exppoly import DiskGrid, ExpPoly, TaylorPoly, mul_exppoly
+from .exppoly import DiskGrid, ExpPoly, mul_exppoly
 from .growth import (
     ConvexRay,
     RayScan,

@@ -8,11 +8,9 @@ straight from its table of expansion terms, with no sum built.
 :func:`verify_witness` ties that evaluator
 to the operator ``sum a_n D^n`` with two checks: phi's Taylor series
 against phi at the report's frequencies, and each power against a
-term-by-term sum that shares no code with :class:`_Diagonal`.
-
-The coefficient-space action :func:`apply_symbol_taylor` is one
-matrix-vector product against a cached table of factorial ratios
-``(k+n)! / k!``.
+term-by-term sum that shares no code with :class:`_Diagonal`.  The
+action of ``sum a_n D^n`` on Taylor coefficients is no pipeline's: the
+tests keep it as the oracle the diagonal action is held to.
 """
 
 from __future__ import annotations
@@ -24,82 +22,9 @@ import operator
 
 import numpy as np
 
-from .errors import DerivativeConvergenceError, EvaluationRangeError, OracleInputError
-from .exppoly import EXP_GUARD, DiskGrid, ExpPoly, TaylorPoly, _exp_row, mul_exppoly
+from .errors import DerivativeConvergenceError, EvaluationRangeError
+from .exppoly import EXP_GUARD, DiskGrid, ExpPoly, _exp_row, mul_exppoly
 from .symbols import SymbolSpec, eval_symbol_array, to_taylor
-
-#: Guard band: Taylor inputs must extend this many coefficients past the
-#: requested output cap (high coefficients feed low ones under D^n).
-TAYLOR_GUARD = 20
-
-
-def apply_symbol(spec: SymbolSpec, f: ExpPoly) -> ExpPoly:
-    """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
-    vals = eval_symbol_array(spec, f.frequencies()).tolist()
-    return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
-
-
-@functools.lru_cache(maxsize=8)
-def _perm_table(K: int, length: int) -> np.ndarray:
-    """Read-only table of ``(k+n)! / k!`` for k <= K and n < length, as the
-    running products ``(k+1)(k+2)...(k+n)``; entries past 1e300 (and all
-    after them in their row) are 0, so they drop out of the sum."""
-    steps = np.ones((K + 1, length))
-    steps[:, 1:] = np.arange(K + 1)[:, None] + np.arange(1, length)
-    with np.errstate(over="ignore"):
-        perm = np.cumprod(steps, axis=1)
-    table = np.where(perm > 1e300, 0.0, perm)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=8)
-def _window_index(K: int, length: int) -> np.ndarray:
-    """Read-only table of ``k + n`` for k <= K and n < length: row k indexes
-    the window ``f_k .. f_{k+length-1}``."""
-    index = np.add.outer(np.arange(K + 1), np.arange(length))
-    index.flags.writeable = False
-    return index
-
-
-def apply_symbol_taylor(
-    phi_taylor: TaylorPoly, f_taylor: TaylorPoly, K: int
-) -> TaylorPoly:
-    """Coefficient-space action ``sum_n a_n D^n``: output coefficient k is
-    ``sum_n a_n * (k+n)! / k! * f_{k+n}``, truncated at K.
-
-    All K+1 outputs come from one matrix-vector product: the table of
-    ``(k+n)! / k!`` (see :func:`_perm_table`) times the windows
-    ``f_k .. f_{k+n}`` of the zero-padded input, gathered through
-    :func:`_window_index`, applied to ``a``.  Terms
-    whose factorial ratio passes 1e300 or whose index ``k + n`` lies past
-    the end of ``f`` are left out.
-
-    ``f_taylor`` must carry at least ``K + TAYLOR_GUARD`` coefficients; the
-    guard band absorbs the downward coefficient flow so the first K+1
-    outputs are trustworthy (for inputs whose tails are already negligible
-    there).
-    """
-    need = K + TAYLOR_GUARD
-    if f_taylor.cap < need or len(f_taylor.coeffs) < need + 1:
-        raise OracleInputError(
-            f"f needs >= {need + 1} coefficients, got {len(f_taylor.coeffs)}"
-        )
-    if len(phi_taylor.coeffs) < 1:
-        raise OracleInputError("phi has no coefficients")
-    a = np.asarray(phi_taylor.coeffs, dtype=complex)
-    padded = np.zeros(K + a.size, dtype=complex)
-    head = f_taylor.coeffs[: padded.size]
-    padded[: len(head)] = head
-    windows = padded[_window_index(K, a.size)]
-    return TaylorPoly(tuple(((_perm_table(K, a.size) * windows) @ a).tolist()), K)
-
-
-def sup_distance(
-    f: ExpPoly | TaylorPoly, g: ExpPoly | TaylorPoly, grid: DiskGrid
-) -> float:
-    pts = grid.points()
-    return float(np.max(np.abs(f.evaluate_array(pts) - g.evaluate_array(pts))))
 
 
 class _Diagonal:
@@ -117,15 +42,16 @@ class _Diagonal:
     ``phi(l)**q`` is taken in polar form, which stays accurate for q up to
     2**20 where repeated multiplication would drift; each sum's terms are
     added in :meth:`ExpPoly.evaluate_array`'s order, so each distance of
-    :meth:`images` is :func:`sup_distance` of the power bit for bit.  A distance that is not
-    finite raises EvaluationRangeError, and no numpy warning."""
+    :meth:`images` is, bit for bit, the largest ``|image - target|`` of the
+    power's and the target's ``evaluate_array`` on the grid.  A distance
+    that is not finite raises EvaluationRangeError, and no numpy warning."""
 
     def __init__(self, spec: SymbolSpec, grid: DiskGrid):
         self.spec = spec
         self.points = grid.points()
         self._polar: dict[tuple[complex, ...], list[tuple[float, float] | None]] = {}
         self._stacks: dict[tuple, tuple[np.ndarray, list[list[int]]]] = {}
-        self._targets: dict[tuple[ExpPoly | TaylorPoly, ...], np.ndarray] = {}
+        self._targets: dict[tuple[ExpPoly, ...], np.ndarray] = {}
 
     def _coefficients(self, fs: list[ExpPoly], q: int) -> tuple[tuple, np.ndarray]:
         """The stack key of ``fs`` and the coefficients ``c phi(l)**q`` of
@@ -178,7 +104,7 @@ class _Diagonal:
         self,
         fs: list[ExpPoly],
         qs: list[int],
-        targets: list[ExpPoly | TaylorPoly] | None = None,
+        targets: list[ExpPoly] | None = None,
     ) -> tuple[np.ndarray, list[list[float]] | None]:
         """The q-th operator power of each sum of ``fs`` on the grid, for
         every q of ``qs``, indexed by q, sum and grid point; with
@@ -379,7 +305,7 @@ def _series_check(
     phi = eval_symbol_array(spec, freqs)
     radius = max(2.0, 1.25 * max(map(abs, freqs), default=0.0))
     try:
-        coeffs = np.array(to_taylor(spec, SERIES_DEGREE, radius=radius).coeffs)
+        coeffs = to_taylor(spec, SERIES_DEGREE, radius=radius)
     except DerivativeConvergenceError as exc:
         return False, {}, (
             f"phi's Taylor series of degree {SERIES_DEGREE} on the circle of "

@@ -58,9 +58,5 @@ class IterationLimitError(HyperalgError):
         self.trace = trace
 
 
-class OracleInputError(HyperalgError):
-    """A truncated-series input is shorter than the required guard band."""
-
-
 class ConfigError(HyperalgError):
     """An experiment configuration failed schema validation."""

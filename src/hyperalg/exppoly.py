@@ -1,10 +1,11 @@
-"""Exponential polynomials, truncated Taylor series, and evaluation grids.
+"""Exponential polynomials and evaluation grids.
 
 An exponential polynomial is a finite sum ``sum_i c_i * exp(l_i * z)`` with
 nonzero complex coefficients ``c_i`` and pairwise distinct complex
 frequencies ``l_i``.  These are closed under addition, multiplication and
 powers, which is what makes them the exact state space for the dynamics in
-this package.
+this package.  A sum is evaluated on an array of points, under one overflow
+guard, by :meth:`ExpPoly.evaluate_array`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -50,7 +51,8 @@ def _require_all_finite(values, what: str) -> tuple[complex, ...]:
 
 
 def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
-    """``exp(freq * zs)`` on an array of points, guarded like :func:`_guarded_exp`."""
+    """``exp(freq * zs)`` on an array of points; raises EvaluationRangeError
+    when some ``|Re(freq * z)|`` passes EXP_GUARD or is NaN."""
     w = freq * zs
     # not <=, so that a NaN argument raises too
     if w.size and not np.max(np.abs(w.real)) <= EXP_GUARD:
@@ -58,14 +60,6 @@ def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
             "exp argument exceeds the overflow guard on the grid"
         )
     return np.exp(w)
-
-
-def _guarded_exp(w: complex) -> complex:
-    if not abs(w.real) <= EXP_GUARD:
-        raise EvaluationRangeError(
-            f"exp argument real part {w.real:.3g} exceeds the overflow guard", z=w
-        )
-    return cmath.exp(w)
 
 
 @dataclass(frozen=True)
@@ -120,13 +114,6 @@ class ExpPoly:
     def frequencies(self) -> tuple[complex, ...]:
         return tuple(f for _, f in self.terms)
 
-    def evaluate(self, z: ComplexLike) -> complex:
-        z = complex(z)
-        total = 0j
-        for c, f in self.terms:
-            total += c * _guarded_exp(f * z)
-        return total
-
     def evaluate_array(self, zs: np.ndarray) -> np.ndarray:
         zs = np.asarray(zs, dtype=complex)
         out = np.zeros(zs.shape, dtype=complex)
@@ -136,11 +123,6 @@ class ExpPoly:
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         return ExpPoly.of(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return ExpPoly.of(
-            list(self.terms) + [(-c, f) for c, f in other.terms]
-        )
 
 
 def mul_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
@@ -152,49 +134,6 @@ def mul_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
         )
     except ValueError as exc:  # f and g are finite, so a product term overflowed
         raise EvaluationRangeError(f"product overflows: {exc}") from None
-
-
-@dataclass(frozen=True)
-class TaylorPoly:
-    """Truncated Taylor series around 0: ``coeffs[k]`` multiplies ``z**k``."""
-
-    coeffs: tuple[complex, ...]
-    cap: int
-
-    def __post_init__(self):
-        if len(self.coeffs) > self.cap + 1:
-            raise ValueError("coefficient list longer than cap+1")
-
-    @staticmethod
-    def of(coeffs: Sequence[ComplexLike], cap: int | None = None) -> "TaylorPoly":
-        coeffs = tuple(complex(c) for c in coeffs)
-        if cap is None:
-            cap = max(len(coeffs) - 1, 0)
-        return TaylorPoly(coeffs, cap)
-
-    @staticmethod
-    def from_exppoly(f: ExpPoly, cap: int) -> "TaylorPoly":
-        coeffs = [0j] * (cap + 1)
-        for c, freq in f.terms:
-            power = complex(c)
-            for k in range(cap + 1):
-                coeffs[k] += power
-                power = power * freq / (k + 1)
-        return TaylorPoly(tuple(coeffs), cap)
-
-    def evaluate(self, z: ComplexLike) -> complex:
-        z = complex(z)
-        total = 0j
-        for c in reversed(self.coeffs):
-            total = total * z + c
-        return total
-
-    def evaluate_array(self, zs: np.ndarray) -> np.ndarray:
-        zs = np.asarray(zs, dtype=complex)
-        total = np.zeros(zs.shape, dtype=complex)
-        for c in reversed(self.coeffs):
-            total = total * zs + c
-        return total
 
 
 @dataclass(frozen=True)

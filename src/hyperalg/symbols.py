@@ -32,7 +32,6 @@ from .errors import DerivativeConvergenceError, EvaluationRangeError
 from .exppoly import (
     EXP_GUARD,
     ExpPoly,
-    TaylorPoly,
     _require_all_finite,
     _require_finite,
 )
@@ -485,8 +484,9 @@ def _fft_size(n: int) -> int:
     return min(k << (-(-n // k) - 1).bit_length() for k in (1, 3, 5))
 
 
-def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
-    """Truncated Taylor expansion at 0.
+def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> np.ndarray:
+    """The Taylor coefficients of phi at 0 up to ``z**cap``, as a complex
+    array of length ``cap + 1``.
 
     The default contour radius is 2 rather than the small circle used for
     low-order derivatives: high-order coefficients on a sub-unit circle lose
@@ -514,7 +514,7 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> TaylorPoly:
     head, folded = spectrum[: cap + 1], spectrum[samples : samples + cap + 1]
     scale = vals.size * radius ** np.arange(cap + 1)
     coeffs, _ = _converged(head / scale, (head + folded) / scale)
-    return TaylorPoly(tuple(coeffs.tolist()), cap)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

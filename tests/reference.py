@@ -1,16 +1,22 @@
 """Functions the package no longer exports, kept here as the references and
-subjects of the tests that use them."""
+subjects of the tests that use them.
+
+Among them is the coefficient-space oracle: truncated Taylor series
+(:class:`TaylorPoly`) and the action ``sum a_n D^n`` on them
+(:func:`apply_symbol_taylor`), against which the tests hold the package's
+diagonal action on exponential sums."""
 
 import cmath
 import dataclasses
+import functools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from hyperalg import (
     DiskGrid,
     ExpPoly,
-    TaylorPoly,
     dynamics,
     growth,
     mul_exppoly,
@@ -18,7 +24,104 @@ from hyperalg import (
     symbols,
     witness,
 )
-from hyperalg.errors import EvaluationRangeError
+from hyperalg.errors import EvaluationRangeError, HyperalgError
+
+#: Guard band: Taylor inputs must extend this many coefficients past the
+#: requested output cap (high coefficients feed low ones under D^n).
+TAYLOR_GUARD = 20
+
+
+class OracleInputError(HyperalgError):
+    """A truncated-series input is shorter than the required guard band."""
+
+
+def evaluate(f: ExpPoly, z) -> complex:
+    """``f`` at the one point z, term by term under the overflow guard of
+    ``ExpPoly.evaluate_array`` (a NaN argument raises too)."""
+    z = complex(z)
+    total = 0j
+    for c, l in f.terms:
+        w = l * z
+        if not abs(w.real) <= dynamics.EXP_GUARD:
+            raise EvaluationRangeError(
+                f"exp argument real part {w.real:.3g} exceeds the overflow guard", z=w
+            )
+        total += c * cmath.exp(w)
+    return total
+
+
+def sub_exppoly(f: ExpPoly, g: ExpPoly) -> ExpPoly:
+    """``f - g``, canonical."""
+    return ExpPoly.of(list(f.terms) + [(-c, l) for c, l in g.terms])
+
+
+@dataclasses.dataclass(frozen=True)
+class TaylorPoly:
+    """Truncated Taylor series around 0: ``coeffs[k]`` multiplies ``z**k``."""
+
+    coeffs: tuple[complex, ...]
+    cap: int
+
+    def __post_init__(self):
+        if len(self.coeffs) > self.cap + 1:
+            raise ValueError("coefficient list longer than cap+1")
+
+    @staticmethod
+    def of(coeffs: Sequence[complex], cap: int | None = None) -> "TaylorPoly":
+        coeffs = tuple(complex(c) for c in coeffs)
+        if cap is None:
+            cap = max(len(coeffs) - 1, 0)
+        return TaylorPoly(coeffs, cap)
+
+    @staticmethod
+    def from_exppoly(f: ExpPoly, cap: int) -> "TaylorPoly":
+        coeffs = [0j] * (cap + 1)
+        for c, freq in f.terms:
+            power = complex(c)
+            for k in range(cap + 1):
+                coeffs[k] += power
+                power = power * freq / (k + 1)
+        return TaylorPoly(tuple(coeffs), cap)
+
+    def evaluate(self, z) -> complex:
+        z = complex(z)
+        total = 0j
+        for c in reversed(self.coeffs):
+            total = total * z + c
+        return total
+
+    def evaluate_array(self, zs: np.ndarray) -> np.ndarray:
+        zs = np.asarray(zs, dtype=complex)
+        total = np.zeros(zs.shape, dtype=complex)
+        for c in reversed(self.coeffs):
+            total = total * zs + c
+        return total
+
+
+def apply_symbol(spec, f: ExpPoly) -> ExpPoly:
+    """Diagonal action: each term (c, l) becomes (c * phi(l), l)."""
+    vals = dynamics.eval_symbol_array(spec, f.frequencies()).tolist()
+    return ExpPoly.of([(c * val, l) for (c, l), val in zip(f.terms, vals)])
+
+
+def sup_distance(f, g, grid: DiskGrid) -> float:
+    """The largest ``|f - g|`` on ``grid``, of anything with ``evaluate_array``."""
+    pts = grid.points()
+    return float(np.max(np.abs(f.evaluate_array(pts) - g.evaluate_array(pts))))
+
+
+@functools.lru_cache(maxsize=8)
+def _perm_table(K: int, length: int) -> np.ndarray:
+    """Read-only table of ``(k+n)! / k!`` for k <= K and n < length, as the
+    running products ``(k+1)(k+2)...(k+n)``; entries past 1e300 (and all
+    after them in their row) are 0, so they drop out of the sum."""
+    steps = np.ones((K + 1, length))
+    steps[:, 1:] = np.arange(K + 1)[:, None] + np.arange(1, length)
+    with np.errstate(over="ignore"):
+        perm = np.cumprod(steps, axis=1)
+    table = np.where(perm > 1e300, 0.0, perm)
+    table.flags.writeable = False
+    return table
 
 
 def pow_exppoly(f: ExpPoly, n: int) -> ExpPoly:
@@ -139,17 +242,35 @@ def hadamard_trunc(spec, zs) -> np.ndarray:
     return out
 
 
-def apply_symbol_taylor(phi_taylor, f_taylor, K: int) -> TaylorPoly:
-    """``dynamics.apply_symbol_taylor`` with its windows as a sliding-window
-    view of the zero-padded input rather than gathered through an index
-    table; the guard-band checks are left out."""
-    a = np.asarray(phi_taylor.coeffs, dtype=complex)
+def apply_symbol_taylor(a, f_taylor: TaylorPoly, K: int) -> TaylorPoly:
+    """Coefficient-space action ``sum_n a_n D^n`` of phi's Taylor
+    coefficients ``a`` (as :func:`hyperalg.to_taylor` gives them): output
+    coefficient k is ``sum_n a_n * (k+n)! / k! * f_{k+n}``, truncated at K.
+
+    All K+1 outputs come from one matrix-vector product: the table of
+    ``(k+n)! / k!`` (see :func:`_perm_table`) times the sliding windows
+    ``f_k .. f_{k+n}`` of the zero-padded input, applied to ``a``.  Terms
+    whose factorial ratio passes 1e300 or whose index ``k + n`` lies past
+    the end of ``f`` are left out.
+
+    ``f_taylor`` must carry at least ``K + TAYLOR_GUARD`` coefficients; the
+    guard band absorbs the downward coefficient flow so the first K+1
+    outputs are trustworthy (for inputs whose tails are already negligible
+    there).
+    """
+    need = K + TAYLOR_GUARD
+    if f_taylor.cap < need or len(f_taylor.coeffs) < need + 1:
+        raise OracleInputError(
+            f"f needs >= {need + 1} coefficients, got {len(f_taylor.coeffs)}"
+        )
+    a = np.asarray(a, dtype=complex)
+    if a.size < 1:
+        raise OracleInputError("phi has no coefficients")
     padded = np.zeros(K + a.size, dtype=complex)
     head = f_taylor.coeffs[: padded.size]
     padded[: len(head)] = head
     windows = np.lib.stride_tricks.sliding_window_view(padded, a.size)[: K + 1]
-    out = (dynamics._perm_table(K, a.size) * windows) @ a
-    return TaylorPoly(tuple(out.tolist()), K)
+    return TaylorPoly(tuple(((_perm_table(K, a.size) * windows) @ a).tolist()), K)
 
 
 def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: int):
@@ -176,13 +297,13 @@ def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: 
     return fine, errors
 
 
-def to_taylor(spec, cap: int, radius: float = 2.0) -> TaylorPoly:
+def to_taylor(spec, cap: int, radius: float = 2.0) -> np.ndarray:
     """``symbols.to_taylor`` as it was before its estimates came from an
     FFT: both from the dense DFT matrices of ``symbols._dft_phases``, which
     at cap 150 are 151 x 604 and 151 x 1208."""
     samples = max(symbols.CONTOUR_SAMPLES, 4 * (cap + 1))
     coeffs, _ = converged_coeffs(spec, 0j, cap, radius, samples)
-    return TaylorPoly(tuple(coeffs.tolist()), cap)
+    return coeffs
 
 
 def to_json_value(value):

@@ -14,9 +14,6 @@ from hyperalg import (
     ExpPolySymbol,
     ExponentSet,
     PolyTimesExp,
-    TaylorPoly,
-    apply_symbol,
-    apply_symbol_taylor,
     classify,
     construct_witness_T2,
     construct_witness_multi,
@@ -28,9 +25,9 @@ from hyperalg import (
     derivs_at_zero,
     find_convex_ray,
     solve_coeff,
-    sup_distance,
     to_taylor,
 )
+from reference import TaylorPoly, apply_symbol, apply_symbol_taylor, sup_distance
 
 QUAD = CatalogSymbol("exp-quadratic")
 EPS_SINGLE = 1e-6

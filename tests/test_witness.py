@@ -28,7 +28,6 @@ from hyperalg import (
     multinomial_gamma,
     select_weights,
     solve_coeff,
-    sup_distance,
     verify_witness,
 )
 from hyperalg import dynamics, symbols, witness
@@ -41,7 +40,7 @@ from hyperalg.errors import (
     ThetaMarginError,
 )
 import reference
-from reference import apply_symbol_power, pow_exppoly
+from reference import apply_symbol_power, pow_exppoly, sup_distance
 
 QUAD = CatalogSymbol("exp-quadratic")
 
