@@ -7,6 +7,8 @@ witness construction with auditable contraction tables.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .classify import (
     Verdict,
     ZeroSetSummary,
@@ -26,6 +28,7 @@ from .errors import (
     TargetPlacementError,
     ThetaMarginError,
 )
+from .expansion import multinomial_gamma, solve_coeff
 from .exppoly import DiskGrid, ExpPoly, mul_exppoly
 from .growth import (
     ConvexRay,
@@ -64,9 +67,11 @@ from .witness import (
     default_targets_T2,
     derive_multi_params,
     derive_witness_params,
-    multinomial_gamma,
     select_weights,
-    solve_coeff,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names bound above, without the submodules their imports bind
+__all__ = [
+    name for name, value in dict(globals()).items()
+    if not (name.startswith("_") or isinstance(value, _ModuleType))
+]

@@ -1,16 +1,16 @@
-"""Applying a symbol's differential operator, and checking a witness report.
+"""The verifier: applying a symbol's differential operator, and checking a
+witness report.
 
 On an exponential polynomial the operator acts diagonally: the term
 ``c * exp(l z)`` maps to ``c * phi(l) * exp(l z)``; :class:`_Diagonal`
 takes its powers onto a grid, for several sums at several iterate counts in
-one call, and :class:`_TermImages` does the same for the witness builder
-straight from its table of expansion terms, with no sum built.
-:func:`verify_witness` ties that evaluator
-to the operator ``sum a_n D^n`` with two checks: phi's Taylor series
-against phi at the report's frequencies, and each power against a
-term-by-term sum that shares no code with :class:`_Diagonal`.  The
-action of ``sum a_n D^n`` on Taylor coefficients is no pipeline's: the
-tests keep it as the oracle the diagonal action is held to.
+one call.  :func:`verify_witness` ties that evaluator to the operator
+``sum a_n D^n`` with two checks: phi's Taylor series against phi at the
+report's frequencies, and each power against a term-by-term sum that
+shares no code with :class:`_Diagonal`.  The witness builder
+(:mod:`~hyperalg.expansion`) shares no module with this one.  The action
+of ``sum a_n D^n`` on Taylor coefficients is no pipeline's: the tests keep
+it as the oracle the diagonal action is held to.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 
 import numpy as np
 
@@ -32,7 +31,7 @@ class _Diagonal:
     symbol, and their sup distances to targets there, for one tuple of sums
     at several iterate counts in one call.  It serves :func:`verify_witness`
     and the tests' sequential reference of the witness builder; the builder
-    itself measures with :class:`_TermImages`.
+    itself measures from its table of terms.
 
     It keeps ``log|phi|`` and ``arg phi`` at each frequency tuple from one
     evaluation (a set at which phi overflows raises and is not kept), one
@@ -153,114 +152,6 @@ class _Diagonal:
     def image(self, fs: list[ExpPoly], q: int) -> np.ndarray:
         """:meth:`images` at the one iterate count q: one row per sum."""
         return self.images(fs, [q])[0][0]
-
-
-class _TermImages:
-    """The residuals of a witness build's monomials at given iterate
-    counts, from its expansion keys (see
-    :func:`~hyperalg.witness._double_until`): the diagonal action on a table
-    of expansion terms rather than on exponential sums.
-
-    It keeps each monomial's keys in the order of their frequencies, with
-    their rows ``exp(lambda z)`` on the grid (a row past the overflow guard
-    as exp(0)), and the targets' values there once they are needed."""
-
-    def __init__(self, grid, keys, freqs, weights, polar, seeds, k, alphas, targets):
-        self.keys, self.freqs, self.weights = keys, freqs, weights
-        self.seeds, self.k = seeds, k
-        self.targets, self.target_values = list(targets), None
-        self.points = grid.points()
-        self.v = np.array([v for _, v, *_ in keys]).reshape(len(keys), -1)
-        _, self.log_weight, self.arg_weight, self.ell_weight = map(
-            np.array, zip(*weights)
-        )
-        self.log_phi, self.arg_phi = np.array(polar, dtype=float).T
-        w = np.multiply.outer(np.array(freqs, dtype=complex), self.points)
-        self.fits = np.max(np.abs(w.real), axis=1) <= EXP_GUARD
-        w[~self.fits] = 0
-        rows = np.exp(w)
-        self.monomials = []  # (key indices, their rows) per monomial
-        for alpha in alphas:
-            index = sorted(
-                (i for i, key in enumerate(keys) if key[3] == alpha),
-                key=lambda i: (freqs[i].real, freqs[i].imag),
-            )
-            self.monomials.append((index, rows[index]))
-
-    def distances(self, batch: list[tuple[int, list[complex]]]) -> list[list[float]]:
-        """The sup distance of every monomial's image to its target, one row
-        per ``(N, c)`` of ``batch``; raises the first error of measuring
-        one N at a time."""
-        ns = np.array([N for N, _ in batch], dtype=float)[:, None]
-        c = np.array([cs for _, cs in batch], dtype=complex)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_c, arg_c = np.log(np.abs(c)), np.angle(c)  # -inf where c_j = 0
-            log_mod = self.log_weight - np.log(ns) * self.ell_weight
-            phase = self.arg_weight + 0 * ns  # one row per N
-            for j, vj in enumerate(self.v.T):
-                log_mod = log_mod + np.where(vj > 0, vj * log_c[:, j, None], 0.0)
-                phase = phase + vj * arg_c[:, j, None]
-            coef = np.exp(log_mod + 1j * phase)  # each term's own coefficient
-            log_power = ns * self.log_phi
-            # a power past the guard raises unless its coefficient is 0
-            power = np.exp(np.minimum(log_power, EXP_GUARD) + 1j * (ns * self.arg_phi))
-            terms = coef * power
-            fails = (
-                ~np.isfinite(coef)
-                | ((log_power > EXP_GUARD) & (coef != 0))
-                | ((terms != 0) & ~self.fits)
-            ).any(axis=1)
-        clean = int(np.argmax(fails)) if fails.any() else len(batch)
-        if clean == 0:
-            self._raise(batch[0], coef[0], log_power[0], terms[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.target_values is None:
-                self.target_values = [t.evaluate_array(self.points) for t in self.targets]
-            dists = np.array([
-                np.max(np.abs(terms[:clean, index] @ rows - values), axis=1)
-                for (index, rows), values in zip(self.monomials, self.target_values)
-            ]).T
-        for (N, _), row in zip(batch, dists.tolist()):
-            if not all(map(math.isfinite, row)):  # the image, the target or their difference
-                raise EvaluationRangeError(
-                    f"|phi(D)^{N} f - target| overflows on the grid"
-                )
-        if clean < len(batch):
-            self._raise(batch[clean], coef[clean], log_power[clean], terms[clean])
-        return dists.tolist()
-
-    def _raise(self, at, coef, log_power, terms):
-        """Raises the error of the one N of ``at = (N, c)``, in the order
-        of the product chain and then of the diagonal evaluator."""
-        N, c = at
-        for index, _ in self.monomials:
-            for i in index:
-                if not cmath.isfinite(coef[i]):
-                    raise EvaluationRangeError(
-                        "product overflows: coefficient must be finite, got "
-                        f"{self._linear(i, N, c)!r}"
-                    )
-        for index, _ in self.monomials:
-            for i in index:
-                if coef[i] != 0 and log_power[i] > EXP_GUARD:
-                    l = self.freqs[i]
-                    raise EvaluationRangeError(
-                        f"|phi({l})|^{N} overflows double precision", z=l
-                    )
-            for i in index:
-                if terms[i] != 0 and not self.fits[i]:
-                    _exp_row(self.freqs[i], self.points)  # raises
-
-    def _linear(self, i, N, c) -> complex:
-        """Key i's coefficient in linear arithmetic, factor by factor."""
-        u, v, ell, *_ = self.keys[i]
-        factors = [
-            a for row, s in zip(u, self.seeds)
-            for uij, (a, _) in zip(row, s.terms) for _ in range(uij)
-        ]
-        factors += [cj for vj, cj in zip(v, c) for _ in range(vj)]
-        factors += [N**-ki for e, ki in zip(ell, self.k[1:]) for _ in range(e)]
-        return functools.reduce(operator.mul, factors, self.weights[i][0])
 
 
 def _monomials(gens: list[ExpPoly], alphas) -> list[ExpPoly]:
@@ -392,17 +283,18 @@ def verify_witness(
     Returns whether the report passed, the worst residual over the
     monomials at q/4, q/2 and q as ``(q, residual)`` pairs, and the reason
     for each check that was skipped, by name ("series" for (a)).  A report
-    whose q is below 1 fails before any image is taken (``phi(D)**0`` is
-    the identity, so any generator would pass with its own monomials as
-    targets), with an empty trace and the reason under "q".  So does a
-    report whose every target is zero (a monomial missing from ``targets``
-    has target 0): any generator whose images decay would pass it.  Its
-    reason is under "target".
+    whose q is below 1 fails before any monomial is multiplied out
+    (``phi(D)**0`` is the identity, so any generator would pass with its
+    own monomials as targets), with an empty trace and the reason under
+    "q".  So does a report whose every target is zero (a monomial missing
+    from ``targets`` has target 0): any generator whose images decay would
+    pass it.  Its reason is under "target".
 
     ``report`` is a :class:`~hyperalg.witness.WitnessReport`.  A zero
-    generator, an empty list of monomials or an exponent tuple without one
-    non-negative entry per generator raises ValueError; a monomial whose
-    coefficients or residual are not finite raises EvaluationRangeError.
+    generator or an empty list of monomials raises ValueError, and so does
+    an exponent tuple without one non-negative entry per generator once the
+    q and target checks pass; then a monomial whose coefficients or
+    residual are not finite raises EvaluationRangeError.
     """
     generators: list[ExpPoly] = list(report.generators)
     q = int(report.q)
@@ -413,12 +305,12 @@ def verify_witness(
     if not alphas:
         raise ValueError("the report has no monomial to check")
 
-    powers = _monomials(generators, alphas)
     if q < 1:
         return False, (), {"q": f"q = {q} is below 1, so no check ran"}
     targets = [report.targets.get(alpha, ExpPoly.zero()) for alpha in alphas]
     if all(t.is_zero for t in targets):
         return False, (), {"target": "every target is zero, so no check ran"}
+    powers = _monomials(generators, alphas)
     diagonal = _Diagonal(spec, grid)
     qs = sorted({max(1, q // 4), max(1, q // 2), q})
     images, residuals = diagonal.images(powers, qs, targets)

@@ -13,22 +13,9 @@ powers near zero.  Two constructions are provided:
   f_i = L_i + n^{-k_i}, where the weights k_i make the monomial exponents
   separable and a distinguished exponent beta receives the target.
 
-Both run on one engine.  The single generator is the multi-generator scheme
-with one generator, monomials f, ..., f^m, beta = (m,) and K_beta = 0.  Each
-construction lists the terms of its expansion once, as keys.  The engine,
-:func:`_double_until`, evaluates one log-magnitude formula for every term at
-every iterate count N of the doubling grid, in one table; the table admits
-the terms, gives the bound sum at each N and fills the report's Theta table.
-Then N doubles.  The loop cannot stop at an N whose bound sum is above
-epsilon, so the table fixes the first N where it could, N*, before the loop
-starts: the engine solves the survivor coefficients of every N up to N* and
-measures every monomial's residual at all of them in one batch.  Only when
-a residual at N* is still above epsilon does it go on, one N and one batch
-at a time.  The residuals come from the same table of terms: each term's
-row exp(lambda z) on the grid is taken once per build, and at each N a
-monomial's image is the sum of its terms, each the term's coefficient at N
-times phi(lambda)**N, on their rows.  No N gets generators or monomials of
-its own; the generators are built once, at the final N.
+Both run on one engine, :mod:`~hyperalg.expansion`: each construction
+places its windows, seeds and targets, lists its expansion keys and leaves
+the iterate doubling to the engine's table of terms.
 
 Everything chosen (windows, radii, margins, iterate counts) is recorded in
 the returned report, and every contraction ratio Theta of the expansion is
@@ -38,21 +25,14 @@ tabulated so the decay argument can be audited term by term.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EvaluationRangeError,
-    HypothesisError,
-    IterationLimitError,
-    SearchFailureError,
-    TargetPlacementError,
-    ThetaMarginError,
-)
+from .errors import HypothesisError, SearchFailureError, TargetPlacementError
+from .expansion import _double_until, _expansion_keys
 from .exppoly import DiskGrid, ExpPoly
 from .growth import (
     MODULUS_MARGIN,
@@ -72,13 +52,9 @@ from .symbols import (
     exppoly_from_json,
     to_json_value,
 )
-from .dynamics import _TermImages
 
 #: Iterate counts are doubled from 8 up to this cap.
 N_MAX_DEFAULT = 2**20
-
-#: Total degree cap for the multinomial weight computation.
-GAMMA_DEGREE_CAP = 64
 
 #: Length bound of the convex ray that places the multi-generator windows.
 MULTI_RAY_DELTA = 2.0
@@ -90,109 +66,6 @@ DECAY_RAY_ANGLES.flags.writeable = False
 
 #: Default residual tolerance of a build, and of verifying its report, by kind.
 DEFAULT_EPSILON = {"single": 1e-6, "multi": 1e-5}
-
-
-# ---------------------------------------------------------------------------
-# Coefficient equation and lattice combinatorics
-# ---------------------------------------------------------------------------
-
-
-def solve_coeff(b: complex, m: int, phi_val: complex, N: int) -> complex:
-    """Principal solution c of ``c**m * phi_val**N = b``.
-
-    Magnitudes are handled in log space so the answer stays finite for N up
-    to 2**20; requires |phi_val| > 1 so that |c| decreases in N.
-    """
-    b, phi_val = complex(b), complex(phi_val)
-    if b == 0:
-        raise ValueError("target coefficient must be nonzero")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if abs(phi_val) <= 1 + MODULUS_MARGIN:
-        raise HypothesisError(
-            f"|phi| = {abs(phi_val):.9f} at the survivor frequency; need > 1"
-        )
-    log_mag = (math.log(abs(b)) - N * math.log(abs(phi_val))) / m
-    arg = (math.atan2(b.imag, b.real) - N * math.atan2(phi_val.imag, phi_val.real)) / m
-    return cmath.exp(complex(log_mag, arg))
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative integers summing to ``total``."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multi_lattice(alpha, p):
-    """All (u, v, ell) of f^alpha for N = len(alpha) generators: u a tuple
-    of N vectors in N_0^p, v in N_0^p, ell in N_0^{N-1}, with
-    |u_1| + |v| = alpha_1 and |u_i| + ell_i = alpha_i."""
-    first_splits = [
-        (u1, v)
-        for v_total in range(alpha[0] + 1)
-        for u1 in _compositions(alpha[0] - v_total, p)
-        for v in _compositions(v_total, p)
-    ]
-    rest_options = [
-        [
-            (ui, alpha[i] - u_total)
-            for u_total in range(alpha[i] + 1)
-            for ui in _compositions(u_total, p)
-        ]
-        for i in range(1, len(alpha))
-    ]
-    return [
-        ((u1, *(ui for ui, _ in rest)), v, tuple(ell_i for _, ell_i in rest))
-        for u1, v in first_splits
-        for rest in itertools.product(*rest_options)
-    ]
-
-
-def _expansion_keys(exponents, beta, p, case):
-    """Expansion tuples ``(u, v, ell, alpha, case, counted)`` of every
-    monomial f^alpha, alpha in ``exponents``, with ``case(|u|, v)`` its
-    decay case.  The survivors (u = 0, v = m e_j with m = beta_1) of the
-    distinguished monomial beta carry the target and are not counted; for
-    any other alpha the survivor shape forces alpha_1 = m, so the weight
-    separation of :func:`select_weights` makes the term decay in N."""
-    m = beta[0]
-    keys = []
-    for alpha in exponents:
-        for u, v, ell in _multi_lattice(alpha, p):
-            usum = sum(map(sum, u))
-            survivor = alpha == beta and usum == 0 and max(v) == m == sum(v)
-            keys.append((u, v, ell, alpha, case(usum, v), not survivor))
-    return keys
-
-
-def multinomial_gamma(u, v, a) -> complex:
-    """Expansion weight ``(|u|+|v|)! * prod a_i^{u_i} / (u_i! v_i!)``."""
-    u, v = tuple(int(x) for x in u), tuple(int(x) for x in v)
-    total = sum(u) + sum(v)
-    if total > GAMMA_DEGREE_CAP:
-        raise ValueError(f"total degree {total} beyond supported cap")
-    denom = 1
-    for x in list(u) + list(v):
-        denom *= math.factorial(x)
-    weight = complex(math.factorial(total) / denom)
-    for ai, ui in zip(a, u):
-        weight *= complex(ai) ** ui
-    return weight
-
-
-def _contraction(phi_val: complex, v, phi_surv, m: int):
-    """``(log|phi_val|, Theta)``: the term's eigenvalue ``phi_val`` against
-    the survivor eigenvalues ``phi_surv`` weighted by ``v / m``."""
-    log_phi = math.log(max(abs(phi_val), 1e-300))
-    log_den = sum(
-        (vi / m) * math.log(abs(pv)) for vi, pv in zip(v, phi_surv) if vi
-    )
-    return log_phi, math.exp(log_phi - log_den)
 
 
 # ---------------------------------------------------------------------------
@@ -331,211 +204,6 @@ class WitnessParams:
     m: int
     lambda_window: tuple[complex, complex]
     margins: dict
-
-
-# ---------------------------------------------------------------------------
-# Expansion terms and the iterate-doubling engine
-# ---------------------------------------------------------------------------
-
-
-def _double_until(
-    spec, m, seeds, target, keys, targets, grid, epsilon, n_max,
-    perm=(0,), k=(1.0,), K_beta=0,
-):
-    """Iterate doubling behind both constructions.
-
-    Generator 1 is ``seeds[0] + sum_j c_j(N) exp(gamma_j z)``, with gamma_j
-    the target frequencies over m and ``c_j**m phi(m gamma_j)**N = b_j
-    N**K_beta``; generator i >= 2 is ``seeds[i-1] + N**-k[i-1]``.  Slot i
-    here is the caller's generator ``perm[i]``; ``targets`` is keyed by the
-    caller's exponents, everything else is in slot order.
-
-    ``keys`` lists every monomial's expansion tuples ``(u, v, ell, alpha,
-    case, counted)`` from :func:`_expansion_keys`, grouped by monomial:
-    u[i][j] factors of seed term j of generator i, v[j] of survivor j and
-    ell[i-1] of N**-k[i].  N doubles from 8 until each monomial is within
-    epsilon of its target and so is the bound sum of the counted terms.
-
-    The bound sum at every N of the doubling grid comes from the term table,
-    which is built before the loop, so the first N whose bound sum is within
-    epsilon, N*, is known before any N is measured: no N below it can end
-    the loop.  Every N from 8 to N* is therefore measured in one batch, and
-    each N past N* (when a residual at N* is still above epsilon) in one of
-    its own.
-
-    The measurement reads the term table too; no N gets generators or
-    monomials of its own.  Each key's row ``exp(lambda z)`` on the grid is
-    taken once per build (a row past the overflow guard is kept as exp(0)
-    and raises once its term is nonzero), and phi once at the key
-    frequencies.  At each N a key's term is its coefficient ``weight * prod
-    c_j(N)**v_j * N**-(k . ell)``, rounded to a double from its log-modulus
-    and phase, times ``phi(lambda)**N`` in polar form; a monomial's image is
-    the sum of its keys' terms times their rows.  The generators are built
-    once, at the final N.  The trace, the report and each error, with the N
-    that raises it, are those of measuring one N at a time with generators,
-    monomials and the diagonal evaluator of :mod:`~hyperalg.dynamics`, in
-    the order that takes them: the survivor coefficients, then any term
-    coefficient that is not a finite double ("product overflows"), then
-    monomial by monomial ``|phi(lambda)|**N`` past the guard and a nonzero
-    term on a row past it, then a distance that is not finite.  The
-    residuals agree with that measurement to rounding: the sums take the
-    same terms ungrouped where the monomials merge them.
-
-    Returns the report fields and the survivor values c_j^m phi_j^N / N^K.
-    Raises ThetaMarginError first when the bound of a counted term stays
-    above epsilon at every N <= ``n_max``, and IterationLimitError, with the
-    trace so far, when N passes ``n_max`` or the coefficients overflow.
-    """
-    b = [c for c, _ in target.terms]
-    gammas = [f / m for _, f in target.terms]
-    phi_surv = eval_symbol_array(spec, [m * g for g in gammas]).tolist()
-    for g, val in zip(gammas, phi_surv):
-        if abs(val) <= 1 + MODULUS_MARGIN:
-            raise HypothesisError(
-                f"|phi({m * g})| = {abs(val):.9f}; survivor frequencies "
-                "need |phi| > 1"
-            )
-
-    freqs = [
-        sum(
-            uij * f
-            for row, s in zip(u, seeds)
-            for uij, (_, f) in zip(row, s.terms)
-        ) + sum(vj * g for vj, g in zip(v, gammas))
-        for u, v, *_ in keys
-    ]
-    # per key: its contraction ratio, the parts of its log-magnitude that do
-    # not depend on N, the phase of its weight and phi in polar form
-    thetas, logs, weights, polar = [], [], [], []
-    for (u, v, ell, *_), phi_val in zip(keys, eval_symbol_array(spec, freqs).tolist()):
-        log_phi, theta = _contraction(phi_val, v, phi_surv, m)
-        count = math.prod(  # of each generator's power, seeds aside
-            multinomial_gamma(row, w, ())
-            for row, w in zip(u, (v, *((e,) for e in ell)))
-        )
-        log_weight, arg_weight = math.log(abs(count)), 0.0
-        for row, s in zip(u, seeds):
-            for uij, (a, _) in zip(row, s.terms):
-                if uij:
-                    log_weight += uij * math.log(abs(a))
-                    arg_weight += uij * cmath.phase(a)
-        ell_weight = sum(ki * e for ki, e in zip(k[1:], ell))
-        thetas.append(theta)
-        logs.append((log_weight, log_phi, ell_weight))
-        weights.append((count, log_weight, arg_weight, ell_weight))
-        polar.append((math.log(abs(phi_val)) if phi_val else -math.inf, cmath.phase(phi_val)))
-
-    # the one term magnitude, a row per term and a column per N of the
-    # doubling grid, for admission, the bound sum and the Theta table:
-    # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
-    ns = [2**i for i in range(3, int(n_max).bit_length())]
-    n_grid = np.array(ns, dtype=float)  # exact: every N is a power of 2
-    log_n = np.log(n_grid)  # np.log = math.log at powers of 2
-    log_weight, log_phi, ell_weight = np.array(logs, dtype=float).T[:, :, None]
-    log_mag = np.tile(log_weight, len(ns))
-    vs = np.array([v for _, v, *_ in keys])
-    for j, (bj, pv) in enumerate(zip(b, phi_surv)):
-        # in order of j; a term with v_j = 0 adds an exact 0 (log c_j is finite)
-        log_c = (math.log(abs(bj)) + K_beta * log_n - n_grid * math.log(abs(pv))) / m
-        log_mag += vs[:, j, None] * log_c
-    log_mag = log_mag + n_grid * log_phi - ell_weight * log_n
-    # Python's abs, not np.abs: the two round some moduli differently
-    log_bound = log_mag + grid.radius * np.array([abs(f) for f in freqs])[:, None]
-    log_mag, log_bound = np.minimum(log_mag, 700.0), np.minimum(log_bound, 700.0)
-
-    # a counted term whose bound stays above epsilon at every N keeps the
-    # bound sum above epsilon too, so no doubling could finish
-    violations = []
-    counted = [i for i, key in enumerate(keys) if key[5]]
-    if ns:  # an empty grid is left to the iterate cap
-        at = log_bound.argmin(axis=1).tolist()
-        lowest = log_bound.min(axis=1).tolist()
-        for i in counted:
-            bound = math.exp(lowest[i])
-            if bound > epsilon:
-                u, v, _, alpha, case, _ = keys[i]
-                violations.append(dict(
-                    alpha=alpha, u=u, v=v, theta=thetas[i], case=case,
-                    bound=bound, n=ns[at[i]],
-                ))
-    if violations:
-        raise ThetaMarginError(
-            f"{len(violations)} expansion tuples stay above epsilon at every "
-            f"N <= {n_max}", entries=violations,
-        )
-
-    names = [",".join(map(str, alpha)) for alpha in targets]
-    alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
-    terms = _TermImages(
-        grid, keys, freqs, weights, polar, seeds, k, alphas, targets.values()
-    )
-    counted_bounds = log_bound[counted]
-
-    def bound_sum(col):
-        total = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
-        for x in counted_bounds[:, col].tolist():
-            total += math.exp(x)
-        return total
-
-    # the loop stops only at an N whose bound sum is at most epsilon, so it
-    # measures every N up to the first such N* in one batch, and each N past
-    # N* in one of its own
-    first = next(
-        (col for col in range(len(ns)) if bound_sum(col) <= epsilon), len(ns) - 1
-    )
-    batches = [range(first + 1)] + [[col] for col in range(first + 1, len(ns))]
-    trace: list[tuple[int, float]] = []
-    for cols in filter(None, batches):
-        batch, failure = [], None  # (N, c) per N
-        for N in [ns[col] for col in cols]:
-            # an N's error is raised once the N before it are measured
-            try:
-                batch.append((N, [
-                    solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)
-                ]))
-            except OverflowError:
-                failure = f"survivor coefficients overflow at N = {N}"
-                break
-        if batch:
-            dists = terms.distances(batch)
-            trace += [(N, max(row)) for (N, _), row in zip(batch, dists)]
-        if failure is not None:
-            raise IterationLimitError(failure, trace=trace)
-        N, c = batch[-1]
-        residuals = dict(zip(names, dists[-1]))
-        col = cols[-1]
-        if trace[-1][1] <= epsilon and bound_sum(col) <= epsilon:
-            break
-    else:
-        raise IterationLimitError(
-            f"residual target {epsilon} not met by N = {n_max}", trace=trace
-        )
-
-    gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
-        s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
-    ]
-    generators = [gens[perm.index(i)] for i in range(len(gens))]
-    theta_table = tuple(
-        ThetaEntry(
-            u, v, ell, alpha, theta, case,
-            magnitude=math.exp(lm), bound=math.exp(lb),
-        )
-        for (u, v, ell, alpha, case, _), theta, lm, lb in zip(
-            keys, thetas, log_mag[:, col].tolist(), log_bound[:, col].tolist()
-        )
-    )
-    survivor_values = [
-        cj**m
-        * cmath.exp(complex(N * math.log(abs(pv)), N * math.atan2(pv.imag, pv.real)))
-        / N**K_beta
-        for cj, pv in zip(c, phi_surv)
-    ]
-    fields = dict(
-        generators=tuple(generators), q=N, residuals=residuals,
-        theta_table=theta_table, coefficients=tuple(c), trace=tuple(trace),
-        bound_sum=bound_sum(col),
-    )
-    return fields, survivor_values
 
 
 # ---------------------------------------------------------------------------
@@ -701,8 +369,8 @@ def construct_witness_T2(
         spec, m, (seed,), target, keys, targets, grid, epsilon, N_max
     )
     fields["theta_table"] = tuple(
-        replace(e, u=e.u[0], ell=None, alpha=None)
-        for e in fields["theta_table"]
+        ThetaEntry(u[0], v, None, None, *rest)
+        for u, v, _, _, *rest in fields["theta_table"]
     )
     return WitnessReport(
         kind="single",
@@ -967,6 +635,7 @@ def construct_witness_multi(
         spec, m, seeds_perm, B, keys, targets, grid, epsilon, n_max,
         perm=perm, k=k, K_beta=K_beta,
     )
+    fields["theta_table"] = tuple(ThetaEntry(*row) for row in fields["theta_table"])
     return WitnessReport(
         kind="multi",
         m=m,

@@ -18,13 +18,13 @@ from hyperalg import (
     DiskGrid,
     ExpPoly,
     dynamics,
+    expansion,
     growth,
     mul_exppoly,
     scan_ray,
     symbols,
-    witness,
 )
-from hyperalg.errors import EvaluationRangeError, HyperalgError
+from hyperalg.errors import EvaluationRangeError, HyperalgError, IterationLimitError
 
 #: Guard band: Taylor inputs must extend this many coefficients past the
 #: requested output cap (high coefficients feed low ones under D^n).
@@ -360,136 +360,56 @@ def double_until(
     spec, m, seeds, target, keys, targets, grid, epsilon, n_max,
     perm=(0,), k=(1.0,), K_beta=0,
 ):
-    """``witness._double_until`` as it was before every N up to the first
+    """``expansion._double_until`` as it was before every N up to the first
     bound sum within epsilon was measured in one kernel call: one N at a
     time, each N's generators and monomials from ``ExpPoly.of`` and
-    ``mul_exppoly``, and one kernel call per N.  ``witness.solve_coeff`` is
-    looked up on its module at each call, so a test can patch it for both
-    drivers."""
-    b = [c for c, _ in target.terms]
-    gammas = [f / m for _, f in target.terms]
-    phi_surv = witness.eval_symbol_array(spec, [m * g for g in gammas]).tolist()
-    for g, val in zip(gammas, phi_surv):
-        if abs(val) <= 1 + witness.MODULUS_MARGIN:
-            raise witness.HypothesisError(
-                f"|phi({m * g})| = {abs(val):.9f}; survivor frequencies "
-                "need |phi| > 1"
-            )
-
-    freqs = [
-        sum(
-            uij * f
-            for row, s in zip(u, seeds)
-            for uij, (_, f) in zip(row, s.terms)
-        ) + sum(vj * g for vj, g in zip(v, gammas))
-        for u, v, *_ in keys
-    ]
-    # per key: its contraction ratio, and the parts of its log-magnitude
-    # that do not depend on N
-    thetas, logs = [], []
-    for (u, v, ell, *_), phi_val in zip(keys, witness.eval_symbol_array(spec, freqs).tolist()):
-        log_phi, theta = witness._contraction(phi_val, v, phi_surv, m)
-        count = math.prod(  # of each generator's power, seeds aside
-            witness.multinomial_gamma(row, w, ())
-            for row, w in zip(u, (v, *((e,) for e in ell)))
-        )
-        log_weight = math.log(abs(count))
-        for row, s in zip(u, seeds):
-            for uij, (a, _) in zip(row, s.terms):
-                if uij:
-                    log_weight += uij * math.log(abs(a))
-        thetas.append(theta)
-        logs.append((log_weight, log_phi, sum(ki * e for ki, e in zip(k[1:], ell))))
-
-    # the one term magnitude, a row per term and a column per N of the
-    # doubling grid, for admission, the bound sum and the Theta table:
-    # log weight + sum v_j log c_j(N) + N log|phi(freq)| - ell_weight log N
-    ns = [2**i for i in range(3, int(n_max).bit_length())]
-    n_grid = np.array(ns, dtype=float)  # exact: every N is a power of 2
-    log_n = np.log(n_grid)  # np.log = math.log at powers of 2
-    log_weight, log_phi, ell_weight = np.array(logs, dtype=float).T[:, :, None]
-    log_mag = np.tile(log_weight, len(ns))
-    vs = np.array([v for _, v, *_ in keys])
-    for j, (bj, pv) in enumerate(zip(b, phi_surv)):
-        # in order of j; a term with v_j = 0 adds an exact 0 (log c_j is finite)
-        log_c = (math.log(abs(bj)) + K_beta * log_n - n_grid * math.log(abs(pv))) / m
-        log_mag += vs[:, j, None] * log_c
-    log_mag = log_mag + n_grid * log_phi - ell_weight * log_n
-    # Python's abs, not np.abs: the two round some moduli differently
-    log_bound = log_mag + grid.radius * np.array([abs(f) for f in freqs])[:, None]
-    log_mag, log_bound = np.minimum(log_mag, 700.0), np.minimum(log_bound, 700.0)
-
-    # a counted term whose bound stays above epsilon at every N keeps the
-    # bound sum above epsilon too, so no doubling could finish
-    violations = []
-    counted = [i for i, key in enumerate(keys) if key[5]]
-    if ns:  # an empty grid is left to the iterate cap
-        at = log_bound.argmin(axis=1).tolist()
-        lowest = log_bound.min(axis=1).tolist()
-        for i in counted:
-            bound = math.exp(lowest[i])
-            if bound > epsilon:
-                u, v, _, alpha, case, _ = keys[i]
-                violations.append(dict(
-                    alpha=alpha, u=u, v=v, theta=thetas[i], case=case,
-                    bound=bound, n=ns[at[i]],
-                ))
-    if violations:
-        raise witness.ThetaMarginError(
-            f"{len(violations)} expansion tuples stay above epsilon at every "
-            f"N <= {n_max}", entries=violations,
-        )
-
-    # phi at a monomial's frequencies does not depend on N: one evaluator,
-    # which takes every monomial at each N in one call
+    ``mul_exppoly``, and one kernel call per N.  The survivor values, the
+    Theta and bound table and the admission are the engine's own
+    ``expansion._Terms``.  ``expansion.solve_coeff`` is looked up on its
+    module at each call, so a test can patch it for both drivers."""
+    terms = expansion._Terms(spec, m, seeds, target, keys, grid, k, K_beta)
+    ns, log_mag, log_bound = terms.admit(epsilon, n_max)
     names = [",".join(map(str, alpha)) for alpha in targets]
     alphas = [tuple(alpha[i] for i in perm) for alpha in targets]
+    # phi at a monomial's frequencies does not depend on N: one evaluator,
+    # which takes every monomial at each N in one call
     diagonal = dynamics._Diagonal(spec, grid)
-    counted_bounds = log_bound[counted]
     trace: list[tuple[int, float]] = []
     for col, N in enumerate(ns):
         try:
-            c = [witness.solve_coeff(bj * N**K_beta, m, pv, N) for bj, pv in zip(b, phi_surv)]
+            c = [
+                expansion.solve_coeff(bj * N**K_beta, m, pv, N)
+                for bj, pv in zip(terms.b, terms.phi_surv)
+            ]
         except OverflowError:
-            raise witness.IterationLimitError(
+            raise IterationLimitError(
                 f"survivor coefficients overflow at N = {N}", trace=trace
             ) from None
-        gens = [seeds[0] + ExpPoly.of(list(zip(c, gammas)))] + [
+        gens = [seeds[0] + ExpPoly.of(list(zip(c, terms.gammas)))] + [
             s + ExpPoly.of([(N**-ki, 0j)]) for s, ki in zip(seeds[1:], k[1:])
         ]
         powers = dynamics._monomials(gens, alphas)
         _, (dists,) = diagonal.images(powers, [N], list(targets.values()))
         residuals = dict(zip(names, dists))
         trace.append((N, max(residuals.values())))
-        bound_sum = 0.0  # math.exp, in term order: np.exp and np.sum round otherwise
-        for x in counted_bounds[:, col].tolist():
-            bound_sum += math.exp(x)
+        bound_sum = terms.bound_sum(log_bound[:, col])
         if trace[-1][1] <= epsilon and bound_sum <= epsilon:
             break
     else:
-        raise witness.IterationLimitError(
+        raise IterationLimitError(
             f"residual target {epsilon} not met by N = {n_max}", trace=trace
         )
 
-    generators = [gens[perm.index(i)] for i in range(len(gens))]
-    theta_table = tuple(
-        witness.ThetaEntry(
-            u, v, ell, alpha, theta, case,
-            magnitude=math.exp(lm), bound=math.exp(lb),
-        )
-        for (u, v, ell, alpha, case, _), theta, lm, lb in zip(
-            keys, thetas, log_mag[:, col].tolist(), log_bound[:, col].tolist()
-        )
-    )
     survivor_values = [
         cj**m
         * cmath.exp(complex(N * math.log(abs(pv)), N * math.atan2(pv.imag, pv.real)))
         / N**K_beta
-        for cj, pv in zip(c, phi_surv)
+        for cj, pv in zip(c, terms.phi_surv)
     ]
     fields = dict(
-        generators=tuple(generators), q=N, residuals=residuals,
-        theta_table=theta_table, coefficients=tuple(c), trace=tuple(trace),
+        generators=tuple(gens[perm.index(i)] for i in range(len(gens))), q=N,
+        residuals=residuals, coefficients=tuple(c), trace=tuple(trace),
+        theta_table=terms.theta_rows(log_mag[:, col], log_bound[:, col]),
         bound_sum=bound_sum,
     )
     return fields, survivor_values

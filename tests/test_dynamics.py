@@ -469,6 +469,19 @@ class TestVerifySoundness:
         failed = "q" if q < 1 else "target"
         assert (passed, trace, list(skipped)) == (False, (), [failed])
 
+    @pytest.mark.parametrize(
+        "edit, failed", [({"q": 0}, "q"), ({"targets": {}}, "target")]
+    )
+    def test_q_and_target_checks_come_before_the_monomials(self, edit, failed):
+        # f**2 of a generator with a coefficient of 1e200 overflows; a report
+        # that fails the q or the target check must not multiply it out
+        payload = json.loads((DATA / "single-m2.json").read_text())
+        payload["generators"][0][0][0] = [1e200, 0.0]
+        report = WitnessReport.from_dict({**payload, **edit})
+        spec = CatalogSymbol("exp-quadratic")
+        passed, trace, skipped = verify_witness(spec, report, DiskGrid(), 1e-6)
+        assert (passed, trace, list(skipped)) == (False, (), [failed])
+
     def test_trace_is_the_worst_residual_per_iterate_count(self):
         spec, report = CatalogSymbol("exp-quadratic"), fixture_report("multi-20-11-01")
         grid = DiskGrid()

@@ -30,7 +30,7 @@ from hyperalg import (
     solve_coeff,
     verify_witness,
 )
-from hyperalg import dynamics, symbols, witness
+from hyperalg import dynamics, expansion, symbols, witness
 from hyperalg.symbols import eval_symbol_array
 from hyperalg.errors import (
     HyperalgError,
@@ -86,7 +86,7 @@ class TestSolveCoeff:
 def single_keys(p, m):
     """The single builder's expansion keys as one-row (u, v) pairs: the
     counted ones of each power f^j, and the uncounted survivors."""
-    keys = witness._expansion_keys(
+    keys = expansion._expansion_keys(
         [(j,) for j in range(1, m + 1)], (m,), p, lambda usum, v: 0
     )
     layers = {j: set() for j in range(1, m + 1)}
@@ -103,7 +103,7 @@ def reference_lattice(p, m):
     survivors, and the full layers of degree 1..m-1."""
 
     def layer(n):
-        return [(c[:p], c[p:]) for c in witness._compositions(n, 2 * p)]
+        return [(c[:p], c[p:]) for c in expansion._compositions(n, 2 * p)]
 
     survivors = {
         ((0,) * p, tuple(m if i == j else 0 for i in range(p))) for j in range(p)
@@ -245,7 +245,7 @@ def no_doubling(monkeypatch):
     def refuse(*args):
         raise AssertionError("the doubling started")
 
-    monkeypatch.setattr(witness, "solve_coeff", refuse)
+    monkeypatch.setattr(expansion, "solve_coeff", refuse)
 
 
 def lattice(n_gen, d):
@@ -568,7 +568,7 @@ class TestOnePlanPerMonomial:
 
     @pytest.fixture
     def plan_calls(self, monkeypatch):
-        calls = {dynamics: [], witness: []}
+        calls = {dynamics: [], witness: [], expansion: []}
         for module in calls:
 
             def counting(spec, zs, module=module):
@@ -581,8 +581,8 @@ class TestOnePlanPerMonomial:
     @staticmethod
     def check_build(report, p, plan_calls):
         assert len(report.trace) > 2
-        assert plan_calls[dynamics] == []
-        assert plan_calls[witness] == [p, len(report.theta_table)]
+        assert plan_calls[dynamics] == [] == plan_calls[witness]
+        assert plan_calls[expansion] == [p, len(report.theta_table)]
 
     def test_single_generator(self, params, plan_calls):
         seed, target = default_targets_T2(params)
@@ -635,13 +635,13 @@ class TestOneKernelCall:
     @pytest.fixture
     def batches(self, monkeypatch):
         calls = []
-        distances = dynamics._TermImages.distances
+        distances = expansion._Terms.distances
 
         def counting(self, batch):
             calls.append([N for N, _ in batch])
             return distances(self, batch)
 
-        monkeypatch.setattr(dynamics._TermImages, "distances", counting)
+        monkeypatch.setattr(expansion._Terms, "distances", counting)
         return calls
 
     @staticmethod
@@ -677,6 +677,25 @@ class TestOneKernelCall:
             construct_witness_T2(QUAD, 2, seed, target, params=params)
         assert kernel_calls == []
         assert batches == [[2**j for j in range(3, 19)], [2**19], [2**20]]
+
+
+def test_a_build_makes_one_term_table(params, monkeypatch):
+    tables = []
+    init = expansion._Terms.__init__
+
+    def making(self, *args):
+        tables.append("_Terms")
+        init(self, *args)
+
+    monkeypatch.setattr(expansion._Terms, "__init__", making)
+    seed, target = default_targets_T2(params)
+    construct_witness_T2(QUAD, 2, seed, target, params=params)
+    assert tables == ["_Terms"]
+    A = ExponentSet.of([(2, 0), (1, 1), (0, 1)])
+    multi_params = derive_multi_params(QUAD, A)
+    B, seeds = default_multi_targets(multi_params, A.n_generators)
+    construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
+    assert tables == ["_Terms"] * 2
 
 
 #: How far a residual of a build may move from the reference driver's:
@@ -723,7 +742,7 @@ def assert_same_outcome(got, want):
 def faulty_solve_coeff(faults):
     """``solve_coeff`` with each iterate count of ``faults`` spoiled: its
     coefficients times the number there, or the exception class raised."""
-    solve = witness.solve_coeff
+    solve = expansion.solve_coeff
 
     def spoiled(b, m, phi_val, N):
         fault = faults.get(N)
@@ -751,7 +770,7 @@ def check_against_reference(monkeypatch, build, faults=None):
     """The outcome of ``build``, after checking it against the sequential
     driver of ``reference.double_until`` with :func:`assert_same_outcome`."""
     if faults is not None:
-        monkeypatch.setattr(witness, "solve_coeff", faulty_solve_coeff(faults))
+        monkeypatch.setattr(expansion, "solve_coeff", faulty_solve_coeff(faults))
     got = outcome(build)
     with monkeypatch.context() as patch:
         patch.setattr(witness, "_double_until", reference.double_until)
