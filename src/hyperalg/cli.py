@@ -9,6 +9,7 @@ hypothesis failure or budget exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from . import __version__
 from .classify import _structure, _zero_list, classify, growth_record
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
-from .exppoly import GRID_RADIUS, DiskGrid, _require_finite
+from .exppoly import GRID_RADIUS, DiskGrid, ExpPoly, _float_from_json, _int_from_json
 from .growth import scan_ray
 from .symbols import (
     CatalogSymbol,
@@ -58,62 +59,6 @@ _SKIPPED_CHECKS = {
 
 COMMANDS = ("analyze", "classify", "witness", "witness-multi", "verify", "catalog")
 
-_COMPLEX = {
-    "type": "array",
-    "items": {"type": "number"},
-    "minItems": 2,
-    "maxItems": 2,
-}
-_TERMS = {
-    "type": "array",
-    "items": {
-        "type": "array",
-        "items": _COMPLEX,
-        "minItems": 2,
-        "maxItems": 2,
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["command"],
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "symbol": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"type": "string"}},
-        },
-        "seed": {"type": "integer"},
-        "epsilon": {"type": "number", "exclusiveMinimum": 0},
-        "m": {"type": "integer", "minimum": 2},
-        # a 64-bit iterate cap: the doubling grid has one column per power of 2
-        "n_max": {"type": "integer", "minimum": 8, "maximum": 2**62},
-        "grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["radius"],
-            "properties": {
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-                "samples": {"type": "integer", "minimum": 8},
-                "circles": {"type": "integer", "minimum": 2},
-            },
-        },
-        "seed_terms": _TERMS,
-        "target_terms": _TERMS,
-        "seeds_terms": {"type": "array", "items": _TERMS},
-        "exponents": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            "minItems": 1,
-        },
-        "zeros": {"type": "array", "items": _COMPLEX},
-        "report_path": {"type": "string"},
-        "out": {"type": "string"},
-    },
-}
-
 
 def catalog_list() -> list[dict]:
     """Named symbol presets with the verdict the classifier should reach,
@@ -132,9 +77,9 @@ def catalog_list() -> list[dict]:
     )
 
 
-def _load_config(args) -> dict:
-    import jsonschema  # here, its only user: it is slow to import
-
+def _load_config(args):
+    """The config file's JSON value (``{}`` without a file) with the flags
+    laid over it; :func:`_read_values` checks the result."""
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -142,48 +87,99 @@ def _load_config(args) -> dict:
             raise ConfigError(f"cannot read config: {exc}") from exc
     else:
         config = {}
-    if args.command:
-        config["command"] = args.command
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.epsilon is not None:
-        config["epsilon"] = args.epsilon
-    if args.n_max is not None:
-        config["n_max"] = args.n_max
-    if args.grid_radius is not None or args.grid_samples is not None:
-        grid = dict(config.get("grid", {"radius": GRID_RADIUS}))
-        if args.grid_radius is not None:
-            grid["radius"] = args.grid_radius
-        if args.grid_samples is not None:
-            grid["samples"] = args.grid_samples
-        config["grid"] = grid
-    if args.out is not None:
-        config["out"] = args.out
-    try:
-        jsonschema.validate(config, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    if type(config) is not dict:  # rejected by _read_values, flags or not
+        return config
+    flags = {
+        "command": args.command,
+        "seed": args.seed,
+        "epsilon": args.epsilon,
+        "n_max": args.n_max,
+        "out": args.out,
+    }
+    config.update((key, value) for key, value in flags.items() if value is not None)
+    grid_flags = [("radius", args.grid_radius), ("samples", args.grid_samples)]
+    grid_flags = {key: value for key, value in grid_flags if value is not None}
+    grid = config.get("grid", {"radius": GRID_RADIUS})
+    if grid_flags and type(grid) is dict:  # any other grid is rejected
+        config["grid"] = {**grid, **grid_flags}
     return config
 
 
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_typed(kind: type, raw):
+    """``raw`` when it is a JSON object, array or string (``kind`` dict,
+    list or str); anything else raises TypeError."""
+    if type(raw) is not kind:
+        raise TypeError(f"expected {_JSON_NAMES[kind]}, got {type(raw).__name__}")
+    return raw
+
+
+def _int_between(low: int, high: float):
+    """The reader of JSON integers from ``low`` to ``high``."""
+
+    def read(raw) -> int:
+        value = _int_from_json(raw)
+        if not low <= value <= high:
+            raise ValueError(f"expected an integer from {low} to {high}, got {value}")
+        return value
+
+    return read
+
+
+def _positive_float(raw) -> float:
+    value = _float_from_json(raw)
+    if not 0 < value < math.inf:
+        raise ValueError(f"expected a finite positive number, got {value!r}")
+    return value
+
+
+def _terms(raw) -> ExpPoly:
+    return exppoly_from_json(_json_typed(list, raw))
+
+
+#: The reader of each config key but ``command``, the keys of the README's
+#: table: the value as the pipelines take it.
+_READERS = {
+    "symbol": lambda raw: symbol_from_dict(_json_typed(dict, raw)),
+    "zeros": lambda raw: _zero_list(complexes_from_json(raw)),
+    "m": _int_between(2, math.inf),
+    "seed_terms": _terms,
+    "target_terms": _terms,
+    "exponents": lambda raw: ExponentSet.of(tuple(map(_int_from_json, a)) for a in raw),
+    "seeds_terms": lambda raw: [_terms(t) for t in _json_typed(list, raw)],
+    "epsilon": _positive_float,
+    # a 64-bit iterate cap: the doubling grid has one column per power of 2
+    "n_max": _int_between(8, 2**62),
+    "grid": lambda raw: DiskGrid.from_dict(_json_typed(dict, raw)),
+    "report_path": functools.partial(_json_typed, str),
+    "seed": _int_from_json,
+    "out": functools.partial(_json_typed, str),
+}
+
+
 def _read_values(config) -> dict:
-    """Each structured config value as the object the pipelines take.  The
-    schema admits some values no pipeline can take (a zero exponent tuple, a
-    NaN coefficient, a zero at the origin, an integer too large for a
-    double): reading one raises KeyError, OverflowError, TypeError or
-    ValueError, and that is a config error."""
-    readers = {
-        "symbol": symbol_from_dict,
-        "epsilon": lambda eps: _require_finite(eps, "epsilon").real,
-        "grid": DiskGrid.from_dict,
-        "zeros": lambda raw: _zero_list(complexes_from_json(raw)),
-        "seed_terms": exppoly_from_json,
-        "target_terms": exppoly_from_json,
-        "seeds_terms": lambda raw: [exppoly_from_json(t) for t in raw],
-        "exponents": ExponentSet.of,
-    }
+    """Each config value as the object the pipelines take, read by the
+    reader of its key; the one check of a config, for :func:`main` and
+    :func:`run` alike.  A config that is no JSON object, has no ``command``
+    of ``COMMANDS`` or has a key of no reader is rejected.  A value its
+    reader cannot take raises KeyError, OverflowError, TypeError or
+    ValueError, and that is a config error naming the key: every integer is
+    read by ``_int_from_json`` (an integral float is none) and every number
+    by ``_float_from_json`` (a bool or a string is none)."""
+    if type(config) is not dict:
+        kind = type(config).__name__
+        raise ConfigError(f"config rejected: expected an object, got {kind}")
+    if "command" not in config:
+        raise ConfigError("config rejected: 'command' is required")
+    if config["command"] not in COMMANDS:
+        raise ConfigError(f"config rejected: unknown 'command' {config['command']!r}")
+    for key in config:
+        if key != "command" and key not in _READERS:
+            raise ConfigError(f"config rejected: unknown key {key!r}")
     values = {}
-    for key, read in readers.items():
+    for key, read in _READERS.items():
         if key in config:
             try:
                 values[key] = read(config[key])
@@ -207,18 +203,19 @@ def _load_report(path: str) -> WitnessReport:
 
 
 def run(config: dict) -> dict:
-    """Dispatches one experiment; returns the full report dict (also written
-    to disk by :func:`main`)."""
-    command = config["command"]
+    """Dispatches one experiment, once :func:`_read_values` has read its
+    config; returns the full report dict (also written to disk by
+    :func:`main`)."""
     warnings: list[str] = []
     side_files: dict[str, str] = {}
     started = time.monotonic()
     values = _read_values(config)
+    command = config["command"]
     if command != "catalog" and "symbol" not in values:
         raise ConfigError("this command requires a 'symbol' entry")
     spec = values.get("symbol")
     grid = values.get("grid")  # None: the witness builds take DiskGrid()
-    n_max = int(config.get("n_max", N_MAX_DEFAULT))
+    n_max = values.get("n_max", N_MAX_DEFAULT)
 
     if command == "catalog":
         outcome = {"catalog": catalog_list()}
@@ -241,7 +238,7 @@ def run(config: dict) -> dict:
             "derivative_errors": errs,
         }
     elif command == "witness":
-        m = int(config.get("m", 2))
+        m = values.get("m", 2)
         epsilon = values.get("epsilon", DEFAULT_EPSILON["single"])
         params = derive_witness_params(spec, m)
         if "seed_terms" in values or "target_terms" in values:
@@ -275,10 +272,10 @@ def run(config: dict) -> dict:
         report = construct_witness_multi(
             spec, A, B, values.get("seeds_terms"), epsilon, grid, n_max, params=params
         )
-    elif command == "verify":
-        if "report_path" not in config:
+    else:  # verify
+        if "report_path" not in values:
             raise ConfigError("verify requires 'report_path'")
-        report = _load_report(config["report_path"])
+        report = _load_report(values["report_path"])
         # the default tolerance of the report's kind, never the report's own number
         epsilon = values.get("epsilon", DEFAULT_EPSILON[report.kind])
         passed, trace, skipped = verify_witness(
@@ -297,8 +294,6 @@ def run(config: dict) -> dict:
                 "verification FAILED: a residual exceeds epsilon, or the series"
                 " check (a) or the power check (b) disagrees"
             )
-    else:  # pragma: no cover - schema forbids it
-        raise ConfigError(f"unknown command {command!r}")
     if command in ("witness", "witness-multi"):
         side_files["trace.csv"] = _csv_text(["q", "residual"], report.trace)
         outcome = {"witness": report}
@@ -345,10 +340,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -357,17 +348,21 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     side_files = report.pop("_side_files")
+    command = config["command"]
     out_dir = Path(config.get("out", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / f"{config['command']}-report.json"
-    report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for name, content in side_files.items():
-        (out_dir / f"{config['command']}-{name}").write_text(content)
+    report_path = out_dir / f"{command}-report.json"
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        for name, content in side_files.items():
+            (out_dir / f"{command}-{name}").write_text(content)
+    except OSError as exc:
+        print(f"config error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     print(report_path)
-    if report["warnings"]:
-        for w in report["warnings"]:
-            print(f"warning: {w}", file=sys.stderr)
-    failed = config["command"] == "verify" and not report["outcome"]["verified"]
+    for w in report["warnings"]:
+        print(f"warning: {w}", file=sys.stderr)
+    failed = command == "verify" and not report["outcome"]["verified"]
     return 1 if failed else 0
 
 

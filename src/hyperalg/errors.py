@@ -59,4 +59,5 @@ class IterationLimitError(HyperalgError):
 
 
 class ConfigError(HyperalgError):
-    """An experiment configuration failed schema validation."""
+    """An experiment configuration, or a report it names, holds a value no
+    pipeline can take."""

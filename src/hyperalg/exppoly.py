@@ -50,6 +50,25 @@ def _require_all_finite(values, what: str) -> tuple[complex, ...]:
     return out
 
 
+def _int_from_json(value) -> int:
+    """``value`` when it is a JSON integer; a float or a bool raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+#: The types of the JSON numbers: a bool is none.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _float_from_json(value) -> float:
+    """``value`` as a float when it is a JSON number; a string or a bool
+    raises TypeError."""
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _exp_row(freq: complex, zs: np.ndarray) -> np.ndarray:
     """``exp(freq * zs)`` on an array of points; raises EvaluationRangeError
     when some ``|Re(freq * z)|`` passes EXP_GUARD or is NaN."""
@@ -162,10 +181,16 @@ class DiskGrid:
 
     @staticmethod
     def from_dict(d: dict) -> "DiskGrid":
+        """The grid of ``d``: a finite ``radius`` and optional JSON integers
+        ``samples`` and ``circles``; a missing radius raises KeyError, and
+        another key ValueError."""
+        for key in d:
+            if key not in ("radius", "samples", "circles"):
+                raise ValueError(f"unknown grid key {key!r}")
         return DiskGrid(
-            radius=_require_finite(d["radius"], "grid radius").real,
-            samples=int(d.get("samples", 64)),
-            circles=int(d.get("circles", 4)),
+            radius=_require_finite(_float_from_json(d["radius"]), "grid radius").real,
+            samples=_int_from_json(d.get("samples", 64)),
+            circles=_int_from_json(d.get("circles", 4)),
         )
 
 

@@ -28,9 +28,9 @@ from .symbols import (
     _csv_text,
     _deviation_bound,
     _modulus_at_zero,
+    derivs_at_zero,
     eval_symbol_array,
     eval_symbol_masked,
-    taylor_coeffs_at,
 )
 
 #: "|phi| < 1" is enforced as |phi| <= 1 - MODULUS_MARGIN (and ">" dually).
@@ -87,10 +87,9 @@ class RayScan:
 
 @dataclass(frozen=True)
 class ConvexRay:
-    """A segment from ``w0`` toward ``w1`` on which ``log |phi|`` is strictly
-    increasing with strictly positive second differences."""
+    """A segment from the origin toward ``w1`` on which ``log |phi|`` is
+    strictly increasing with strictly positive second differences."""
 
-    w0: complex
     w1: complex
     theta: float
     eta: float
@@ -332,24 +331,24 @@ def _convex_log_profile(mods: np.ndarray) -> np.ndarray | None:
     return profile if np.all(d1 > 0) and np.all(np.diff(d1) > 0) else None
 
 
-def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
-    """A short segment out of ``w0`` on which log|phi| is strictly increasing
-    and strictly convex (checked on a ``PROFILE_POINTS``-sample grid).
+def find_convex_ray(spec: SymbolSpec, delta: float) -> ConvexRay:
+    """A short segment out of the origin on which log|phi| is strictly
+    increasing and strictly convex (checked on a ``PROFILE_POINTS``-sample
+    grid).
 
-    Requires phi(w0) != 0 and phi''(w0) phi(w0) != phi'(w0)^2 with margin
-    ``CURVATURE_MARGIN`` (after normalizing by |phi(w0)|^2).  The segment
-    direction comes from :func:`convex_direction` applied to the first two
-    nonconstant log-derivative coefficients; its length is halved from
-    ``delta / 2`` until the discrete profile validates.  When additionally phi'(w0) != 0
-    the validated domain extends through ``w0`` to [-1, 1].
+    Requires phi(0) != 0 and phi''(0) phi(0) != phi'(0)^2 with margin
+    ``CURVATURE_MARGIN`` (after normalizing by |phi(0)|^2), each read from
+    :func:`derivs_at_zero`.  The segment direction comes from
+    :func:`convex_direction` applied to the first two nonconstant
+    log-derivative coefficients; its length is halved from ``delta / 2``
+    until the discrete profile validates.  When additionally phi'(0) != 0
+    the validated domain extends through the origin to [-1, 1].
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    w0 = complex(w0)
-    coeffs, _ = taylor_coeffs_at(spec, w0, 2)
-    phi0, phi1, phi2 = coeffs[0], coeffs[1], 2 * coeffs[2]
+    (phi0, phi1, phi2), _ = derivs_at_zero(spec, 2)
     if abs(phi0) < 1e-12:
-        raise HypothesisError("symbol vanishes (numerically) at the base point")
+        raise HypothesisError("symbol vanishes (numerically) at the origin")
     curvature = (phi2 * phi0 - phi1 * phi1) / (phi0 * phi0)
     if abs(curvature) <= CURVATURE_MARGIN:
         raise HypothesisError(
@@ -365,13 +364,12 @@ def find_convex_ray(spec: SymbolSpec, w0: complex, delta: float) -> ConvexRay:
 
     eta = delta / 2
     for _ in range(MAX_HALVINGS):
-        w1 = w0 + eta * cmath.exp(1j * theta)
+        w1 = eta * cmath.exp(1j * theta)
         ts = np.linspace(lo, 1.0, PROFILE_POINTS)
-        zs = w0 + np.multiply.outer(ts, w1 - w0)
+        zs = np.multiply.outer(ts, w1)
         profile = _convex_log_profile(np.abs(eval_symbol_array(spec, zs)))
         if profile is not None:
             return ConvexRay(
-                w0=w0,
                 w1=complex(w1),
                 theta=float(theta),
                 eta=float(eta),

@@ -13,7 +13,7 @@ variants are supported:
 
 All variants evaluate pointwise and on numpy arrays, serialize to a JSON
 dict with a ``kind`` discriminator (complex numbers as ``[re, im]`` pairs,
-bit-exact round trip), and admit contour-integral derivatives at any point.
+bit-exact round trip), and admit contour-integral derivatives at the origin.
 """
 
 from __future__ import annotations
@@ -32,6 +32,9 @@ from .errors import DerivativeConvergenceError, EvaluationRangeError
 from .exppoly import (
     EXP_GUARD,
     ExpPoly,
+    _NUMBER_TYPES,
+    _float_from_json,
+    _int_from_json,
     _require_all_finite,
     _require_finite,
 )
@@ -370,7 +373,7 @@ def eval_symbol(spec: SymbolSpec, z: Union[complex, float]) -> complex:
 # entire functions, with the doubled-sample difference as error estimate).
 # ---------------------------------------------------------------------------
 
-#: Contour radius of :func:`taylor_coeffs_at`, for low-order derivatives.
+#: Contour radius of :func:`derivs_at_zero`, for low-order derivatives.
 DERIV_RADIUS = 0.5
 
 #: Fewest trapezoid samples on a contour; more when more coefficients are
@@ -413,11 +416,11 @@ def _contour_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
     equispaced points of a circle of ``radius`` (:func:`_angles`), times the
     cached DFT matrix of :func:`_dft_phases`.
 
-    It serves :func:`taylor_coeffs_at` (and :func:`derivs_at_zero`), whose
-    values reports carry: classify's second-derivative margin, and the
-    convex ray's ``w_star``, ``w_plus`` and Gamma window.  A dense product
-    rather than an FFT, whose different summation order would move the last
-    bits of those values; its matrices are small at these degrees.
+    It serves :func:`derivs_at_zero`, whose values reports carry: classify's
+    second-derivative margin, and the convex ray's ``w_star``, ``w_plus``
+    and Gamma window.  A dense product rather than an FFT, whose different
+    summation order would move the last bits of those values; its matrices
+    are small at these degrees.
     """
     samples = vals.size
     ks = np.arange(n_max + 1)
@@ -442,35 +445,29 @@ def _converged(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def _converged_coeffs(
-    spec: SymbolSpec, center: complex, n_max: int, radius: float, samples: int
+    spec: SymbolSpec, n_max: int, radius: float, samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients from ``2 * samples`` points, with their distance to the
-    estimate from ``samples`` points as the error (:func:`_converged`).
+    """Coefficients at the origin from ``2 * samples`` points of the circle
+    of ``radius``, with their distance to the estimate from ``samples``
+    points as the error (:func:`_converged`).
 
     phi is evaluated once, on the ``2 * samples`` ring: the even angles of
     that ring are the ``samples`` angles bit for bit, so its even values
     give the coarse estimate.
     """
-    vals = eval_symbol_array(spec, center + radius * _unit_ring(2 * samples))
+    vals = eval_symbol_array(spec, radius * _unit_ring(2 * samples))
     coarse = _contour_coeffs(np.ascontiguousarray(vals[::2]), n_max, radius)
     return _converged(_contour_coeffs(vals, n_max, radius), coarse)
-
-
-def taylor_coeffs_at(
-    spec: SymbolSpec, center: complex, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients of the symbol around ``center`` with error
-    estimates, from the circle of radius ``DERIV_RADIUS``; raises
-    :class:`DerivativeConvergenceError` when the estimates disagree."""
-    samples = max(CONTOUR_SAMPLES, 2 * (n_max + 1))
-    return _converged_coeffs(spec, center, n_max, DERIV_RADIUS, samples)
 
 
 def derivs_at_zero(
     spec: SymbolSpec, n_max: int
 ) -> tuple[tuple[complex, ...], tuple[float, ...]]:
-    """Derivatives at the origin with per-entry error estimates."""
-    coeffs, errors = taylor_coeffs_at(spec, 0j, n_max)
+    """Derivatives 0..n_max at the origin with per-entry error estimates,
+    from the circle of radius ``DERIV_RADIUS``; raises
+    :class:`DerivativeConvergenceError` when the estimates disagree."""
+    samples = max(CONTOUR_SAMPLES, 2 * (n_max + 1))
+    coeffs, errors = _converged_coeffs(spec, n_max, DERIV_RADIUS, samples)
     facts = np.array([math.factorial(k) for k in range(n_max + 1)], dtype=float)
     return tuple(complex(v) for v in coeffs * facts), tuple(
         float(e) for e in errors * facts
@@ -492,7 +489,7 @@ def to_taylor(spec: SymbolSpec, cap: int, radius: float = 2.0) -> np.ndarray:
     low-order derivatives: high-order coefficients on a sub-unit circle lose
     one bit of accuracy per order to roundoff amplification ``radius**-n``.
 
-    As :func:`_converged_coeffs` at the origin, on ``samples =
+    As :func:`_converged_coeffs`, on ``samples =
     _fft_size(max(CONTOUR_SAMPLES, 4 (cap + 1)))`` points and their doubled
     ring (1280 points at verify's degree 150), with the same convergence
     test, but both estimates come from one ``np.fft.fft`` of the doubled
@@ -531,12 +528,18 @@ _KINDS = {
 
 
 def complexes_from_json(raw) -> list[complex]:
-    """The ``[re, im]`` pairs of ``raw`` as complex numbers.  A pair is
-    exactly two finite numbers that fit a double; anything else raises
-    ValueError or TypeError (``complex`` takes no string with a second
-    argument)."""
+    """The ``[re, im]`` pairs of ``raw`` as complex numbers, in one pass.  A
+    pair is exactly two finite numbers that fit a double, each a number as
+    :func:`_float_from_json` reads numbers (a bool or a string is none);
+    anything else raises ValueError or TypeError."""
     try:
-        values = [complex(re, im) for re, im in raw]
+        values = [
+            complex(re, im)
+            if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES
+            # one of the two is no number: _float_from_json raises
+            else complex(_float_from_json(re), _float_from_json(im))
+            for re, im in raw
+        ]
     except OverflowError as exc:  # an integer too large for a double
         raise ValueError(str(exc)) from None
     if not all(map(cmath.isfinite, values)):
@@ -552,21 +555,6 @@ def exppoly_from_json(raw) -> ExpPoly:
     """An :class:`ExpPoly` from its ``[coeff, freq]`` terms, each a pair."""
     flat = complexes_from_json([x for c, f in raw for x in (c, f)])
     return ExpPoly.of(zip(flat[::2], flat[1::2]))
-
-
-def _int_from_json(value) -> int:
-    """``value`` when it is a JSON integer; a float or a bool raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _float_from_json(value) -> float:
-    """``value`` as a float when it is a JSON number; a string or a bool
-    raises TypeError."""
-    if type(value) not in (int, float):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _json_key(key) -> str:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HypothesisError, SearchFailureError, TargetPlacementError
 from .expansion import _double_until, _expansion_keys
-from .exppoly import DiskGrid, ExpPoly
+from .exppoly import DiskGrid, ExpPoly, _float_from_json, _int_from_json
 from .growth import (
     MODULUS_MARGIN,
     PROFILE_POINTS,
@@ -44,8 +44,6 @@ from .growth import (
 )
 from .symbols import (
     SymbolSpec,
-    _float_from_json,
-    _int_from_json,
     complexes_from_json,
     eval_symbol,
     eval_symbol_array,
@@ -265,7 +263,7 @@ def derive_witness_params(spec: SymbolSpec, m: int) -> WitnessParams:
         raise HypothesisError(
             "no arithmetic progression found inside the sublevel set |phi| < 1"
         )
-    w_star = find_convex_ray(spec, 0j, delta=min(abs(w) / 2, 0.5)).w1
+    w_star = find_convex_ray(spec, delta=min(abs(w) / 2, 0.5)).w1
     progression_worst = _check_progression(spec, w, m)
 
     def corners(scale):
@@ -502,7 +500,7 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
         raise HypothesisError(f"phi(0) = {phi0}; the construction needs phi(0) = 1")
     d_A = A.max_total
     m = A.max_inf_norm
-    ray = find_convex_ray(spec, 0j, delta=MULTI_RAY_DELTA)
+    ray = find_convex_ray(spec, delta=MULTI_RAY_DELTA)
     w_plus = ray.w1
     same_ray = ray.domain[0] < 0  # two-sided: phi'(0) != 0
     a = 0.9 / (2 * d_A)

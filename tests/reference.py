@@ -273,14 +273,14 @@ def apply_symbol_taylor(a, f_taylor: TaylorPoly, K: int) -> TaylorPoly:
     return TaylorPoly(tuple(((_perm_table(K, a.size) * windows) @ a).tolist()), K)
 
 
-def converged_coeffs(spec, center: complex, n_max: int, radius: float, samples: int):
+def converged_coeffs(spec, n_max: int, radius: float, samples: int):
     """``symbols._converged_coeffs`` with its two rings evaluated apart: phi
     on ``samples`` points for the coarse estimate, then on ``2 * samples``
     points for the fine one."""
 
     def contour_coeffs(n):
         angles = 2 * np.pi * np.arange(n) / n
-        vals = symbols.eval_symbol_array(spec, center + radius * np.exp(1j * angles))
+        vals = symbols.eval_symbol_array(spec, radius * np.exp(1j * angles))
         ks = np.arange(n_max + 1)
         return (symbols._dft_phases(n_max, n) @ vals) / n / radius**ks
 
@@ -302,7 +302,7 @@ def to_taylor(spec, cap: int, radius: float = 2.0) -> np.ndarray:
     FFT: both from the dense DFT matrices of ``symbols._dft_phases``, which
     at cap 150 are 151 x 604 and 151 x 1208."""
     samples = max(symbols.CONTOUR_SAMPLES, 4 * (cap + 1))
-    coeffs, _ = converged_coeffs(spec, 0j, cap, radius, samples)
+    coeffs, _ = converged_coeffs(spec, cap, radius, samples)
     return coeffs
 
 

@@ -246,7 +246,7 @@ def test_criterion_7_convex_profiles():
     failures = []
     for i, spec in enumerate(specs):
         try:
-            ray = find_convex_ray(spec, 0, 0.5)
+            ray = find_convex_ray(spec, 0.5)
         except Exception as exc:  # noqa: BLE001 - counted as a failure
             failures.append(f"#{i}: {type(exc).__name__}")
             continue

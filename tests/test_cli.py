@@ -12,7 +12,7 @@ import pytest
 
 import hyperalg
 from hyperalg import mul_exppoly, symbols
-from hyperalg.cli import CONFIG_SCHEMA, REPORT_SCHEMA, catalog_list, main, run
+from hyperalg.cli import REPORT_SCHEMA, catalog_list, main, run
 from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
@@ -132,7 +132,7 @@ class TestConfigHandling:
             },
             {"command": "classify", "zeros": []},
             {"command": "classify", "zeros": [[0.0, 0.0]]},
-            # r_grid is no config key: the schema rejects it
+            # r_grid is no config key: no reader takes it
             {"command": "classify", "r_grid": [1.0, 2.0, 3.0]},
             {"command": "analyze", "r_grid": [0.0, 1, 2, 3, 4, 5, 6, 7]},
             {"command": "witness", "epsilon": float("nan")},
@@ -228,28 +228,169 @@ class TestConfigHandling:
         assert err.startswith("config error: config rejected") and "'r_grid'" in err
         assert not (tmp_path / f"{command}-report.json").exists()
 
-    def test_jsonschema_is_imported_only_to_validate_a_config(self, tmp_path):
-        # in a fresh interpreter: importing the CLI leaves jsonschema out, and
-        # main still rejects a config that breaks the schema
-        path = write_config(tmp_path, {"command": "classify", "bogus": 1})
-        code = (
+    @pytest.mark.parametrize(
+        "config, code",
+        [({"command": "catalog"}, 0), ({"command": "classify", "bogus": 1}, 2)],
+        ids=["accepted", "bogus-key"],
+    )
+    def test_main_runs_with_jsonschema_unimportable(self, tmp_path, config, code):
+        # in a fresh interpreter where importing jsonschema fails: main takes
+        # a config and rejects a bogus key all the same
+        path = write_config(tmp_path, config)
+        program = (
             "import sys\n"
-            "import hyperalg.cli\n"
-            "assert 'jsonschema' not in sys.modules\n"
-            f"sys.exit(hyperalg.cli.main(['--config', {path!r}]))\n"
+            "sys.modules['jsonschema'] = None\n"
+            "from hyperalg.cli import main\n"
+            f"sys.exit(main(['--config', {path!r}, '--out', {str(tmp_path)!r}]))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code],
+            [sys.executable, "-c", program],
             env=subprocess_env(), capture_output=True, text=True, timeout=60,
         )
-        assert done.returncode == 2, done.stderr
-        assert done.stderr.startswith("config error: config rejected")
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        if code:
+            assert done.stderr.startswith("config error: config rejected")
+        else:
+            assert (tmp_path / "catalog-report.json").exists()
 
-    def test_schema_rejects_nonpositive_epsilon(self):
-        import jsonschema
+    @pytest.mark.parametrize("payload", [[1, 2], "catalog", 3, None])
+    def test_config_that_is_no_object_is_a_config_error(self, tmp_path, capsys, payload):
+        path = write_config(tmp_path, payload)
+        assert main(["catalog", "--config", path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config rejected")
 
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({"command": "catalog", "epsilon": 0}, CONFIG_SCHEMA)
+    @pytest.mark.parametrize("flag", [["--grid-radius", "2"], ["--grid-samples", "16"]])
+    @pytest.mark.parametrize("grid", [[1.0], "radius", 3.0])
+    def test_grid_flag_over_a_grid_that_is_no_object(self, tmp_path, capsys, flag, grid):
+        path = write_config(tmp_path, {"command": "catalog", "grid": grid})
+        assert main(["--config", path, "--out", str(tmp_path), *flag]) == 2
+        assert capsys.readouterr().err.startswith("config error: bad grid entry")
+
+    def test_out_that_names_a_file_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["catalog", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert out.read_text() == ""
+
+
+#: Marks a key the config of a :data:`CONFIG_TABLE` row leaves out.
+ABSENT = object()
+
+TERMS = [[[1, 0], [0.5, 0]]]
+
+#: Each config constraint from both sides: (id, entries laid over
+#: ``{"command": "catalog"}``, accepted).  ``catalog`` runs in no time and
+#: takes every key, so a row pins the key's reader alone.
+CONFIG_TABLE = [
+    ("command-catalog", {}, True),
+    ("command-missing", {"command": ABSENT}, False),
+    ("command-unknown", {"command": "bogus"}, False),
+    ("command-not-a-string", {"command": ["catalog"]}, False),
+    ("unknown-key", {"bogus": 1}, False),
+    ("symbol-object", {"symbol": COS}, True),
+    ("symbol-array", {"symbol": [1]}, False),
+    ("symbol-string", {"symbol": "cos"}, False),
+    ("symbol-no-kind", {"symbol": {"name": "cos"}}, False),
+    ("symbol-kind-not-a-string", {"symbol": {"kind": 1}}, False),
+    ("seed-integer", {"seed": -7}, True),
+    ("seed-float", {"seed": 7.0}, False),
+    ("seed-string", {"seed": "7"}, False),
+    ("seed-bool", {"seed": True}, False),
+    ("epsilon-float", {"epsilon": 1e-300}, True),
+    ("epsilon-integer", {"epsilon": 1}, True),
+    ("epsilon-zero", {"epsilon": 0}, False),
+    ("epsilon-negative", {"epsilon": -1e-6}, False),
+    ("epsilon-nan", {"epsilon": math.nan}, False),
+    ("epsilon-infinite", {"epsilon": math.inf}, False),
+    ("epsilon-string", {"epsilon": "1e-6"}, False),
+    ("epsilon-bool", {"epsilon": True}, False),
+    ("m-2", {"m": 2}, True),
+    ("m-1", {"m": 1}, False),
+    ("m-float", {"m": 2.0}, False),
+    ("m-string", {"m": "2"}, False),
+    ("m-bool", {"m": True}, False),
+    ("n-max-8", {"n_max": 8}, True),
+    ("n-max-7", {"n_max": 7}, False),
+    ("n-max-2-62", {"n_max": 2**62}, True),
+    ("n-max-above-2-62", {"n_max": 2**62 + 1}, False),
+    ("n-max-float", {"n_max": 8.0}, False),
+    ("grid-radius", {"grid": {"radius": 0.5}}, True),
+    ("grid-full", {"grid": {"radius": 3, "samples": 8, "circles": 2}}, True),
+    ("grid-no-radius", {"grid": {"samples": 8}}, False),
+    ("grid-zero-radius", {"grid": {"radius": 0.0}}, False),
+    ("grid-nan-radius", {"grid": {"radius": math.nan}}, False),
+    ("grid-string-radius", {"grid": {"radius": "3"}}, False),
+    ("grid-bool-radius", {"grid": {"radius": True}}, False),
+    ("grid-7-samples", {"grid": {"radius": 3, "samples": 7}}, False),
+    ("grid-float-samples", {"grid": {"radius": 3, "samples": 64.0}}, False),
+    ("grid-1-circle", {"grid": {"radius": 3, "circles": 1}}, False),
+    ("grid-extra-key", {"grid": {"radius": 3, "rings": 2}}, False),
+    ("grid-array", {"grid": [3.0]}, False),
+    ("seed-terms", {"seed_terms": TERMS}, True),
+    ("seed-terms-empty", {"seed_terms": []}, True),
+    ("seed-terms-object", {"seed_terms": {}}, False),
+    ("seed-terms-one-pair", {"seed_terms": [[[1, 0]]]}, False),
+    ("seed-terms-short-pair", {"seed_terms": [[[1], [0.5, 0]]]}, False),
+    ("target-terms", {"target_terms": TERMS}, True),
+    ("target-terms-string", {"target_terms": ""}, False),
+    ("target-terms-bool", {"target_terms": [[[True, 0], [0.5, 0]]]}, False),
+    ("target-terms-long-pair", {"target_terms": [[[1, 0, 0], [0.5, 0]]]}, False),
+    ("seeds-terms", {"seeds_terms": [TERMS, TERMS]}, True),
+    ("seeds-terms-object", {"seeds_terms": {}}, False),
+    ("seeds-terms-object-item", {"seeds_terms": [{}]}, False),
+    ("exponents", {"exponents": [[1, 0], [0, 1]]}, True),
+    ("exponents-empty", {"exponents": []}, False),
+    ("exponents-negative", {"exponents": [[-1, 1]]}, False),
+    ("exponents-float", {"exponents": [[1.0, 0]]}, False),
+    ("exponents-string", {"exponents": [["1"]]}, False),
+    ("exponents-bool", {"exponents": [[True]]}, False),
+    ("exponents-flat", {"exponents": [1, 2]}, False),
+    ("zeros", {"zeros": [[1, 0], [0, -2.5]]}, True),
+    ("zeros-short-pair", {"zeros": [[1]]}, False),
+    ("zeros-string", {"zeros": [["1", 0]]}, False),
+    ("zeros-bool", {"zeros": [[True, 0]]}, False),
+    ("report-path", {"report_path": "report.json"}, True),
+    ("report-path-number", {"report_path": 1}, False),
+    ("out", {"out": "reports"}, True),
+    ("out-number", {"out": 1}, False),
+]
+
+
+def table_config(entries) -> dict:
+    config = {"command": "catalog", **entries}
+    return {key: value for key, value in config.items() if value is not ABSENT}
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize(
+        "entries, accepted",
+        [row[1:] for row in CONFIG_TABLE],
+        ids=[row[0] for row in CONFIG_TABLE],
+    )
+    def test_main(self, tmp_path, monkeypatch, capsys, entries, accepted):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, table_config(entries))
+        code = main(["--config", path])
+        err = capsys.readouterr().err
+        assert code == (0 if accepted else 2), err
+        assert accepted or err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "entries, accepted",
+        [row[1:] for row in CONFIG_TABLE],
+        ids=[row[0] for row in CONFIG_TABLE],
+    )
+    def test_run(self, entries, accepted):
+        config = table_config(entries)
+        if accepted:
+            assert len(run(config)["outcome"]["catalog"]) == 6
+        else:
+            with pytest.raises(ConfigError):
+                run(config)
 
 
 class TestPipelines:

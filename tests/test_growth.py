@@ -709,7 +709,7 @@ class TestConvexRay:
             assert np.array_equal(profile, np.log(mods))
 
     def test_cos_goes_up_the_imaginary_axis(self):
-        ray = find_convex_ray(CatalogSymbol("cos"), 0, 0.5)
+        ray = find_convex_ray(CatalogSymbol("cos"), 0.5)
         # log|cos| grows fastest along +/- i; the profile is log cosh
         assert abs(abs(math.sin(ray.theta)) - 1) < 1e-3
         for t, p in zip(ray.t_grid, ray.profile):
@@ -717,7 +717,7 @@ class TestConvexRay:
             assert p == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_quadratic_exponential_profile_is_exact_parabola(self):
-        ray = find_convex_ray(CatalogSymbol("exp-quadratic"), 0, 0.5)
+        ray = find_convex_ray(CatalogSymbol("exp-quadratic"), 0.5)
         eta = abs(ray.w1)
         for t, p in zip(ray.t_grid, ray.profile):
             assert p == pytest.approx(
@@ -726,23 +726,25 @@ class TestConvexRay:
 
     def test_profile_is_strictly_increasing_and_convex(self):
         for spec in (CatalogSymbol("cos"), CatalogSymbol("exp-quadratic")):
-            ray = find_convex_ray(spec, 0, 0.5)
+            ray = find_convex_ray(spec, 0.5)
             d1 = np.diff(ray.profile)
             assert np.all(d1 > 0)
             assert np.all(np.diff(d1) > 0)
 
     def test_two_sided_domain_when_slope_is_nonzero(self):
         spec = PolyTimesExp(poly=(1, 1, 1), a=1)
-        ray = find_convex_ray(spec, 0, 0.5)
+        ray = find_convex_ray(spec, 0.5)
         assert ray.domain[0] == -1.0
 
     def test_pure_exponential_rejected(self):
         with pytest.raises(HypothesisError):
-            find_convex_ray(CatalogSymbol("exp", a=1), 0, 0.5)
+            find_convex_ray(CatalogSymbol("exp", a=1), 0.5)
 
     def test_vanishing_base_point_rejected(self):
-        with pytest.raises(HypothesisError):
-            find_convex_ray(CatalogSymbol("cos"), math.pi / 2, 0.5)
+        # 0.5 e^z - 0.5 e^{-z} = sinh z vanishes at the origin
+        sinh = ExpPolySymbol(ExpPoly.of([(0.5, 1.0), (-0.5, -1.0)]))
+        with pytest.raises(HypothesisError, match="vanishes"):
+            find_convex_ray(sinh, 0.5)
 
 
 class TestTmaConditions:
