@@ -22,7 +22,7 @@ from . import __version__
 from .classify import _structure, _zero_list, classify, growth_record
 from .dynamics import verify_witness
 from .errors import ConfigError, HyperalgError
-from .exppoly import GRID_RADIUS, DiskGrid, ExpPoly, _float_from_json, _int_from_json
+from .exppoly import DiskGrid, ExpPoly, _float_from_json, _int_from_json
 from .growth import scan_ray
 from .symbols import (
     CatalogSymbol,
@@ -78,8 +78,9 @@ def catalog_list() -> list[dict]:
 
 
 def _load_config(args):
-    """The config file's JSON value (``{}`` without a file) with the flags
-    laid over it; :func:`_read_values` checks the result."""
+    """The config file's JSON value (``{}`` without a file) with the
+    positional command laid over it; :func:`_read_values` checks the
+    result."""
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
@@ -87,21 +88,8 @@ def _load_config(args):
             raise ConfigError(f"cannot read config: {exc}") from exc
     else:
         config = {}
-    if type(config) is not dict:  # rejected by _read_values, flags or not
-        return config
-    flags = {
-        "command": args.command,
-        "seed": args.seed,
-        "epsilon": args.epsilon,
-        "n_max": args.n_max,
-        "out": args.out,
-    }
-    config.update((key, value) for key, value in flags.items() if value is not None)
-    grid_flags = [("radius", args.grid_radius), ("samples", args.grid_samples)]
-    grid_flags = {key: value for key, value in grid_flags if value is not None}
-    grid = config.get("grid", {"radius": GRID_RADIUS})
-    if grid_flags and type(grid) is dict:  # any other grid is rejected
-        config["grid"] = {**grid, **grid_flags}
+    if args.command is not None and type(config) is dict:
+        config["command"] = args.command
     return config
 
 
@@ -154,8 +142,6 @@ _READERS = {
     "n_max": _int_between(8, 2**62),
     "grid": lambda raw: DiskGrid.from_dict(_json_typed(dict, raw)),
     "report_path": functools.partial(_json_typed, str),
-    "seed": _int_from_json,
-    "out": functools.partial(_json_typed, str),
 }
 
 
@@ -300,11 +286,10 @@ def run(config: dict) -> dict:
     outcome = to_json_value(outcome)
 
     wall = time.monotonic() - started
-    echo = {k: v for k, v in config.items() if k != "out"}
     return {
         "schema": REPORT_SCHEMA,
         "version": __version__,
-        "config": echo,
+        "config": dict(config),
         "outcome": outcome,
         "warnings": warnings,
         "wall_time_s": wall,
@@ -326,19 +311,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON experiment config")
     parser.add_argument("--out", help="output directory for reports and CSVs")
-    parser.add_argument("--seed", type=int, help="seed echoed into the report")
-    parser.add_argument("--grid-radius", type=float, help="evaluation disk radius")
-    parser.add_argument(
-        "--grid-samples", type=int, help="points per evaluation circle"
-    )
-    parser.add_argument("--epsilon", type=float, help="residual tolerance")
-    parser.add_argument("--n-max", type=int, help="iterate count cap")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out or ".")
     try:
+        if out_dir.exists() and not out_dir.is_dir():  # found before the run
+            raise ConfigError(f"cannot write the report: {out_dir} is no directory")
         config = _load_config(args)
         report = run(config)
     except ConfigError as exc:
@@ -349,7 +330,6 @@ def main(argv=None) -> int:
         return 1
     side_files = report.pop("_side_files")
     command = config["command"]
-    out_dir = Path(config.get("out", "."))
     report_path = out_dir / f"{command}-report.json"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

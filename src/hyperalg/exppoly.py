@@ -164,8 +164,8 @@ class DiskGrid:
     circles: int = 4
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.samples < 8:
             raise ValueError("need at least 8 samples per circle")
         if self.circles < 2:
@@ -181,14 +181,14 @@ class DiskGrid:
 
     @staticmethod
     def from_dict(d: dict) -> "DiskGrid":
-        """The grid of ``d``: a finite ``radius`` and optional JSON integers
-        ``samples`` and ``circles``; a missing radius raises KeyError, and
-        another key ValueError."""
+        """The grid of ``d``: a JSON number ``radius`` and optional JSON
+        integers ``samples`` and ``circles``; a missing radius raises
+        KeyError, and another key ValueError."""
         for key in d:
             if key not in ("radius", "samples", "circles"):
                 raise ValueError(f"unknown grid key {key!r}")
         return DiskGrid(
-            radius=_require_finite(_float_from_json(d["radius"]), "grid radius").real,
+            radius=_float_from_json(d["radius"]),
             samples=_int_from_json(d.get("samples", 64)),
             circles=_int_from_json(d.get("circles", 4)),
         )

@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,15 @@ def _tuples(x, convert=_int_from_json):
     if convert is _int_from_json and set(map(type, x)) == {int}:
         return tuple(x)
     return tuple(_tuples(y, convert) if isinstance(y, list) else convert(y) for y in x)
+
+
+def _target_key(key: str) -> tuple[int, ...]:
+    """A report's target key as the exponent tuple it was written from:
+    comma-joined decimal integers, ``"2"`` or ``"1,0"``; anything else
+    (a space, a non-ASCII digit, an underscore) raises ValueError."""
+    if not re.fullmatch(r"[0-9]+(,[0-9]+)*", key):
+        raise ValueError(f"malformed target key {key!r}")
+    return tuple(map(int, key.split(",")))
 
 
 @dataclass(frozen=True)
@@ -147,8 +157,9 @@ class WitnessReport:
         integer, a residual, bound sum, weight or theta-table number that is
         not a JSON number (a numeric string included), a negative ``q``, an
         ``m`` below 1, an empty exponent list, a zero generator, a monomial
-        without one non-negative exponent per generator and a target of no
-        monomial are malformed too.
+        without one non-negative exponent per generator, a target key that
+        is not comma-joined decimal integers and a target of no monomial are
+        malformed too.
         Whether the numbers make a witness is for
         :func:`~hyperalg.dynamics.verify_witness` to decide.
         """
@@ -175,8 +186,7 @@ class WitnessReport:
             ),
             bound_sum=_float_from_json(d["bound_sum"]),
             targets={
-                tuple(int(x) for x in k.split(",")): exppoly_from_json(v)
-                for k, v in d["targets"].items()
+                _target_key(k): exppoly_from_json(v) for k, v in d["targets"].items()
             },
             exponents=exponents,
             weights=_tuples(d["weights"], _float_from_json),

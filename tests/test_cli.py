@@ -12,7 +12,8 @@ import pytest
 
 import hyperalg
 from hyperalg import mul_exppoly, symbols
-from hyperalg.cli import REPORT_SCHEMA, catalog_list, main, run
+from hyperalg import cli
+from hyperalg.cli import REPORT_SCHEMA, _build_parser, catalog_list, main, run
 from hyperalg.errors import ConfigError
 
 QUAD = {"kind": "catalog", "name": "exp-quadratic"}
@@ -104,14 +105,35 @@ class TestConfigHandling:
         )
         assert main(["--config", path, "--out", str(tmp_path)]) == 2
 
-    def test_cli_flags_override_config(self, tmp_path):
-        path = write_config(
-            tmp_path, {"command": "catalog", "seed": 1, "epsilon": 0.5}
-        )
-        assert main(["--config", path, "--seed", "7", "--out", str(tmp_path)]) == 0
-        report = read_report(tmp_path, "catalog")
-        assert report["config"]["seed"] == 7
-        assert report["config"]["epsilon"] == 0.5
+    def test_parser_takes_the_command_the_config_and_the_out_directory(self):
+        actions = _build_parser()._actions
+        assert [(a.dest, a.option_strings) for a in actions] == [
+            ("help", ["-h", "--help"]),
+            ("command", []),
+            ("config", ["--config"]),
+            ("out", ["--out"]),
+        ]
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--seed", "7"],
+            ["--epsilon", "1"],
+            ["--n-max", "8"],
+            ["--grid-radius", "2"],
+            ["--grid-samples", "16"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_a_value_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, flag):
+        # every value is a config key; the command line sets none of them
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(["catalog", "--out", "reports", *flag])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "hyperalg: error: unrecognized arguments" in err and flag[0] in err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n_max, code", [(2**62, 0), (2**65, 2)])
     def test_n_max_is_capped_at_a_64_bit_count(self, tmp_path, n_max, code):
@@ -216,6 +238,40 @@ class TestConfigHandling:
         assert err.startswith("config error: malformed witness report")
         assert "expected a number" in err
 
+    @pytest.mark.parametrize(
+        "key",
+        [" 2", "2 ", "\u0662", "1_0", "+2", "2,", ",2", "", "0x2"],
+        ids=[
+            "leading-space",
+            "trailing-space",
+            "arabic-indic-digit",
+            "underscore",
+            "plus",
+            "trailing-comma",
+            "leading-comma",
+            "empty",
+            "hex",
+        ],
+    )
+    def test_target_key_the_writer_never_writes_is_a_config_error(
+        self, tmp_path, capsys, key
+    ):
+        # a report writes a target key as comma-joined decimal integers
+        data = Path(__file__).parent / "data"
+        payload = json.loads((data / "single-m2.json").read_text())
+        payload["targets"][key] = payload["targets"].pop("2")
+        report_file = tmp_path / "report.json"
+        report_file.write_text(json.dumps(payload))
+        path = write_config(
+            tmp_path,
+            {"command": "verify", "symbol": QUAD, "report_path": str(report_file)},
+        )
+        assert main(["--config", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed witness report")
+        assert f"malformed target key {key!r}" in err
+        assert not (tmp_path / "verify-report.json").exists()
+
     @pytest.mark.parametrize("command", ["classify", "analyze"])
     def test_r_grid_is_a_config_error(self, tmp_path, capsys, command):
         # no command reads radii of a growth window: the key is unknown
@@ -260,13 +316,6 @@ class TestConfigHandling:
         assert main(["catalog", "--config", path, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error: config rejected")
 
-    @pytest.mark.parametrize("flag", [["--grid-radius", "2"], ["--grid-samples", "16"]])
-    @pytest.mark.parametrize("grid", [[1.0], "radius", 3.0])
-    def test_grid_flag_over_a_grid_that_is_no_object(self, tmp_path, capsys, flag, grid):
-        path = write_config(tmp_path, {"command": "catalog", "grid": grid})
-        assert main(["--config", path, "--out", str(tmp_path), *flag]) == 2
-        assert capsys.readouterr().err.startswith("config error: bad grid entry")
-
     def test_out_that_names_a_file_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("")
@@ -275,6 +324,23 @@ class TestConfigHandling:
         assert err.startswith("config error: ") and str(out) in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert out.read_text() == ""
+
+    def test_out_that_names_a_file_is_found_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # a finished build is not thrown away: the pipeline never starts
+        def no_run(config):
+            raise AssertionError("run was called")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, {"command": "witness", "symbol": QUAD})
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write the report: {out} is no directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
 
 #: Marks a key the config of a :data:`CONFIG_TABLE` row leaves out.
@@ -296,10 +362,8 @@ CONFIG_TABLE = [
     ("symbol-string", {"symbol": "cos"}, False),
     ("symbol-no-kind", {"symbol": {"name": "cos"}}, False),
     ("symbol-kind-not-a-string", {"symbol": {"kind": 1}}, False),
-    ("seed-integer", {"seed": -7}, True),
-    ("seed-float", {"seed": 7.0}, False),
-    ("seed-string", {"seed": "7"}, False),
-    ("seed-bool", {"seed": True}, False),
+    # no key is read but to run the pipeline: a seed would be echoed only
+    ("seed-integer", {"seed": -7}, False),
     ("epsilon-float", {"epsilon": 1e-300}, True),
     ("epsilon-integer", {"epsilon": 1}, True),
     ("epsilon-zero", {"epsilon": 0}, False),
@@ -330,6 +394,8 @@ CONFIG_TABLE = [
     ("grid-1-circle", {"grid": {"radius": 3, "circles": 1}}, False),
     ("grid-extra-key", {"grid": {"radius": 3, "rings": 2}}, False),
     ("grid-array", {"grid": [3.0]}, False),
+    ("grid-string", {"grid": "radius"}, False),
+    ("grid-number", {"grid": 3.0}, False),
     ("seed-terms", {"seed_terms": TERMS}, True),
     ("seed-terms-empty", {"seed_terms": []}, True),
     ("seed-terms-object", {"seed_terms": {}}, False),
@@ -355,8 +421,8 @@ CONFIG_TABLE = [
     ("zeros-bool", {"zeros": [[True, 0]]}, False),
     ("report-path", {"report_path": "report.json"}, True),
     ("report-path-number", {"report_path": 1}, False),
-    ("out", {"out": "reports"}, True),
-    ("out-number", {"out": 1}, False),
+    # the output directory is --out, which the config echo does not hold
+    ("out", {"out": "reports"}, False),
 ]
 
 
@@ -834,7 +900,7 @@ class TestDeterminism:
             out = tmp_path / sub
             path = write_config(
                 tmp_path,
-                {"command": "witness", "symbol": QUAD, "m": 2, "seed": 11},
+                {"command": "witness", "symbol": QUAD, "m": 2},
                 f"w-{sub}.json",
             )
             assert main(["--config", path, "--out", str(out)]) == 0

@@ -190,3 +190,13 @@ class TestDiskGrid:
             DiskGrid(radius=1.0, samples=4)
         with pytest.raises(ValueError):
             DiskGrid(radius=1.0, circles=1)
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan, math.inf, -math.inf])
+    def test_radius_is_positive_and_finite(self, radius):
+        # NaN passes a `radius <= 0` check, and both give points of no use
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            DiskGrid(radius=radius)
+
+    def test_from_dict_reads_an_integer_radius_as_a_float(self):
+        radius = DiskGrid.from_dict({"radius": 3}).to_dict()["radius"]
+        assert type(radius) is float and radius == 3.0
