@@ -7,6 +7,11 @@ growth gate answers first: a nonconstant polynomial carries an algebra, and
 order 2 lies beyond the paper's scope.  Then the tree runs the structural
 routes (zero-free, polynomial times exponential, zero-set sums) and the
 numerical checkers (curvature plus arithmetic progressions; ray growth gap).
+phi(0), which the tree checks for modulus 1, and phi'(0) and phi''(0), which
+give the curvature margin, come in closed form from the structure as well
+(:func:`~hyperalg.symbols._jet_at_zero`): classify evaluates phi at no single
+point and on no contour.  ``analyze`` and the witness builder's
+``find_convex_ray`` still take their derivatives from the contour.
 ``Unknown`` is the fallback, never a guess: each verdict carries the evidence
 that produced it and a ``confidence`` tag -- ``exact`` for the growth gate
 and the structural routes, ``numerical`` for anything resting on sampled
@@ -36,9 +41,7 @@ from .symbols import (
     HadamardTrunc,
     PolyTimesExp,
     SymbolSpec,
-    _modulus_at_zero,
-    derivs_at_zero,
-    eval_symbol,
+    _jet_at_zero,
     to_json_value,
 )
 
@@ -214,15 +217,14 @@ def growth_record(spec: SymbolSpec, structure: Structure) -> Structure:
 
 def check_T2(spec: SymbolSpec) -> dict:
     """Curvature-and-progressions evidence: the second-derivative margin
-    |phi''(0) phi(0) - phi'(0)^2| and, per power m, a step ``a`` with
-    |phi(j a)| < 1 for j = 1..m."""
-    modulus, _ = _modulus_at_zero(spec)
-    if abs(modulus - 1) > COEFF_MARGIN:
+    |phi''(0) phi(0) - phi'(0)^2|, from the structure, and, per power m, a
+    step ``a`` with |phi(j a)| < 1 for j = 1..m."""
+    phi0, phi1, phi2 = _jet_at_zero(spec)
+    if abs(abs(phi0) - 1) > COEFF_MARGIN:
         raise NormalizationError(
-            f"|phi(0)| = {modulus:.12f}; must be 1 (up to rotation)"
+            f"|phi(0)| = {abs(phi0):.12f}; must be 1 (up to rotation)"
         )
-    derivs, _ = derivs_at_zero(spec, 2)
-    margin = abs(derivs[2] * derivs[0] - derivs[1] ** 2)
+    margin = abs(phi2 * phi0 - phi1**2)
     steps = find_arith_progression(spec, M_MAX)
     progressions = {m: steps[m] for m in range(2, M_MAX + 1)}
     passed = margin > COEFF_MARGIN and None not in progressions.values()
@@ -240,7 +242,7 @@ def classify(spec: SymbolSpec, zeros=None) -> Verdict:
     if structure.order == 2:
         return Verdict(UNKNOWN, "growth-beyond-scope", evidence, "exact")
 
-    phi0 = eval_symbol(spec, 0)
+    phi0 = _jet_at_zero(spec)[0]
     evidence["phi0"] = phi0
     if abs(abs(phi0) - 1) > COEFF_MARGIN:
         return Verdict(UNKNOWN, "normalization", evidence, "exact")

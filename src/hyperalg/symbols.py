@@ -14,6 +14,9 @@ variants are supported:
 All variants evaluate pointwise and on numpy arrays, serialize to a JSON
 dict with a ``kind`` discriminator (complex numbers as ``[re, im]`` pairs,
 bit-exact round trip), and admit contour-integral derivatives at the origin.
+Each kind also gives phi(0), phi'(0) and phi''(0) in closed form
+(:func:`_jet_at_zero`), which classify reads; ``analyze`` and the convex-ray
+search of the witness builder keep the contour (:func:`derivs_at_zero`).
 """
 
 from __future__ import annotations
@@ -265,22 +268,58 @@ def _exp_poly_deviation(slope: float, poly, r: np.ndarray) -> np.ndarray:
 
 
 def _modulus_at_zero(spec: SymbolSpec) -> tuple[float, float]:
-    """|phi(0)| from the structure, and M(0), the constant term of phi's
-    majorant series: sum |c| for an exponential sum (never below the
-    rounded |phi(0)|), |phi(0)| for every other kind."""
-    if isinstance(spec, CatalogSymbol):
-        if spec.name == CATALOG_EXP_POLY:
-            phi0 = abs(spec.poly[0]) if spec.poly else 0.0
-        else:
-            phi0 = 1.0
-        return phi0, phi0
+    """|phi(0)| from the structure (:func:`_jet_at_zero`), and M(0), the
+    constant term of phi's majorant series: sum |c| for an exponential sum
+    (never below the rounded |phi(0)|), |phi(0)| for every other kind."""
+    phi0 = abs(_jet_at_zero(spec)[0])
     if isinstance(spec, ExpPolySymbol):
-        coeffs = spec.poly.coefficients()
-        phi0 = abs(sum(coeffs))
-        return phi0, max(phi0, sum(map(abs, coeffs)))
-    if isinstance(spec, (PolyTimesExp, HadamardTrunc)):
-        phi0 = math.exp(spec.b.real)  # e^b times p(0) = 1, or an empty product
-        return phi0, phi0
+        return phi0, max(phi0, sum(abs(c) for c, _ in spec.poly.terms))
+    return phi0, phi0
+
+
+def _exp_poly_jet(a: complex, poly) -> tuple[complex, complex, complex]:
+    """The value and first two derivatives at 0 of ``p(w) e^{a w}``, with
+    the coefficients of p lowest first."""
+    p0, p1, p2 = (*poly, 0j, 0j, 0j)[:3]
+    return complex(p0), a * p0 + p1, a * a * p0 + 2 * a * p1 + 2 * p2
+
+
+def _jet_at_zero(spec: SymbolSpec) -> tuple[complex, complex, complex]:
+    """phi(0), phi'(0) and phi''(0) from the structure, in closed form for
+    each kind: a catalog entry from its formula at w = scale z, an
+    exponential sum as sum c l^k, ``p(z) e^{az+b}`` from p and a, and a
+    truncated product as e^b (1, l1, l2 + l1^2) from log phi's l1 = a - sum
+    1/z_k (genus 0; a at genus 1) and l2 = -sum 1/z_k^2 over the zeros it
+    multiplies."""
+    if isinstance(spec, CatalogSymbol):
+        s = spec.scale
+        if spec.name in (CATALOG_EXP, CATALOG_EXP_POLY):
+            poly = spec.poly if spec.name == CATALOG_EXP_POLY else (1,)
+            phi0, phi1, phi2 = _exp_poly_jet(spec.a, poly)
+            return phi0, s * phi1, s * s * phi2
+        phi2 = {  # every other entry is 1 + phi''(0) w^2 / 2 + O(w^3)
+            CATALOG_COS: -1.0,
+            CATALOG_SIN_PLUS_EXP: 1.0,
+            CATALOG_SINC_PI: -math.pi**2 / 3,
+            CATALOG_EXP_QUADRATIC: 2 * spec.a,
+        }[spec.name]
+        return 1 + 0j, 0j, phi2 * s * s
+    if isinstance(spec, ExpPolySymbol):
+        terms = spec.poly.terms
+        return (
+            complex(sum(c for c, _ in terms)),
+            complex(sum(c * l for c, l in terms)),
+            complex(sum(c * l * l for c, l in terms)),
+        )
+    if isinstance(spec, PolyTimesExp):
+        e = cmath.exp(spec.b)
+        return tuple(e * d for d in _exp_poly_jet(spec.a, spec.poly))
+    if isinstance(spec, HadamardTrunc):
+        used = spec.zeros[: spec.truncation]
+        l1 = spec.a - (0 if spec.genus else sum(1 / z for z in used))
+        l2 = -sum(1 / (z * z) for z in used)
+        e = cmath.exp(spec.b)
+        return e, e * l1, e * (l2 + l1 * l1)
     raise TypeError(f"not a SymbolSpec: {spec!r}")
 
 
@@ -416,9 +455,9 @@ def _contour_coeffs(vals: np.ndarray, n_max: int, radius: float) -> np.ndarray:
     equispaced points of a circle of ``radius`` (:func:`_angles`), times the
     cached DFT matrix of :func:`_dft_phases`.
 
-    It serves :func:`derivs_at_zero`, whose values reports carry: classify's
-    second-derivative margin, and the convex ray's ``w_star``, ``w_plus``
-    and Gamma window.  A dense product rather than an FFT, whose different
+    It serves :func:`derivs_at_zero`, whose values reports carry: analyze's
+    derivatives, and the convex ray's ``w_star``, ``w_plus`` and Gamma
+    window.  A dense product rather than an FFT, whose different
     summation order would move the last bits of those values; its matrices
     are small at these degrees.
     """

@@ -22,7 +22,9 @@ from hyperalg import (
 )
 from hyperalg.classify import Verdict
 from hyperalg.cli import run
-from hyperalg.errors import NormalizationError
+from hyperalg.errors import DerivativeConvergenceError, NormalizationError
+from test_golden import CLASSIFY as GOLDEN_CLASSIFY
+from test_golden import COS_ZEROS, DATA, assert_matches
 
 # the package re-exports the function classify under the module's name
 classify_module = importlib.import_module("hyperalg.classify")
@@ -38,6 +40,32 @@ def _paths_to(value, target, path=()):
     elif isinstance(value, list):
         for i, entry in enumerate(value):
             yield from _paths_to(entry, target, (*path, i))
+
+
+#: The classify fixtures whose verdicts rest on the curvature-progression route.
+CURVATURE_FIXTURES = [
+    name
+    for name in sorted(GOLDEN_CLASSIFY)
+    if '"route": "curvature-progression"'
+    in (DATA / f"classify-{name}.json").read_text()
+]
+
+
+def _no_contour_or_point_evaluation(monkeypatch):
+    """Makes phi at a single point and the contour derivatives at 0 raise,
+    wherever classify could reach them."""
+
+    def unused(*args):
+        raise AssertionError("classify evaluated phi at 0 or on a contour")
+
+    for module, name in [
+        (classify_module, "eval_symbol"),
+        (classify_module, "derivs_at_zero"),
+        (symbols, "eval_symbol"),
+        (symbols, "derivs_at_zero"),
+        (symbols, "_converged_coeffs"),
+    ]:
+        monkeypatch.setattr(module, name, unused, raising=False)
 
 
 class TestZeroSetSummary:
@@ -110,11 +138,22 @@ class TestCheckT2:
             check_T2(CatalogSymbol("exp-poly", a=1, poly=(0.5,)))
 
     def test_reads_the_modulus_at_zero_from_the_structure(self, monkeypatch):
-        def unused(spec, z):
-            raise AssertionError("check_T2 evaluated phi(0)")
+        """phi(0), phi'(0) and phi''(0) come from the structure: with the
+        point evaluator and the contour derivatives raising, every
+        curvature-route verdict is still its fixture."""
+        _no_contour_or_point_evaluation(monkeypatch)
+        assert len(CURVATURE_FIXTURES) == 7
+        for name in CURVATURE_FIXTURES:
+            want = json.loads((DATA / f"classify-{name}.json").read_text())
+            assert_matches(to_json_value(classify(GOLDEN_CLASSIFY[name])), want, name)
 
-        monkeypatch.setattr(classify_module, "eval_symbol", unused)
-        assert check_T2(CatalogSymbol("cos"))["passed"]
+    def test_a_product_with_a_slope_needs_no_contour(self, monkeypatch):
+        _no_contour_or_point_evaluation(monkeypatch)
+        verdict = classify(HadamardTrunc(0.2 + 0.1j, 0j, COS_ZEROS, 0, 61))
+        assert verdict.outcome == "HasAlgebra"
+        assert verdict.route == "curvature-progression"
+        margin = verdict.evidence["curvature-progression"]["second_deriv_margin"]
+        assert margin == pytest.approx(0.9933547978504351, rel=1e-12)
 
     def test_returns_only_the_evidence_classify_records(self):
         result = check_T2(CatalogSymbol("cos"))
@@ -183,6 +222,36 @@ class TestClassifyCatalog:
         assert verdict.route == "zeros-summable"
         # the convergence of sum 1/|z_k| is read off a regression slope
         assert verdict.confidence == "numerical"
+
+
+class TestLargeScale:
+    """The curvature comes from the structure, so a scale at which the
+    contour of ``derivs_at_zero`` does not converge still gets a verdict."""
+
+    CASES = [
+        ("cos", 60),
+        ("sin+exp(-z)", 60),
+        ("sinc-pi", 15),
+        ("sinc-pi", 30),
+        ("sinc-pi", 60),
+    ]
+
+    @pytest.mark.parametrize("name,scale", CASES)
+    def test_classifies_where_the_contour_fails(self, name, scale):
+        spec = CatalogSymbol(name, scale=scale)
+        with pytest.raises(DerivativeConvergenceError):
+            symbols.derivs_at_zero(spec, 2)
+        verdict = classify(spec)
+        assert verdict.outcome == "HasAlgebra"
+        assert verdict.route == "curvature-progression"
+        report = run({"command": "classify", "symbol": to_json_value(spec)})
+        assert report["outcome"]["verdict"] == to_json_value(verdict)
+
+    @pytest.mark.parametrize("name", ["cos", "sin+exp(-z)"])
+    def test_a_tiny_scale_is_still_unknown(self, name):
+        # the margin scale**2 falls below the absolute COEFF_MARGIN
+        verdict = classify(CatalogSymbol(name, scale=1e-4))
+        assert (verdict.outcome, verdict.route) == ("Unknown", "exhausted")
 
 
 class TestVerdict:

@@ -62,7 +62,8 @@ GOLDEN = {
 #: Zeros ±(k + 1/2)π of cos, nearest first.
 COS_ZEROS = tuple((k + 0.5) * math.pi * s for k in range(40) for s in (1, -1))
 
-#: Symbols whose verdicts rest on the curvature-progression evidence.
+#: Symbols whose verdicts rest on the curvature-progression evidence, and two
+#: truncated products over the zeros of cos that the growth gate answers.
 CLASSIFY = {
     "cos": CatalogSymbol("cos"),
     "cos-scale0.6": CatalogSymbol("cos", scale=0.6),

@@ -479,6 +479,48 @@ class TestDerivatives:
             assert c == pytest.approx(1 / math.factorial(n), rel=1e-9, abs=1e-12)
 
 
+#: Zeros +-(k + 1/2) pi of cos and 1.5 k (1 + 0.2i), nearest first.
+_COS_ZEROS = tuple((k + 0.5) * math.pi * s for k in range(30) for s in (1, -1))
+_SKEW_ZEROS = tuple(1.5 * k * (1 + 0.2j) for k in range(1, 40))
+
+#: One symbol of each kind ``_jet_at_zero`` reads, each catalog name at a
+#: real and a complex scale.
+JET_PANEL = {
+    **{
+        f"{name}-scale{scale}": CatalogSymbol(
+            name, a=0.7 - 0.2j, poly=(1, 0.5 - 0.2j, 0.3j), scale=scale
+        )
+        for name in symbols._CATALOG_NAMES
+        for scale in (0.6, 0.8 + 0.3j)
+    },
+    "exppoly-3": ExpPolySymbol(
+        ExpPoly.of([(0.5, 0.8j), (0.3 - 0.1j, -0.4 + 0.2j), (0.2, 1.1)])
+    ),
+    "poly-times-exp": PolyTimesExp((1, 0.4 - 0.3j, 0.2j, -0.1), 0.5 + 0.2j, 0.7j),
+    "hadamard-genus0-odd": HadamardTrunc(0.3 + 0.1j, 0.4j, _COS_ZEROS, 0, 21),
+    "hadamard-genus1-odd": HadamardTrunc(-0.2 + 0.5j, -1j, _SKEW_ZEROS, 1, 15),
+    "hadamard-genus0-skew": HadamardTrunc(0.6, 0j, _SKEW_ZEROS, 0, 9),
+}
+
+
+class TestJetAtZero:
+    """phi(0), phi'(0), phi''(0) from the structure against the contour."""
+
+    @pytest.mark.parametrize("name", sorted(JET_PANEL))
+    def test_agrees_with_the_contour(self, name):
+        spec = JET_PANEL[name]
+        jet = symbols._jet_at_zero(spec)
+        derivs, errs = derivs_at_zero(spec, 2)
+        for got, want, err in zip(jet, derivs, errs):
+            assert type(got) is complex
+            assert abs(got - want) <= err + symbols.CONTOUR_TOL * max(1, abs(got))
+
+    def test_exact_values(self):
+        assert symbols._jet_at_zero(CatalogSymbol("cos", scale=0.6)) == (1, 0, -0.36)
+        sinc = symbols._jet_at_zero(CatalogSymbol("sinc-pi"))
+        assert sinc == (1, 0, -math.pi**2 / 3)
+
+
 #: (n_max, samples) of ``derivs_at_zero`` for 2 and 6 derivatives, and a
 #: dense series of cap 80 on ``to_taylor``'s sample count for that
 #: cap (``to_taylor`` itself takes its series by FFT: TestFFTSeries).
