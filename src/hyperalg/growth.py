@@ -27,6 +27,7 @@ from .symbols import (
     SymbolSpec,
     _csv_text,
     _deviation_bound,
+    _jet_at_zero,
     _modulus_at_zero,
     derivs_at_zero,
     eval_symbol_array,
@@ -230,26 +231,59 @@ def _dead_steps(spec: SymbolSpec, steps: np.ndarray, margin: float) -> int:
     return steps.size if dead[first_live] else first_live
 
 
-def _live_steps(spec: SymbolSpec, rays: np.ndarray, margin: float):
-    """Yields ``(t, where row 1 passes)`` for every progression step t, in
-    order, that some direction passes in row 1 (a live step).
+def _live_steps(spec: SymbolSpec, margin: float, start: int, settled: int):
+    """Yields ``(t, hits)`` for every progression step t from index
+    ``start`` on, in order, that some direction passes in row 1 (a live
+    step), with ``hits`` the indices of those directions, in order.
 
-    The steps :func:`_dead_steps` proves dead are skipped unevaluated.
-    Row 1 of the others is evaluated in blocks of steps: one step at first,
-    twice as many after a block of dead steps, up to :func:`_screen_limit`,
-    and one again after a block with a live step.
+    The first ``settled`` directions of step ``start`` are left out, as
+    decided already.  Row 1 is evaluated in blocks of steps: one step at
+    first, twice as many after a block of dead steps, up to
+    :func:`_screen_limit`, and one again after a block with a live step.
     """
     steps = PROGRESSION_STEPS  # read per call: tests replace the grid
     limit = _screen_limit(spec)
-    block, start = 1, _dead_steps(spec, steps, margin)
+    block = 1
     while start < steps.size:
         ts = steps[start : start + block]
         start += ts.size
+        rays = _DIRECTIONS[settled:]
         passes = _row_passes(spec, np.multiply.outer(ts, rays), margin)
         live = np.nonzero(passes.any(axis=1))[0]
         for i in live:
-            yield float(ts[i]), passes[i]
+            yield float(ts[i]), np.nonzero(passes[i])[0] + settled
         block = 1 if live.size else min(2 * block, limit)
+        settled = 0
+
+
+def _falls_along_first_direction(spec: SymbolSpec, t: float) -> bool:
+    """Whether log|phi| is predicted to fall from 0 to t along direction 0,
+    the positive axis: Re(l1) t + Re(l2) t^2 < 0 for log phi = log phi(0)
+    + l1 z + l2 z^2 + ..., with l1 = phi'/phi and l2 = (phi'' phi -
+    phi'^2) / (2 phi^2) at 0 from :func:`~hyperalg.symbols._jet_at_zero`,
+    taken as l2 = (phi''/phi - l1^2) / 2 so that no power of phi(0)
+    underflows.  False when phi(0) = 0 or the sum is not a number."""
+    phi0, phi1, phi2 = _jet_at_zero(spec)
+    if phi0 == 0:
+        return False
+    l1 = phi1 / phi0
+    l2 = (phi2 / phi0 - l1 * l1) / 2
+    return l1.real * t + l2.real * t * t < 0
+
+
+def _take_lengths(
+    found: dict, t: float, block: np.ndarray, rows: np.ndarray, first: int
+) -> None:
+    """Records in ``found`` the lengths the directions ``block`` of step t
+    reach, where ``rows[i]`` says which of them pass row ``first + i`` and
+    every row before ``first`` passed: a length not yet found goes to the
+    first direction of the block that passes every row up to it."""
+    alive = np.logical_and.accumulate(rows, axis=0)
+    for j, row in enumerate(alive, first):
+        if not row.any():
+            break  # no direction of the block has this length at t
+        if found[j] is None:
+            found[j] = complex(t * _DIRECTIONS[block[row.argmax()]])
 
 
 def find_arith_progression(
@@ -259,37 +293,49 @@ def find_arith_progression(
     by direction) such that |phi(j a)| <= 1 - margin for every j = 1..k;
     None for a length the grid never meets.
 
+    The steps phi's majorant proves dead (:func:`_dead_steps`) are skipped
+    unevaluated.  At the first other step t0, when log|phi| is predicted to
+    fall along direction 0 (:func:`_falls_along_first_direction`), one call
+    probes rows 1..m of that direction.  It comes first in the search's
+    order, so if it passes all m rows it answers every length; otherwise it
+    keeps the lengths it reaches, and the sweep leaves it out at t0.
+
     One sweep serves every length.  Row 1 comes from :func:`_live_steps`,
-    which skips the steps phi's majorant proves dead and screens runs of
-    other dead steps in one call.  Rows 2..m of a live step are evaluated
-    in the directions that pass row 1, in order, in blocks of 1, 2, 4, ...
-    directions per call, and no block follows one that holds a direction
-    passing all m rows: for every k, the first direction that passes rows
-    1..k lies at or before it.  The block size does not restart at the next
-    live step, so a run of live steps that no direction passes to the end
-    soon takes one call of rows 2..m per step.  A direction keeps a length
-    while it passes every row so far, and a point out of range fails its
-    own direction only.
+    which screens runs of dead steps in one call.  Rows 2..m of a live step
+    are evaluated in the directions that pass row 1, in order, in blocks of
+    1, 2, 4, ... directions per call, and no block follows one that holds a
+    direction passing all m rows: for every k, the first direction that
+    passes rows 1..k lies at or before it.  The block size does not restart
+    at the next live step, so a run of live steps that no direction passes
+    to the end soon takes one call of rows 2..m per step.  A direction
+    keeps a length while it passes every row so far, and a point out of
+    range fails its own direction only.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     found: dict[int, complex | None] = dict.fromkeys(range(1, m + 1))
-    js = np.arange(2, m + 1, dtype=float)[:, None]
+    first_step = _dead_steps(spec, PROGRESSION_STEPS, margin)
+    if first_step == PROGRESSION_STEPS.size:
+        return found
+    settled = 0  # leading directions of the first step the probe decided
+    t0 = float(PROGRESSION_STEPS[first_step])
+    js = np.arange(1, m + 1, dtype=float)[:, None]
+    if _falls_along_first_direction(spec, t0):
+        rows = _row_passes(spec, (js * t0) * _DIRECTIONS[:1], margin)
+        _take_lengths(found, t0, np.arange(1), rows, 1)  # direction 0 alone
+        if found[m] is not None:
+            return found
+        settled = 1
+    js = js[1:]  # rows 2..m
     size = 1  # directions in the next block of rows 2..m
-    for t, ok in _live_steps(spec, _DIRECTIONS, margin):
-        hits = np.nonzero(ok)[0]
+    for t, hits in _live_steps(spec, margin, first_step, settled):
         if found[1] is None:
             found[1] = complex(t * _DIRECTIONS[hits[0]])
         start = 0
         while found[m] is None and start < hits.size:
             block = hits[start : start + size]
             rows = _row_passes(spec, (js * t) * _DIRECTIONS[block], margin)
-            alive = np.logical_and.accumulate(rows, axis=0)
-            for j, row in enumerate(alive, 2):
-                if not row.any():
-                    break  # no direction of the block has this length at t
-                if found[j] is None:
-                    found[j] = complex(t * _DIRECTIONS[block[row.argmax()]])
+            _take_lengths(found, t, block, rows, 2)
             start, size = start + size, min(2 * size, PROGRESSION_DIRECTIONS)
         if found[m] is not None:
             break  # a hit of length m is a hit of every shorter length

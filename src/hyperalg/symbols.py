@@ -15,8 +15,10 @@ All variants evaluate pointwise and on numpy arrays, serialize to a JSON
 dict with a ``kind`` discriminator (complex numbers as ``[re, im]`` pairs,
 bit-exact round trip), and admit contour-integral derivatives at the origin.
 Each kind also gives phi(0), phi'(0) and phi''(0) in closed form
-(:func:`_jet_at_zero`), which classify reads; ``analyze`` and the convex-ray
-search of the witness builder keep the contour (:func:`derivs_at_zero`).
+(:func:`_jet_at_zero`), which classify, the progression search and the
+multi-generator builder's phi(0) = 1 check read; ``analyze`` and the
+convex-ray search of the witness builder keep the contour
+(:func:`derivs_at_zero`).
 """
 
 from __future__ import annotations
@@ -326,8 +328,11 @@ def _jet_at_zero(spec: SymbolSpec) -> tuple[complex, complex, complex]:
 def _deviation_bound(spec: SymbolSpec, t) -> np.ndarray:
     """D(t) >= sup over |z| = t of |phi(z) - phi(0)|, at each radius of the
     array ``t``: the majorant series sum |a_k| t^k of phi without its
-    constant term, in closed form for each kind.  It grows with t, and may
-    be inf where it overflows (and NaN at t = 0 for sinc-pi)."""
+    constant term, in closed form for each kind, except for an exponential
+    sum sum c e^{l z}: |sum c l| t + sum |c| (e^{|l| t} - 1 - |l| t), its
+    linear term taken whole, so that z terms which cancel (as in
+    (e^{iz} + e^{-iz}) / 2 = cos z) add nothing to it.  It grows with t,
+    and may be inf where it overflows (and NaN at t = 0 for sinc-pi)."""
     t = np.asarray(t, dtype=float)
     with np.errstate(all="ignore"):
         if isinstance(spec, CatalogSymbol):
@@ -349,9 +354,19 @@ def _deviation_bound(spec: SymbolSpec, t) -> np.ndarray:
                 return np.expm1(abs(spec.a) * r * r)
             raise AssertionError(spec.name)
         if isinstance(spec, ExpPolySymbol):
-            out = np.zeros(t.shape)
-            for c, l in spec.poly.terms:
-                out += abs(c) * np.expm1(abs(l) * t)
+            # phi(z) - phi(0) = (sum c l) z + sum c (e^{l z} - 1 - l z), so
+            # D = sum |c| expm1(|l| t) - (sum |c l| - |sum c l|) t.  Where
+            # t is small the two nearly cancel.  The first is raised by
+            # 2**-48 of itself per term, which exceeds the rounding of both
+            # sums and of expm1 (a few 2**-53 each) unless |l| t is in the
+            # tens, so the cancellation cannot round D below its value.
+            terms = spec.poly.terms
+            slope = sum(abs(c * l) for c, l in terms)
+            slope -= abs(sum(c * l for c, l in terms))
+            raised = 1 + len(terms) * 2.0**-48
+            out = -slope * t
+            for c, l in terms:
+                out += abs(c) * raised * np.expm1(abs(l) * t)
             return out
         if isinstance(spec, PolyTimesExp):
             return math.exp(spec.b.real) * _exp_poly_deviation(abs(spec.a), spec.poly, t)

@@ -45,8 +45,8 @@ from .growth import (
 )
 from .symbols import (
     SymbolSpec,
+    _jet_at_zero,
     complexes_from_json,
-    eval_symbol,
     eval_symbol_array,
     exppoly_from_json,
     to_json_value,
@@ -505,7 +505,7 @@ def derive_multi_params(spec: SymbolSpec, A: ExponentSet) -> MultiParams:
     independently found ray where |phi| < 1, with the cross-window sums
     re-verified directly.
     """
-    phi0 = eval_symbol(spec, 0)
+    phi0 = _jet_at_zero(spec)[0]
     if abs(phi0 - 1) > 1e-9:
         raise HypothesisError(f"phi(0) = {phi0}; the construction needs phi(0) = 1")
     d_A = A.max_total

@@ -1,6 +1,7 @@
 """Ray scans and the geometric searches built on them."""
 
 import cmath
+import decimal
 import math
 
 import numpy as np
@@ -298,12 +299,11 @@ class TestProgressionScreening:
         )
         calls = record_masked(monkeypatch)
         assert find_arith_progression(HADAMARD_60, 4) == want
-        assert want[4] == complex(t * RAYS[hit])
-        # row 1 of the first live step, then rows 2..4 of its first passing
-        # direction, which passes them all
-        assert len(calls) == 2
-        assert np.array_equal(calls[0], want_calls[0])
-        assert np.array_equal(calls[1], (np.arange(2, 5) * t) * RAYS[hit])
+        assert hit == 0 and want[4] == complex(t * RAYS[0])
+        # log|phi| falls along direction 0, whose rows 1..4 at the first
+        # live step all pass: one call of 4 points answers every length
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], (np.arange(1, 5) * t) * RAYS[0])
 
     def test_costly_symbol_screens_one_step_per_call(self, monkeypatch):
         # at margin 0.5 a few dead steps lie past the majorant's proof; each
@@ -311,7 +311,7 @@ class TestProgressionScreening:
         steps = growth.PROGRESSION_STEPS
         dead = growth._dead_steps(HADAMARD_60, steps, 0.5)
         calls = record_masked(monkeypatch)
-        t, _ = next(growth._live_steps(HADAMARD_60, RAYS, 0.5))
+        t, _ = next(growth._live_steps(HADAMARD_60, 0.5, dead, 0))
         live = int(np.nonzero(steps == t)[0][0])
         assert live - dead >= 2
         assert len(calls) == live - dead + 1
@@ -346,16 +346,77 @@ class TestProgressionScreening:
         points = np.concatenate(calls)
         assert np.unique(points).size == points.size
 
+    #: Points of each call at the classify margin, m = 6.  Cos and sinc-pi
+    #: fall along direction 0, which passes rows 1..6 at the first live
+    #: step: one call.  sin+exp(-z) rises along it, so no probe: row 1 of
+    #: the first live step, then rows 2..6 of one direction.  The two-term
+    #: sum falls along direction 0, but its first live step passes row 1
+    #: elsewhere: the probe, then the other 359 directions and the rows
+    #: 2..6 of one of them.
+    FIRST_STEP_CALLS = {
+        "cos": [6],
+        "sinc-pi": [6],
+        "sin+exp": [360, 5],
+        "exppoly-two-term": [6, 359, 5],
+    }
+
     @pytest.mark.parametrize(
         "name", ["cos", "sin+exp", "sinc-pi", "exppoly-two-term"]
     )
     def test_first_live_step_takes_two_calls(self, name, monkeypatch):
-        # row 1 of the first live step, then rows 2..6 of one direction
         spec = PROGRESSION_PANEL[name]
         want = {k: reference_progression(spec, k, MODULUS_MARGIN) for k in range(1, 7)}
         calls = record_masked(monkeypatch)
         assert find_arith_progression(spec, 6) == want
-        assert len(calls) <= 2
+        assert [z.size for z in calls] == self.FIRST_STEP_CALLS[name]
+
+    @staticmethod
+    def first_step(spec, margin) -> float:
+        """The first progression step the majorant does not prove dead."""
+        steps = growth.PROGRESSION_STEPS
+        return float(steps[growth._dead_steps(spec, steps, margin)])
+
+    def test_probe_keeps_the_rows_direction_0_passes(self, monkeypatch):
+        # 2 - e^z falls along the positive axis through 0.5 at t = log 1.5
+        # and passes |phi| <= 0.5 up to t = log 2.5: rows 1 and 2 of the
+        # first live step pass in direction 0, row 3 does not
+        spec = ExpPolySymbol(ExpPoly.of([(2.0, 0j), (-1.0, 1 + 0j)]))
+        t = self.first_step(spec, 0.5)
+        assert growth._falls_along_first_direction(spec, t)
+        want = {k: reference_progression(spec, k, 0.5) for k in range(1, 7)}
+        calls = record_masked(monkeypatch)
+        found = find_arith_progression(spec, 6, margin=0.5)
+        assert found == want
+        assert found[1] == found[2] == complex(t) != found[3]
+        # the probe, then row 1 of the other directions at the same step
+        assert np.array_equal(calls[0], (np.arange(1, 7) * t) * RAYS[0])
+        assert np.array_equal(calls[1], t * RAYS[1:])
+        points = np.concatenate(calls)
+        assert np.unique(points).size == points.size
+
+    def test_probe_failing_row_1_is_not_repeated(self, monkeypatch):
+        spec = PROGRESSION_PANEL["exppoly-two-term"]
+        t = self.first_step(spec, MODULUS_MARGIN)
+        assert growth._falls_along_first_direction(spec, t)
+        assert abs(eval_symbol(spec, t)) > 1 - MODULUS_MARGIN
+        want = {k: reference_progression(spec, k, MODULUS_MARGIN) for k in range(1, 7)}
+        calls = record_masked(monkeypatch)
+        assert find_arith_progression(spec, 6) == want
+        assert np.array_equal(calls[0], (np.arange(1, 7) * t) * RAYS[0])
+        assert np.array_equal(calls[1], t * RAYS[1:])
+        points = np.concatenate(calls)
+        assert np.unique(points).size == points.size
+
+    @pytest.mark.parametrize("name", ["sin+exp", "exp-quadratic", "exp-poly"])
+    def test_rising_symbol_makes_no_probe(self, name, monkeypatch):
+        spec = PROGRESSION_PANEL[name]
+        t = self.first_step(spec, MODULUS_MARGIN)
+        assert not growth._falls_along_first_direction(spec, t)
+        want = {k: reference_progression(spec, k, MODULUS_MARGIN) for k in range(1, 7)}
+        calls = record_masked(monkeypatch)
+        assert find_arith_progression(spec, 6) == want
+        # the first call is row 1 of the first live step in every direction
+        assert np.array_equal(calls[0], t * RAYS)
 
     @pytest.mark.parametrize(
         "name, margin",
@@ -385,6 +446,14 @@ MAJORANT_EXTRAS = {
     "sin+exp-scale1.3": CatalogSymbol("sin+exp(-z)", scale=1.3),
     "sin+exp-scale2": CatalogSymbol("sin+exp(-z)", scale=2),
     "sin+exp-scale0.6+0.8j": CatalogSymbol("sin+exp(-z)", scale=0.6 + 0.8j),
+    # exponential sums whose z terms cancel: sum c l = 0
+    "exppoly-cos-cancelling": ExpPolySymbol(ExpPoly.of([(0.5, 1j), (0.5, -1j)])),
+    "exppoly-cosh-plus-half": ExpPolySymbol(
+        ExpPoly.of([(0.25, 2 + 1j), (0.25, -2 - 1j), (0.5, 0j)])
+    ),
+    "exppoly-three-cancelling": ExpPolySymbol(
+        ExpPoly.of([(1 + 1j, 0.3), (1 - 1j, -0.3 + 0.3j), (-1.5 + 0.5j, 0.6j)])
+    ),
 }
 
 
@@ -486,6 +555,63 @@ class TestDeadZone:
     def test_bound_covers_every_circle(self, name):
         spec = {**PROGRESSION_PANEL, **MAJORANT_EXTRAS}[name]
         assert_bound_covers(spec, growth.PROGRESSION_STEPS[::8])
+
+    @pytest.mark.parametrize("margin, dead", [(MODULUS_MARGIN, 20), (0.5, 375)])
+    def test_cancelling_terms_add_nothing_to_the_majorant(self, margin, dead):
+        # cos as (e^{iz} + e^{-iz}) / 2: its z terms cancel, so its majorant
+        # starts at t^2 / 2 as catalog cos's does; summed term by term
+        # (sum |c| expm1(|l| t)) it would start at t and prove 0 and 334
+        # steps dead
+        spec = MAJORANT_EXTRAS["exppoly-cos-cancelling"]
+        steps = growth.PROGRESSION_STEPS
+        assert growth._dead_steps(spec, steps, margin) == dead
+        assert passing_points(spec, steps[:dead], margin) == 0
+        if margin == MODULUS_MARGIN:
+            assert dead == growth._dead_steps(CatalogSymbol("cos"), steps, margin)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=exponential_sums(), cancel=st.booleans())
+    def test_bound_is_at_most_the_per_term_sum(self, spec, cancel):
+        terms = list(spec.poly.terms)
+        if cancel:  # a last term that makes sum c l vanish
+            l = 1.7 - 0.4j
+            terms.append((-sum(c * f for c, f in terms) / l, l))
+            spec = ExpPolySymbol(ExpPoly.of(terms))
+        steps = growth.PROGRESSION_STEPS[::16]
+        assert_bound_covers(spec, steps)
+        per_term = sum(abs(c) * np.expm1(abs(f) * steps) for c, f in spec.poly.terms)
+        assert np.all(_deviation_bound(spec, steps) <= per_term * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["exppoly-cos-cancelling", "exppoly-three-cancelling", "exppoly-two-term"],
+    )
+    def test_exponential_sum_bound_never_rounds_below(self, name):
+        # against |sum c l| t + sum |c| (e^{|l| t} - 1 - |l| t) to 60
+        # digits, on radii from 1e-12, where its two parts cancel most, to
+        # the end of the step grid
+        spec = {**PROGRESSION_PANEL, **MAJORANT_EXTRAS}[name]
+        ts = np.concatenate([np.geomspace(1e-12, 1e-3, 50), growth.PROGRESSION_STEPS])
+        got = _deviation_bound(spec, ts)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            D = decimal.Decimal
+
+            def modulus(z):
+                return (D(z.real) ** 2 + D(z.imag) ** 2).sqrt()
+
+            terms = spec.poly.terms
+            re = sum(D(c.real) * D(l.real) - D(c.imag) * D(l.imag) for c, l in terms)
+            im = sum(D(c.real) * D(l.imag) + D(c.imag) * D(l.real) for c, l in terms)
+            linear = (re**2 + im**2).sqrt()
+            for t, bound in zip(ts.tolist(), got.tolist()):
+                exact, per_term = linear * D(t), 0
+                for c, l in terms:
+                    x = modulus(l) * D(t)
+                    exact += modulus(c) * (x.exp() - 1 - x)
+                    per_term += modulus(c) * (x.exp() - 1)
+                # above it by no more than a few 2**-48 of sum |c| expm1(|l| t)
+                assert exact <= D(bound) <= exact + D(2.0**-44) * per_term
 
     def test_majorant_constant_covers_the_rounded_modulus(self):
         # |c + 2c| rounds one ulp above |c| + |2c|

@@ -519,7 +519,13 @@ class TestMultiGenerator:
 
     def test_unnormalized_symbol_rejected(self):
         spec = CatalogSymbol("exp-poly", a=1, poly=(2, 1))
-        with pytest.raises((HypothesisError, ValueError)):
+        with pytest.raises(HypothesisError, match=r"needs phi\(0\) = 1"):
+            derive_multi_params(spec, self.A)
+
+    def test_rotated_symbol_rejected(self):
+        # |phi(0)| = 1 but phi(0) = e^{0.5 i}
+        spec = PolyTimesExp((1, 0.5), a=1, b=0.5j)
+        with pytest.raises(HypothesisError, match=r"needs phi\(0\) = 1"):
             derive_multi_params(spec, self.A)
 
 
@@ -553,8 +559,7 @@ class TestBatchedEvaluation:
     def test_multi_generator(self, exponents, scalar_calls):
         A = ExponentSet.of(exponents)
         multi_params = derive_multi_params(QUAD, A)
-        assert scalar_calls == [0]  # the phi(0) = 1 check
-        scalar_calls.clear()
+        assert scalar_calls == []  # phi(0) = 1 is read from the structure
         B, seeds = default_multi_targets(multi_params, A.n_generators)
         construct_witness_multi(QUAD, A, B, seeds, params=multi_params)
         assert scalar_calls == []
